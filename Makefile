@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race check allocgate bench bench-json benchcmp benchcmp-gate serve-smoke
+.PHONY: build test vet race check allocgate benchmark-selftest bench bench-json benchcmp benchcmp-gate serve-smoke
 
 build:
 	$(GO) build ./...
@@ -18,20 +18,28 @@ race:
 # detector (they skip themselves under it, since the instrumentation
 # allocates), so the zero-allocation cascade path, the zero-allocation
 # memo path (encode + lookup + hit), the zero-allocation Fourier–Motzkin
-# solve, and the clone-free refinement walk stay gated even though the main
-# test run is race-enabled.
+# solve, the clone-free refinement walk, and the map-free lexer stay gated
+# even though the main test run is race-enabled.
 allocgate:
 	$(GO) test ./internal/dtest -run 'TestCascadeZeroAllocs|TestRunTracedReusesScratch|TestBudgetZeroAllocs|TestFMSolveZeroAllocs'
 	$(GO) test ./internal/memo -run 'TestEncoderZeroAllocs|TestMemoHitZeroAllocs'
 	$(GO) test ./internal/depvec -run 'TestRefineZeroAllocs'
+	$(GO) test ./internal/lang -run 'TestLexerZeroAllocs'
+
+# benchmark-selftest vets and tests the benchmark module (benchmark/, a
+# separate Go module the root go test ./... never reaches): its generator,
+# verdict reference, pinned digests and ledger arithmetic.
+benchmark-selftest:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # check is the CI gate: vet plus race-enabled tests, so the concurrent
 # driver (core.AnalyzeAll, memo.ShardedTable) is race-checked on every run,
-# plus the allocation-regression gate and the service smoke (a real
-# depserve process loaded by depload). Set PERFGATE=1 to also run the
-# wall-clock perf gate (benchcmp-gate) — opt-in because ns/op on a shared or
-# throttled host is too noisy to block every CI run on.
-check: vet race allocgate serve-smoke
+# plus the allocation-regression gate, the benchmark module's self-tests,
+# and the service smoke (a real depserve process loaded by depload). Set
+# PERFGATE=1 to also run the wall-clock perf gate (benchcmp-gate) — opt-in
+# because ns/op on a shared or throttled host is too noisy to block every
+# CI run on.
+check: vet race allocgate benchmark-selftest serve-smoke
 	@if [ "$(PERFGATE)" = "1" ]; then $(MAKE) benchcmp-gate; fi
 
 # serve-smoke boots a real depserve process on a random port (small queue,
@@ -51,11 +59,12 @@ serve-smoke:
 		-rate 40 -duration 2s -burst 24 -large-nests 16 -check -out .smoke_serve.json
 	@rm -f .smoke_depserve .smoke_serve.json
 
-# bench runs the paper-evaluation benchmarks (root package) and the cascade,
-# memo, and refinement stage/allocation microbenchmarks with allocation
-# counts.
+# bench runs the paper-evaluation benchmarks (root package), the front-end
+# layer benchmarks (parse, lower, pair enumeration over LargeCorpus-shaped
+# sources), and the cascade, memo, and refinement stage/allocation
+# microbenchmarks with allocation counts.
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem . ./internal/dtest ./internal/memo ./internal/depvec
+	$(GO) test -run '^$$' -bench . -benchmem . ./internal/lang ./internal/opt ./internal/refs ./internal/dtest ./internal/memo ./internal/depvec
 
 # bench-json writes the machine-readable perf baseline (ns/op, allocs/op,
 # memo hit rates over the suite, budget-trip profile of the FM-hard

@@ -599,12 +599,7 @@ func (a *Analyzer) analyzeCandidate(c refs.Candidate, prov *provenance) (Result,
 		}
 		a.Stats.L2Lookups++
 		if stored, hit, ok := a.full.LookupStored(fullKey); ok && hit.usable(a.budClass) {
-			a.Stats.L2Hits++
-			a.Stats.FullHits++
-			if a.l1 != nil {
-				a.l1.Store(stored, hit)
-			}
-			return a.serveHit(prob, p, stored, hit, prov), nil
+			return a.serveL2Hit(prob, p, stored, hit, prov), nil
 		}
 		if a.opts.SymmetricMemo {
 			if res, under, ok, err := a.lookupMirrored(p, prob); err != nil {
@@ -631,6 +626,15 @@ func (a *Analyzer) analyzeCandidate(c refs.Candidate, prov *provenance) (Result,
 			for {
 				f, leader := a.inflight.Claim(fullKey)
 				if leader {
+					// Between this worker's table miss and its claim, an
+					// earlier leader may have finished, drained its insert
+					// and retired its flight: re-probe before solving
+					// again, and on a hit hand the entry to any waiters.
+					if stored, hit, ok := a.full.LookupStored(fullKey); ok && hit.usable(a.budClass) {
+						a.inflight.Finish(f, stored, hit, true)
+						a.inflight.Forget(fullKey)
+						return a.serveL2Hit(prob, p, stored, hit, prov), nil
+					}
 					res, fin := a.solveAndCache(prob, p, fullKey, prov)
 					a.inflight.Finish(f, fin.key, fin.val, fin.ok)
 					return res, nil
@@ -671,6 +675,17 @@ func (a *Analyzer) peekGCDIndependent(prob *system.Problem) bool {
 	eqKey := a.enc.EncodeEq(prob, a.opts.ImprovedMemo)
 	v, ok := a.eq.Lookup(eqKey)
 	return ok && v == system.GCDIndependent
+}
+
+// serveL2Hit serves a usable entry found in the shared full table: it
+// counts the L2 hit, copies the entry into the worker's L1, and serves it.
+func (a *Analyzer) serveL2Hit(prob *system.Problem, p ir.Pair, stored memo.Key, hit cached, prov *provenance) Result {
+	a.Stats.L2Hits++
+	a.Stats.FullHits++
+	if a.l1 != nil {
+		a.l1.Store(stored, hit)
+	}
+	return a.serveHit(prob, p, stored, hit, prov)
 }
 
 // serveHit expands a cached entry for the requesting pair and records

@@ -3,8 +3,10 @@ package corpus
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"exactdep/internal/core"
@@ -213,6 +215,79 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 	if _, err := LoadStore(bytes.NewReader([]byte("junk")), testOpts); err == nil {
 		t.Fatal("garbage input must error")
+	}
+}
+
+// TestLoadStoreRejectsCorruptUnits hand-edits a saved snapshot the ways a
+// truncated or tampered file can differ from what Save writes. Serve
+// indexes DistValue for every DistLevel, so an accepted unit with a short
+// DistValue used to panic on its first store hit; every edit must instead
+// fail LoadStore with an error naming the unit.
+func TestLoadStoreRejectsCorruptUnits(t *testing.T) {
+	units := memUnits(t)
+	d := NewDriver(testOpts, 1)
+	if err := d.SetStore(NewStore(testOpts)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.RunAll(context.Background(), units); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := d.Store().Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	saved := buf.Bytes()
+
+	// edit returns the result of unit "a" that carries a distance, the
+	// one every edit below corrupts.
+	edit := func(doc *savedStore) (*StoredUnit, *StoredResult) {
+		for i := range doc.Units {
+			su := &doc.Units[i].Unit
+			if su.Name != "a" {
+				continue
+			}
+			for j := range su.Results {
+				if len(su.Results[j].DistLevel) > 0 && len(su.Results[j].Vectors) > 0 {
+					return su, &su.Results[j]
+				}
+			}
+		}
+		t.Fatal("unit a has no result with a distance and a vector")
+		return nil, nil
+	}
+	cases := map[string]func(su *StoredUnit, sr *StoredResult){
+		"short distance values": func(_ *StoredUnit, sr *StoredResult) { sr.DistValue = sr.DistValue[:0] },
+		"outcome":               func(_ *StoredUnit, sr *StoredResult) { sr.Outcome = int(dtest.Maybe) + 1 },
+		"kind":                  func(_ *StoredUnit, sr *StoredResult) { sr.Kind = -1 },
+		"trip":                  func(_ *StoredUnit, sr *StoredResult) { sr.Trip = dtest.NumTripReasons },
+		"direction":             func(_ *StoredUnit, sr *StoredResult) { sr.Vectors[0][0] = 'x' },
+		"pair count":            func(su *StoredUnit, _ *StoredResult) { su.Cost.Pairs++ },
+	}
+	for name, corrupt := range cases {
+		t.Run(name, func(t *testing.T) {
+			var doc savedStore
+			if err := gob.NewDecoder(bytes.NewReader(saved)).Decode(&doc); err != nil {
+				t.Fatal(err)
+			}
+			corrupt(edit(&doc))
+			var out bytes.Buffer
+			if err := gob.NewEncoder(&out).Encode(&doc); err != nil {
+				t.Fatal(err)
+			}
+			s, err := LoadStore(&out, testOpts)
+			if err == nil {
+				// Serving the accepted unit is where a corrupt entry bites.
+				d := NewDriver(testOpts, 1)
+				if err := d.SetStore(s); err != nil {
+					t.Fatal(err)
+				}
+				_, _ = d.RunAll(context.Background(), units)
+				t.Fatal("corrupt snapshot accepted by LoadStore")
+			}
+			if !strings.Contains(err.Error(), `unit "a"`) {
+				t.Fatalf("error does not name the unit: %v", err)
+			}
+		})
 	}
 }
 

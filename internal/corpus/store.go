@@ -157,7 +157,9 @@ func (s *Store) Save(w io.Writer) error {
 }
 
 // LoadStore reads a snapshot saved by Save, validating that it was produced
-// under the same options signature.
+// under the same options signature and that every unit is one Serve can
+// rebuild (see StoredUnit.validate): a truncated or hand-edited snapshot is
+// rejected here rather than panicking on a later store hit.
 func LoadStore(r io.Reader, opts core.Options) (*Store, error) {
 	var doc savedStore
 	if err := gob.NewDecoder(r).Decode(&doc); err != nil {
@@ -173,9 +175,45 @@ func LoadStore(r io.Reader, opts core.Options) (*Store, error) {
 	}
 	for i := range doc.Units {
 		su := &doc.Units[i]
-		s.units[memo.Fingerprint{Hi: su.Hi, Lo: su.Lo}] = &su.Unit
+		fp := memo.Fingerprint{Hi: su.Hi, Lo: su.Lo}
+		if err := su.Unit.validate(); err != nil {
+			return nil, fmt.Errorf("corpus: verdict store unit %q (%s): %w", su.Unit.Name, fp, err)
+		}
+		s.units[fp] = &su.Unit
 	}
 	return s, nil
+}
+
+// validate checks a decoded unit against what ToStored can produce: one
+// distance value per distance level, outcome, kind, trip and direction
+// values inside their enums, and a cost profile counting every result.
+func (su *StoredUnit) validate() error {
+	if su.Cost.Pairs != len(su.Results) {
+		return fmt.Errorf("cost counts %d pairs, %d results stored", su.Cost.Pairs, len(su.Results))
+	}
+	for i := range su.Results {
+		sr := &su.Results[i]
+		switch {
+		case len(sr.DistLevel) != len(sr.DistValue):
+			return fmt.Errorf("result %d: %d distance levels, %d values", i, len(sr.DistLevel), len(sr.DistValue))
+		case sr.Outcome < int(dtest.Independent) || sr.Outcome > int(dtest.Maybe):
+			return fmt.Errorf("result %d: outcome %d out of range", i, sr.Outcome)
+		case sr.Kind < int(dtest.KindNone) || sr.Kind > int(dtest.KindFourierMotzkin):
+			return fmt.Errorf("result %d: test kind %d out of range", i, sr.Kind)
+		case sr.Trip < int(dtest.TripNone) || sr.Trip >= dtest.NumTripReasons:
+			return fmt.Errorf("result %d: trip reason %d out of range", i, sr.Trip)
+		}
+		for _, v := range sr.Vectors {
+			for _, b := range v {
+				switch depvec.Direction(b) {
+				case depvec.Any, depvec.Less, depvec.Equal, depvec.Greater:
+				default:
+					return fmt.Errorf("result %d: direction byte %q out of range", i, b)
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // Storable reports whether a unit's results may enter the store: verdicts

@@ -17,6 +17,13 @@ import (
 
 // Expr is an affine integer expression: Const + Σ Terms[v]·v.
 // The zero value is the constant 0. Terms never stores zero coefficients.
+//
+// Expr is an immutable value. Every operation returns a fresh expression
+// (or, like Rename's no-op case, the receiver itself) and never writes to
+// a term map it did not just allocate, so copies of an Expr may share one
+// Terms map. Code that builds IR relies on this: the lowerer hands out one
+// shared expression per variable name to every subscript, bound and scalar
+// value that uses it. Nothing may write to Terms in place; clone first.
 type Expr struct {
 	Const int64
 	Terms map[string]int64

@@ -229,3 +229,38 @@ func TestParseRHSArrayReads(t *testing.T) {
 		t.Fatalf("rhs = %s", a.RHS)
 	}
 }
+
+// TestLexerZeroAllocs gates the lexer's steady state: Next allocates
+// nothing per token (token text is sliced out of the source, keywords and
+// punctuation are switch statements), so the whole lex of a source costs
+// zero allocations.
+func TestLexerZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts include race-detector instrumentation")
+	}
+	src := strings.Repeat(`program p
+read(n)
+for i = 1 to n step 2  # comment
+  do j = 1, 10
+    a[i+1][2*j] = a[i][j] * 3 - (b[j] + c)
+  end
+endfor
+`, 16)
+	var l Lexer
+	tokens := 0
+	allocs := testing.AllocsPerRun(20, func() {
+		l = Lexer{src: src, line: 1, col: 1}
+		for tokens = 0; ; tokens++ {
+			tok, err := l.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tok.Kind == TokEOF {
+				break
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("lexing %d tokens allocated %.0f times, want 0", tokens, allocs)
+	}
+}

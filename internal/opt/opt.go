@@ -9,6 +9,7 @@ package opt
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"exactdep/internal/ir"
@@ -28,7 +29,8 @@ type lowerer struct {
 	symbols  map[string]bool
 	symOrder []string
 	loops    []ir.Loop
-	active   map[string]bool // loop indices currently in scope
+	active   map[string]bool    // loop indices currently in scope
+	vars     map[string]ir.Expr // name → shared 1·name (see variable)
 	sites    []ir.Site
 	warnings []string
 	stmtID   int
@@ -43,6 +45,7 @@ func Lower(prog *lang.Program) *ir.Unit {
 		env:     make(map[string]value),
 		symbols: make(map[string]bool),
 		active:  make(map[string]bool),
+		vars:    make(map[string]ir.Expr),
 	}
 	lw.stmts(prog.Stmts)
 	return &ir.Unit{
@@ -53,6 +56,19 @@ func Lower(prog *lang.Program) *ir.Unit {
 		ScalarCarried: lw.carried,
 		ScalarPrivate: lw.private,
 	}
+}
+
+// variable returns the expression 1·name. Every use of a name in the unit
+// shares one expression: ir.Expr values are immutable (their operations
+// build new term maps), so subscripts, bounds and scalar values may alias
+// it freely.
+func (lw *lowerer) variable(name string) ir.Expr {
+	e, ok := lw.vars[name]
+	if !ok {
+		e = ir.NewVar(name)
+		lw.vars[name] = e
+	}
+	return e
 }
 
 func (lw *lowerer) warnf(format string, args ...any) {
@@ -72,7 +88,7 @@ func (lw *lowerer) lowerStmt(s lang.Stmt) {
 			lw.symbols[s.Var] = true
 			lw.symOrder = append(lw.symOrder, s.Var)
 		}
-		lw.env[s.Var] = value{known: true, expr: ir.NewVar(s.Var)}
+		lw.env[s.Var] = value{known: true, expr: lw.variable(s.Var)}
 	case *lang.Assign:
 		lw.assign(s)
 	case *lang.For:
@@ -124,6 +140,11 @@ func (lw *lowerer) addSite(idx *lang.Index, kind ir.RefKind) {
 		}
 		subs[i] = e
 	}
+	// Each site gets its own copy of the loop stack, never a slice of a
+	// shared one: corpus.Fingerprinter folds B's stack as a one-word marker
+	// when it shares A's backing array, so sharing stacks between sites
+	// would change every unit fingerprint (and miss every store entry saved
+	// before) while leaving the canonical bytes the same.
 	loops := make([]ir.Loop, len(lw.loops))
 	copy(loops, lw.loops)
 	lw.sites = append(lw.sites, ir.Site{
@@ -162,7 +183,7 @@ func (lw *lowerer) eval(e lang.Expr) (ir.Expr, bool) {
 		return ir.NewConst(e.Value), true
 	case *lang.Ident:
 		if lw.active[e.Name] {
-			return ir.NewVar(e.Name), true
+			return lw.variable(e.Name), true
 		}
 		if v, ok := lw.env[e.Name]; ok {
 			if v.known {
@@ -175,8 +196,9 @@ func (lw *lowerer) eval(e lang.Expr) (ir.Expr, bool) {
 		// loop-invariant unknown this way).
 		lw.symbols[e.Name] = true
 		lw.symOrder = appendUnique(lw.symOrder, e.Name)
-		lw.env[e.Name] = value{known: true, expr: ir.NewVar(e.Name)}
-		return ir.NewVar(e.Name), true
+		v := lw.variable(e.Name)
+		lw.env[e.Name] = value{known: true, expr: v}
+		return v, true
 	case *lang.Neg:
 		x, ok := lw.eval(e.X)
 		if !ok {
@@ -243,8 +265,7 @@ func (lw *lowerer) forLoop(s *lang.For) {
 	lw.loopID++
 
 	var loop ir.Loop
-	indexVal := value{}
-	iterOffset := ir.Expr{} // completed iterations at the top of the body
+	var indexVal value // the source index's value; read only by stepped loops
 	if step == 1 {
 		loop = ir.Loop{Index: s.Index, NoLower: !loOK, NoUpper: !hiOK, ID: lw.loopID}
 		if loOK {
@@ -256,10 +277,6 @@ func (lw *lowerer) forLoop(s *lang.For) {
 			loop.Upper = hi
 		} else {
 			lw.warnf("%s: non-affine upper bound of loop %q; treated as unbounded", s.Pos, s.Index)
-		}
-		indexVal = value{known: true, expr: ir.NewVar(s.Index)}
-		if loOK {
-			iterOffset = ir.NewVar(s.Index).Sub(lo)
 		}
 	} else {
 		// normalized counter: i' = 0 .. ⌊(hi-lo)/step⌋, i = lo + step·i'
@@ -278,16 +295,18 @@ func (lw *lowerer) forLoop(s *lang.For) {
 		} else {
 			lw.warnf("%s: non-affine lower bound of stepped loop %q; index unknown", s.Pos, s.Index)
 		}
-		iterOffset = ir.NewVar(norm)
 	}
 
 	// Pre-scan for induction variables (paper §8's iz = iz + 2 example);
-	// they need a known iteration offset.
+	// they need a known iteration offset. Both the scan and the carried /
+	// private classification work off one count of the body's scalar
+	// assignments.
+	assigned := assignCounts(s.Body, nil)
 	var inds []induction
-	if step != 1 || loOK {
-		inds = lw.findInductions(s)
+	if len(assigned) > 0 && (step != 1 || loOK) {
+		inds = lw.findInductions(s, assigned)
 	}
-	lw.recordCarriedScalars(loop.ID, s.Body, inds)
+	lw.recordCarriedScalars(loop.ID, s.Body, assigned, inds)
 
 	// Enter loop scope. The normalized counter (if any) is the active
 	// variable; the source index name resolves through env to its value.
@@ -306,20 +325,23 @@ func (lw *lowerer) forLoop(s *lang.For) {
 	// induction variable, whose closed form we know exactly. (Without the
 	// havoc, self-referential accumulators like x = x + i would incorrectly
 	// keep their first-iteration value.)
-	assigned := scalarsAssigned(s.Body, map[string]bool{})
-	isInd := make(map[string]bool, len(inds))
-	for _, ind := range inds {
-		isInd[ind.name] = true
-	}
 	for name := range assigned {
-		if !isInd[name] && !lw.active[name] {
+		if !isInduction(inds, name) && !lw.active[name] {
 			lw.env[name] = value{}
 		}
 	}
 	// Before the increment executes, an induction variable's value is
-	// entry + step·(completed iterations).
-	for _, ind := range inds {
-		lw.env[ind.name] = value{known: true, expr: ind.entry.Add(iterOffset.Scale(ind.step))}
+	// entry + step·(completed iterations). The completed iterations are the
+	// normalized counter itself, or i - lo for a unit-step loop (inductions
+	// are only recognized when lo is known).
+	if len(inds) > 0 {
+		iterOffset := lw.variable(loop.Index)
+		if step == 1 {
+			iterOffset = iterOffset.Sub(lo)
+		}
+		for _, ind := range inds {
+			lw.env[ind.name] = value{known: true, expr: ind.entry.Add(iterOffset.Scale(ind.step))}
+		}
 	}
 
 	for _, st := range s.Body {
@@ -390,13 +412,13 @@ func tripBound(lo ir.Expr, loOK bool, hi ir.Expr, hiOK bool, step int64) (ir.Exp
 func (lw *lowerer) forLoopOpaque(s *lang.For) {
 	lw.loopID++
 	loop := ir.Loop{Index: s.Index, NoLower: true, NoUpper: true, ID: lw.loopID}
-	lw.recordCarriedScalars(loop.ID, s.Body, nil)
+	assigned := assignCounts(s.Body, nil)
+	lw.recordCarriedScalars(loop.ID, s.Body, assigned, nil)
 	savedActive := lw.active[s.Index]
 	savedVal, hadVal := lw.env[s.Index]
 	lw.active[s.Index] = false
 	lw.env[s.Index] = value{} // unknown
 	lw.loops = append(lw.loops, loop)
-	assigned := scalarsAssigned(s.Body, map[string]bool{})
 	for name := range assigned {
 		if !lw.active[name] {
 			lw.env[name] = value{}
@@ -438,11 +460,9 @@ func (lw *lowerer) stmt1InLoop(st lang.Stmt, inds []induction) {
 }
 
 // findInductions recognizes scalars with exactly one assignment in the loop
-// body, of the form v = v ± const at the top level, whose entry value is a
-// known affine expression.
-func (lw *lowerer) findInductions(s *lang.For) []induction {
-	counts := map[string]int{}
-	countAssignments(s.Body, counts)
+// body (counts is assignCounts of the body), of the form v = v ± const at
+// the top level, whose entry value is a known affine expression.
+func (lw *lowerer) findInductions(s *lang.For, counts map[string]int) []induction {
 	var out []induction
 	for _, st := range s.Body {
 		a, ok := st.(*lang.Assign)
@@ -466,39 +486,39 @@ func (lw *lowerer) findInductions(s *lang.For) []induction {
 	return out
 }
 
-// scalarsAssigned collects every scalar assigned anywhere in the statement
-// list (including nested loops) into set, and returns it.
-func scalarsAssigned(ss []lang.Stmt, set map[string]bool) map[string]bool {
-	for _, s := range ss {
-		switch s := s.(type) {
-		case *lang.Assign:
-			if s.LHSVar != "" {
-				set[s.LHSVar] = true
-			}
-		case *lang.For:
-			scalarsAssigned(s.Body, set)
-		case *lang.Read:
-			set[s.Var] = true
+// isInduction reports whether name is one of the recognized inductions.
+func isInduction(inds []induction, name string) bool {
+	for _, ind := range inds {
+		if ind.name == name {
+			return true
 		}
 	}
-	return set
+	return false
 }
 
-// countAssignments counts assignments (and reads) per scalar across the
-// statement list, including nested loops.
-func countAssignments(ss []lang.Stmt, counts map[string]int) {
+// assignCounts counts assignments (and reads) per scalar across the
+// statement list, including nested loops, into counts; its keys are the
+// scalars the list assigns. counts may be nil: it is allocated at the
+// first scalar assignment, so a body assigning none costs no map.
+func assignCounts(ss []lang.Stmt, counts map[string]int) map[string]int {
 	for _, s := range ss {
+		name := ""
 		switch s := s.(type) {
 		case *lang.Assign:
-			if s.LHSVar != "" {
-				counts[s.LHSVar]++
-			}
+			name = s.LHSVar
 		case *lang.For:
-			countAssignments(s.Body, counts)
+			counts = assignCounts(s.Body, counts)
 		case *lang.Read:
-			counts[s.Var]++
+			name = s.Var
+		}
+		if name != "" {
+			if counts == nil {
+				counts = make(map[string]int)
+			}
+			counts[name]++
 		}
 	}
+	return counts
 }
 
 // selfIncrement matches v = v + c / v = v - c / v = c + v with constant c.
@@ -562,26 +582,22 @@ func constOf(e lang.Expr, lw *lowerer) (int64, bool) {
 // body. Recognized induction variables are excluded (their uses were
 // substituted by closed forms, so no cross-iteration flow remains). These
 // scalars serialize the loop regardless of array dependences (classic
-// reductions like s = s + a[i]).
-func (lw *lowerer) recordCarriedScalars(loopID int, body []lang.Stmt, inds []induction) {
-	exclude := make(map[string]bool, len(inds))
-	for _, ind := range inds {
-		exclude[ind.name] = true
+// reductions like s = s + a[i]). assigned is assignCounts of the body.
+func (lw *lowerer) recordCarriedScalars(loopID int, body []lang.Stmt, assigned map[string]int, inds []induction) {
+	// Carried and private scalars are both subsets of the assigned ones.
+	if len(assigned) == 0 {
+		return
 	}
-	carried := carriedScalars(body, exclude)
+	carried := carriedScalars(body, assigned, inds)
 	if len(carried) > 0 {
 		if lw.carried == nil {
 			lw.carried = make(map[int][]string)
 		}
 		lw.carried[loopID] = carried
 	}
-	carriedSet := make(map[string]bool, len(carried))
-	for _, name := range carried {
-		carriedSet[name] = true
-	}
 	var private []string
-	for name := range scalarsAssigned(body, map[string]bool{}) {
-		if !carriedSet[name] {
+	for name := range assigned {
+		if !slices.Contains(carried, name) {
 			private = append(private, name)
 		}
 	}
@@ -596,16 +612,15 @@ func (lw *lowerer) recordCarriedScalars(loopID int, body []lang.Stmt, inds []ind
 
 // carriedScalars walks the body in program order tracking which scalars have
 // been assigned; a read of a body-assigned, not-yet-written scalar is a
-// loop-carried use.
-func carriedScalars(body []lang.Stmt, exclude map[string]bool) []string {
-	assigned := scalarsAssigned(body, map[string]bool{})
+// loop-carried use. Recognized inductions are never carried.
+func carriedScalars(body []lang.Stmt, assigned map[string]int, inds []induction) []string {
 	written := map[string]bool{}
 	carriedSet := map[string]bool{}
 	var walkExpr func(e lang.Expr)
 	walkExpr = func(e lang.Expr) {
 		switch e := e.(type) {
 		case *lang.Ident:
-			if assigned[e.Name] && !written[e.Name] && !exclude[e.Name] {
+			if assigned[e.Name] > 0 && !written[e.Name] && !isInduction(inds, e.Name) {
 				carriedSet[e.Name] = true
 			}
 		case *lang.BinOp:

@@ -54,28 +54,43 @@ func Pairs(u *ir.Unit) []Candidate { return PairsOpts(u, Options{}) }
 
 // PairsOpts enumerates candidate pairs with explicit options.
 func PairsOpts(u *ir.Unit, opts Options) []Candidate {
-	var out []Candidate
-	for i, a := range u.Sites {
-		for j := i; j < len(u.Sites); j++ {
-			b := u.Sites[j]
-			if i == j && opts.NoSelfPairs {
-				continue
+	// Only same-array sites pair, so chain each array's sites once: next[i]
+	// is the next site after i on the same array, or -1. Site i then walks
+	// only its own array's sites j >= i, and pairs come out in the same
+	// (i, j) order as a scan over every pair of sites.
+	next := make([]int, len(u.Sites))
+	last := make(map[string]int, len(u.Sites))
+	for i := len(u.Sites) - 1; i >= 0; i-- {
+		arr := u.Sites[i].Ref.Array
+		next[i] = -1
+		if j, ok := last[arr]; ok {
+			next[i] = j
+		}
+		last[arr] = i
+	}
+	// A first pass counts the pairs, so the result is allocated once.
+	n := 0
+	for i := range u.Sites {
+		for j := i; j >= 0; j = next[j] {
+			if pairable(&u.Sites[i], &u.Sites[j], i == j, opts) {
+				n++
 			}
-			if a.Ref.Array != b.Ref.Array {
-				continue
-			}
-			if len(a.Ref.Subscripts) != len(b.Ref.Subscripts) {
-				continue // inconsistent dimensionality: not comparable
-			}
-			if a.Ref.Kind != ir.Write && b.Ref.Kind != ir.Write {
-				continue // read-read pairs carry no dependence
-			}
-			if i == j && a.Ref.Kind != ir.Write {
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]Candidate, 0, n)
+	for i := range u.Sites {
+		a := &u.Sites[i]
+		for j := i; j >= 0; j = next[j] {
+			b := &u.Sites[j]
+			if !pairable(a, b, i == j, opts) {
 				continue
 			}
 			p := ir.Pair{
-				A:       a,
-				B:       b,
+				A:       *a,
+				B:       *b,
 				Common:  commonPrefix(a.Loops, b.Loops),
 				Symbols: u.Symbols,
 				Label:   u.Name,
@@ -84,6 +99,18 @@ func PairsOpts(u *ir.Unit, opts Options) []Candidate {
 		}
 	}
 	return out
+}
+
+// pairable reports whether two sites of the same array form a candidate.
+func pairable(a, b *ir.Site, self bool, opts Options) bool {
+	if self && opts.NoSelfPairs {
+		return false
+	}
+	if len(a.Ref.Subscripts) != len(b.Ref.Subscripts) {
+		return false // inconsistent dimensionality: not comparable
+	}
+	// read-read pairs carry no dependence
+	return a.Ref.Kind == ir.Write || b.Ref.Kind == ir.Write
 }
 
 // Classify detects all-constant subscript pairs.
