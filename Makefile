@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race check allocgate benchmark-selftest bench bench-json benchcmp benchcmp-gate serve-smoke
+.PHONY: build test vet fmt race check allocgate benchmark-selftest bench bench-json benchcmp benchcmp-gate serve-smoke
 
 build:
 	$(GO) build ./...
@@ -11,8 +11,16 @@ test:
 vet:
 	$(GO) vet ./...
 
+# fmt fails when any file is not gofmt-formatted, listing the offenders.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
+
+# race runs every test under the race detector, then repeats the verdict
+# store hammer (goroutines mixing Lookup, Put, Len and SaveFile on one
+# shared store) ten times.
 race:
 	$(GO) test -race -timeout 120s ./...
+	$(GO) test -race -count=10 -run TestStoreHammer ./internal/corpus
 
 # allocgate re-runs the steady-state allocation assertions without the race
 # detector (they skip themselves under it, since the instrumentation
@@ -32,14 +40,15 @@ allocgate:
 benchmark-selftest:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-# check is the CI gate: vet plus race-enabled tests, so the concurrent
-# driver (core.AnalyzeAll, memo.ShardedTable) is race-checked on every run,
-# plus the allocation-regression gate, the benchmark module's self-tests,
-# and the service smoke (a real depserve process loaded by depload). Set
+# check is the CI gate: vet and the gofmt gate plus race-enabled tests, so
+# the concurrent driver (core.AnalyzeAll, memo.ShardedTable, the shared
+# verdict store) is race-checked on every run, plus the allocation-regression
+# gate, the benchmark module's self-tests, and the service smoke (a real
+# depserve process loaded by depload). Set
 # PERFGATE=1 to also run the wall-clock perf gate (benchcmp-gate) — opt-in
 # because ns/op on a shared or throttled host is too noisy to block every
 # CI run on.
-check: vet race allocgate benchmark-selftest serve-smoke
+check: vet fmt race allocgate benchmark-selftest serve-smoke
 	@if [ "$(PERFGATE)" = "1" ]; then $(MAKE) benchcmp-gate; fi
 
 # serve-smoke boots a real depserve process on a random port (small queue,

@@ -418,19 +418,11 @@ func runCorpus(cfg corpusConfig, stdout, stderr io.Writer) int {
 		}
 	}
 	if cfg.storeFile != "" {
-		store := exactdep.NewCorpusStore(cfg.opts)
-		if f, err := os.Open(cfg.storeFile); err == nil {
-			store, err = exactdep.LoadCorpusStore(f, cfg.opts)
-			f.Close()
-			if err != nil {
-				fmt.Fprintf(stderr, "depanalyze: %v\n", err)
-				return 1
-			}
-		} else if !os.IsNotExist(err) {
-			fmt.Fprintf(stderr, "depanalyze: %v\n", err)
-			return 1
+		store, err := corpuspkg.OpenStore(cfg.storeFile, cfg.opts)
+		if err == nil {
+			err = driver.SetStore(store)
 		}
-		if err := driver.SetStore(store); err != nil {
+		if err != nil {
 			fmt.Fprintf(stderr, "depanalyze: %v\n", err)
 			return 1
 		}
@@ -481,14 +473,7 @@ func runCorpus(cfg corpusConfig, stdout, stderr io.Writer) int {
 		}
 	}
 	if cfg.storeFile != "" {
-		f, err := os.Create(cfg.storeFile)
-		if err == nil {
-			err = driver.Store().Save(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
+		if err := driver.Store().SaveFile(cfg.storeFile); err != nil {
 			fmt.Fprintf(stderr, "depanalyze: %v\n", err)
 			return 1
 		}

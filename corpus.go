@@ -10,9 +10,6 @@ package exactdep
 import (
 	"context"
 	"errors"
-	"io/fs"
-	"os"
-	"path/filepath"
 
 	"exactdep/internal/core"
 	"exactdep/internal/corpus"
@@ -71,10 +68,9 @@ type CorpusReport struct {
 
 // CorpusRequest is the one corpus-analysis entry value: it names the corpus
 // (exactly one of Dir, Files, or Source) and carries the analysis Options.
-// The facade wrappers (AnalyzeCorpus, AnalyzeCorpusContext), the CLI's
-// corpus mode, and the depserve service's /v1/corpus endpoint all reduce to
-// this value, so every front end selects corpora and validates options the
-// same way.
+// Library callers and the depserve service's /v1/corpus endpoint both
+// reduce to this value, so every front end selects corpora and validates
+// options the same way.
 type CorpusRequest struct {
 	// Dir selects every *.loop file under a directory tree (CorpusDir).
 	Dir string
@@ -119,9 +115,9 @@ var errCorpusSelection = errors.New("exactdep: CorpusRequest must set exactly on
 // AnalyzeCorpusRequest analyzes one corpus request. When Options.StorePath
 // is set, the verdict store is loaded from that path if it exists (it must
 // match the configuration), consulted so only changed or new units are
-// re-solved, and saved back after the run — the incremental IDE/CI workflow
-// in one call. Without a StorePath every unit is solved fresh in a single
-// batch with shared memo tables.
+// re-solved, and saved back atomically after the run when it changed — the
+// incremental IDE/CI workflow in one call. Without a StorePath every unit
+// is solved fresh in a single batch with shared memo tables.
 //
 // Options.Workers sizes the whole corpus pipeline as in AnalyzeUnitContext
 // (0 serial, negative GOMAXPROCS): at more than one worker the driver
@@ -142,7 +138,7 @@ func AnalyzeCorpusRequest(ctx context.Context, req CorpusRequest) (*CorpusReport
 	}
 	d := corpus.NewDriver(opts, core.PipelineWorkers(opts.Workers))
 	if opts.StorePath != "" {
-		store, err := openStore(opts)
+		store, err := corpus.OpenStore(opts.StorePath, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -155,55 +151,9 @@ func AnalyzeCorpusRequest(ctx context.Context, req CorpusRequest) (*CorpusReport
 		return nil, err
 	}
 	if opts.StorePath != "" {
-		if err := saveStore(opts.StorePath, d.Store()); err != nil {
+		if err := d.Store().SaveFile(opts.StorePath); err != nil {
 			return nil, err
 		}
 	}
 	return &CorpusReport{Units: urs, Stats: d.Stats, Counters: d.Analyzer().Stats}, nil
-}
-
-// AnalyzeCorpus analyzes a pre-built corpus — a thin wrapper over
-// AnalyzeCorpusRequest kept for compatibility.
-func AnalyzeCorpus(src Corpus, opts Options) (*CorpusReport, error) {
-	return AnalyzeCorpusRequest(context.Background(), CorpusRequest{Source: src, Options: opts})
-}
-
-// AnalyzeCorpusContext is AnalyzeCorpus honoring a context — a thin wrapper
-// over AnalyzeCorpusRequest kept for compatibility.
-func AnalyzeCorpusContext(ctx context.Context, src Corpus, opts Options) (*CorpusReport, error) {
-	return AnalyzeCorpusRequest(ctx, CorpusRequest{Source: src, Options: opts})
-}
-
-// openStore loads the snapshot at opts.StorePath, or returns a fresh store
-// when the file does not exist yet (first run).
-func openStore(opts Options) (*CorpusStore, error) {
-	f, err := os.Open(opts.StorePath)
-	if errors.Is(err, fs.ErrNotExist) {
-		return corpus.NewStore(opts), nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return corpus.LoadStore(f, opts)
-}
-
-// saveStore writes the store atomically-enough for a single writer: to a
-// temp file in the same directory, then rename.
-func saveStore(path string, s *CorpusStore) error {
-	f, err := os.CreateTemp(filepath.Dir(path), ".exactdep-store-*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	if err := s.Save(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
 }

@@ -1,6 +1,7 @@
 package exactdep_test
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -9,9 +10,9 @@ import (
 )
 
 // TestAnalyzeCorpusStorePath drives the facade's one-call incremental
-// workflow: first AnalyzeCorpus creates the store at Options.StorePath,
-// the second serves every unit from it, and an edit re-solves only the
-// edited unit.
+// workflow: the first AnalyzeCorpusRequest creates the store at
+// Options.StorePath, the second serves every unit from it, and an edit
+// re-solves only the edited unit.
 func TestAnalyzeCorpusStorePath(t *testing.T) {
 	root := t.TempDir()
 	write := func(name, src string) {
@@ -28,8 +29,11 @@ func TestAnalyzeCorpusStorePath(t *testing.T) {
 		DirectionVectors: true, PruneUnused: true, PruneDistance: true,
 		StorePath: filepath.Join(t.TempDir(), "verdicts.store"),
 	}
+	analyze := func() (*exactdep.CorpusReport, error) {
+		return exactdep.AnalyzeCorpusRequest(context.Background(), exactdep.CorpusRequest{Dir: root, Options: opts})
+	}
 
-	cold, err := exactdep.AnalyzeCorpus(exactdep.CorpusDir(root), opts)
+	cold, err := analyze()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +47,7 @@ func TestAnalyzeCorpusStorePath(t *testing.T) {
 		t.Fatalf("store file not written: %v", err)
 	}
 
-	warm, err := exactdep.AnalyzeCorpus(exactdep.CorpusDir(root), opts)
+	warm, err := analyze()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +74,7 @@ func TestAnalyzeCorpusStorePath(t *testing.T) {
 	}
 
 	write("p.loop", "for i = 1 to 100\n  a[i+2] = a[i] + 3\nend\n")
-	dirty, err := exactdep.AnalyzeCorpus(exactdep.CorpusDir(root), opts)
+	dirty, err := analyze()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,15 +66,15 @@ type Options struct {
 	L1Size int
 	// Workers is the concurrent driver's pool size for the unit-level entry
 	// points (exactdep.AnalyzeUnitContext / AnalyzeSourceContext) and the
-	// corpus entry points (exactdep.AnalyzeCorpus, where it sizes the whole
-	// load/fingerprint/probe/solve pipeline): 0 means serial, negative means
-	// GOMAXPROCS. Analyzer.AnalyzeAll takes the pool size as an explicit
-	// argument and ignores this field.
+	// corpus entry point (exactdep.AnalyzeCorpusRequest, where it sizes the
+	// whole load/fingerprint/probe/solve pipeline): 0 means serial, negative
+	// means GOMAXPROCS. Analyzer.AnalyzeAll takes the pool size as an
+	// explicit argument and ignores this field.
 	Workers int
 	// StorePath names a persistent corpus verdict-store snapshot for the
-	// corpus entry points (exactdep.AnalyzeCorpus): loaded when present,
-	// saved back after the run. The analyzer itself ignores it — per-pair
-	// memo persistence stays explicit via SaveMemo/LoadMemo.
+	// corpus entry point (exactdep.AnalyzeCorpusRequest): loaded when
+	// present, saved back after the run. The analyzer itself ignores it —
+	// per-pair memo persistence stays explicit via SaveMemo/LoadMemo.
 	StorePath string
 	// Budget bounds the work any single pair may spend in the expensive end
 	// of the cascade; the zero value is unlimited. When a limit fires the

@@ -112,7 +112,9 @@ func (a *Analyzer) SaveMemo(w io.Writer) error {
 
 // LoadMemo merges previously saved tables into the analyzer. The saved
 // encoding scheme must match the analyzer's (simple vs improved keys are not
-// interchangeable).
+// interchangeable), and every entry must be one SaveMemo can write (see
+// validate): a truncated or hand-edited file is rejected whole, before any
+// entry is merged, rather than panicking here or on a later hit.
 func (a *Analyzer) LoadMemo(r io.Reader) error {
 	var doc savedTables
 	if err := gob.NewDecoder(r).Decode(&doc); err != nil {
@@ -124,6 +126,9 @@ func (a *Analyzer) LoadMemo(r io.Reader) error {
 	if doc.Improved != a.opts.ImprovedMemo {
 		return fmt.Errorf("core: memo table uses improved=%v keys, analyzer uses improved=%v",
 			doc.Improved, a.opts.ImprovedMemo)
+	}
+	if err := doc.validate(); err != nil {
+		return fmt.Errorf("core: memo table %w", err)
 	}
 	for _, e := range doc.Full {
 		c := cached{res: Result{
@@ -159,5 +164,55 @@ func (a *Analyzer) LoadMemo(r io.Reader) error {
 	a.Stats.UniqueFull = a.full.Len()
 	a.Stats.UniqueEq = a.eq.Len()
 	a.Stats.UniqueDir = a.dir.Len()
+	return nil
+}
+
+// validate checks a decoded document against what SaveMemo can produce:
+// verdicts CheckVerdict accepts, and Extended GCD results that name a
+// GCDResult. The error names the offending entry by table and index.
+func (doc *savedTables) validate() error {
+	for i := range doc.Full {
+		e := &doc.Full[i]
+		if err := CheckVerdict(e.Outcome, e.Kind, e.Vectors, e.DistLevel, e.DistValue); err != nil {
+			return fmt.Errorf("full entry %d: %w", i, err)
+		}
+	}
+	for i, e := range doc.Eq {
+		if r := system.GCDResult(e.Result); r != system.GCDIndependent && r != system.GCDDependent {
+			return fmt.Errorf("eq entry %d: GCD result %d out of range", i, e.Result)
+		}
+	}
+	for i, e := range doc.Dir {
+		if err := CheckVerdict(e.Outcome, e.Kind, nil, nil, nil); err != nil {
+			return fmt.Errorf("dir entry %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// CheckVerdict checks one persisted verdict against what the analyzer can
+// produce: outcome and deciding-test kind inside their enums, direction
+// bytes that name a depvec.Direction, and one distance value per distance
+// level. Memo files and the corpus verdict store both load through it, so
+// a truncated or hand-edited snapshot is rejected instead of panicking on a
+// later hit.
+func CheckVerdict(outcome, kind int, vectors [][]byte, distLevel []int, distValue []int64) error {
+	switch {
+	case outcome < int(dtest.Independent) || outcome > int(dtest.Maybe):
+		return fmt.Errorf("outcome %d out of range", outcome)
+	case kind < int(dtest.KindNone) || kind > int(dtest.KindFourierMotzkin):
+		return fmt.Errorf("test kind %d out of range", kind)
+	case len(distLevel) != len(distValue):
+		return fmt.Errorf("%d distance levels, %d values", len(distLevel), len(distValue))
+	}
+	for _, v := range vectors {
+		for _, b := range v {
+			switch depvec.Direction(b) {
+			case depvec.Any, depvec.Less, depvec.Equal, depvec.Greater:
+			default:
+				return fmt.Errorf("direction byte %q out of range", b)
+			}
+		}
+	}
 	return nil
 }

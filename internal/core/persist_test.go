@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/gob"
+	"strings"
 	"testing"
 
 	"exactdep/internal/dtest"
@@ -132,6 +133,83 @@ func TestSaveLoadDirTable(t *testing.T) {
 	}
 	if fresh.Stats.DirHits == 0 {
 		t.Fatal("restored dir table served no refinement subproblems")
+	}
+}
+
+// TestLoadMemoRejectsCorruptEntries hand-edits a saved memo document the
+// ways a truncated or tampered file can differ from what SaveMemo writes.
+// LoadMemo indexes DistValue for every DistLevel, so a short DistValue used
+// to panic; every edit must instead fail with an error naming the entry,
+// and merge nothing.
+func TestLoadMemoRejectsCorruptEntries(t *testing.T) {
+	opts := Options{Memoize: true, ImprovedMemo: true,
+		DirectionVectors: true, PruneUnused: true, PruneDistance: true}
+	prog, err := lang.Parse(persistSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := New(opts)
+	if _, err := warm.AnalyzeUnit(opt.Lower(prog)); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := warm.SaveMemo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	saved := buf.Bytes()
+
+	// withDistance returns the first full entry that carries a distance
+	// and a vector, the one the full-table edits corrupt.
+	withDistance := func(doc *savedTables) *savedEntry {
+		for i := range doc.Full {
+			if e := &doc.Full[i]; len(e.DistLevel) > 0 && len(e.Vectors) > 0 {
+				return e
+			}
+		}
+		t.Fatal("no full entry with a distance and a vector")
+		return nil
+	}
+	cases := []struct {
+		name, entry string
+		corrupt     func(doc *savedTables)
+	}{
+		{"two levels one value", "full entry", func(doc *savedTables) {
+			e := withDistance(doc)
+			e.DistLevel, e.DistValue = []int{1, 2}, e.DistValue[:1]
+		}},
+		{"outcome", "full entry", func(doc *savedTables) { withDistance(doc).Outcome = int(dtest.Maybe) + 1 }},
+		{"kind", "full entry", func(doc *savedTables) { withDistance(doc).Kind = -1 }},
+		{"direction", "full entry", func(doc *savedTables) { withDistance(doc).Vectors[0][0] = 'x' }},
+		{"gcd result", "eq entry", func(doc *savedTables) { doc.Eq[0].Result = 2 }},
+		{"dir outcome", "dir entry", func(doc *savedTables) { doc.Dir[0].Outcome = -1 }},
+		{"dir kind", "dir entry", func(doc *savedTables) { doc.Dir[0].Kind = int(dtest.KindFourierMotzkin) + 1 }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var doc savedTables
+			if err := gob.NewDecoder(bytes.NewReader(saved)).Decode(&doc); err != nil {
+				t.Fatal(err)
+			}
+			if len(doc.Eq) == 0 || len(doc.Dir) == 0 {
+				t.Fatal("premise: the saved tables need eq and dir entries")
+			}
+			c.corrupt(&doc)
+			var out bytes.Buffer
+			if err := gob.NewEncoder(&out).Encode(&doc); err != nil {
+				t.Fatal(err)
+			}
+			cold := New(opts)
+			err := cold.LoadMemo(&out)
+			if err == nil {
+				t.Fatal("corrupt memo table accepted by LoadMemo")
+			}
+			if !strings.Contains(err.Error(), c.entry) {
+				t.Fatalf("error does not name the %s: %v", c.entry, err)
+			}
+			if n := cold.MemoLen(); n != 0 {
+				t.Fatalf("rejected memo table merged %d entries", n)
+			}
+		})
 	}
 }
 

@@ -18,11 +18,17 @@
 //     fingerprinting a corpus costs microseconds per unit.
 //   - Store: fingerprint → per-unit verdicts, direction vectors, distances
 //     and cost counters, with gob snapshot Save/Load (the same discipline
-//     as core.SaveMemo) scoped to an Options signature.
+//     as core.SaveMemo) scoped to an Options signature. Safe for
+//     concurrent use; OpenStore and SaveFile (atomic, skipped while
+//     unchanged) are the one way a front end opens and saves a store file.
 //   - Driver: diffs fingerprints against the store, schedules only
 //     changed/new units through core.AnalyzeAll (one batch, shared memo
 //     tables, deterministic order, serial == concurrent byte-identical),
-//     and serves everything else from the store.
+//     and serves everything else from the store — under the cross-class
+//     rule when the store belongs to another budget class.
+//
+// Front ends never read or write a store's entries themselves: they open
+// it, attach it to a driver, and save it.
 //
 // This is the IDE/CI re-analysis workflow the paper's §5 "store the hash
 // table across compilations" remark scales into: real traffic is mostly

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"exactdep/internal/core"
+	"exactdep/internal/dtest"
 	"exactdep/internal/memo"
 	"exactdep/internal/refs"
 )
@@ -84,13 +85,16 @@ type UnitResult struct {
 // unit/pair counters above — are identical at every worker count.
 //
 // A Driver is not safe for concurrent use; its own worker pools provide
-// the parallelism.
+// the parallelism. Several drivers may share one Store.
 type Driver struct {
 	analyzer *core.Analyzer
 	workers  int
-	sig      string
+	sig      signature
 	store    *Store
-	fp       Fingerprinter
+	// crossClass is set when the store is bound to another count-budget
+	// class than the driver (see SetStore).
+	crossClass bool
+	fp         Fingerprinter
 
 	// Stats describes the most recent Run.
 	Stats Stats
@@ -106,7 +110,7 @@ type Driver struct {
 // GOMAXPROCS) — with the same byte-identical-results guarantee as
 // core.AnalyzeAll.
 func NewDriver(opts core.Options, workers int) *Driver {
-	return &Driver{analyzer: core.New(opts), workers: workers, sig: Signature(opts)}
+	return &Driver{analyzer: core.New(opts), workers: workers, sig: signatureOf(opts)}
 }
 
 // NewDriverOver wraps an existing analyzer, sharing its memo tables and
@@ -114,21 +118,30 @@ func NewDriver(opts core.Options, workers int) *Driver {
 // runner, depanalyze's multi-unit mode) keep one compiler-session analyzer
 // while routing scheduling through the corpus driver.
 func NewDriverOver(a *core.Analyzer, workers int) *Driver {
-	return &Driver{analyzer: a, workers: workers, sig: Signature(a.Options())}
+	return &Driver{analyzer: a, workers: workers, sig: signatureOf(a.Options())}
 }
 
 // Analyzer exposes the underlying analyzer (memo persistence, stats,
 // distribution reports).
 func (d *Driver) Analyzer() *core.Analyzer { return d.analyzer }
 
-// SetStore attaches a persistent verdict store. The store must carry the
-// driver's own options signature — NewStore(sameOptions) or LoadStore with
-// the same options guarantees that.
+// SetStore attaches a persistent verdict store (nil detaches it). The
+// store's result surface — its signature less the count-budget class — must
+// be the driver's own; NewStore or LoadStore with the same options
+// guarantees that.
+//
+// When only the budget class differs, the driver uses the store under the
+// cross-class rule: a Maybe verdict may be a budget trip of the class that
+// stored it, and an untripped result is the same under every class, so
+// the driver serves only stored units without Maybe verdicts (Cost.Maybe
+// == 0) and stores only results with no trip at all. Class-scoped verdicts
+// therefore never leak between classes sharing one store.
 func (d *Driver) SetStore(s *Store) error {
-	if s != nil && s.sig != d.sig {
+	if s != nil && s.sig.surface != d.sig.surface {
 		return fmt.Errorf("corpus: store signature %q does not match driver configuration %q", s.sig, d.sig)
 	}
 	d.store = s
+	d.crossClass = s != nil && s.sig.budget != d.sig.budget
 	return nil
 }
 
@@ -205,13 +218,11 @@ func (d *Driver) runSerial(ctx context.Context, src Source, emit func(UnitResult
 			t1 = t2
 		}
 		if d.store != nil {
-			// The pair-count cross-check guards the (astronomically
-			// unlikely) fingerprint collision and any hand-edited store.
-			su, ok := d.store.Lookup(slots[i].fp)
+			su := d.probe(slots[i].fp, len(u.Cands))
 			if d.TimeStages {
 				d.Stats.Stage.Probe += time.Since(t1)
 			}
-			if ok && len(su.Results) == len(u.Cands) {
+			if su != nil {
 				slots[i].stored = su
 				d.Stats.UnitsReused++
 				d.Stats.PairsServed += len(u.Cands)
@@ -255,7 +266,7 @@ func (d *Driver) runSerial(ctx context.Context, src Source, emit func(UnitResult
 		} else {
 			ur.Results = solved[slots[i].off : slots[i].off+len(u.Cands)]
 			ur.Cost = Summarize(ur.Results)
-			if d.store != nil && Storable(ur.Results) {
+			if d.storable(ur.Results) {
 				d.store.Put(slots[i].fp, ToStored(u.Name, ur.Results))
 			}
 		}
@@ -269,6 +280,36 @@ func (d *Driver) runSerial(ctx context.Context, src Source, emit func(UnitResult
 		d.Stats.Stage.Emit = time.Since(emitStart)
 	}
 	return nil
+}
+
+// probe returns the stored unit that may serve a unit with fingerprint fp
+// and n candidates, or nil. The pair-count cross-check guards the
+// (astronomically unlikely) fingerprint collision and any hand-edited
+// store; across budget classes only Maybe-free units are served.
+func (d *Driver) probe(fp memo.Fingerprint, n int) *StoredUnit {
+	su, ok := d.store.Lookup(fp)
+	if !ok || len(su.Results) != n || d.crossClass && su.Cost.Maybe != 0 {
+		return nil
+	}
+	return su
+}
+
+// storable reports whether a solved unit's results go back into the
+// attached store: Storable ones, and across budget classes only results
+// with no trip at all.
+func (d *Driver) storable(results []core.Result) bool {
+	switch {
+	case d.store == nil:
+		return false
+	case !d.crossClass:
+		return Storable(results)
+	}
+	for i := range results {
+		if results[i].Trip != dtest.TripNone {
+			return false
+		}
+	}
+	return true
 }
 
 // RunAll is Run collecting every UnitResult.

@@ -32,11 +32,12 @@ import (
 //     single batch, just split at chunk boundaries; analyzer results are
 //     deterministic and memo-state independent, so the split cannot change
 //     a verdict, a vector, or a distance.
-//   - Store lookups and store writes never overlap: the front end only
-//     reads the store, and the solver defers its Puts until every front-end
-//     worker has been joined. A unit can therefore never hit an entry
-//     written earlier in the same run — exactly the serial semantics, and
-//     what keeps UnitsSolved/PairsSolved identical.
+//   - No unit hits an entry written earlier in the same run: the front end
+//     only reads the store, and the solver defers its Puts until every
+//     slot has been probed. The store is safe for concurrent use, so this
+//     is not about data races (other drivers sharing the store may Put at
+//     any time); it reproduces the serial semantics, where every probe
+//     precedes every Put, and so keeps UnitsSolved/PairsSolved identical.
 //   - Emit happens on the solver goroutine only, in corpus order, as each
 //     prefix completes: the caller's emit callback needs no locking.
 //   - On a load error the solver stops at the lowest failing index —
@@ -161,11 +162,7 @@ func (d *Driver) runPipelined(ctx context.Context, src Source, emit func(UnitRes
 					t1 = t2
 				}
 				if d.store != nil {
-					// Read-only for the whole front end: Puts are deferred
-					// until the pool is joined, so this probe is lock-free.
-					if su, ok := d.store.Lookup(s.fp); ok && len(su.Results) == len(s.u.Cands) {
-						s.stored = su
-					}
+					s.stored = d.probe(s.fp, len(s.u.Cands))
 					if timed {
 						times.probe.Add(time.Since(t1).Nanoseconds())
 					}
@@ -186,8 +183,8 @@ func (d *Driver) runPipelined(ctx context.Context, src Source, emit func(UnitRes
 	return err
 }
 
-// deferredPut is one solved unit's store insert, applied only after the
-// front-end pool is joined (no concurrent Lookup can observe it).
+// deferredPut is one solved unit's store insert, applied only after every
+// slot of the run has been probed.
 type deferredPut struct {
 	fp memo.Fingerprint
 	su StoredUnit
@@ -229,7 +226,7 @@ func (d *Driver) solve(ctx context.Context, slots []feSlot, ready []bool,
 		} else {
 			ur.Results = solved[p.off : p.off+len(s.u.Cands)]
 			ur.Cost = Summarize(ur.Results)
-			if d.store != nil && Storable(ur.Results) {
+			if d.storable(ur.Results) {
 				puts = append(puts, deferredPut{s.fp, ToStored(s.u.Name, ur.Results)})
 			}
 		}
@@ -315,12 +312,12 @@ func (d *Driver) solve(ctx context.Context, slots []feSlot, ready []bool,
 	if err == nil {
 		err = flush()
 	}
-	if err == nil && d.store != nil {
+	if err == nil {
 		// Every slot was walked, so every slot is ready, so every worker
-		// has passed its last store probe (workers only touch the store
-		// between claiming a slot and marking it ready) — the deferred
-		// Puts cannot race a Lookup. On the error path puts are dropped
-		// entirely, matching the serial run's abort-before-store behavior.
+		// has passed its last store probe (workers probe between claiming
+		// a slot and marking it ready): no unit of this run can hit one of
+		// these entries. On the error path puts are dropped entirely,
+		// matching the serial run's abort-before-store behavior.
 		for i := range puts {
 			d.store.Put(puts[i].fp, puts[i].su)
 		}

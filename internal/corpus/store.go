@@ -2,9 +2,14 @@ package corpus
 
 import (
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"sort"
+	"sync"
 
 	"exactdep/internal/core"
 	"exactdep/internal/depvec"
@@ -25,20 +30,28 @@ import (
 // core.Options that can change result bytes — direction vectors, pruning,
 // separability, cascade configuration, symmetric-memo vector ordering, and
 // the count-budget class. Loading a snapshot saved under a different
-// signature fails, exactly as LoadMemo rejects a key-scheme mismatch.
+// signature fails, exactly as LoadMemo rejects a key-scheme mismatch. A
+// driver whose budget class differs from the store's may still use it
+// under the cross-class rule (see Driver.SetStore).
 //
 // Stored results never include provenance (DecidedBy): provenance depends
 // on session history even in a serial analyzer, so the driver serves store
 // hits as ByCache and the canonical rendering excludes it.
 //
-// A Store is a plain map with no internal locking: concurrent Lookups are
-// safe only while no Put runs. The pipelined driver relies on exactly that
-// contract — its front-end workers probe the store concurrently and all
-// Puts are deferred until the pool is joined (see pipeline.go) — so any new
-// caller that mixes readers and writers must add its own synchronization.
+// A Store is safe for concurrent use: Lookup, Put, Len, Save and SaveFile
+// may run from any number of goroutines, so several drivers (depserve's
+// per-class warm analyzers) can share one store. It also remembers whether
+// a Put ran since it was opened or last saved to a file, so SaveFile writes
+// only a store that changed.
 type Store struct {
-	sig   string
+	sig signature
+
+	mu    sync.RWMutex
 	units map[memo.Fingerprint]*StoredUnit
+	puts  int64 // Puts since NewStore/LoadStore
+	saved int64 // puts at the last successful SaveFile
+
+	saveMu sync.Mutex // serializes SaveFile, so renames land in snapshot order
 }
 
 // StoredUnit is one unit's persisted analysis product.
@@ -79,50 +92,64 @@ type CostSummary struct {
 
 // NewStore returns an empty store bound to the signature of opts.
 func NewStore(opts core.Options) *Store {
-	return &Store{sig: Signature(opts), units: make(map[memo.Fingerprint]*StoredUnit)}
+	return &Store{sig: signatureOf(opts), units: make(map[memo.Fingerprint]*StoredUnit)}
 }
+
+// signature is an options signature in its two parts: the result surface
+// (every result-shaping field except the budget) and the count-budget
+// class. Drivers compare the parts separately (Driver.SetStore).
+type signature struct{ surface, budget string }
+
+func signatureOf(opts core.Options) signature {
+	cascade := opts.Cascade
+	if cascade == "" {
+		cascade = "full"
+	}
+	cl := opts.Budget.Class()
+	return signature{
+		surface: fmt.Sprintf("v=%t pu=%t pd=%t sep=%t sym=%t cascade=%s",
+			opts.DirectionVectors, opts.PruneUnused, opts.PruneDistance, opts.Separable,
+			opts.SymmetricMemo, cascade),
+		budget: fmt.Sprintf("budget=%d/%d/%d", cl.FMEliminations, cl.BranchNodes, cl.Constraints),
+	}
+}
+
+func (g signature) String() string { return g.surface + " " + g.budget }
 
 // Signature digests the options fields that can change result bytes. Two
 // configurations with equal signatures produce byte-identical verdicts,
 // vectors and distances for every unit, so they may share a store.
 // Memoization layout, worker counts, timing, and clock limits (whose trips
 // are never stored) are excluded.
-func Signature(opts core.Options) string {
-	cascade := opts.Cascade
-	if cascade == "" {
-		cascade = "full"
-	}
-	cl := opts.Budget.Class()
-	return fmt.Sprintf("v=%t pu=%t pd=%t sep=%t sym=%t cascade=%s budget=%d/%d/%d",
-		opts.DirectionVectors, opts.PruneUnused, opts.PruneDistance, opts.Separable,
-		opts.SymmetricMemo, cascade, cl.FMEliminations, cl.BranchNodes, cl.Constraints)
-}
+func Signature(opts core.Options) string { return signatureOf(opts).String() }
 
 // Signature returns the signature the store is bound to.
-func (s *Store) Signature() string { return s.sig }
+func (s *Store) Signature() string { return s.sig.String() }
 
 // Len returns the number of stored units.
-func (s *Store) Len() int { return len(s.units) }
+func (s *Store) Len() int {
+	s.mu.RLock()
+	n := len(s.units)
+	s.mu.RUnlock()
+	return n
+}
 
 // Lookup returns the stored unit for a fingerprint. The returned unit is
 // shared and must be treated as immutable.
 func (s *Store) Lookup(fp memo.Fingerprint) (*StoredUnit, bool) {
+	s.mu.RLock()
 	su, ok := s.units[fp]
+	s.mu.RUnlock()
 	return su, ok
 }
 
 // Put stores a unit's results under its fingerprint, overwriting any
 // previous entry.
-func (s *Store) Put(fp memo.Fingerprint, su StoredUnit) { s.units[fp] = &su }
-
-// Clone returns an independent store with the same entries (StoredUnits are
-// treated as immutable, so the copy is shallow per unit).
-func (s *Store) Clone() *Store {
-	c := &Store{sig: s.sig, units: make(map[memo.Fingerprint]*StoredUnit, len(s.units))}
-	for fp, su := range s.units {
-		c.units[fp] = su
-	}
-	return c
+func (s *Store) Put(fp memo.Fingerprint, su StoredUnit) {
+	s.mu.Lock()
+	s.units[fp] = &su
+	s.puts++
+	s.mu.Unlock()
 }
 
 // storeFileVersion guards the on-disk format.
@@ -143,17 +170,79 @@ type savedStoreUnit struct {
 
 // Save writes the store as a gob snapshot.
 func (s *Store) Save(w io.Writer) error {
-	doc := savedStore{Version: storeFileVersion, Signature: s.sig}
+	doc, _ := s.snapshot()
+	return gob.NewEncoder(w).Encode(&doc)
+}
+
+// snapshot copies the store into its on-disk document and returns the Put
+// count the copy reflects. Only the copy runs under the read lock; the sort
+// (and the caller's encode) run outside it, so a save holds up Puts only
+// for the copy.
+func (s *Store) snapshot() (savedStore, int64) {
+	doc := savedStore{Version: storeFileVersion, Signature: s.sig.String()}
+	s.mu.RLock()
+	doc.Units = make([]savedStoreUnit, 0, len(s.units))
 	for fp, su := range s.units {
 		doc.Units = append(doc.Units, savedStoreUnit{Hi: fp.Hi, Lo: fp.Lo, Unit: *su})
 	}
+	puts := s.puts
+	s.mu.RUnlock()
 	sort.Slice(doc.Units, func(i, j int) bool {
 		if doc.Units[i].Hi != doc.Units[j].Hi {
 			return doc.Units[i].Hi < doc.Units[j].Hi
 		}
 		return doc.Units[i].Lo < doc.Units[j].Lo
 	})
-	return gob.NewEncoder(w).Encode(&doc)
+	return doc, puts
+}
+
+// SaveFile writes the store to path atomically — a temp file in the same
+// directory, then a rename — and does nothing when no Put ran since the
+// store was opened or last saved. A failed save leaves the previous file
+// intact and the store unsaved, so the next SaveFile writes it again.
+func (s *Store) SaveFile(path string) error {
+	s.saveMu.Lock()
+	defer s.saveMu.Unlock()
+	s.mu.RLock()
+	clean := s.puts == s.saved
+	s.mu.RUnlock()
+	if clean {
+		return nil
+	}
+	doc, puts := s.snapshot()
+	f, err := os.CreateTemp(filepath.Dir(path), ".exactdep-store-*")
+	if err != nil {
+		return err
+	}
+	err = gob.NewEncoder(f).Encode(&doc)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
+		return err
+	}
+	s.mu.Lock()
+	s.saved = puts
+	s.mu.Unlock()
+	return nil
+}
+
+// OpenStore loads the snapshot at path (see LoadStore), or returns an empty
+// store bound to opts when no file exists there yet.
+func OpenStore(path string, opts core.Options) (*Store, error) {
+	f, err := os.Open(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return NewStore(opts), nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return LoadStore(f, opts)
 }
 
 // LoadStore reads a snapshot saved by Save, validating that it was produced
@@ -169,7 +258,7 @@ func LoadStore(r io.Reader, opts core.Options) (*Store, error) {
 		return nil, fmt.Errorf("corpus: verdict store version %d, want %d", doc.Version, storeFileVersion)
 	}
 	s := NewStore(opts)
-	if doc.Signature != s.sig {
+	if doc.Signature != s.Signature() {
 		return nil, fmt.Errorf("corpus: verdict store signature %q, analyzer configuration needs %q",
 			doc.Signature, s.sig)
 	}
@@ -184,33 +273,21 @@ func LoadStore(r io.Reader, opts core.Options) (*Store, error) {
 	return s, nil
 }
 
-// validate checks a decoded unit against what ToStored can produce: one
-// distance value per distance level, outcome, kind, trip and direction
-// values inside their enums, and a cost profile counting every result.
+// validate checks a decoded unit against what ToStored can produce: every
+// result a verdict core.CheckVerdict accepts with a trip reason inside its
+// enum, and a cost profile counting every result.
 func (su *StoredUnit) validate() error {
 	if su.Cost.Pairs != len(su.Results) {
 		return fmt.Errorf("cost counts %d pairs, %d results stored", su.Cost.Pairs, len(su.Results))
 	}
 	for i := range su.Results {
 		sr := &su.Results[i]
-		switch {
-		case len(sr.DistLevel) != len(sr.DistValue):
-			return fmt.Errorf("result %d: %d distance levels, %d values", i, len(sr.DistLevel), len(sr.DistValue))
-		case sr.Outcome < int(dtest.Independent) || sr.Outcome > int(dtest.Maybe):
-			return fmt.Errorf("result %d: outcome %d out of range", i, sr.Outcome)
-		case sr.Kind < int(dtest.KindNone) || sr.Kind > int(dtest.KindFourierMotzkin):
-			return fmt.Errorf("result %d: test kind %d out of range", i, sr.Kind)
-		case sr.Trip < int(dtest.TripNone) || sr.Trip >= dtest.NumTripReasons:
-			return fmt.Errorf("result %d: trip reason %d out of range", i, sr.Trip)
+		err := core.CheckVerdict(sr.Outcome, sr.Kind, sr.Vectors, sr.DistLevel, sr.DistValue)
+		if err == nil && (sr.Trip < int(dtest.TripNone) || sr.Trip >= dtest.NumTripReasons) {
+			err = fmt.Errorf("trip reason %d out of range", sr.Trip)
 		}
-		for _, v := range sr.Vectors {
-			for _, b := range v {
-				switch depvec.Direction(b) {
-				case depvec.Any, depvec.Less, depvec.Equal, depvec.Greater:
-				default:
-					return fmt.Errorf("result %d: direction byte %q out of range", i, b)
-				}
-			}
+		if err != nil {
+			return fmt.Errorf("result %d: %w", i, err)
 		}
 	}
 	return nil
@@ -229,9 +306,9 @@ func Storable(results []core.Result) bool {
 	return true
 }
 
-// ToStored converts a unit's fresh results to their persisted form
-// (exported for the depserve service layer, which orchestrates its own
-// store traffic around a shared warm tier).
+// ToStored converts a unit's fresh results to the persisted form the
+// driver stores (exported, with Serve, for callers that drive a Store by
+// hand).
 func ToStored(name string, results []core.Result) StoredUnit {
 	su := StoredUnit{Name: name, Results: make([]StoredResult, len(results)), Cost: Summarize(results)}
 	for i := range results {

@@ -18,7 +18,6 @@ import (
 	"exactdep"
 	"exactdep/internal/core"
 	"exactdep/internal/corpus"
-	"exactdep/internal/dtest"
 	"exactdep/internal/memo"
 	"exactdep/internal/wire"
 )
@@ -397,33 +396,44 @@ drain:
 // finish delivers a job's reply and feeds the completion counters. A job
 // whose context died before completion (client gone, deadline passed)
 // counts as cancelled — its verdicts degraded or its reply is a 408, never
-// a server error.
+// a server error. The counters move before the reply is sent, so a client
+// that holds its reply always finds itself counted in statsz.
 func (s *Server) finish(j *job, res jobResult) {
 	if j.ctx.Err() != nil {
 		s.stats.cancelled.Add(1)
 	}
-	j.reply <- res
 	s.stats.completed.Add(1)
+	j.reply <- res
 }
 
 // runBatch serves a batch of same-class jobs sequentially on the class's
 // warm analyzer. Sequential replay is what makes coalesced replies
 // byte-identical to a one-job-at-a-time run by construction: each job gets
-// exactly the probe → solve → put cycle it would have gotten alone, in
-// admission order, against the same store and (warm) memo state — the
-// batch saves the per-job driver construction and keeps the memo tables
-// hot, it never changes the operation sequence. Each job's own context
-// governs its solve, so an expired job degrades to Maybe/cancelled alone
-// without poisoning batchmates (its tripped units are never stored, and
-// batchmates holding the same units simply re-solve them memo-hot).
+// exactly the driver run it would have gotten alone, in admission order,
+// against the same store and (warm) memo state — the batch saves the
+// per-job driver construction and keeps the memo tables hot, it never
+// changes the operation sequence. Each job's own context governs its
+// solve, so an expired job degrades to Maybe/cancelled alone without
+// poisoning batchmates (its tripped units are never stored, and batchmates
+// holding the same units simply re-solve them memo-hot).
 func (s *Server) runBatch(batch []*job) {
+	// The batch counters move before the first reply is sent, so a client
+	// that holds its reply always finds its batch counted in statsz.
+	s.stats.batches.Add(1)
+	s.stats.coalescedJobs.Add(int64(len(batch) - 1))
+	bucket := len(batch) - 1
+	if bucket >= batchSizeBuckets {
+		bucket = batchSizeBuckets - 1
+	}
+	s.stats.batchSizes[bucket].Add(1)
+
 	wa := s.warm[batch[0].effClass]
 	wa.mu.Lock()
-	// batchFps tracks fingerprints stored by earlier jobs of this batch, so
-	// the probe loop can meter cross-request dedup within the batch.
-	batchFps := make(map[memo.Fingerprint]bool)
+	// solved tracks fingerprints solved by earlier jobs of this batch, so
+	// fingerprintDeduped can meter cross-request dedup within the batch.
+	solved := make(map[memo.Fingerprint]bool)
 	for _, j := range batch {
-		s.finish(j, s.runWarm(j, wa, batchFps))
+		s.finish(j, s.runWarm(j, wa, solved))
 		wa.jobs++
 	}
 	if s.memoLimit > 0 {
@@ -434,111 +444,32 @@ func (s *Server) runBatch(batch []*job) {
 		}
 	}
 	wa.mu.Unlock()
-
-	s.stats.batches.Add(1)
-	s.stats.coalescedJobs.Add(int64(len(batch) - 1))
-	bucket := len(batch) - 1
-	if bucket >= batchSizeBuckets {
-		bucket = batchSizeBuckets - 1
-	}
-	s.stats.batchSizes[bucket].Add(1)
 }
 
-// runWarm executes one coalescable job on its class's warm analyzer. The
-// caller holds wa.mu. Store traffic follows the PR8 pipeline contract so
-// executors overlap solving: probe under storeMu, solve outside it on the
-// long-lived driver, deferred puts under it.
-//
-// The warm tier serves a stored unit when its result set matches the
-// unit's candidate count; at a non-default class it must additionally be
-// fully exact (Cost.Maybe == 0), since count-budget Maybe verdicts are
-// class-scoped. Symmetrically, the default class stores anything without
-// deadline/cancel trips (corpus.Storable), while other classes store only
-// fully-untripped results, so class-scoped verdicts never leak into the
-// default-class store.
-func (s *Server) runWarm(j *job, wa *warmAnalyzer, batchFps map[memo.Fingerprint]bool) jobResult {
-	crossClass := j.effClass != s.defaultClass
-
-	// Fingerprint outside the lock (cached on the immutable unit).
-	fps := make([]memo.Fingerprint, len(j.units))
-	for i := range j.units {
-		fps[i] = j.units[i].Fingerprint(&wa.fp)
-	}
-
-	served := make([]*corpus.StoredUnit, len(j.units))
-	s.storeMu.Lock()
-	for i := range j.units {
-		su, ok := s.store.Lookup(fps[i])
-		if !ok || len(su.Results) != len(j.units[i].Cands) {
-			continue
-		}
-		if crossClass && su.Cost.Maybe != 0 {
-			continue
-		}
-		served[i] = su
-		if batchFps[fps[i]] {
-			s.stats.fpDeduped.Add(1)
-		}
-	}
-	s.storeMu.Unlock()
-
-	var miss corpus.Mem
-	for i := range j.units {
-		if served[i] == nil {
-			miss = append(miss, j.units[i])
-		}
-	}
-
+// runWarm executes one coalescable job on its class's warm analyzer, whose
+// driver probes, solves and stores back against the shared warm tier under
+// the class's store rules (corpus.Driver.SetStore). The caller holds
+// wa.mu.
+func (s *Server) runWarm(j *job, wa *warmAnalyzer, solved map[memo.Fingerprint]bool) jobResult {
 	a := wa.driver.Analyzer()
 	a.ResetStats() // per-request counters; the memo tables stay warm
 	firstEpochJob := wa.jobs == 0
-	missURs, err := wa.driver.RunAll(j.ctx, miss)
+	urs, err := wa.driver.RunAll(j.ctx, j.units)
 	if err != nil {
 		return s.errorResult(j, err, http.StatusInternalServerError)
 	}
-	counters := wire.FromCounters(a.Stats)
 	if !firstEpochJob {
 		s.stats.crossMemoHits.Add(int64(a.Stats.FullHits))
 	}
-
-	s.storeMu.Lock()
-	for i := range missURs {
-		ur := &missURs[i]
-		ok := corpus.Storable(ur.Results)
-		if crossClass {
-			ok = untripped(ur.Results)
-		}
-		if ok {
-			s.store.Put(ur.Fingerprint, corpus.ToStored(ur.Name, ur.Results))
-			s.storeDirty.Store(true)
-			batchFps[ur.Fingerprint] = true
+	for i := range urs {
+		fp := urs[i].Fingerprint
+		if !urs[i].Reused {
+			solved[fp] = true
+		} else if solved[fp] {
+			s.stats.fpDeduped.Add(1)
 		}
 	}
-	s.storeMu.Unlock()
-
-	// Demux served and solved units back into request order.
-	urs := make([]corpus.UnitResult, len(j.units))
-	st := corpus.Stats{Units: len(j.units), UnitsSolved: wa.driver.Stats.UnitsSolved, PairsSolved: wa.driver.Stats.PairsSolved}
-	mi := 0
-	for i := range j.units {
-		u := &j.units[i]
-		if su := served[i]; su != nil {
-			urs[i] = corpus.UnitResult{
-				Name:        u.Name,
-				Fingerprint: fps[i],
-				Reused:      true,
-				Results:     corpus.Serve(u.Cands, su),
-				Cost:        su.Cost,
-				Warnings:    u.Warnings,
-			}
-			st.UnitsReused++
-			st.PairsServed += len(u.Cands)
-		} else {
-			urs[i] = missURs[mi]
-			mi++
-		}
-	}
-	return s.respond(j, urs, st, counters)
+	return s.respond(j, urs, wa.driver.Stats, wire.FromCounters(a.Stats))
 }
 
 // run executes one non-coalescable job (corpus request or option override)
@@ -572,17 +503,6 @@ func (s *Server) errorResult(j *job, err error, fallback int) jobResult {
 		}}
 	}
 	return jobResult{fallback, wire.ErrorResponse{SchemaVersion: wire.SchemaVersion, Error: err.Error()}}
-}
-
-// untripped reports that no verdict in the batch carries budget, deadline,
-// or cancellation provenance — such results are budget-class-independent.
-func untripped(results []core.Result) bool {
-	for i := range results {
-		if results[i].Trip != dtest.TripNone {
-			return false
-		}
-	}
-	return true
 }
 
 func (s *Server) runCorpus(j *job) jobResult {

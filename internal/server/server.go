@@ -15,29 +15,29 @@
 //
 //	decode → validate (schema, class, options) → parse units →
 //	admission (shrink or shed) → queue → executor:
-//	  warm-tier probe → solve misses (one corpus-driver batch) →
-//	  store-back → reply
+//	  warm driver run (warm-tier probe → solve misses → store-back) →
+//	  reply
 //
-// The warm tier is a corpus.Store bound to the server's base configuration
-// (options signature + default budget class): requests at the default
-// class run the incremental driver against it directly; requests at any
-// other class (tenant-chosen or admission-degraded) still probe it and are
-// served fully-exact stored units — exact verdicts are valid under every
-// budget class — but solve the rest storelessly, so class-scoped Maybe
-// verdicts never leak across classes. The store is snapshot-loaded on
-// boot, saved periodically (Config.SnapshotEvery) and on shutdown, always
-// atomically (temp file + rename).
+// The warm tier is one corpus.Store bound to the server's base
+// configuration (options signature + default budget class), shared by
+// every budget class's warm driver through Driver.SetStore. The corpus
+// driver owns all store traffic: the default class serves and stores
+// under the ordinary rules, and every other class (tenant-chosen or
+// admission-degraded) runs under the driver's cross-class rule — served
+// only Maybe-free stored units, storing back only untripped results — so
+// class-scoped Maybe verdicts never leak across classes. The store is
+// opened on boot (corpus.OpenStore) and saved periodically
+// (Config.SnapshotEvery) and on shutdown with Store.SaveFile: atomically,
+// and only when it changed.
 package server
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"io/fs"
 	"net"
 	"net/http"
 	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -128,28 +128,26 @@ type serverStats struct {
 }
 
 // warmAnalyzer is one budget class's long-lived analysis engine: a
-// persistent corpus driver whose analyzer retains its memo tables (L1/L2/
-// dir), in-flight singleflight, and worker views across requests, so a
-// same-class burst runs memo-hot after its first job. The mutex serializes
-// whole executor batches (the driver is not safe for concurrent use);
-// executors working different classes overlap freely. jobs counts requests
-// served in the current memoization epoch (reset on eviction) — a request
-// after the first of an epoch can only hit memo entries some earlier
-// request planted.
+// persistent corpus driver over the shared warm tier whose analyzer
+// retains its memo tables (L1/L2/dir), in-flight singleflight, and worker
+// views across requests, so a same-class burst runs memo-hot after its
+// first job. The mutex serializes whole executor batches (the driver is
+// not safe for concurrent use); executors working different classes
+// overlap freely. jobs counts requests served in the current memoization
+// epoch (reset on eviction) — a request after the first of an epoch can
+// only hit memo entries some earlier request planted.
 type warmAnalyzer struct {
 	mu     sync.Mutex
 	driver *corpus.Driver
-	fp     corpus.Fingerprinter
 	jobs   int64
 }
 
 // Server is the dependence-analysis daemon.
 type Server struct {
-	cfg          Config
-	baseOpts     core.Options // cfg.Options + default-class budget, no StorePath
-	defaultClass int          // index into wire.BudgetClasses
-	maxDeadline  time.Duration
-	memoLimit    int // resolved MaxMemoEntries; 0 = never evict
+	cfg         Config
+	baseOpts    core.Options // cfg.Options + default-class budget, no StorePath
+	maxDeadline time.Duration
+	memoLimit   int // resolved MaxMemoEntries; 0 = never evict
 
 	queue    chan *job
 	execStop chan struct{}
@@ -162,11 +160,8 @@ type Server struct {
 	// poison the shared memo tables.
 	warm []*warmAnalyzer
 
-	// store is the warm tier; storeMu serializes every probe/put against
-	// snapshot clones (corpus.Store itself is unsynchronized by contract).
-	store      *corpus.Store
-	storeMu    sync.Mutex
-	storeDirty atomic.Bool
+	// store is the warm tier, attached to every warm driver.
+	store *corpus.Store
 
 	httpSrv  *http.Server
 	lis      net.Listener
@@ -229,45 +224,36 @@ func New(cfg Config) (*Server, error) {
 	baseOpts.StorePath = "" // persistence is the server's job, not the driver's
 
 	s := &Server{
-		cfg:          cfg,
-		baseOpts:     baseOpts,
-		defaultClass: classIdx,
-		maxDeadline:  maxDeadline,
-		memoLimit:    memoLimit,
-		queue:        make(chan *job, cfg.QueueDepth),
-		execStop:     make(chan struct{}),
-		snapStop:     make(chan struct{}),
-		start:        time.Now(),
+		cfg:         cfg,
+		baseOpts:    baseOpts,
+		maxDeadline: maxDeadline,
+		memoLimit:   memoLimit,
+		queue:       make(chan *job, cfg.QueueDepth),
+		execStop:    make(chan struct{}),
+		snapStop:    make(chan struct{}),
+		start:       time.Now(),
 	}
 
-	// One warm analyzer per budget class, storeless on purpose: the server
-	// orchestrates its own store traffic around the shared warm tier
-	// (probe under storeMu, solve outside it, deferred puts under it), so
-	// the driver only ever sees store-missing units.
+	s.store = corpus.NewStore(baseOpts)
+	if cfg.StorePath != "" {
+		var err error
+		if s.store, err = corpus.OpenStore(cfg.StorePath, baseOpts); err != nil {
+			return nil, err
+		}
+	}
+
+	// One warm analyzer per budget class, all over the shared warm tier:
+	// the default class's driver matches the store's signature, and every
+	// other class's driver applies the cross-class rule (SetStore).
 	s.warm = make([]*warmAnalyzer, len(wire.BudgetClasses))
 	for i := range s.warm {
 		o := baseOpts
 		o.Budget = wire.BudgetClasses[i].Budget
-		s.warm[i] = &warmAnalyzer{driver: corpus.NewDriver(o, core.PipelineWorkers(baseOpts.Workers))}
-	}
-
-	if cfg.StorePath != "" {
-		f, err := os.Open(cfg.StorePath)
-		switch {
-		case errors.Is(err, fs.ErrNotExist):
-			s.store = corpus.NewStore(baseOpts)
-		case err != nil:
+		d := corpus.NewDriver(o, core.PipelineWorkers(baseOpts.Workers))
+		if err := d.SetStore(s.store); err != nil {
 			return nil, err
-		default:
-			store, lerr := corpus.LoadStore(f, baseOpts)
-			f.Close()
-			if lerr != nil {
-				return nil, lerr
-			}
-			s.store = store
 		}
-	} else {
-		s.store = corpus.NewStore(baseOpts)
+		s.warm[i] = &warmAnalyzer{driver: d}
 	}
 	return s, nil
 }
@@ -336,34 +322,13 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // SaveStore snapshots the warm tier to Config.StorePath atomically (temp
 // file + rename), skipping the write when nothing changed since the last
-// save. No-op without a StorePath.
+// successful save — so a failed snapshot is retried by the next one. No-op
+// without a StorePath.
 func (s *Server) SaveStore() error {
 	if s.cfg.StorePath == "" {
 		return nil
 	}
-	if !s.storeDirty.Swap(false) {
-		return nil
-	}
-	s.storeMu.Lock()
-	clone := s.store.Clone() // shallow per unit; cheap even for large tiers
-	s.storeMu.Unlock()
-
-	dir := filepath.Dir(s.cfg.StorePath)
-	f, err := os.CreateTemp(dir, ".depserve-store-*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	if err := clone.Save(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, s.cfg.StorePath)
+	return s.store.SaveFile(s.cfg.StorePath)
 }
 
 // snapshotLoop periodically persists the warm tier.
@@ -384,11 +349,7 @@ func (s *Server) snapshotLoop() {
 }
 
 // StoreLen returns the warm tier's unit count (for statsz and tests).
-func (s *Server) StoreLen() int {
-	s.storeMu.Lock()
-	defer s.storeMu.Unlock()
-	return s.store.Len()
-}
+func (s *Server) StoreLen() int { return s.store.Len() }
 
 // memoEntries sums the current memo-table entry counts over every warm
 // analyzer (for statsz and tests). Takes each analyzer's mutex in turn, so

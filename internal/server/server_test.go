@@ -397,6 +397,42 @@ func TestShutdownDrainsAndPersists(t *testing.T) {
 	}
 }
 
+// TestShutdownRetriesFailedSnapshot: a snapshot that fails (here because
+// the store's directory does not exist yet) leaves the warm tier unsaved,
+// so the shutdown save writes it once the directory exists — the verdicts
+// gathered since the last good save are not lost.
+func TestShutdownRetriesFailedSnapshot(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "later")
+	storePath := filepath.Join(dir, "warm.store")
+	units := tinyUnits(3)
+
+	s, base := startServer(t, Config{Options: testOptions(), StorePath: storePath})
+	analyze(t, base, wire.AnalyzeRequest{Units: units})
+	if err := s.SaveStore(); err == nil {
+		t.Fatal("snapshot into a missing directory succeeded")
+	}
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	f, err := os.Open(storePath)
+	if err != nil {
+		t.Fatalf("shutdown did not retry the failed snapshot: %v", err)
+	}
+	defer f.Close()
+	saved, err := corpus.LoadStore(f, s.baseOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if saved.Len() != len(units) {
+		t.Errorf("saved store holds %d units, want %d", saved.Len(), len(units))
+	}
+}
+
 // TestCorpusEndpoint: /v1/corpus analyzes server-local files through the
 // facade's CorpusRequest, refuses escapes from the corpus root, and is
 // disabled without one.
