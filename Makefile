@@ -15,22 +15,26 @@ vet:
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-# race runs every test under the race detector, then repeats the verdict
-# store hammer (goroutines mixing Lookup, Put, Len and SaveFile on one
-# shared store) ten times.
+# race runs every test under the race detector, then repeats four hammers
+# ten times each: the shared memo table's in-place publication (lock-free
+# readers against inserting, growing writers), its many-writer overlap, the
+# in-flight leader election, and the verdict store (goroutines mixing
+# Lookup, Put, Len and SaveFile on one shared store).
 race:
 	$(GO) test -race -timeout 120s ./...
+	$(GO) test -race -count=10 -run 'TestShardedTableLockFreeStress|TestShardedTableHammer|TestInFlightHammer' ./internal/memo
 	$(GO) test -race -count=10 -run TestStoreHammer ./internal/corpus
 
 # allocgate re-runs the steady-state allocation assertions without the race
 # detector (they skip themselves under it, since the instrumentation
 # allocates), so the zero-allocation cascade path, the zero-allocation
-# memo path (encode + lookup + hit), the zero-allocation Fourier–Motzkin
-# solve, the clone-free refinement walk, and the map-free lexer stay gated
-# even though the main test run is race-enabled.
+# memo path (encode + lookup + hit), the bounded per-insert cost of the
+# shared memo table, the zero-allocation Fourier–Motzkin solve, the
+# clone-free refinement walk, and the map-free lexer stay gated even though
+# the main test run is race-enabled.
 allocgate:
 	$(GO) test ./internal/dtest -run 'TestCascadeZeroAllocs|TestRunTracedReusesScratch|TestBudgetZeroAllocs|TestFMSolveZeroAllocs'
-	$(GO) test ./internal/memo -run 'TestEncoderZeroAllocs|TestMemoHitZeroAllocs'
+	$(GO) test ./internal/memo -run 'TestEncoderZeroAllocs|TestMemoHitZeroAllocs|TestShardedInsertAllocs'
 	$(GO) test ./internal/depvec -run 'TestRefineZeroAllocs'
 	$(GO) test ./internal/lang -run 'TestLexerZeroAllocs'
 
@@ -41,13 +45,13 @@ benchmark-selftest:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # check is the CI gate: vet and the gofmt gate plus race-enabled tests, so
-# the concurrent driver (core.AnalyzeAll, memo.ShardedTable, the shared
-# verdict store) is race-checked on every run, plus the allocation-regression
-# gate, the benchmark module's self-tests, and the service smoke (a real
-# depserve process loaded by depload). Set
-# PERFGATE=1 to also run the wall-clock perf gate (benchcmp-gate) — opt-in
-# because ns/op on a shared or throttled host is too noisy to block every
-# CI run on.
+# the concurrent driver (core.AnalyzeAll, memo.ShardedTable, memo.InFlight,
+# the shared verdict store) is race-checked on every run — their hammers ten
+# times over — plus the allocation-regression gate, the benchmark module's
+# self-tests, and the service smoke (a real depserve process loaded by
+# depload). Set PERFGATE=1 to also run the wall-clock perf gate
+# (benchcmp-gate) — opt-in because ns/op on a shared or throttled host is
+# too noisy to block every CI run on.
 check: vet fmt race allocgate benchmark-selftest serve-smoke
 	@if [ "$(PERFGATE)" = "1" ]; then $(MAKE) benchcmp-gate; fi
 

@@ -184,13 +184,13 @@ func BenchmarkAnalyzeAllMemoHot(b *testing.B) {
 // BenchmarkAnalyzeAllLargeCorpus: the concurrent driver on a very large
 // synthetic corpus (thousands of nests, workload.LargeCorpus) with a cold
 // analyzer per iteration, so the measured path is the contended one — cache
-// misses, batched sharded-table inserts, and singleflight dedup — rather
+// misses, in-place sharded-table inserts, and singleflight dedup — rather
 // than the memo-hot replay BenchmarkAnalyzeAllMemoHot isolates. Worker
-// counts 1/2/4 (plus GOMAXPROCS when larger) chart the scaling curve; on a
-// single-CPU host the interesting number is how close fan-out stays to
-// serial (the coordination overhead), not speedup.
+// counts 1/2/4 (plus GOMAXPROCS when larger) chart the scaling curve. The
+// dirvec set adds the end-to-end benchmark's measured options (direction
+// vectors with unused-loop and distance pruning), which also fill the
+// refinement (dir) table — the insert-heavy path of a cold corpus run.
 func BenchmarkAnalyzeAllLargeCorpus(b *testing.B) {
-	opts := core.Options{Memoize: true, ImprovedMemo: true}
 	all, err := workload.LargeCorpusCandidates(4096)
 	if err != nil {
 		b.Fatal(err)
@@ -199,16 +199,25 @@ func BenchmarkAnalyzeAllLargeCorpus(b *testing.B) {
 	if n := runtime.GOMAXPROCS(0); n > 4 {
 		workerCounts = append(workerCounts, n)
 	}
-	for _, w := range workerCounts {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				a := core.New(opts)
-				if _, err := a.AnalyzeAll(all, w); err != nil {
-					b.Fatal(err)
+	for _, set := range []struct {
+		prefix string
+		opts   core.Options
+	}{
+		{"", core.Options{Memoize: true, ImprovedMemo: true}},
+		{"dirvec/", core.Options{Memoize: true, ImprovedMemo: true,
+			DirectionVectors: true, PruneUnused: true, PruneDistance: true}},
+	} {
+		for _, w := range workerCounts {
+			b.Run(fmt.Sprintf("%sworkers=%d", set.prefix, w), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					a := core.New(set.opts)
+					if _, err := a.AnalyzeAll(all, w); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -359,7 +359,7 @@ func run(out, only string) error {
 	}
 
 	// Cold analysis of a very large synthetic corpus (thousands of nests):
-	// the contended path — misses, batched sharded-table inserts, and
+	// the contended path — misses, in-place sharded-table inserts, and
 	// singleflight dedup — at several worker counts. The corpus is generated
 	// only when the filter selects at least one of these records.
 	corpusWorkers := []int{1, 2, 4}

@@ -308,14 +308,11 @@ type Analyzer struct {
 	// problem at the same time.
 	inflight *memo.InFlight[cached]
 
-	// Batches defer this worker view's memo inserts: entries are staged
-	// locally and drained into the sharded tables in bulk (at a size
-	// threshold and at worker exit), so the tables' copy-on-write snapshots
-	// are not rebuilt once per insert. Nil on serial analyzers, where Insert
-	// goes straight to the unsynchronized table.
-	fullBatch *memo.Batch[cached]
-	eqBatch   *memo.Batch[system.GCDResult]
-	dirBatch  *memo.Batch[dtest.Result]
+	// shared marks a worker view: its memo tables are the sharded tables
+	// every worker inserts into, so inserts skip the per-insert Len sweep
+	// behind the Unique* counters — the driver snapshots those from the
+	// tables after the join.
+	shared bool
 
 	// Concurrent-driver state owned by the parent analyzer (nil/empty on
 	// worker views): the shared in-flight layer, worker views cached across
@@ -364,25 +361,15 @@ func (a *Analyzer) newPipeline() *dtest.Pipeline {
 	return p
 }
 
-// insertBatchSize is the worker-view staging threshold: a view's deferred
-// memo inserts drain into the sharded tables whenever this many are pending
-// (and always at worker exit). Each drain rebuilds the copy-on-write
-// snapshot of every touched shard, so an insert-heavy cold run copies about
-// tableSize²/(2·insertBatchSize) entries in total — the size is chosen to
-// keep that cost small against the solves that produced the inserts, while
-// the in-flight layer (flights retire only when their insert drains) keeps
-// the window of not-yet-visible verdicts from causing duplicate solves.
-const insertBatchSize = 256
-
 // workerView returns a private analyzer view over the shared memo tables
 // for one worker goroutine: options and the stage configuration are shared
 // read-only; the pipeline (with its scratch), the key encoder, the L1 memo
-// cache, the insert batches, and the counters are per-worker. Must be
-// called after shardTables (the batches bind to the sharded tables).
+// cache, and the counters are per-worker. Must be called after shardTables
+// (the view inserts straight into the sharded tables).
 func (a *Analyzer) workerView() *Analyzer {
 	wa := &Analyzer{opts: a.opts, full: a.full, eq: a.eq, dir: a.dir,
 		refiner: depvec.NewRefiner(), cfg: a.cfg, cfgErr: a.cfgErr, budClass: a.budClass,
-		inflight: a.flights}
+		inflight: a.flights, shared: true}
 	if wa.cfg != nil {
 		wa.pipe = wa.newPipeline()
 		wa.prevStage = make([]dtest.StageMetrics, wa.cfg.NumStages())
@@ -390,24 +377,6 @@ func (a *Analyzer) workerView() *Analyzer {
 	if wa.opts.Memoize && wa.opts.L1Size >= 0 {
 		wa.l1 = memo.NewL1[cached](wa.opts.L1Size)
 		wa.l1dir = memo.NewL1[dtest.Result](wa.opts.L1Size)
-	}
-	if st, ok := a.full.(*memo.ShardedTable[cached]); ok {
-		wa.fullBatch = memo.NewBatch(st, insertBatchSize)
-		if fl := wa.inflight; fl != nil {
-			// A finished flight stands in for its not-yet-visible table
-			// entry; retire each one as soon as its insert drains.
-			wa.fullBatch.OnDrain(func(keys []memo.Key) {
-				for _, k := range keys {
-					fl.Forget(k)
-				}
-			})
-		}
-	}
-	if st, ok := a.eq.(*memo.ShardedTable[system.GCDResult]); ok {
-		wa.eqBatch = memo.NewBatch(st, insertBatchSize)
-	}
-	if st, ok := a.dir.(*memo.ShardedTable[dtest.Result]); ok {
-		wa.dirBatch = memo.NewBatch(st, insertBatchSize)
 	}
 	return wa
 }
@@ -451,11 +420,11 @@ func (a *Analyzer) MemoLen() int {
 // simply re-solved, and count-budget verdicts are deterministic, so a
 // re-solve reproduces the evicted entry byte for byte.
 //
-// The tables are reset in place, so worker views (whose insert batches are
-// bound to the concrete table objects) stay valid. Both sides of the
-// L1 ⊆ L2 containment are cleared together, which re-establishes the
-// invariant trivially. Must not be called concurrently with an analysis
-// run; the in-flight layer is empty between runs and is left alone.
+// The tables are reset in place, so worker views (which hold the concrete
+// table objects) stay valid. Both sides of the L1 ⊆ L2 containment are
+// cleared together, which re-establishes the invariant trivially. Must not
+// be called concurrently with an analysis run; the in-flight layer is empty
+// between runs and is left alone.
 func (a *Analyzer) EvictMemo() {
 	a.full.Reset()
 	a.eq.Reset()
@@ -618,8 +587,8 @@ func (a *Analyzer) analyzeCandidate(c refs.Candidate, prov *provenance) (Result,
 			// Every cache layer missed: claim the key so only one worker
 			// solves this canonical problem at a time. Losers block until
 			// the winner publishes, then adopt its verdict straight off the
-			// flight (no table re-probe — the winner's insert may still be
-			// sitting in its batch). A winner that could not cache (clock
+			// flight. The winner inserts before it publishes and forgets
+			// its flight right after. A winner that could not cache (clock
 			// trip, cancellation) publishes ok=false and the waiters
 			// re-claim: in a serial pass each occurrence of such a problem
 			// solves fresh too.
@@ -627,16 +596,20 @@ func (a *Analyzer) analyzeCandidate(c refs.Candidate, prov *provenance) (Result,
 				f, leader := a.inflight.Claim(fullKey)
 				if leader {
 					// Between this worker's table miss and its claim, an
-					// earlier leader may have finished, drained its insert
-					// and retired its flight: re-probe before solving
-					// again, and on a hit hand the entry to any waiters.
+					// earlier leader may have inserted, finished and
+					// retired its flight: re-probe before solving again,
+					// and on a hit hand the entry to any waiters.
 					if stored, hit, ok := a.full.LookupStored(fullKey); ok && hit.usable(a.budClass) {
 						a.inflight.Finish(f, stored, hit, true)
 						a.inflight.Forget(fullKey)
 						return a.serveL2Hit(prob, p, stored, hit, prov), nil
 					}
-					res, fin := a.solveAndCache(prob, p, fullKey, prov)
+					// The flight's own key copy becomes the table's key.
+					res, fin := a.solveAndCache(prob, p, fullKey, f.Key(), prov)
 					a.inflight.Finish(f, fin.key, fin.val, fin.ok)
+					if fin.ok {
+						a.inflight.Forget(fin.key)
+					}
 					return res, nil
 				}
 				a.Stats.InflightWaits++
@@ -657,7 +630,7 @@ func (a *Analyzer) analyzeCandidate(c refs.Candidate, prov *provenance) (Result,
 		}
 	}
 
-	res, _ := a.solveAndCache(prob, p, fullKey, prov)
+	res, _ := a.solveAndCache(prob, p, fullKey, nil, prov)
 	return res, nil
 }
 
@@ -713,9 +686,9 @@ type flightResult struct {
 }
 
 // solveAndCache runs the fresh analysis for a candidate that missed every
-// cache layer and stores the verdict (directly, or staged in the worker's
-// batch).
-func (a *Analyzer) solveAndCache(prob *system.Problem, p ir.Pair, fullKey memo.Key, prov *provenance) (Result, flightResult) {
+// cache layer and stores the verdict. owned, when non-nil, is a stable copy
+// of fullKey (the in-flight leader's) to store instead of a fresh clone.
+func (a *Analyzer) solveAndCache(prob *system.Problem, p ir.Pair, fullKey, owned memo.Key, prov *provenance) (Result, flightResult) {
 	res := a.analyzeFresh(prob, p)
 	if prov != nil {
 		prov.fresh = res.DecidedBy
@@ -729,15 +702,14 @@ func (a *Analyzer) solveAndCache(prob *system.Problem, p ir.Pair, fullKey memo.K
 	if a.opts.Memoize && res.DecidedBy != ByGCD && cacheableTrip(res.Trip) {
 		// fullKey aliases the encoder's scratch; the tables retain their
 		// keys, so insert an owned copy (and reuse it for the L1 fill).
-		ck := fullKey.Clone()
+		ck := owned
+		if ck == nil {
+			ck = fullKey.Clone()
+		}
 		cv := project(res, prob)
 		cv.budgetClass = a.budClass
-		if a.fullBatch != nil {
-			// Staged insert: drained in bulk, so skip the per-insert Len
-			// sweep too — the driver snapshots UniqueFull after the drain.
-			a.fullBatch.Add(ck, cv)
-		} else {
-			a.full.Insert(ck, cv)
+		a.full.Insert(ck, cv)
+		if !a.shared {
 			a.Stats.UniqueFull = a.full.Len()
 		}
 		if a.l1 != nil {
@@ -841,10 +813,8 @@ func (a *Analyzer) analyzeFresh(prob *system.Problem, p ir.Pair) Result {
 		return Result{Pair: p, Outcome: dtest.Unknown, DecidedBy: ByTest}
 	}
 	if a.opts.Memoize && !gcdKnown {
-		if a.eqBatch != nil {
-			a.eqBatch.Add(eqKey.Clone(), res)
-		} else {
-			a.eq.Insert(eqKey.Clone(), res)
+		a.eq.Insert(eqKey.Clone(), res)
+		if !a.shared {
 			a.Stats.UniqueEq = a.eq.Len()
 		}
 	}

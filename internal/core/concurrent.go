@@ -193,10 +193,10 @@ func (a *Analyzer) AnalyzeAllContext(ctx context.Context, cands []refs.Candidate
 			// Each worker is a private Analyzer view over the shared
 			// tables: options and the cascade stage configuration are
 			// read-only; the cascade pipeline (with its scratch), the L1
-			// caches (kept warm across runs), the insert batches, and the
-			// counters — including the per-stage Table 6 cost counters —
-			// are per-worker and merged at the end. The pipeline carries
-			// the deadline-merged budget and the context's Done channel.
+			// caches (kept warm across runs), and the counters — including
+			// the per-stage Table 6 cost counters — are per-worker and
+			// merged at the end. The pipeline carries the deadline-merged
+			// budget and the context's Done channel.
 			wa := views[w]
 			wa.Stats = stats.Counters{}
 			if wa.pipe != nil {
@@ -209,10 +209,10 @@ func (a *Analyzer) AnalyzeAllContext(ctx context.Context, cands []refs.Candidate
 				}
 			}
 			defer func() {
-				// Drain the deferred inserts, push the table-traffic deltas
-				// (the tables' own read path is stat-free), then hand the
-				// counters over — all before wg.Wait releases the merge.
-				wa.drainBatches()
+				// Push the table-traffic deltas (the tables' own read path
+				// is stat-free), then hand the counters over — both before
+				// wg.Wait releases the merge.
+				wa.pushTraffic()
 				counters[w] = wa.Stats
 			}()
 			for !failed.Load() {
@@ -269,9 +269,8 @@ func (a *Analyzer) AnalyzeAllContext(ctx context.Context, cands []refs.Candidate
 			}
 		}
 	}
-	// Add sums the per-worker uniqueness snapshots, which is meaningless for
-	// a shared table — replace with the table's final size (the batches are
-	// all drained by now).
+	// Workers do not track the shared tables' sizes — snapshot them now
+	// that every insert has landed.
 	a.Stats.UniqueFull = a.full.Len()
 	a.Stats.UniqueEq = a.eq.Len()
 	a.Stats.UniqueDir = a.dir.Len()
@@ -313,7 +312,7 @@ func (a *Analyzer) AnalyzeAllContext(ctx context.Context, cands []refs.Candidate
 	}
 	// Identity-keyed replay: resolve each recorded key to the table's
 	// interned instance (occurrences of one canonical problem may have
-	// recorded distinct clones when racing workers both staged an insert),
+	// recorded distinct clones when racing workers both inserted it),
 	// then replay first-occurrence over instance identity.
 	for i := range provs {
 		pv := &provs[i]
@@ -351,22 +350,13 @@ func (a *Analyzer) ensureViews(workers int) []*Analyzer {
 	return a.views[:workers]
 }
 
-// drainBatches flushes a worker view's deferred memo inserts and pushes its
-// locally counted table traffic into the sharded tables as one delta per
-// table. Called as the worker exits, before counters are merged.
-func (wa *Analyzer) drainBatches() {
-	if wa.fullBatch != nil {
-		wa.fullBatch.Flush()
-		wa.fullBatch.Table().AddStats(wa.Stats.L2Lookups, wa.Stats.L2Hits)
-	}
-	if wa.eqBatch != nil {
-		wa.eqBatch.Flush()
-		wa.eqBatch.Table().AddStats(wa.Stats.EqLookups, wa.Stats.EqHits)
-	}
-	if wa.dirBatch != nil {
-		wa.dirBatch.Flush()
-		wa.dirBatch.Table().AddStats(wa.Stats.DirLookups, wa.Stats.DirHits)
-	}
+// pushTraffic pushes a worker view's locally counted table traffic into the
+// sharded tables as one delta per table. Called as the worker exits, before
+// counters are merged.
+func (wa *Analyzer) pushTraffic() {
+	wa.full.(*memo.ShardedTable[cached]).AddStats(wa.Stats.L2Lookups, wa.Stats.L2Hits)
+	wa.eq.(*memo.ShardedTable[system.GCDResult]).AddStats(wa.Stats.EqLookups, wa.Stats.EqHits)
+	wa.dir.(*memo.ShardedTable[dtest.Result]).AddStats(wa.Stats.DirLookups, wa.Stats.DirHits)
 }
 
 // shardTables promotes the memo tables to their concurrent form, copying

@@ -62,10 +62,8 @@ func (m dirMemo) Store(dirs []byte, r dtest.Result) {
 	}
 	r.Witness = nil
 	ck := key.Clone()
-	if a.dirBatch != nil {
-		a.dirBatch.Add(ck, r)
-	} else {
-		a.dir.Insert(ck, r)
+	a.dir.Insert(ck, r)
+	if !a.shared {
 		a.Stats.UniqueDir = a.dir.Len()
 	}
 	if a.l1dir != nil {

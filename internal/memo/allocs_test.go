@@ -1,6 +1,7 @@
 package memo
 
 import (
+	"runtime"
 	"testing"
 
 	"exactdep/internal/system"
@@ -79,6 +80,40 @@ func TestMemoHitZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("memo hit allocates %.1f times per sweep, want 0", allocs)
+	}
+}
+
+// TestShardedInsertAllocs gates the in-place insert path: inserting 4,096
+// keys one at a time into a one-shard table allocates a bounded number of
+// bytes per insert (the entry plus the amortized doublings of the bucket
+// array), however large the shard has grown. A design that copies its shard
+// per insert allocates about 95 KB per insert here. Part of the Makefile
+// allocgate.
+func TestShardedInsertAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed by the race detector")
+	}
+	const (
+		n         = 4096
+		perInsert = 1 << 10 // bytes
+	)
+	keys := make([]Key, n)
+	for i := range keys {
+		keys[i] = Key{int64(i), int64(i * 7), int64(-i)}
+	}
+	tbl := NewShardedTable[int](1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i, k := range keys {
+		tbl.Insert(k, i)
+	}
+	runtime.ReadMemStats(&after)
+	if tbl.Len() != n {
+		t.Fatalf("Len = %d, want %d", tbl.Len(), n)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > n*perInsert {
+		t.Fatalf("%d inserts allocated %d bytes (%d per insert), want ≤ %d per insert",
+			n, got, got/n, perInsert)
 	}
 }
 

@@ -225,95 +225,52 @@ func TestInFlightHammer(t *testing.T) {
 	}
 }
 
-// TestInsertBatchMatchesInsert: a batched drain must leave the table in the
-// same state as one Insert per entry, including overwrite-keeps-first-key
-// semantics and stats deltas.
-func TestInsertBatchMatchesInsert(t *testing.T) {
-	a := NewShardedTable[int](4)
-	b := NewShardedTable[int](4)
-	var keys []Key
-	var vals []int
-	for i := 0; i < 200; i++ {
-		k := Key{int64(i % 50), int64(i / 50)} // duplicates across the set
-		keys = append(keys, k)
-		vals = append(vals, i)
-		a.Insert(k.Clone(), i)
+// TestInFlightHashCollision: flights are found by the key's hash, so two
+// distinct keys with the same paper hash must still get separate flights —
+// each claim leads, a re-claim joins the right one, and Forget or a failed
+// Finish retires only its own key, wherever it sits in the chain.
+func TestInFlightHashCollision(t *testing.T) {
+	a, b := Key{2, 0}, Key{0, 1}
+	if a.hash() != b.hash() {
+		t.Fatalf("test keys must collide: hash %d vs %d", a.hash(), b.hash())
 	}
-	// InsertBatch consumes (nils) the key slice, so feed it clones.
-	bk := make([]Key, len(keys))
-	for i := range keys {
-		bk[i] = keys[i].Clone()
+	g := NewInFlight[int](1)
+	fa, la := g.Claim(a)
+	fb, lb := g.Claim(b)
+	if !la || !lb || fa == fb {
+		t.Fatal("colliding keys must each elect their own leader")
 	}
-	b.InsertBatch(bk, vals)
-
-	if a.Len() != b.Len() {
-		t.Fatalf("Len: per-entry %d vs batched %d", a.Len(), b.Len())
+	if !fa.Key().equal(a) || &fa.Key()[0] == &a[0] {
+		t.Fatal("a leader's flight must own a copy of the claimed key")
 	}
-	for i := 0; i < 50; i++ {
-		for j := 0; j < 4; j++ {
-			k := Key{int64(i), int64(j)}
-			av, aok := a.Lookup(k)
-			bv, bok := b.Lookup(k)
-			if aok != bok || av != bv {
-				t.Fatalf("key %v: per-entry (%d,%v) vs batched (%d,%v)", k, av, aok, bv, bok)
-			}
-		}
+	if f, l := g.Claim(a); l || f != fa {
+		t.Fatal("re-claim of a must join a's flight")
 	}
-	for i := range bk {
-		if bk[i] != nil {
-			t.Fatal("InsertBatch must nil out consumed keys")
-		}
-	}
-}
-
-// TestBatchStagingAndDrain covers the Batch wrapper: staged entries are
-// invisible until Flush (or the limit), drain in bulk, and report through
-// OnDrain with the keys that just became visible.
-func TestBatchStagingAndDrain(t *testing.T) {
-	tbl := NewShardedTable[int](2)
-	b := NewBatch(tbl, 4)
-	var drained []string
-	b.OnDrain(func(keys []Key) {
-		for _, k := range keys {
-			drained = append(drained, k.Bytes())
-		}
-	})
-
-	k1, k2 := Key{1}, Key{2}
-	b.Add(k1, 10)
-	b.Add(k2, 20)
-	if _, ok := tbl.Lookup(k1); ok {
-		t.Fatal("staged entry visible before drain")
-	}
-	if b.Pending() != 2 {
-		t.Fatalf("Pending = %d, want 2", b.Pending())
-	}
-	b.Flush()
-	if v, ok := tbl.Lookup(k1); !ok || v != 10 {
-		t.Fatalf("after flush, k1 = (%d,%v), want (10,true)", v, ok)
-	}
-	if len(drained) != 2 || drained[0] != k1.Bytes() || drained[1] != k2.Bytes() {
-		t.Fatalf("OnDrain saw %d keys, want the 2 staged ones", len(drained))
-	}
-	if b.Pending() != 0 {
-		t.Fatal("Flush must clear the staging area")
+	if f, l := g.Claim(b); l || f != fb {
+		t.Fatal("re-claim of b must join b's flight")
 	}
 
-	// The limit triggers an automatic drain (with the OnDrain callback).
-	drained = drained[:0]
-	for i := int64(10); i < 14; i++ {
-		b.Add(Key{i}, int(i))
+	// a sits behind b in the chain: a failed finish must unlink just a.
+	g.Finish(fa, nil, 0, false)
+	if f, l := g.Claim(b); l || f != fb {
+		t.Fatal("unlinking a must leave b's flight registered")
 	}
-	if b.Pending() != 0 {
-		t.Fatal("Add at the limit must auto-flush")
+	fa, la = g.Claim(a)
+	if !la {
+		t.Fatal("claim of a after its failed finish must lead")
 	}
-	if len(drained) != 4 {
-		t.Fatalf("OnDrain saw %d keys after auto-flush, want 4", len(drained))
+	g.Finish(fa, fa.Key(), 1, true)
+	g.Finish(fb, fb.Key(), 2, true)
+
+	g.Forget(b)
+	f, l := g.Claim(a)
+	if l || f != fa {
+		t.Fatal("forgetting b must leave a's finished flight claimable")
 	}
-	if tbl.Len() != 6 {
-		t.Fatalf("table has %d entries, want 6", tbl.Len())
+	if _, v, ok := f.Wait(); !ok || v != 1 {
+		t.Fatalf("a's flight served (%d, %v), want (1, true)", v, ok)
 	}
-	if b.Table() != tbl {
-		t.Fatal("Table must return the destination table")
+	if _, l := g.Claim(b); !l {
+		t.Fatal("claim of b after Forget must lead")
 	}
 }

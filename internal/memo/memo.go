@@ -32,11 +32,12 @@
 //   - Table is the paper's open hash table, unsynchronized, for serial
 //     analysis.
 //   - ShardedTable shares one cache across the concurrent driver's workers
-//     with lock-free, stat-free reads: each shard publishes an immutable
-//     open-addressed snapshot through an atomic pointer, inserts
-//     copy-on-write under a short per-shard mutex, bulk writers stage
-//     through a Batch, and traffic counters merge delta-only at worker exit
-//     via AddStats (see sharded.go, batch.go).
+//     with lock-free, stat-free reads: each shard's open-addressed bucket
+//     array holds atomic pointers to immutable entries that carry their
+//     mixed hash, so a lookup hashes its key once and probes with atomic
+//     loads; an insert publishes one entry in place under a short per-shard
+//     mutex (O(1) amortized, growth reuses the stored hashes), and traffic
+//     counters merge delta-only at worker exit via AddStats (see sharded.go).
 //   - L1 is a small direct-mapped per-worker cache in front of the shared
 //     table, so a worker's hot working set is answered without touching
 //     shared memory at all (see l1.go). Every L1 entry's key is an interned
@@ -90,8 +91,12 @@ func (k Key) Clone() Key {
 // watches the collision rate over the workload's real keys.
 func (k Key) hash() uint64 {
 	h := uint64(len(k))
-	for i, v := range k {
-		h += uint64(v) << (uint(i) % 63)
+	var sh uint // i mod 63, kept as a running count instead of a division
+	for _, v := range k {
+		h += uint64(v) << sh
+		if sh++; sh == 63 {
+			sh = 0
+		}
 	}
 	return h
 }

@@ -32,22 +32,29 @@ var (
 // read path must not serialize workers.
 //
 // The key space is split over N power-of-two shards. Each shard holds an
-// atomic pointer to an immutable open-addressed snapshot (the paper's open
-// hash table, frozen): a lookup is one atomic load plus a linear probe over
-// the snapshot — no locks and no shared writes at all. Traffic counters are
-// not maintained per operation; workers that want table stats accumulate
-// lookups/hits locally and push one delta via AddStats when they finish, so
-// the hot read path touches no shared mutable memory. An insert takes the
-// shard's mutex, copies the snapshot with the new entry placed (growing when
-// load factor would pass 3/4), and publishes the copy with an atomic store.
-// Copy-on-write makes inserts O(shard size); writers that insert in bulk
-// should stage entries in a Batch, which rebuilds each touched shard's
-// snapshot once per drain instead of once per entry.
+// atomic pointer to its bucket array — the paper's open hash table with
+// linear probing — whose slots are atomic pointers to immutable entries
+// (key, mixed hash, value). A lookup hashes its key once, takes the shard
+// from the high bits of the mixed hash and the bucket from the low bits,
+// and probes with atomic loads, comparing stored hashes before keys: no
+// locks and no shared writes at all. Traffic counters are not maintained
+// per operation; workers that want table stats accumulate lookups/hits
+// locally and push one delta via AddStats when they finish, so the hot read
+// path touches no shared mutable memory.
+//
+// An insert takes the shard's mutex and publishes one new entry into the
+// first empty slot of its probe chain, in place: O(1) amortized. When the
+// load would pass 3/4 it first builds a doubled array from the existing
+// entries, placed by their stored hashes (growth never rehashes a key),
+// and publishes that. A reader still probing the old array may miss an
+// entry inserted after the swap — indistinguishable from a lookup that ran
+// just before the insert; a reader ordered after the insert (through any
+// lock or channel) always finds it.
 //
 // Values are stored as given; callers that cache the same key from multiple
 // goroutines must make the value deterministic in the key (true for the
 // analyzer: a canonical problem has exactly one verdict), so racing
-// lookup-miss/insert pairs can only republish an equivalent table. Inserted
+// lookup-miss/insert pairs can only publish equivalent entries. Inserted
 // Keys are retained: pass stable keys (Key.Clone scratch-backed ones).
 type ShardedTable[V any] struct {
 	shift uint
@@ -58,28 +65,32 @@ type ShardedTable[V any] struct {
 	hits    atomic.Int64
 }
 
-// snapshot is one shard's immutable open-addressed table. All fields are
-// written before the snapshot is published and never after, so readers that
-// Load it may probe without synchronization. Load factor stays ≤ 3/4,
-// guaranteeing a nil slot that terminates every probe.
-type snapshot[V any] struct {
-	keys []Key
-	vals []V
-	n    int
+// entry is one published key/value pair with the key's mixed hash. It is
+// never written after publication, so a reader that loads it needs no
+// further synchronization.
+type entry[V any] struct {
+	key Key
+	h   uint64
+	val V
 }
 
-// shard pads to its own cache line so neighbouring shards' snapshot
-// publishes do not false-share.
+// buckets is one shard's open-addressed array, a power of two in size. Load
+// factor stays ≤ 3/4, guaranteeing an empty slot that ends every probe.
+type buckets[V any] []atomic.Pointer[entry[V]]
+
+// shard pads to its own cache line so neighbouring shards' inserts do not
+// false-share.
 type shard[V any] struct {
-	snap atomic.Pointer[snapshot[V]]
-	mu   sync.Mutex // serializes Insert; never taken by Lookup
-	_    [40]byte
+	tab atomic.Pointer[buckets[V]]
+	n   atomic.Int64 // entry count, written under mu
+	mu  sync.Mutex   // serializes Insert and Reset; never taken by Lookup
+	_   [40]byte
 }
 
 // DefaultShards is the shard count NewShardedTable uses for n <= 0.
 const DefaultShards = 16
 
-// shardBuckets is the initial snapshot size of each shard.
+// shardBuckets is the initial bucket count of each shard.
 const shardBuckets = 16
 
 // NewShardedTable returns an empty table with n shards, rounded up to a
@@ -94,7 +105,7 @@ func NewShardedTable[V any](n int) *ShardedTable[V] {
 	}
 	s := &ShardedTable[V]{sh: make([]shard[V], p)}
 	for i := range s.sh {
-		s.sh[i].snap.Store(&snapshot[V]{keys: make([]Key, shardBuckets), vals: make([]V, shardBuckets)})
+		s.sh[i].reset()
 	}
 	for p > 1 {
 		s.shift++
@@ -103,18 +114,17 @@ func NewShardedTable[V any](n int) *ShardedTable[V] {
 	return s
 }
 
-// shardFor picks a shard from the high bits of the mixed hash; the in-shard
-// snapshot indexes buckets with its low bits. The avalanche mix decorrelates
-// the two, so keys landing in one shard still spread over its buckets.
-func (s *ShardedTable[V]) shardFor(k Key) *shard[V] {
-	h := mix(k.hash())
+// shardAt picks a shard from the high bits of the mixed hash h; the shard
+// indexes buckets with its low bits. The avalanche mix decorrelates the
+// two, so keys landing in one shard still spread over its buckets.
+func (s *ShardedTable[V]) shardAt(h uint64) *shard[V] {
 	return &s.sh[h>>(64-s.shift)&uint64(len(s.sh)-1)]
 }
 
 // Lookup returns the cached value for k. Safe for concurrent use and
-// lock-free: one atomic snapshot load plus a probe — it allocates nothing,
-// writes nothing shared, and never blocks on writers. Traffic is not
-// counted here; see AddStats.
+// lock-free: one hash, one atomic array load plus a probe — it allocates
+// nothing, writes nothing shared, and never blocks on writers. Traffic is
+// not counted here; see AddStats.
 func (s *ShardedTable[V]) Lookup(k Key) (V, bool) {
 	_, v, ok := s.LookupStored(k)
 	return v, ok
@@ -124,120 +134,88 @@ func (s *ShardedTable[V]) Lookup(k Key) (V, bool) {
 // of the key on a hit (for L1 caches that must retain a stable key). Same
 // lock-free guarantees as Lookup.
 func (s *ShardedTable[V]) LookupStored(k Key) (Key, V, bool) {
-	sh := s.shardFor(k)
-	sn := sh.snap.Load()
-	mask := uint64(len(sn.keys) - 1)
-	for i := mix(k.hash()) & mask; ; i = (i + 1) & mask {
-		sk := sn.keys[i]
-		if sk == nil {
-			var zero V
-			return nil, zero, false
-		}
-		if sk.equal(k) {
-			return sk, sn.vals[i], true
-		}
+	h := mix(k.hash())
+	if _, e := (*s.shardAt(h).tab.Load()).probe(h, k); e != nil {
+		return e.key, e.val, true
 	}
+	var zero V
+	return nil, zero, false
 }
 
-// Insert stores v under k (overwriting an existing entry) by publishing a
-// copy-on-write snapshot under the shard mutex. Safe for concurrent use;
-// the table retains k.
+// Insert stores v under k in place under the shard mutex. Safe for
+// concurrent use; the table retains k. Overwriting an existing entry
+// publishes a new entry that keeps the already-interned key, so the
+// instance LookupStored hands out never changes.
 func (s *ShardedTable[V]) Insert(k Key, v V) {
-	sh := s.shardFor(k)
+	h := mix(k.hash())
+	sh := s.shardAt(h)
 	sh.mu.Lock()
-	sh.snap.Store(sh.snap.Load().withInsert(k, v))
+	tab := *sh.tab.Load()
+	i, e := tab.probe(h, k)
+	if e != nil {
+		tab[i].Store(&entry[V]{key: e.key, h: h, val: v})
+		sh.mu.Unlock()
+		return
+	}
+	n := sh.n.Load() + 1
+	if n*4 > int64(len(tab))*3 {
+		next := tab.grow()
+		sh.tab.Store(next)
+		tab = *next
+		i = tab.free(h)
+	}
+	tab[i].Store(&entry[V]{key: k, h: h, val: v})
+	sh.n.Store(n)
 	sh.mu.Unlock()
 }
 
-// InsertBatch stores every (keys[i], vals[i]) pair, grouping the batch by
-// shard so each touched shard's copy-on-write snapshot is rebuilt once per
-// call instead of once per entry. Duplicate keys within the batch overwrite
-// in order, matching a sequence of Inserts. The keys slice is consumed
-// (entries are nilled as they are placed); both slices must not be reused by
-// the caller until InsertBatch returns. Safe for concurrent use.
-func (s *ShardedTable[V]) InsertBatch(keys []Key, vals []V) {
-	for i := range keys {
-		if keys[i] == nil {
-			continue
+// probe walks the chain of k, whose mixed hash is h: it returns k's slot
+// and entry, or the first empty slot and nil. The stored hash is compared
+// before the key.
+func (tab buckets[V]) probe(h uint64, k Key) (uint64, *entry[V]) {
+	mask := uint64(len(tab) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		if e := tab[i].Load(); e == nil || e.h == h && e.key.equal(k) {
+			return i, e
 		}
-		sh := s.shardFor(keys[i])
-		// Count the batch's entries for this shard so the rebuilt snapshot
-		// is sized once, keeping load factor ≤ 3/4 through the whole drain.
-		extra := 0
-		for j := i; j < len(keys); j++ {
-			if keys[j] != nil && s.shardFor(keys[j]) == sh {
-				extra++
-			}
-		}
-		sh.mu.Lock()
-		next := sh.snap.Load().cloneGrown(extra)
-		for j := i; j < len(keys); j++ {
-			if keys[j] != nil && s.shardFor(keys[j]) == sh {
-				next.place(keys[j], vals[j])
-				keys[j] = nil
-			}
-		}
-		sh.snap.Store(next)
-		sh.mu.Unlock()
 	}
 }
 
-// cloneGrown returns a mutable copy of sn sized to hold extra more entries
-// at ≤ 3/4 load. The receiver is never modified.
-func (sn *snapshot[V]) cloneGrown(extra int) *snapshot[V] {
-	size := len(sn.keys)
-	for (sn.n+extra+1)*4 > size*3 {
-		size *= 2
+// free returns the first empty slot of h's probe chain.
+func (tab buckets[V]) free(h uint64) uint64 {
+	mask := uint64(len(tab) - 1)
+	i := h & mask
+	for tab[i].Load() != nil {
+		i = (i + 1) & mask
 	}
-	next := &snapshot[V]{keys: make([]Key, size), vals: make([]V, size)}
-	for i, sk := range sn.keys {
-		if sk != nil {
-			next.place(sk, sn.vals[i])
-		}
-	}
-	return next
+	return i
 }
 
-// withInsert returns a copy of sn with (k, v) placed, grown when the load
-// factor would pass 3/4. The receiver is never modified.
-func (sn *snapshot[V]) withInsert(k Key, v V) *snapshot[V] {
-	size := len(sn.keys)
-	if (sn.n+1)*4 > size*3 {
-		size *= 2
-	}
-	next := &snapshot[V]{keys: make([]Key, size), vals: make([]V, size)}
-	for i, sk := range sn.keys {
-		if sk != nil {
-			next.place(sk, sn.vals[i])
+// grow returns a doubled, unpublished copy of tab with every entry placed
+// by its stored hash.
+func (tab buckets[V]) grow() *buckets[V] {
+	next := make(buckets[V], 2*len(tab))
+	for j := range tab {
+		if e := tab[j].Load(); e != nil {
+			next[next.free(e.h)].Store(e)
 		}
 	}
-	next.place(k, v)
-	return next
+	return &next
 }
 
-// place inserts or overwrites one entry in an unpublished snapshot.
-func (sn *snapshot[V]) place(k Key, v V) {
-	mask := uint64(len(sn.keys) - 1)
-	for i := mix(k.hash()) & mask; ; i = (i + 1) & mask {
-		if sn.keys[i] == nil {
-			sn.keys[i] = k
-			sn.vals[i] = v
-			sn.n++
-			return
-		}
-		if sn.keys[i].equal(k) {
-			sn.vals[i] = v
-			return
-		}
-	}
+// reset publishes an empty initial bucket array.
+func (sh *shard[V]) reset() {
+	tab := make(buckets[V], shardBuckets)
+	sh.tab.Store(&tab)
+	sh.n.Store(0)
 }
 
 // Len returns the number of unique entries, summed across shards. During
-// concurrent inserts the sum is a point-in-time snapshot per shard.
+// concurrent inserts the sum is a point-in-time count per shard.
 func (s *ShardedTable[V]) Len() int {
 	n := 0
 	for i := range s.sh {
-		n += s.sh[i].snap.Load().n
+		n += int(s.sh[i].n.Load())
 	}
 	return n
 }
@@ -250,24 +228,24 @@ func (s *ShardedTable[V]) NumShards() int { return len(s.sh) }
 func (s *ShardedTable[V]) ShardLens() []int {
 	out := make([]int, len(s.sh))
 	for i := range s.sh {
-		out[i] = s.sh[i].snap.Load().n
+		out[i] = int(s.sh[i].n.Load())
 	}
 	return out
 }
 
-// Buckets returns the total bucket count over all shard snapshots (the
-// occupancy denominator).
+// Buckets returns the total bucket count over all shards (the occupancy
+// denominator).
 func (s *ShardedTable[V]) Buckets() int {
 	n := 0
 	for i := range s.sh {
-		n += len(s.sh[i].snap.Load().keys)
+		n += len(*s.sh[i].tab.Load())
 	}
 	return n
 }
 
 // Reset drops every entry and shrinks each shard back to its initial
-// snapshot, releasing the retained keys and values to the collector — the
-// eviction primitive a long-lived analyzer uses to bound its memory.
+// bucket array, releasing the retained keys and values to the collector —
+// the eviction primitive a long-lived analyzer uses to bound its memory.
 // Traffic counters (Stats) are cumulative and survive the reset. Safe for
 // concurrent use with Lookup/Insert, but the caller is responsible for the
 // larger invariant that no L1 cache still holds entries the table no
@@ -276,7 +254,7 @@ func (s *ShardedTable[V]) Reset() {
 	for i := range s.sh {
 		sh := &s.sh[i]
 		sh.mu.Lock()
-		sh.snap.Store(&snapshot[V]{keys: make([]Key, shardBuckets), vals: make([]V, shardBuckets)})
+		sh.reset()
 		sh.mu.Unlock()
 	}
 }
@@ -301,17 +279,15 @@ func (s *ShardedTable[V]) Stats() (lookups, hits int) {
 }
 
 // Range calls f for every entry until f returns false, shard by shard. Each
-// shard is visited through one immutable snapshot, so Range never blocks
-// writers, sees a consistent per-shard state, and f may call back into the
-// table (inserts made during the walk may or may not be visited).
+// shard is walked through the bucket array current when the walk reaches
+// it; entries are immutable and never move within an array, so Range never
+// blocks writers, visits each key at most once, and f may call back into
+// the table (inserts made during the walk may or may not be visited).
 func (s *ShardedTable[V]) Range(f func(Key, V) bool) {
 	for i := range s.sh {
-		sn := s.sh[i].snap.Load()
-		for j, k := range sn.keys {
-			if k == nil {
-				continue
-			}
-			if !f(k, sn.vals[j]) {
+		tab := *s.sh[i].tab.Load()
+		for j := range tab {
+			if e := tab[j].Load(); e != nil && !f(e.key, e.val) {
 				return
 			}
 		}

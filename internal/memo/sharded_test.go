@@ -37,6 +37,48 @@ func TestShardedTableBasic(t *testing.T) {
 	}
 }
 
+// TestShardedHashCollision: lookups compare a stored hash before the key,
+// so two distinct keys with the same paper hash must still be stored as two
+// entries and each be found.
+func TestShardedHashCollision(t *testing.T) {
+	a, b := Key{2, 0}, Key{0, 1}
+	if a.hash() != b.hash() {
+		t.Fatalf("test keys must collide: hash %d vs %d", a.hash(), b.hash())
+	}
+	s := NewShardedTable[int](1)
+	s.Insert(a, 1)
+	s.Insert(b, 2)
+	if s.Len() != 2 {
+		t.Fatalf("Len = %d, want 2", s.Len())
+	}
+	if v, ok := s.Lookup(a); !ok || v != 1 {
+		t.Fatalf("Lookup(%v) = %d, %v; want 1, true", a, v, ok)
+	}
+	if v, ok := s.Lookup(b); !ok || v != 2 {
+		t.Fatalf("Lookup(%v) = %d, %v; want 2, true", b, v, ok)
+	}
+}
+
+// TestShardedOverwriteKeepsInternedKey: overwriting an entry keeps the key
+// instance the table already holds, so LookupStored identity — which the
+// L1 fill and the driver's provenance replay rely on — never changes.
+func TestShardedOverwriteKeepsInternedKey(t *testing.T) {
+	s := NewShardedTable[int](0)
+	first := Key{4, 5, 6}
+	s.Insert(first, 1)
+	s.Insert(first.Clone(), 2)
+	stored, v, ok := s.LookupStored(first.Clone())
+	if !ok || v != 2 {
+		t.Fatalf("LookupStored = %d, %v; want 2, true", v, ok)
+	}
+	if &stored[0] != &first[0] {
+		t.Fatal("an overwrite must keep the interned key instance")
+	}
+	if s.Len() != 1 {
+		t.Fatalf("Len = %d, want 1", s.Len())
+	}
+}
+
 // TestShardedTableShardCounts verifies power-of-two rounding.
 func TestShardedTableShardCounts(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{
