@@ -74,10 +74,11 @@ serve-smoke:
 
 # bench runs the paper-evaluation benchmarks (root package), the front-end
 # layer benchmarks (parse, lower, pair enumeration over LargeCorpus-shaped
-# sources), and the cascade, memo, and refinement stage/allocation
-# microbenchmarks with allocation counts.
+# sources), the cascade, memo, and refinement stage/allocation
+# microbenchmarks, and the verdict store's load and save, with allocation
+# counts.
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem . ./internal/lang ./internal/opt ./internal/refs ./internal/dtest ./internal/memo ./internal/depvec
+	$(GO) test -run '^$$' -bench . -benchmem . ./internal/lang ./internal/opt ./internal/refs ./internal/dtest ./internal/memo ./internal/depvec ./internal/corpus
 
 # bench-json writes the machine-readable perf baseline (ns/op, allocs/op,
 # memo hit rates over the suite, budget-trip profile of the FM-hard
@@ -87,14 +88,15 @@ bench:
 # per-request latency profile, host metadata) so future PRs can diff
 # against it.
 bench-json:
-	$(GO) run ./cmd/benchjson -out BENCH_PR10.json
+	$(GO) run ./cmd/benchjson -out BENCH_PR16.json
 
 # benchcmp diffs the previous PR's committed baseline against this PR's.
 benchcmp:
-	$(GO) run ./cmd/benchcmp BENCH_PR9.json BENCH_PR10.json
+	$(GO) run ./cmd/benchcmp BENCH_PR10.json BENCH_PR16.json
 
-# BASELINE is the committed perf baseline benchcmp-gate measures against.
-BASELINE := BENCH_PR10.json
+# BASELINE is the committed perf baseline benchcmp-gate measures against,
+# recorded on the 2-vCPU host the end-to-end benchmark runs on.
+BASELINE := BENCH_PR16.json
 
 # benchcmp-gate re-measures the gated benchmarks (just those, via the
 # benchjson -only filter) and fails if one regressed more than 15% in ns/op

@@ -1,5 +1,5 @@
 // Command benchjson emits a machine-readable benchmark baseline (make
-// bench-json → BENCH_PR10.json): ns/op, bytes/op and allocs/op for the key
+// bench-json → BENCH_PR16.json): ns/op, bytes/op and allocs/op for the key
 // encoder, the lock-free sharded lookup, the memo-hot AnalyzeAll pass, the
 // cold very-large-corpus AnalyzeAll pass at several worker counts, the
 // incremental corpus driver (cold store fill vs a 1%-dirty warm re-run over
@@ -7,9 +7,9 @@
 // from both in-memory and Dir sources at workers 1/2/4/8, with a per-stage
 // timing profile), the budgeted FM-hard degradation pass, and the
 // direction-vector refinement strategies (clone-per-node reference vs the
-// clone-free trail walk, cold and memoized), and the depserve request
-// models (fresh driver per request vs one persistent warm analyzer with a
-// per-request latency profile), plus per-program memo hit
+// clone-free trail walk), and the depserve request models (fresh driver
+// per request vs one persistent warm analyzer with a per-request latency
+// profile), plus per-program memo hit
 // rates over the PERFECT-style suite, the deterministic budget-trip
 // profile, and the refinement/FM counter profile. Every file embeds host
 // metadata (GOMAXPROCS, CPU count, GOOS/GOARCH, go version) so scaling
@@ -134,11 +134,8 @@ type doc struct {
 	Refinement refinementProfile `json:"refinement"`
 }
 
-// refinementProfile snapshots the PR 5 counters over the suite.
+// refinementProfile snapshots the refinement counters over the suite.
 type refinementProfile struct {
-	DirLookups    int `json:"dir_lookups"`
-	DirHits       int `json:"dir_hits"`
-	UniqueDir     int `json:"unique_dir"`
 	TrailPushes   int `json:"trail_pushes"`
 	TrailPops     int `json:"trail_pops"`
 	TrailMaxDepth int `json:"trail_max_depth"`
@@ -164,20 +161,6 @@ func record(name string, fn func(b *testing.B)) benchRecord {
 		BytesPerOp:  r.AllocedBytesPerOp(),
 		AllocsPerOp: r.AllocsPerOp(),
 	}
-}
-
-// mapMemo is a direction-keyed memo for the refinement benchmarks — valid
-// because a single canonical system flows through each benchmark loop.
-type mapMemo map[string]dtest.Result
-
-func (m mapMemo) Lookup(dirs []byte) (dtest.Result, bool) {
-	r, ok := m[string(dirs)]
-	return r, ok
-}
-
-func (m mapMemo) Store(dirs []byte, r dtest.Result) {
-	r.Witness = nil
-	m[string(dirs)] = r
 }
 
 // deepNest builds the coupled FM-hard nest the refinement benchmarks walk:
@@ -713,7 +696,7 @@ func run(out, only string) error {
 
 	// Refinement strategy comparison over a coupled deep nest that reaches
 	// Fourier–Motzkin at many tree nodes: the clone-per-node reference walk
-	// against the clone-free trail walk, cold and over a warm direction memo.
+	// against the clone-free trail walk.
 	for _, depth := range []int{3, 4} {
 		ts, err := deepNest(depth)
 		if err != nil {
@@ -735,18 +718,6 @@ func run(out, only string) error {
 				depvec.ComputeObserved(ts, o, nil)
 			}
 		})
-		add(fmt.Sprintf("refinement_deep_trail_memo_depth_%d", depth), func(b *testing.B) {
-			o := opts
-			o.Refiner = depvec.NewRefiner()
-			o.Pipeline = dtest.DefaultConfig().NewPipeline()
-			o.Memo = mapMemo{}
-			depvec.ComputeObserved(ts, o, nil) // warm the memo
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				depvec.ComputeObserved(ts, o, nil)
-			}
-		})
 	}
 
 	// Refinement counter profile: one serial production-configuration pass.
@@ -757,9 +728,6 @@ func run(out, only string) error {
 			return err
 		}
 		d.Refinement = refinementProfile{
-			DirLookups:    a.Stats.DirLookups,
-			DirHits:       a.Stats.DirHits,
-			UniqueDir:     a.Stats.UniqueDir,
 			TrailPushes:   a.Stats.TrailPushes,
 			TrailPops:     a.Stats.TrailPops,
 			TrailMaxDepth: a.Stats.TrailMaxDepth,
@@ -791,7 +759,7 @@ func run(out, only string) error {
 }
 
 func main() {
-	out := flag.String("out", "BENCH_PR10.json", "output path ('-' for stdout)")
+	out := flag.String("out", "BENCH_PR16.json", "output path ('-' for stdout)")
 	only := flag.String("only", "", "run only benchmarks whose name contains this substring (skips profile sections)")
 	flag.Parse()
 	if err := run(*out, *only); err != nil {

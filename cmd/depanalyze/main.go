@@ -64,6 +64,7 @@ import (
 	"time"
 
 	"exactdep"
+	"exactdep/internal/atomicfile"
 	corpuspkg "exactdep/internal/corpus"
 	"exactdep/internal/wire"
 )
@@ -534,22 +535,15 @@ func writeWireJSON(w io.Writer, urs []exactdep.UnitResult, cs exactdep.CorpusSta
 }
 
 // saveMemoFile persists the analyzer's memo tables (degraded entries are
-// dropped by SaveMemo — they are budget-class local).
+// dropped by SaveMemo — they are budget-class local). The file is replaced
+// atomically, like a store file, so a failed save keeps the previous table.
 func saveMemoFile(a *exactdep.Analyzer, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := a.SaveMemo(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return atomicfile.Write(path, ".exactdep-memo-*", a.SaveMemo)
 }
 
 // printMemoStats renders the memo hierarchy introspection: table occupancy,
-// shard spread of the concurrent form, the L1/L2 split of the lookup
-// traffic, and how much capacity holds budget-degraded verdicts.
+// shard spread, the L1/L2 split of the lookup traffic, and how much
+// capacity holds budget-degraded verdicts.
 func printMemoStats(w io.Writer, a *exactdep.Analyzer) {
 	m := a.MemoStats()
 	fmt.Fprintln(w)
@@ -558,13 +552,7 @@ func printMemoStats(w io.Writer, a *exactdep.Analyzer) {
 		m.FullEntries, m.FullBuckets, rate(m.FullEntries, m.FullBuckets))
 	fmt.Fprintf(w, "  eq table:   %d entries / %d buckets (%s occupancy)\n",
 		m.EqEntries, m.EqBuckets, rate(m.EqEntries, m.EqBuckets))
-	fmt.Fprintf(w, "  dir table:  %d entries, %d/%d hits (%s, refinement memo)\n",
-		m.DirEntries, m.DirHits, m.DirLookups, rate(m.DirHits, m.DirLookups))
-	if m.Shards > 0 {
-		fmt.Fprintf(w, "  shards:     %d (entries per shard %d..%d)\n", m.Shards, m.ShardMin, m.ShardMax)
-	} else {
-		fmt.Fprintf(w, "  shards:     unsharded (serial table)\n")
-	}
+	fmt.Fprintf(w, "  shards:     %d (entries per shard %d..%d)\n", m.Shards, m.ShardMin, m.ShardMax)
 	if m.L1Capacity > 0 {
 		fmt.Fprintf(w, "  L1:         %d/%d slots live, %d/%d hits (%s)\n",
 			m.L1Entries, m.L1Capacity, m.L1Hits, m.L1Lookups, rate(m.L1Hits, m.L1Lookups))

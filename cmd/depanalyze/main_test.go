@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -303,6 +304,58 @@ func TestCorpusStoreIncremental(t *testing.T) {
 	}
 	if !strings.Contains(s, "a[i + 2]") {
 		t.Fatalf("edited unit's fresh results missing:\n%s", s)
+	}
+}
+
+// TestMemoFileWarmStart: a second run over the same -memo-file loads the
+// table the first run saved, runs no fresh tests, and prints the same
+// report (provenance tags aside: a warm run serves its verdicts from the
+// cache). The file is replaced atomically, like a store file: mode 0600,
+// and no temp file is left next to it.
+func TestMemoFileWarmStart(t *testing.T) {
+	src := writeLoop(t, simpleSrc+"for i = 1 to 10\n  b[2*i] = b[2*i+1]\nend\n")
+	dir := t.TempDir()
+	memoPath := filepath.Join(dir, "memo.bin")
+	args := []string{"-memo-file", memoPath, "-stats", src}
+
+	testsRun := regexp.MustCompile(`tests: (\d+)`)
+	// report drops the counter block and normalizes the provenance tags.
+	tags := regexp.MustCompile(`  \[[^]]*\]`)
+	report := func(out string) string {
+		out, _, _ = strings.Cut(out, "\npairs: ")
+		return tags.ReplaceAllString(out, "  [T]")
+	}
+
+	var cold, warm, errb bytes.Buffer
+	if code := run(args, &cold, &errb); code != 0 {
+		t.Fatalf("cold exit %d, stderr %q", code, errb.String())
+	}
+	if m := testsRun.FindStringSubmatch(cold.String()); m == nil || m[1] == "0" {
+		t.Fatalf("premise: the cold run must run tests:\n%s", cold.String())
+	}
+	if code := run(args, &warm, &errb); code != 0 {
+		t.Fatalf("warm exit %d, stderr %q", code, errb.String())
+	}
+	if m := testsRun.FindStringSubmatch(warm.String()); m == nil || m[1] != "0" {
+		t.Fatalf("warm run must answer every pair from the memo file:\n%s", warm.String())
+	}
+	if got, want := report(warm.String()), report(cold.String()); got != want {
+		t.Fatalf("warm report differs from cold:\n%s\nwant:\n%s", got, want)
+	}
+
+	info, err := os.Stat(memoPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if perm := info.Mode().Perm(); perm != 0o600 {
+		t.Errorf("memo file mode %v, want 0600", perm)
+	}
+	left, err := filepath.Glob(filepath.Join(dir, ".exactdep-memo-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != 0 {
+		t.Errorf("temp files left behind: %v", left)
 	}
 }
 

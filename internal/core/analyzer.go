@@ -17,6 +17,7 @@ package core
 
 import (
 	"errors"
+	"runtime"
 
 	"exactdep/internal/depvec"
 	"exactdep/internal/dtest"
@@ -252,25 +253,23 @@ func (c cached) expand(prob *system.Problem) Result {
 // Analyzer runs the full pipeline and accumulates statistics.
 //
 // An Analyzer is not safe for concurrent use directly: call AnalyzeAll to
-// fan candidate pairs out over a worker pool. The memo tables start as
-// unsynchronized memo.Tables and are promoted in place to sharded,
-// mutex-guarded tables the first time a concurrent run needs them.
+// fan candidate pairs out over a worker pool. Its memo tables are sharded
+// tables with lock-free reads (memo.ShardedTable) from construction on, so
+// a serial analyzer and the worker views of a concurrent run use the same
+// two tables.
 type Analyzer struct {
 	opts  Options
-	full  memo.Map[cached]
-	eq    memo.Map[system.GCDResult]
-	dir   memo.Map[dtest.Result]
+	full  *memo.ShardedTable[cached]
+	eq    *memo.ShardedTable[system.GCDResult]
 	Stats stats.Counters
 
 	// enc is this analyzer's (or worker view's) scratch-backed key encoder:
 	// steady-state encode+lookup+hit allocates nothing. l1 is the private
 	// direct-mapped cache in front of the shared full table; it holds only
 	// keys interned by that table, so every L1 entry is also an L2 entry
-	// (which keeps AnalyzeAll's provenance post-pass valid). l1dir plays the
-	// same role in front of the shared direction-keyed refinement table.
-	enc   memo.Encoder
-	l1    *memo.L1[cached]
-	l1dir *memo.L1[dtest.Result]
+	// (which keeps AnalyzeAll's provenance post-pass valid).
+	enc memo.Encoder
+	l1  *memo.L1[cached]
 
 	// refiner is the per-worker workspace of the clone-free direction-vector
 	// refinement walk (arena for pushed direction rows, per-level buffers).
@@ -329,17 +328,19 @@ type Analyzer struct {
 
 // New returns an analyzer with the given options.
 func New(opts Options) *Analyzer {
+	// More shards than cores keeps concurrent workers' inserts off one
+	// shard mutex without noticeable memory cost; the cap bounds the
+	// per-shard sweeps of Len and ShardLens.
+	shards := min(4*runtime.GOMAXPROCS(0), 256)
 	a := &Analyzer{
 		opts:     opts,
-		full:     memo.NewTable[cached](),
-		eq:       memo.NewTable[system.GCDResult](),
-		dir:      memo.NewTable[dtest.Result](),
+		full:     memo.NewShardedTable[cached](shards),
+		eq:       memo.NewShardedTable[system.GCDResult](shards),
 		refiner:  depvec.NewRefiner(),
 		budClass: opts.Budget.Class(),
 	}
 	if opts.Memoize && opts.L1Size >= 0 {
 		a.l1 = memo.NewL1[cached](opts.L1Size)
-		a.l1dir = memo.NewL1[dtest.Result](opts.L1Size)
 	}
 	cfg, err := dtest.ConfigByName(opts.Cascade)
 	if err != nil {
@@ -364,10 +365,9 @@ func (a *Analyzer) newPipeline() *dtest.Pipeline {
 // workerView returns a private analyzer view over the shared memo tables
 // for one worker goroutine: options and the stage configuration are shared
 // read-only; the pipeline (with its scratch), the key encoder, the L1 memo
-// cache, and the counters are per-worker. Must be called after shardTables
-// (the view inserts straight into the sharded tables).
+// cache, and the counters are per-worker.
 func (a *Analyzer) workerView() *Analyzer {
-	wa := &Analyzer{opts: a.opts, full: a.full, eq: a.eq, dir: a.dir,
+	wa := &Analyzer{opts: a.opts, full: a.full, eq: a.eq,
 		refiner: depvec.NewRefiner(), cfg: a.cfg, cfgErr: a.cfgErr, budClass: a.budClass,
 		inflight: a.flights, shared: true}
 	if wa.cfg != nil {
@@ -376,7 +376,6 @@ func (a *Analyzer) workerView() *Analyzer {
 	}
 	if wa.opts.Memoize && wa.opts.L1Size >= 0 {
 		wa.l1 = memo.NewL1[cached](wa.opts.L1Size)
-		wa.l1dir = memo.NewL1[dtest.Result](wa.opts.L1Size)
 	}
 	return wa
 }
@@ -404,16 +403,16 @@ func (a *Analyzer) syncStageStats() {
 // paper's idea of a table persisted across compilations).
 func (a *Analyzer) ResetStats() { a.Stats = stats.Counters{} }
 
-// MemoLen returns the total entry count over the analyzer's three memo
-// tables (full, eq, dir) — the size a long-lived analyzer's eviction policy
+// MemoLen returns the total entry count over the analyzer's two memo
+// tables (full and eq) — the size a long-lived analyzer's eviction policy
 // measures against. Worker-view L1 caches are bounded by construction and
 // not counted.
 func (a *Analyzer) MemoLen() int {
-	return a.full.Len() + a.eq.Len() + a.dir.Len()
+	return a.full.Len() + a.eq.Len()
 }
 
-// EvictMemo drops every memo entry — the three shared tables and every
-// cached worker view's L1 caches — starting a fresh memoization epoch while
+// EvictMemo drops every memo entry — the two shared tables and every
+// cached worker view's L1 cache — starting a fresh memoization epoch while
 // keeping the analyzer itself (pipelines, encoders, worker views, traffic
 // counters) warm. A long-lived analyzer calls this when MemoLen exceeds its
 // memory bound; correctness is unaffected because evicted problems are
@@ -428,14 +427,10 @@ func (a *Analyzer) MemoLen() int {
 func (a *Analyzer) EvictMemo() {
 	a.full.Reset()
 	a.eq.Reset()
-	a.dir.Reset()
 	views := append([]*Analyzer{a}, a.views...)
 	for _, v := range views {
 		if v.l1 != nil {
 			v.l1.Reset()
-		}
-		if v.l1dir != nil {
-			v.l1dir.Reset()
 		}
 	}
 }
@@ -834,16 +829,11 @@ func (a *Analyzer) analyzeFresh(prob *system.Problem, p ir.Pair) Result {
 	}
 
 	// Direction-vector analysis: the first observed test is the base
-	// (*,…,*) cascade run, which is what Table 1 counts. The observer also
-	// fires on refinement-memo hits — with the Result the cascade originally
-	// produced — so baseKind and the per-kind tallies are the same whether a
-	// subproblem was recomputed or served from the table.
-	var dm depvec.Memo
-	if a.opts.Memoize {
-		// The refinement memo keys on the encoder's still-live full key plus
-		// the pushed directions; analyzeCandidate encoded it just above.
-		dm = dirMemo{a}
-	}
+	// (*,…,*) cascade run, which is what Table 1 counts. The refinement
+	// subproblems are not memoized on their own: the full table already
+	// caches the whole canonical problem with its vectors, and the in-flight
+	// layer keeps two workers from refining it at once, so a walk runs once
+	// per canonical problem per memo epoch.
 	var baseKind dtest.Kind
 	first := true
 	sum := depvec.ComputeObserved(ts, depvec.Options{
@@ -852,7 +842,6 @@ func (a *Analyzer) analyzeFresh(prob *system.Problem, p ir.Pair) Result {
 		Separable:     a.opts.Separable,
 		Pipeline:      a.pipe,
 		Refiner:       a.refiner,
-		Memo:          dm,
 	}, func(r dtest.Result) {
 		if first {
 			baseKind = r.Kind

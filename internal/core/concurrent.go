@@ -10,7 +10,6 @@ import (
 	"exactdep/internal/memo"
 	"exactdep/internal/refs"
 	"exactdep/internal/stats"
-	"exactdep/internal/system"
 )
 
 // AnalyzeAll analyzes every candidate pair with a pool of workers sharing
@@ -18,15 +17,15 @@ import (
 // workers <= 0 means runtime.GOMAXPROCS(0); workers == 1 runs serially on
 // the calling goroutine with no synchronization overhead.
 //
-// The first concurrent run promotes the analyzer's memo tables to sharded
-// tables with lock-free reads (memo.ShardedTable; existing entries — e.g.
-// from LoadMemo — are carried over), so a warm table keeps serving hits
-// across runs. Each worker holds its own scratch key encoder and — unless
-// Options.L1Size is negative — a private direct-mapped L1 memo in front of
-// the shared table, so a worker's hot working set is answered without
-// touching shared memory. Each worker accumulates its own stats.Counters,
-// merged into a.Stats at the end; UniqueFull/UniqueEq are then snapshotted
-// from the shared tables.
+// The workers share the analyzer's sharded memo tables (memo.ShardedTable,
+// lock-free reads) as they are, entries from LoadMemo or earlier runs
+// included, so a warm table keeps serving hits across runs. Each worker
+// holds its own scratch key encoder and — unless Options.L1Size is
+// negative — a private direct-mapped L1 memo in front of the shared table,
+// so a worker's hot working set is answered without touching shared
+// memory. Each worker accumulates its own stats.Counters, merged into
+// a.Stats at the end; UniqueFull/UniqueEq are then snapshotted from the
+// shared tables.
 //
 // Results are deterministic — byte-identical across worker counts and
 // schedules. Verdicts, vectors, and distances are deterministic because a
@@ -116,7 +115,6 @@ func (a *Analyzer) AnalyzeAllContext(ctx context.Context, cands []refs.Candidate
 		return out, nil
 	}
 
-	a.shardTables(workers)
 	views := a.ensureViews(workers)
 
 	// Snapshot the keys already cached (LoadMemo, earlier runs) before
@@ -208,13 +206,8 @@ func (a *Analyzer) AnalyzeAllContext(ctx context.Context, cands []refs.Candidate
 					wa.pipe.SetCancel(ctx.Done())
 				}
 			}
-			defer func() {
-				// Push the table-traffic deltas (the tables' own read path
-				// is stat-free), then hand the counters over — both before
-				// wg.Wait releases the merge.
-				wa.pushTraffic()
-				counters[w] = wa.Stats
-			}()
+			// Hand the counters over before wg.Wait releases the merge.
+			defer func() { counters[w] = wa.Stats }()
 			for !failed.Load() {
 				base := int(next.Add(int64(chunk))) - chunk
 				if base >= len(cands) {
@@ -273,7 +266,6 @@ func (a *Analyzer) AnalyzeAllContext(ctx context.Context, cands []refs.Candidate
 	// that every insert has landed.
 	a.Stats.UniqueFull = a.full.Len()
 	a.Stats.UniqueEq = a.eq.Len()
-	a.Stats.UniqueDir = a.dir.Len()
 	if errVal != nil {
 		return nil, errVal
 	}
@@ -339,7 +331,7 @@ func (a *Analyzer) AnalyzeAllContext(ctx context.Context, cands []refs.Candidate
 // in-flight dedup layer and any missing views. Views persist on the parent
 // across AnalyzeAll calls so their L1 caches stay warm — the dominant cost
 // of the previous per-call views was every worker re-faulting its working
-// set through the shared table. Must run after shardTables.
+// set through the shared table.
 func (a *Analyzer) ensureViews(workers int) []*Analyzer {
 	if a.opts.Memoize && a.flights == nil {
 		a.flights = memo.NewInFlight[cached](4 * workers)
@@ -348,48 +340,4 @@ func (a *Analyzer) ensureViews(workers int) []*Analyzer {
 		a.views = append(a.views, a.workerView())
 	}
 	return a.views[:workers]
-}
-
-// pushTraffic pushes a worker view's locally counted table traffic into the
-// sharded tables as one delta per table. Called as the worker exits, before
-// counters are merged.
-func (wa *Analyzer) pushTraffic() {
-	wa.full.(*memo.ShardedTable[cached]).AddStats(wa.Stats.L2Lookups, wa.Stats.L2Hits)
-	wa.eq.(*memo.ShardedTable[system.GCDResult]).AddStats(wa.Stats.EqLookups, wa.Stats.EqHits)
-	wa.dir.(*memo.ShardedTable[dtest.Result]).AddStats(wa.Stats.DirLookups, wa.Stats.DirHits)
-}
-
-// shardTables promotes the memo tables to their concurrent form, copying
-// any existing entries. Idempotent; must be called before workers start.
-func (a *Analyzer) shardTables(workers int) {
-	// More shards than workers keeps the collision probability low without
-	// noticeable memory cost; the cap bounds the per-Len/Stats sweep.
-	shards := 4 * workers
-	if shards > 256 {
-		shards = 256
-	}
-	if _, ok := a.full.(*memo.ShardedTable[cached]); !ok {
-		st := memo.NewShardedTable[cached](shards)
-		a.full.Range(func(k memo.Key, v cached) bool {
-			st.Insert(k, v)
-			return true
-		})
-		a.full = st
-	}
-	if _, ok := a.eq.(*memo.ShardedTable[system.GCDResult]); !ok {
-		st := memo.NewShardedTable[system.GCDResult](shards)
-		a.eq.Range(func(k memo.Key, v system.GCDResult) bool {
-			st.Insert(k, v)
-			return true
-		})
-		a.eq = st
-	}
-	if _, ok := a.dir.(*memo.ShardedTable[dtest.Result]); !ok {
-		st := memo.NewShardedTable[dtest.Result](shards)
-		a.dir.Range(func(k memo.Key, v dtest.Result) bool {
-			st.Insert(k, v)
-			return true
-		})
-		a.dir = st
-	}
 }

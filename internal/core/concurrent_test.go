@@ -128,9 +128,9 @@ func TestAnalyzeAllMatchesAnalyzeCandidate(t *testing.T) {
 	}
 }
 
-// TestAnalyzeAllWarmTables checks that promotion to sharded tables keeps
-// previously memoized entries: a second pass over the same candidates on
-// the same analyzer must be answered from cache.
+// TestAnalyzeAllWarmTables checks that a concurrent pass reuses the entries
+// a serial pass memoized: a second pass over the same candidates on the
+// same analyzer must be answered from cache.
 func TestAnalyzeAllWarmTables(t *testing.T) {
 	opts := core.Options{Memoize: true, ImprovedMemo: true}
 	s, ok := workload.ProgramByName("SR") // 1,290 cases, 14 unique
@@ -143,7 +143,7 @@ func TestAnalyzeAllWarmTables(t *testing.T) {
 	}
 
 	a := core.New(opts)
-	// Serial warmup populates the plain tables.
+	// Serial warmup populates the tables.
 	if _, err := a.AnalyzeAll(cands, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestAnalyzeAllWarmTables(t *testing.T) {
 	if unique == 0 {
 		t.Fatal("warmup cached nothing")
 	}
-	// The concurrent pass promotes the tables and must reuse every entry:
+	// The concurrent pass shares the same tables and must reuse every entry:
 	// no new unique problems, every non-constant pair a hit.
 	if _, err := a.AnalyzeAll(cands, 4); err != nil {
 		t.Fatal(err)

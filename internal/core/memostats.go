@@ -3,7 +3,6 @@ package core
 import (
 	"exactdep/internal/dtest"
 	"exactdep/internal/memo"
-	"exactdep/internal/system"
 )
 
 // MemoStats is an introspection snapshot of the analyzer's memo hierarchy,
@@ -16,12 +15,7 @@ type MemoStats struct {
 	FullEntries, FullBuckets int
 	// Without-bounds (GCD) table occupancy.
 	EqEntries, EqBuckets int
-	// Direction-keyed refinement table occupancy and traffic: one entry per
-	// memoized refinement subproblem (full key + pushed directions).
-	DirEntries          int
-	DirLookups, DirHits int
-	// Sharding of the full table: zero Shards means the tables are still in
-	// their serial (unsharded) form. ShardLens is the per-shard entry count;
+	// Sharding of the full table. ShardLens is the per-shard entry count;
 	// ShardMin/ShardMax summarize its spread.
 	Shards             int
 	ShardMin, ShardMax int
@@ -43,30 +37,17 @@ type MemoStats struct {
 func (a *Analyzer) MemoStats() MemoStats {
 	m := MemoStats{
 		FullEntries: a.full.Len(),
+		FullBuckets: a.full.Buckets(),
 		EqEntries:   a.eq.Len(),
-		DirEntries:  a.dir.Len(),
-		DirLookups:  a.Stats.DirLookups,
-		DirHits:     a.Stats.DirHits,
+		EqBuckets:   a.eq.Buckets(),
+		Shards:      a.full.NumShards(),
+		ShardLens:   a.full.ShardLens(),
 		L1Lookups:   a.Stats.L1Lookups,
 		L1Hits:      a.Stats.L1Hits,
 		L2Lookups:   a.Stats.L2Lookups,
 		L2Hits:      a.Stats.L2Hits,
 	}
-	switch t := a.full.(type) {
-	case *memo.ShardedTable[cached]:
-		m.FullBuckets = t.Buckets()
-		m.Shards = t.NumShards()
-		m.ShardLens = t.ShardLens()
-		m.ShardMin, m.ShardMax = minMax(m.ShardLens)
-	case *memo.Table[cached]:
-		m.FullBuckets = t.Buckets()
-	}
-	switch t := a.eq.(type) {
-	case *memo.ShardedTable[system.GCDResult]:
-		m.EqBuckets = t.Buckets()
-	case *memo.Table[system.GCDResult]:
-		m.EqBuckets = t.Buckets()
-	}
+	m.ShardMin, m.ShardMax = minMax(m.ShardLens)
 	if a.l1 != nil {
 		m.L1Capacity = a.l1.Cap()
 		m.L1Entries = a.l1.Len()
@@ -80,10 +61,9 @@ func (a *Analyzer) MemoStats() MemoStats {
 	return m
 }
 
+// minMax returns the extremes of a non-empty slice (a table has at least
+// one shard).
 func minMax(xs []int) (lo, hi int) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
 	lo, hi = xs[0], xs[0]
 	for _, x := range xs[1:] {
 		if x < lo {

@@ -17,9 +17,11 @@ import (
 // is a compact record per entry; pairs and problems are not stored — only
 // the canonical keys and the verdicts.
 
-// memoFileVersion guards the on-disk format. Version 2 added the
-// direction-keyed refinement table (Dir); version 1 files (full+eq only)
-// still load, their refinement walks simply start cold.
+// memoFileVersion guards the on-disk format. Version 1 held the full and eq
+// tables; version 2 added a Dir section for a refinement-subproblem table
+// the analyzer no longer keeps. Both load: gob skips a Dir section on
+// decode, and a file written today (no Dir section) still loads in
+// analyzers that expect one.
 const memoFileVersion = 2
 
 // savedEntry is the serializable form of one full-table entry.
@@ -39,24 +41,12 @@ type savedEq struct {
 	Result int
 }
 
-// savedDir is one direction-keyed refinement table entry (the §6
-// subproblems of Burke–Cytron refinement). The witness is never persisted —
-// it aliases the producing pipeline's scratch and hits don't consume it.
-type savedDir struct {
-	Key     []int64
-	Outcome int
-	Exact   bool
-	Kind    int
-}
-
-// savedTables is the on-disk document. Dir was added in version 2; gob
-// leaves it empty when decoding a version-1 file.
+// savedTables is the on-disk document.
 type savedTables struct {
 	Version  int
 	Improved bool
 	Full     []savedEntry
 	Eq       []savedEq
-	Dir      []savedDir
 }
 
 // SaveMemo writes the analyzer's memo tables so a later session (or another
@@ -91,20 +81,6 @@ func (a *Analyzer) SaveMemo(w io.Writer) error {
 	})
 	a.eq.Range(func(k memo.Key, v system.GCDResult) bool {
 		doc.Eq = append(doc.Eq, savedEq{Key: append([]int64(nil), k...), Result: int(v)})
-		return true
-	})
-	a.dir.Range(func(k memo.Key, v dtest.Result) bool {
-		if v.Outcome == dtest.Maybe {
-			// Count-tripped refinement verdicts are scoped to the budget
-			// class that produced them; same rule as the full table.
-			return true
-		}
-		doc.Dir = append(doc.Dir, savedDir{
-			Key:     append([]int64(nil), k...),
-			Outcome: int(v.Outcome),
-			Exact:   v.Exact,
-			Kind:    int(v.Kind),
-		})
 		return true
 	})
 	return gob.NewEncoder(w).Encode(&doc)
@@ -154,16 +130,8 @@ func (a *Analyzer) LoadMemo(r io.Reader) error {
 	for _, e := range doc.Eq {
 		a.eq.Insert(memo.Key(e.Key), system.GCDResult(e.Result))
 	}
-	for _, e := range doc.Dir {
-		a.dir.Insert(memo.Key(e.Key), dtest.Result{
-			Outcome: dtest.Outcome(e.Outcome),
-			Exact:   e.Exact,
-			Kind:    dtest.Kind(e.Kind),
-		})
-	}
 	a.Stats.UniqueFull = a.full.Len()
 	a.Stats.UniqueEq = a.eq.Len()
-	a.Stats.UniqueDir = a.dir.Len()
 	return nil
 }
 
@@ -180,11 +148,6 @@ func (doc *savedTables) validate() error {
 	for i, e := range doc.Eq {
 		if r := system.GCDResult(e.Result); r != system.GCDIndependent && r != system.GCDDependent {
 			return fmt.Errorf("eq entry %d: GCD result %d out of range", i, e.Result)
-		}
-	}
-	for i, e := range doc.Dir {
-		if err := CheckVerdict(e.Outcome, e.Kind, nil, nil, nil); err != nil {
-			return fmt.Errorf("dir entry %d: %w", i, err)
 		}
 	}
 	return nil

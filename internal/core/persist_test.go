@@ -79,11 +79,12 @@ func TestSaveLoadMemoRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSaveLoadDirTable pins the v2 format's reason for existing: the
-// direction-keyed refinement table survives a save/load cycle, so a
-// warm-started session's §6 refinement walks start from the persisted
-// subproblem verdicts instead of re-running them.
-func TestSaveLoadDirTable(t *testing.T) {
+// TestLoadMemoSkipsDirSection pins compatibility with files written before
+// the refinement memo was removed: a version-2 document with a Dir section
+// — even one holding an entry no analyzer could write — still loads, the
+// section is skipped, and the full and eq entries answer the unit with no
+// fresh tests.
+func TestLoadMemoSkipsDirSection(t *testing.T) {
 	opts := Options{Memoize: true, ImprovedMemo: true,
 		DirectionVectors: true, PruneUnused: true, PruneDistance: true}
 	prog, err := lang.Parse(persistSrc)
@@ -95,44 +96,53 @@ func TestSaveLoadDirTable(t *testing.T) {
 	if _, err := warm.AnalyzeUnit(unit); err != nil {
 		t.Fatal(err)
 	}
-	if warm.Stats.UniqueDir == 0 {
-		t.Fatal("premise: the refinement walk must populate the dir table")
-	}
 	var buf bytes.Buffer
 	if err := warm.SaveMemo(&buf); err != nil {
 		t.Fatal(err)
 	}
+	var cur savedTables
+	if err := gob.NewDecoder(&buf).Decode(&cur); err != nil {
+		t.Fatal(err)
+	}
+
+	// The version-2 document as it was written with the refinement memo.
+	type savedDir struct {
+		Key     []int64
+		Outcome int
+		Exact   bool
+		Kind    int
+	}
+	type savedTablesV2 struct {
+		Version  int
+		Improved bool
+		Full     []savedEntry
+		Eq       []savedEq
+		Dir      []savedDir
+	}
+	old := savedTablesV2{Version: 2, Improved: true, Full: cur.Full, Eq: cur.Eq, Dir: []savedDir{
+		{Key: []int64{1, 2, 3, '<'}, Outcome: int(dtest.Independent), Exact: true, Kind: int(dtest.KindSVPC)},
+		{Key: []int64{4, 5, 6, '='}, Outcome: -1, Kind: int(dtest.KindFourierMotzkin) + 1},
+	}}
+	if len(old.Full) == 0 || len(old.Eq) == 0 {
+		t.Fatal("premise: the saved tables need full and eq entries")
+	}
+	var file bytes.Buffer
+	if err := gob.NewEncoder(&file).Encode(&old); err != nil {
+		t.Fatal(err)
+	}
+
 	cold := New(opts)
-	if err := cold.LoadMemo(&buf); err != nil {
+	if err := cold.LoadMemo(&file); err != nil {
+		t.Fatalf("version-2 file with a Dir section must load: %v", err)
+	}
+	if got, want := cold.MemoLen(), len(old.Full)+len(old.Eq); got != want {
+		t.Fatalf("loaded %d entries, want the %d full and eq entries", got, want)
+	}
+	if _, err := cold.AnalyzeUnit(unit); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := cold.Stats.UniqueDir, warm.Stats.UniqueDir; got != want {
-		t.Fatalf("persisted dir table has %d entries, want %d", got, want)
-	}
-	// The restored entries must actually serve refinement subproblems:
-	// bypass the full table by looking the subproblems up through a fresh
-	// run of the same unit on an analyzer whose *full* table is empty.
-	fresh := New(opts)
-	var doc savedTables
-	doc.Version = memoFileVersion
-	doc.Improved = true
-	warm.dir.Range(func(k memo.Key, v dtest.Result) bool {
-		doc.Dir = append(doc.Dir, savedDir{Key: append([]int64(nil), k...),
-			Outcome: int(v.Outcome), Exact: v.Exact, Kind: int(v.Kind)})
-		return true
-	})
-	var dirOnly bytes.Buffer
-	if err := gob.NewEncoder(&dirOnly).Encode(&doc); err != nil {
-		t.Fatal(err)
-	}
-	if err := fresh.LoadMemo(&dirOnly); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fresh.AnalyzeUnit(unit); err != nil {
-		t.Fatal(err)
-	}
-	if fresh.Stats.DirHits == 0 {
-		t.Fatal("restored dir table served no refinement subproblems")
+	if n := cold.Stats.TotalTests(); n != 0 {
+		t.Fatalf("warm-started analyzer ran %d tests, want 0", n)
 	}
 }
 
@@ -181,8 +191,6 @@ func TestLoadMemoRejectsCorruptEntries(t *testing.T) {
 		{"kind", "full entry", func(doc *savedTables) { withDistance(doc).Kind = -1 }},
 		{"direction", "full entry", func(doc *savedTables) { withDistance(doc).Vectors[0][0] = 'x' }},
 		{"gcd result", "eq entry", func(doc *savedTables) { doc.Eq[0].Result = 2 }},
-		{"dir outcome", "dir entry", func(doc *savedTables) { doc.Dir[0].Outcome = -1 }},
-		{"dir kind", "dir entry", func(doc *savedTables) { doc.Dir[0].Kind = int(dtest.KindFourierMotzkin) + 1 }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -190,8 +198,8 @@ func TestLoadMemoRejectsCorruptEntries(t *testing.T) {
 			if err := gob.NewDecoder(bytes.NewReader(saved)).Decode(&doc); err != nil {
 				t.Fatal(err)
 			}
-			if len(doc.Eq) == 0 || len(doc.Dir) == 0 {
-				t.Fatal("premise: the saved tables need eq and dir entries")
+			if len(doc.Eq) == 0 {
+				t.Fatal("premise: the saved tables need eq entries")
 			}
 			c.corrupt(&doc)
 			var out bytes.Buffer

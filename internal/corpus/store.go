@@ -7,10 +7,10 @@ import (
 	"io"
 	"io/fs"
 	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 
+	"exactdep/internal/atomicfile"
 	"exactdep/internal/core"
 	"exactdep/internal/depvec"
 	"exactdep/internal/dtest"
@@ -210,19 +210,9 @@ func (s *Store) SaveFile(path string) error {
 		return nil
 	}
 	doc, puts := s.snapshot()
-	f, err := os.CreateTemp(filepath.Dir(path), ".exactdep-store-*")
-	if err != nil {
-		return err
-	}
-	err = gob.NewEncoder(f).Encode(&doc)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(f.Name(), path)
-	}
-	if err != nil {
-		os.Remove(f.Name())
+	if err := atomicfile.Write(path, ".exactdep-store-*", func(w io.Writer) error {
+		return gob.NewEncoder(w).Encode(&doc)
+	}); err != nil {
 		return err
 	}
 	s.mu.Lock()

@@ -87,37 +87,52 @@ func TestRefineZeroAllocs(t *testing.T) {
 			t.Errorf("steady-state base test allocated %.1f times per call", n)
 		}
 	})
-	t.Run("memoized-walk", func(t *testing.T) {
-		// The implicit branch-and-bound walk over a warm memo: base Unknown,
-		// every direction refuted — all refinement nodes visited (mark, push,
-		// lookup, pop, release), no vectors materialized, no cascade runs.
-		// This is the pure per-node trail bracket.
+	t.Run("implicit-bb-walk", func(t *testing.T) {
+		// The implicit branch-and-bound walk through a real pipeline: base
+		// Unknown, every direction refuted — all refinement nodes visited
+		// (mark, push, test, pop, release), no vectors materialized. The
+		// cascade may allocate on these systems, so the gate is relative:
+		// the walk must allocate exactly what its cascade runs allocate on
+		// the same node systems solved directly, leaving zero for the
+		// per-node trail bracket.
 		dtest.EnableExplicitBranchAndBound = false
 		defer func() { dtest.EnableExplicitBranchAndBound = true }()
 		ts := fractionalSystem()
-		rf := NewRefiner()
-		memo := mapMemo{}
-		opts := Options{Refiner: rf, Memo: memo}
-		cold := ComputeObserved(ts, opts, nil)
-		if !cold.ImplicitBB || cold.TestsRun == 0 {
-			t.Fatalf("premise: cold walk must refine to implicit B&B, got %+v", cold)
+		p := dtest.DefaultConfig().NewPipeline()
+		opts := Options{Refiner: NewRefiner(), Pipeline: p}
+		if sum := ComputeObserved(ts, opts, nil); !sum.ImplicitBB || sum.TestsRun != 4 {
+			t.Fatalf("premise: walk must run the base and three direction tests and refine to implicit B&B, got %+v", sum)
 		}
-		for i := 0; i < 3; i++ {
-			if sum := ComputeObserved(ts, opts, nil); sum.TestsRun != 0 {
-				t.Fatalf("warm walk must be all memo hits, got %+v", sum)
+		nodes := []*system.TSystem{ts}
+		for _, dir := range []Direction{Less, Equal, Greater} {
+			n := ts.Clone()
+			if err := n.AddDirection(0, byte(dir)); err != nil {
+				t.Fatal(err)
+			}
+			nodes = append(nodes, n)
+		}
+		direct := func() {
+			for _, n := range nodes {
+				p.Run(n)
 			}
 		}
-		if n := testing.AllocsPerRun(100, func() { ComputeObserved(ts, opts, nil) }); n != 0 {
-			t.Errorf("steady-state memoized walk allocated %.1f times per call", n)
+		walk := func() { ComputeObserved(ts, opts, nil) }
+		for i := 0; i < 3; i++ {
+			direct()
+			walk()
+		}
+		want := testing.AllocsPerRun(100, direct)
+		if got := testing.AllocsPerRun(100, walk); got != want {
+			t.Errorf("steady-state walk allocated %.0f times per call, its %d cascade runs %.0f: the refinement bracket must allocate nothing",
+				got, len(nodes), want)
 		}
 	})
 }
 
 // BenchmarkRefinementDeep compares the refinement strategies over coupled
 // 3- and 4-level nests that reach Fourier–Motzkin at many nodes: the
-// clone-per-node reference walk, the clone-free trail walk, and the trail
-// walk over a warm direction memo. tests/op reports cascade invocations per
-// analyzed pair — the quantity the direction memo eliminates.
+// clone-per-node reference walk against the clone-free trail walk. tests/op
+// reports cascade invocations per analyzed pair.
 func BenchmarkRefinementDeep(b *testing.B) {
 	for _, depth := range []int{3, 4} {
 		ts := fmHardNest(b, depth)
@@ -136,21 +151,6 @@ func BenchmarkRefinementDeep(b *testing.B) {
 			p := dtest.DefaultConfig().NewPipeline()
 			o := opts
 			o.Refiner, o.Pipeline = rf, p
-			tests := 0
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sum := ComputeObserved(ts, o, nil)
-				tests += sum.TestsRun
-			}
-			b.ReportMetric(float64(tests)/float64(b.N), "tests/op")
-		})
-		b.Run(benchName("trail-memo", depth), func(b *testing.B) {
-			rf := NewRefiner()
-			p := dtest.DefaultConfig().NewPipeline()
-			o := opts
-			o.Refiner, o.Pipeline, o.Memo = rf, p, mapMemo{}
-			ComputeObserved(ts, o, nil) // warm the memo
 			tests := 0
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -149,25 +149,6 @@ type Options struct {
 	// (direction-row arena and per-level buffers) so a warm analysis
 	// allocates nothing per refinement node. nil uses a throwaway.
 	Refiner *Refiner
-	// Memo, when non-nil, memoizes cascade invocations by direction
-	// combination: every test — the base (*,…,*) test included — first asks
-	// Lookup and, when it ran the cascade, offers the verdict to Store. The
-	// analyzer passes an adapter onto its shared memo hierarchy here, which
-	// is what lets refinement subproblems hit across pairs and across
-	// refinement trees (§5's claim covers these tests too).
-	Memo Memo
-}
-
-// Memo memoizes direction-refinement subproblems. dirs holds one byte per
-// common level, outermost first: '*' for an unconstrained level or the
-// pushed '<'/'='/'>' direction. The implementation owns canonicalization
-// and storage policy; either method may decline (Lookup by ok=false, Store
-// by dropping). A cached Result must be exactly what the cascade returned
-// for that system+directions (minus the witness), so a hit is
-// indistinguishable from a fresh run.
-type Memo interface {
-	Lookup(dirs []byte) (dtest.Result, bool)
-	Store(dirs []byte, r dtest.Result)
 }
 
 // Refiner is the reusable workspace of the clone-free refinement walk: the
@@ -178,27 +159,23 @@ type Refiner struct {
 	arena system.Scratch
 	fixed []Direction
 	cur   Vector
-	dirs  []byte
 }
 
 // NewRefiner returns an empty Refiner; buffers grow on first use.
 func NewRefiner() *Refiner { return &Refiner{} }
 
 // reset sizes the buffers for an analysis over the given number of levels:
-// fixed zeroed, cur all Any, dirs all '*'.
+// fixed zeroed, cur all Any.
 func (rf *Refiner) reset(levels int) {
 	if cap(rf.fixed) < levels {
 		rf.fixed = make([]Direction, levels)
 		rf.cur = make(Vector, levels)
-		rf.dirs = make([]byte, levels)
 	}
 	rf.fixed = rf.fixed[:levels]
 	rf.cur = rf.cur[:levels]
-	rf.dirs = rf.dirs[:levels]
 	for i := 0; i < levels; i++ {
 		rf.fixed[i] = 0
 		rf.cur[i] = Any
-		rf.dirs[i] = byte(Any)
 	}
 }
 
@@ -226,9 +203,6 @@ type Summary struct {
 	// ImplicitBB marks pairs proven independent only by refuting every
 	// direction vector.
 	ImplicitBB bool
-	// MemoHits counts cascade invocations answered from Options.Memo
-	// instead of running the tests (not included in TestsRun).
-	MemoHits int
 	// TrailPushes and TrailPops count direction constraints pushed onto and
 	// popped off the scratch system's trail; they match when the walk
 	// completes. TrailMaxDepth is the deepest simultaneous stack of pushed
@@ -280,7 +254,7 @@ func ComputeObserved(ts *system.TSystem, opts Options, onTest func(dtest.Result)
 		rf = NewRefiner()
 	}
 	rf.reset(levels)
-	fixed, cur, dirs := rf.fixed, rf.cur, rf.dirs
+	fixed, cur := rf.fixed, rf.cur
 
 	// Fix pruned levels up front (fixed[lvl] = 0 means refinable).
 	for lvl := 0; lvl < levels; lvl++ {
@@ -304,29 +278,13 @@ func ComputeObserved(ts *system.TSystem, opts Options, onTest func(dtest.Result)
 		}
 	}
 
-	// run tests the system under the currently pushed directions (dirs),
-	// consulting the memo first. A hit feeds the observer and the summary
-	// exactly as a fresh run would — cached verdicts are what the cascade
-	// returned — but does not count as a test run.
+	// run tests the system under the currently pushed directions.
 	run := func(s *system.TSystem) dtest.Result {
-		if opts.Memo != nil {
-			if r, ok := opts.Memo.Lookup(dirs); ok {
-				sum.MemoHits++
-				sum.note(r)
-				if onTest != nil {
-					onTest(r)
-				}
-				return r
-			}
-		}
 		var r dtest.Result
 		if opts.Pipeline != nil {
 			r = opts.Pipeline.Run(s)
 		} else {
 			r, _ = dtest.Solve(s)
-		}
-		if opts.Memo != nil {
-			opts.Memo.Store(dirs, r)
 		}
 		sum.TestsRun++
 		sum.note(r)
@@ -343,7 +301,7 @@ func ComputeObserved(ts *system.TSystem, opts Options, onTest func(dtest.Result)
 	}
 
 	if opts.Separable && levels > 0 && Separable(ts) {
-		computeSeparable(ts, fixed, dirs, &sum, rf, run)
+		computeSeparable(ts, fixed, &sum, rf, run)
 		return sum
 	}
 
@@ -372,13 +330,11 @@ func ComputeObserved(ts *system.TSystem, opts Options, onTest func(dtest.Result)
 			if depth+1 > sum.TrailMaxDepth {
 				sum.TrailMaxDepth = depth + 1
 			}
-			dirs[lvl] = byte(dir)
 			if r := run(ts); r.Outcome != dtest.Independent {
 				cur[lvl] = dir
 				refine(lvl+1, depth+1)
 				cur[lvl] = Any
 			}
-			dirs[lvl] = byte(Any)
 			ts.PopTo(tm)
 			rf.arena.Release(am)
 			sum.TrailPops++

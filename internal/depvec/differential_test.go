@@ -95,24 +95,9 @@ func fmHardNest(t testing.TB, depth int) *system.TSystem {
 	return ts
 }
 
-// mapMemo is a test double for Options.Memo keyed by the direction bytes
-// alone — valid only while a single canonical system flows through it.
-type mapMemo map[string]dtest.Result
-
-func (m mapMemo) Lookup(dirs []byte) (dtest.Result, bool) {
-	r, ok := m[string(dirs)]
-	return r, ok
-}
-
-func (m mapMemo) Store(dirs []byte, r dtest.Result) {
-	r.Witness = nil
-	m[string(dirs)] = r
-}
-
 // comparable strips the counters that legitimately differ between the two
-// walks (trail and memo accounting exists only in the optimized one).
+// walks (trail accounting exists only in the optimized one).
 func comparable(s Summary) Summary {
-	s.MemoHits = 0
 	s.TrailPushes, s.TrailPops, s.TrailMaxDepth = 0, 0, 0
 	return s
 }
@@ -174,34 +159,6 @@ func TestRefineDifferentialFMHard(t *testing.T) {
 					depth, lim, obs, ref)
 			}
 		}
-	}
-}
-
-// TestRefineMemoHits pins the memo contract: a second walk of the same
-// system over a warm memo runs zero cascade tests, answers everything from
-// the memo, and reproduces the cold walk's observables exactly.
-func TestRefineMemoHits(t *testing.T) {
-	ts := fmHardNest(t, 3)
-	memo := mapMemo{}
-	opts := Options{PruneUnused: true, Memo: memo}
-	cold := ComputeObserved(ts.Clone(), opts, nil)
-	if cold.TestsRun == 0 || cold.MemoHits != 0 {
-		t.Fatalf("cold walk: %+v", cold)
-	}
-	var observed int
-	warm := ComputeObserved(ts.Clone(), opts, func(dtest.Result) { observed++ })
-	if warm.TestsRun != 0 {
-		t.Errorf("warm walk ran %d cascade tests, want 0", warm.TestsRun)
-	}
-	if warm.MemoHits != cold.TestsRun {
-		t.Errorf("warm walk hit %d times, want %d", warm.MemoHits, cold.TestsRun)
-	}
-	if observed != warm.MemoHits {
-		t.Errorf("observer saw %d events, want %d (hits must still be observed)", observed, warm.MemoHits)
-	}
-	if !reflect.DeepEqual(warm.Vectors, cold.Vectors) || warm.Dependent != cold.Dependent ||
-		warm.Exact != cold.Exact || warm.Trip != cold.Trip {
-		t.Errorf("warm walk observables differ:\n warm %+v\n cold %+v", warm, cold)
 	}
 }
 

@@ -7,11 +7,10 @@ import (
 
 // ComputeReference is the clone-per-node refinement walk the trail-based
 // ComputeObserved replaced, retained verbatim as a differential oracle: it
-// ignores Options.Refiner and Options.Memo, deep-copies the system at every
-// tree node, and never consults a memo, so its Summary (modulo the trail
-// and memo counters, which stay zero) is the ground truth the optimized
-// walk is pinned against (TestRefineDifferential). It is not part of any
-// production path.
+// ignores Options.Refiner and deep-copies the system at every tree node, so
+// its Summary (modulo the trail counters, which stay zero) is the ground
+// truth the optimized walk is pinned against (TestRefineDifferential). It
+// is not part of any production path.
 func ComputeReference(ts *system.TSystem, opts Options, onTest func(dtest.Result)) Summary {
 	levels := 0
 	if ts.Prob != nil {

@@ -53,10 +53,8 @@ func Separable(ts *system.TSystem) bool {
 // computeSeparable runs the dimension-wise method. It must only be called
 // on separable systems whose base (*,…,*) test was dependent; fixed is the
 // pruning array from ComputeObserved (nonzero entries are not re-tested).
-// Each single-level test pushes its direction onto ts's trail and pops it —
-// dirs mirrors the pushed state so the memo sees the same canonical key
-// space the hierarchical walk uses (one non-'*' level).
-func computeSeparable(ts *system.TSystem, fixed []Direction, dirs []byte, sum *Summary,
+// Each single-level test pushes its direction onto ts's trail and pops it.
+func computeSeparable(ts *system.TSystem, fixed []Direction, sum *Summary,
 	rf *Refiner, run func(*system.TSystem) dtest.Result) {
 	levels := ts.Prob.Common
 	perLevel := make([][]Direction, levels)
@@ -77,11 +75,9 @@ func computeSeparable(ts *system.TSystem, fixed []Direction, dirs []byte, sum *S
 			if sum.TrailMaxDepth < 1 {
 				sum.TrailMaxDepth = 1
 			}
-			dirs[lvl] = byte(dir)
 			if r := run(ts); r.Outcome != dtest.Independent {
 				perLevel[lvl] = append(perLevel[lvl], dir)
 			}
-			dirs[lvl] = byte(Any)
 			ts.PopTo(tm)
 			rf.arena.Release(am)
 			sum.TrailPops++

@@ -76,10 +76,6 @@ func (h *Harness) CostReport() error {
 		tot.FullLookups, tot.FullHits, pct(tot.FullHits, tot.FullLookups),
 		tot.L1Hits, tot.L1Lookups, pct(tot.L1Hits, tot.L1Lookups),
 		tot.L2Hits, tot.L2Lookups, pct(tot.L2Hits, tot.L2Lookups))
-	// The direction memo answers refinement subproblems (PR 5): cascade
-	// invocations of the direction-vector walk shared across pairs and trees.
-	fmt.Fprintf(h.w, "refinement memo: %d lookups, %d hits (%s), %d unique subproblems\n",
-		tot.DirLookups, tot.DirHits, pct(tot.DirHits, tot.DirLookups), tot.UniqueDir)
 	// Trail accounting for the clone-free walk: pushes and pops balance once
 	// every walk completes; max depth is the deepest direction stack seen.
 	fmt.Fprintf(h.w, "refinement trail: %d pushes, %d pops, max depth %d\n",

@@ -25,7 +25,6 @@ import "exactdep/internal/system"
 type Encoder struct {
 	full   Key     // EncodeFull's reusable key buffer
 	eq     Key     // EncodeEq's reusable key buffer
-	dir    Key     // EncodeDirections' reusable key buffer
 	vars   []int   // kept variable indices, canonical order
 	used   []bool  // per-variable liveness for the improved scheme
 	pos    []int   // original variable index → kept position, -1 if dropped
@@ -123,40 +122,6 @@ func (e *Encoder) EncodeFull(p *system.Problem, improved bool) Key {
 	}
 	e.full = key
 	return key
-}
-
-// EncodeDirections extends the most recent EncodeFull key with a canonical
-// direction segment, keying a refinement subproblem: the full key followed
-// by one entry per *kept* common level, in level order, holding that
-// level's pushed direction byte ('*', '<', '=', '>'). dirs is the
-// refinement walk's per-common-level direction array (depvec.Memo). Levels
-// the encoding dropped contribute nothing — their rank is not in the key —
-// so if a non-'*' direction sits on a dropped level the subproblem is not
-// canonically representable and ok=false is returned (the caller skips
-// memoization; this arises only when the improved scheme drops an unused
-// level that pruning left refinable).
-//
-// Because kept common levels appear in the full key by rank in level
-// order, the segment's layout is a function of the full key alone; and
-// since full keys are prefix-decodable, appending the segment cannot make
-// two distinct subproblems collide. The returned Key aliases the encoder's
-// dir buffer: valid until the next EncodeDirections, and it must be called
-// while the preceding EncodeFull's rank table still describes the same
-// problem.
-func (e *Encoder) EncodeDirections(dirs []byte) (Key, bool) {
-	key := append(e.dir[:0], e.full...)
-	for lvl, d := range dirs {
-		kept := lvl < len(e.rank) && e.rank[lvl] >= 0
-		if !kept {
-			if d != '*' {
-				return nil, false
-			}
-			continue
-		}
-		key = append(key, int64(d))
-	}
-	e.dir = key
-	return key, true
 }
 
 // appendBound encodes one optional affine bound positionally: a presence

@@ -133,8 +133,8 @@ func TestInFlightFinishedFlightServesUntilForget(t *testing.T) {
 	}
 	g.Finish(f, k, "verdict", true)
 
-	// The insert is still staged in some batch: a claim in this window must
-	// adopt off the closed flight instead of re-solving.
+	// The flight is finished but not yet forgotten: a claim in this window
+	// must adopt off the closed flight instead of re-solving.
 	lf, ll := g.Claim(k)
 	if ll {
 		t.Fatal("claim of a finished-but-unforgotten key must not lead")

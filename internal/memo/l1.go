@@ -14,12 +14,10 @@ package memo
 // just a cheaper way to observe an L2 fact. Not safe for concurrent use;
 // give each worker its own.
 type L1[V any] struct {
-	keys    []Key
-	vals    []V
-	shift   uint
-	lookups int
-	hits    int
-	live    int
+	keys  []Key
+	vals  []V
+	shift uint
+	live  int
 }
 
 // DefaultL1Size is the slot count NewL1 uses for size <= 0.
@@ -65,10 +63,8 @@ func (l *L1[V]) Lookup(k Key) (V, bool) {
 // the entry (the concurrent driver's provenance records) take it from here
 // without touching the shared table. Allocation-free.
 func (l *L1[V]) LookupStored(k Key) (Key, V, bool) {
-	l.lookups++
 	i := l.slot(k)
 	if sk := l.keys[i]; sk != nil && sk.equal(k) {
-		l.hits++
 		return sk, l.vals[i], true
 	}
 	var zero V
@@ -90,7 +86,7 @@ func (l *L1[V]) Store(k Key, v V) {
 // Reset empties every slot, releasing the interned keys and values it
 // referenced. Must be reset together with its backing L2 (the L1 ⊆ L2
 // containment only needs re-establishing from the empty side: an empty L1
-// is trivially contained in any L2). Traffic counters survive.
+// is trivially contained in any L2).
 func (l *L1[V]) Reset() {
 	clear(l.keys)
 	clear(l.vals)
@@ -102,6 +98,3 @@ func (l *L1[V]) Len() int { return l.live }
 
 // Cap returns the slot count.
 func (l *L1[V]) Cap() int { return len(l.keys) }
-
-// Stats returns lookup and hit counts.
-func (l *L1[V]) Stats() (lookups, hits int) { return l.lookups, l.hits }

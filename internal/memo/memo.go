@@ -7,17 +7,16 @@
 // so repeated subscript/bound patterns — the overwhelming majority in real
 // programs — are tested once.
 //
-// The analyzer keeps three logical tables over this package's keys:
+// The analyzer keeps two tables over this package's keys, as the paper
+// does:
 //
 //   - the eq table, keyed on the subscript equations alone, caches GCD-test
 //     verdicts (the GCD test ignores bounds, so one entry serves every
 //     bounds variation of the same equations);
 //   - the full table, keyed on the complete problem (equations plus
 //     bounds), caches candidate-level verdicts with their distance and
-//     direction summaries;
-//   - the dir table, keyed on the full problem plus a canonical direction
-//     segment (Encoder.EncodeDirections), caches the up-to-3^d
-//     direction-constrained subproblems of Burke–Cytron refinement.
+//     direction summaries, so §6's direction vectors are computed once per
+//     canonical problem.
 //
 // The "improved" encoding first drops loop variables that cannot affect the
 // verdict (unused indices), merging cases such as the paper's pair of
@@ -29,15 +28,15 @@
 //
 //   - Encoder canonicalizes problems into scratch-backed keys (no maps, no
 //     sorting, no fresh Key per candidate) — one Encoder per worker.
-//   - Table is the paper's open hash table, unsynchronized, for serial
-//     analysis.
-//   - ShardedTable shares one cache across the concurrent driver's workers
-//     with lock-free, stat-free reads: each shard's open-addressed bucket
-//     array holds atomic pointers to immutable entries that carry their
-//     mixed hash, so a lookup hashes its key once and probes with atomic
-//     loads; an insert publishes one entry in place under a short per-shard
-//     mutex (O(1) amortized, growth reuses the stored hashes), and traffic
-//     counters merge delta-only at worker exit via AddStats (see sharded.go).
+//   - ShardedTable is the paper's open hash table, shared by every worker of
+//     the concurrent driver (and used alone by a serial analyzer) with
+//     lock-free, stat-free reads: each shard's open-addressed bucket array
+//     holds atomic pointers to immutable entries that carry their mixed
+//     hash, so a lookup hashes its key once and probes with atomic loads; an
+//     insert publishes one entry in place under a short per-shard mutex
+//     (O(1) amortized, growth reuses the stored hashes). Traffic is counted
+//     by the caller (core's stats.Counters), not by the table (see
+//     sharded.go).
 //   - L1 is a small direct-mapped per-worker cache in front of the shared
 //     table, so a worker's hot working set is answered without touching
 //     shared memory at all (see l1.go). Every L1 entry's key is an interned
@@ -46,18 +45,14 @@
 //   - InFlight deduplicates concurrent solves of the same canonical key, so
 //     two workers never run the test cascade for one problem at the same
 //     time (see inflight.go).
-//
-// Table and ShardedTable share the Map interface, so a serial table can be
-// promoted to a sharded one by re-inserting its entries (the concurrent
-// driver core.Analyzer.AnalyzeAll does exactly that).
 package memo
 
 import "encoding/binary"
 
 // Key is a canonical integer encoding of a dependence problem. Keys
 // produced by an Encoder alias its scratch buffers and are valid only until
-// the encoder's next call; Clone them before storing (Table and ShardedTable
-// retain the Key they are given).
+// the encoder's next call; Clone them before storing (ShardedTable retains
+// the Key it is given).
 type Key []int64
 
 // Bytes renders the key as a compact string usable as a Go map key: eight
@@ -133,122 +128,4 @@ func (k Key) equal(o Key) bool {
 		}
 	}
 	return true
-}
-
-// Table is an open-addressing hash table from Key to V using the paper's
-// hash function with linear probing. It retains the Keys it is given.
-type Table[V any] struct {
-	keys    []Key
-	vals    []V
-	n       int
-	lookups int
-	hits    int
-}
-
-const initialBuckets = 64
-
-// NewTable returns an empty table.
-func NewTable[V any]() *Table[V] {
-	return &Table[V]{keys: make([]Key, initialBuckets), vals: make([]V, initialBuckets)}
-}
-
-// Lookup returns the cached value for k.
-func (t *Table[V]) Lookup(k Key) (V, bool) {
-	_, v, ok := t.LookupStored(k)
-	return v, ok
-}
-
-// LookupStored is Lookup additionally returning the table's interned copy
-// of the key on a hit. Callers that need to retain the key (the L1 cache)
-// keep the interned one instead of cloning a scratch-backed probe key.
-func (t *Table[V]) LookupStored(k Key) (Key, V, bool) {
-	t.lookups++
-	mask := uint64(len(t.keys) - 1)
-	for i := mix(k.hash()) & mask; ; i = (i + 1) & mask {
-		if t.keys[i] == nil {
-			var zero V
-			return nil, zero, false
-		}
-		if t.keys[i].equal(k) {
-			t.hits++
-			return t.keys[i], t.vals[i], true
-		}
-	}
-}
-
-// Insert stores v under k (overwriting an existing entry). The table
-// retains k: pass a stable key, never a scratch-backed one (Key.Clone).
-func (t *Table[V]) Insert(k Key, v V) {
-	if (t.n+1)*4 > len(t.keys)*3 { // keep load factor ≤ 3/4
-		t.grow()
-	}
-	mask := uint64(len(t.keys) - 1)
-	for i := mix(k.hash()) & mask; ; i = (i + 1) & mask {
-		if t.keys[i] == nil {
-			t.keys[i] = k
-			t.vals[i] = v
-			t.n++
-			return
-		}
-		if t.keys[i].equal(k) {
-			t.vals[i] = v
-			return
-		}
-	}
-}
-
-func (t *Table[V]) grow() {
-	oldK, oldV := t.keys, t.vals
-	t.keys = make([]Key, len(oldK)*2)
-	t.vals = make([]V, len(oldV)*2)
-	t.n = 0
-	for i, k := range oldK {
-		if k != nil {
-			t.reinsert(k, oldV[i])
-		}
-	}
-}
-
-func (t *Table[V]) reinsert(k Key, v V) {
-	mask := uint64(len(t.keys) - 1)
-	for i := mix(k.hash()) & mask; ; i = (i + 1) & mask {
-		if t.keys[i] == nil {
-			t.keys[i] = k
-			t.vals[i] = v
-			t.n++
-			return
-		}
-	}
-}
-
-// Reset drops every entry and shrinks the table back to its initial bucket
-// array, releasing the retained keys and values to the collector — the
-// eviction primitive a long-lived analyzer uses to bound its memory.
-// Traffic counters (Stats) are cumulative and survive the reset.
-func (t *Table[V]) Reset() {
-	t.keys = make([]Key, initialBuckets)
-	t.vals = make([]V, initialBuckets)
-	t.n = 0
-}
-
-// Len returns the number of unique entries.
-func (t *Table[V]) Len() int { return t.n }
-
-// Buckets returns the current bucket-array size (occupancy denominator).
-func (t *Table[V]) Buckets() int { return len(t.keys) }
-
-// Stats returns lookup and hit counts.
-func (t *Table[V]) Stats() (lookups, hits int) { return t.lookups, t.hits }
-
-// Range calls f for every entry until f returns false. Iteration order is
-// the table's bucket order (deterministic for a given insert history).
-func (t *Table[V]) Range(f func(Key, V) bool) {
-	for i, k := range t.keys {
-		if k == nil {
-			continue
-		}
-		if !f(k, t.vals[i]) {
-			return
-		}
-	}
 }

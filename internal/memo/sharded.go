@@ -5,27 +5,6 @@ import (
 	"sync/atomic"
 )
 
-// Map is the table surface the analyzer depends on. Table implements it for
-// serial use; ShardedTable implements it for concurrent use. Both share the
-// paper's canonical keys, so a serial table can be promoted to a sharded one
-// by re-inserting its entries. Both retain inserted Keys and hand the
-// interned copy back from LookupStored, which is what lets an L1 cache sit
-// in front of either without cloning keys.
-type Map[V any] interface {
-	Lookup(Key) (V, bool)
-	LookupStored(Key) (Key, V, bool)
-	Insert(Key, V)
-	Len() int
-	Stats() (lookups, hits int)
-	Range(func(Key, V) bool)
-	Reset()
-}
-
-var (
-	_ Map[int] = (*Table[int])(nil)
-	_ Map[int] = (*ShardedTable[int])(nil)
-)
-
 // ShardedTable is a concurrency-safe memo table built for a read-mostly
 // workload: after warmup the overwhelming majority of operations are
 // lookups of already-cached problems (the paper's §5 observation), so the
@@ -37,10 +16,10 @@ var (
 // (key, mixed hash, value). A lookup hashes its key once, takes the shard
 // from the high bits of the mixed hash and the bucket from the low bits,
 // and probes with atomic loads, comparing stored hashes before keys: no
-// locks and no shared writes at all. Traffic counters are not maintained
-// per operation; workers that want table stats accumulate lookups/hits
-// locally and push one delta via AddStats when they finish, so the hot read
-// path touches no shared mutable memory.
+// locks and no shared writes at all. The table keeps no traffic counters:
+// a shared counter write per probe is exactly the cache-line ping-pong the
+// design exists to avoid, so callers count lookups and hits in their own
+// worker-local counters (the analyzer's stats.Counters).
 //
 // An insert takes the shard's mutex and publishes one new entry into the
 // first empty slot of its probe chain, in place: O(1) amortized. When the
@@ -59,10 +38,6 @@ var (
 type ShardedTable[V any] struct {
 	shift uint
 	sh    []shard[V]
-	// lookups/hits are written only by AddStats (worker-exit delta merges),
-	// never by the lookup path itself.
-	lookups atomic.Int64
-	hits    atomic.Int64
 }
 
 // entry is one published key/value pair with the key's mixed hash. It is
@@ -123,8 +98,7 @@ func (s *ShardedTable[V]) shardAt(h uint64) *shard[V] {
 
 // Lookup returns the cached value for k. Safe for concurrent use and
 // lock-free: one hash, one atomic array load plus a probe — it allocates
-// nothing, writes nothing shared, and never blocks on writers. Traffic is
-// not counted here; see AddStats.
+// nothing, writes nothing shared, and never blocks on writers.
 func (s *ShardedTable[V]) Lookup(k Key) (V, bool) {
 	_, v, ok := s.LookupStored(k)
 	return v, ok
@@ -246,8 +220,7 @@ func (s *ShardedTable[V]) Buckets() int {
 // Reset drops every entry and shrinks each shard back to its initial
 // bucket array, releasing the retained keys and values to the collector —
 // the eviction primitive a long-lived analyzer uses to bound its memory.
-// Traffic counters (Stats) are cumulative and survive the reset. Safe for
-// concurrent use with Lookup/Insert, but the caller is responsible for the
+// Safe for concurrent use with Lookup/Insert, but the caller is responsible for the
 // larger invariant that no L1 cache still holds entries the table no
 // longer does (core.Analyzer.EvictMemo resets both sides together).
 func (s *ShardedTable[V]) Reset() {
@@ -257,25 +230,6 @@ func (s *ShardedTable[V]) Reset() {
 		sh.reset()
 		sh.mu.Unlock()
 	}
-}
-
-// AddStats merges a worker's locally accumulated lookup/hit counts into the
-// table. The lookup path deliberately does not count its own traffic (a
-// shared counter write per probe is exactly the cache-line ping-pong the
-// sharded design exists to avoid); drivers count in worker-local counters
-// and push one delta per worker here when the worker exits.
-func (s *ShardedTable[V]) AddStats(lookups, hits int) {
-	if lookups != 0 {
-		s.lookups.Add(int64(lookups))
-	}
-	if hits != 0 {
-		s.hits.Add(int64(hits))
-	}
-}
-
-// Stats returns the lookup and hit counts merged so far via AddStats.
-func (s *ShardedTable[V]) Stats() (lookups, hits int) {
-	return int(s.lookups.Load()), int(s.hits.Load())
 }
 
 // Range calls f for every entry until f returns false, shard by shard. Each

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// TestShardedTableBasic checks single-goroutine semantics match Table's.
+// TestShardedTableBasic checks single-goroutine map semantics.
 func TestShardedTableBasic(t *testing.T) {
 	s := NewShardedTable[int](0)
 	if _, ok := s.Lookup(Key{1, 2}); ok {
@@ -23,12 +23,6 @@ func TestShardedTableBasic(t *testing.T) {
 	}
 	if s.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", s.Len())
-	}
-	// The lookup path is stat-free; traffic merges in via AddStats deltas.
-	s.AddStats(3, 2)
-	s.AddStats(0, 0) // zero delta is a no-op
-	if lookups, hits := s.Stats(); lookups != 3 || hits != 2 {
-		t.Fatalf("Stats = %d lookups, %d hits; want 3, 2", lookups, hits)
 	}
 	n := 0
 	s.Range(func(Key, int) bool { n++; return true })
@@ -113,10 +107,6 @@ func TestShardedTableHammer(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			// Worker-local traffic counters, merged delta-only at exit —
-			// the same discipline the concurrent driver uses.
-			lookups, hits := 0, 0
-			defer func() { s.AddStats(lookups, hits) }()
 			for r := 0; r < rounds; r++ {
 				// Stagger starting offsets so goroutines collide on
 				// different keys at different times.
@@ -124,9 +114,7 @@ func TestShardedTableHammer(t *testing.T) {
 					i := (n + g*keys/goroutines) % keys
 					k := mk(i)
 					v, ok := s.Lookup(k)
-					lookups++
 					if ok {
-						hits++
 						if v != i*3 {
 							t.Errorf("Lookup(%v) = %d, want %d", k, v, i*3)
 							return
@@ -134,12 +122,10 @@ func TestShardedTableHammer(t *testing.T) {
 					}
 					s.Insert(k, i*3) // same value from every goroutine
 					v, ok = s.Lookup(k)
-					lookups++
 					if !ok || v != i*3 {
 						t.Errorf("Lookup(%v) after insert = %d, %v", k, v, ok)
 						return
 					}
-					hits++
 				}
 			}
 		}(g)
@@ -153,19 +139,13 @@ func TestShardedTableHammer(t *testing.T) {
 			t.Fatalf("final Lookup(%d) = %d, %v; want %d, true", i, v, ok, i*3)
 		}
 	}
-	lookups, hits := s.Stats()
-	// Every insert was verified by a hit lookup; the deltas pushed at worker
-	// exit must add up without losing any.
-	if min := goroutines * rounds * keys; hits < min || lookups != goroutines*rounds*keys*2 {
-		t.Fatalf("Stats = %d lookups, %d hits; want %d lookups, ≥ %d hits", lookups, hits, goroutines*rounds*keys*2, min)
-	}
 }
 
 // TestShardedTableLockFreeStress hammers the lock-free read path while
-// writers grow and republish snapshots: readers spin on Lookup and must
-// only ever observe a miss or the key-determined value — never a torn
-// entry, a lost earlier insert, or an unterminated probe. Run under -race
-// (make race) this is the copy-on-write publication gate.
+// writers publish entries in place and grow their shards: readers spin on
+// Lookup and must only ever observe a miss or the key-determined value —
+// never a torn entry, a lost earlier insert, or an unterminated probe. Run
+// under -race (make race) this is the in-place publication gate.
 func TestShardedTableLockFreeStress(t *testing.T) {
 	const (
 		readers = 8
@@ -174,7 +154,7 @@ func TestShardedTableLockFreeStress(t *testing.T) {
 	)
 	mk := func(i int) Key { return Key{int64(i), int64(i * 31), int64(-i)} }
 	val := func(i int) int { return i*7 + 1 }
-	s := NewShardedTable[int](4) // few shards → heavy snapshot churn per shard
+	s := NewShardedTable[int](4) // few shards → many grows per shard
 
 	stop := make(chan struct{})
 	var readersDone sync.WaitGroup
@@ -244,9 +224,9 @@ func TestShardedLookupStoredInterns(t *testing.T) {
 	}
 }
 
-// ExampleShardedTable shows the concurrent memo table's hit-rate stats: the
-// same canonical problem looked up from many goroutines is computed once
-// and then served from the shard it hashed to.
+// ExampleShardedTable shows the concurrent memo table at work: the same
+// canonical problem looked up from many goroutines is cached once and then
+// served from the shard it hashed to.
 func ExampleShardedTable() {
 	table := NewShardedTable[string](4)
 	key := Key{2, 1, 1, -1, 0} // a canonicalized dependence problem
@@ -256,31 +236,20 @@ func ExampleShardedTable() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, ok := table.Lookup(key)
-			if !ok {
+			if _, ok := table.Lookup(key); !ok {
 				// Miss: solve the problem (here: a constant) and cache it.
 				// Racing workers may all miss and insert — the value is
 				// determined by the key, so the overwrite is benign.
 				table.Insert(key, "dependent, distance 1")
 			}
-			// Reads are stat-free; each worker pushes its traffic as one
-			// delta when it finishes.
-			hit := 0
-			if ok {
-				hit = 1
-			}
-			table.AddStats(1, hit)
 		}()
 	}
 	wg.Wait()
 
 	verdict, _ := table.Lookup(key)
-	lookups, hits := table.Stats()
 	fmt.Printf("verdict: %s\n", verdict)
 	fmt.Printf("unique problems: %d\n", table.Len())
-	fmt.Printf("all traffic merged, at least one miss: %v\n", lookups == 8 && hits < lookups)
 	// Output:
 	// verdict: dependent, distance 1
 	// unique problems: 1
-	// all traffic merged, at least one miss: true
 }

@@ -72,8 +72,8 @@ type Config struct {
 	// once and runs memo-hot after the first job.
 	MaxBatch int
 	// MaxMemoEntries bounds each warm analyzer's memo tables: when a batch
-	// leaves an analyzer above this many entries (summed over its full, eq,
-	// and dir tables) the tables are dropped and a fresh memoization epoch
+	// leaves an analyzer above this many entries (summed over its full and
+	// eq tables) the tables are dropped and a fresh memoization epoch
 	// starts (0 = 1<<20; negative = never evict). Eviction never changes
 	// result bytes — evicted problems are simply re-solved.
 	MaxMemoEntries int
@@ -129,7 +129,7 @@ type serverStats struct {
 
 // warmAnalyzer is one budget class's long-lived analysis engine: a
 // persistent corpus driver over the shared warm tier whose analyzer
-// retains its memo tables (L1/L2/dir), in-flight singleflight, and worker
+// retains its memo tables (L1/L2), in-flight singleflight, and worker
 // views across requests, so a same-class burst runs memo-hot after its
 // first job. The mutex serializes whole executor batches (the driver is
 // not safe for concurrent use); executors working different classes

@@ -59,10 +59,11 @@ type Counters struct {
 	// cacheable verdict (the difference is re-claims after non-cacheable
 	// solves). Serial analysis never touches the in-flight layer.
 	InflightWaits, InflightAdopts int
-	// DirLookups/DirHits meter the refinement memo: cascade invocations of
-	// the direction-vector walk (base test included) answered by the
-	// direction-keyed table instead of re-running the tests. UniqueDir is
-	// that table's entry count.
+	// DirLookups/DirHits/UniqueDir metered a refinement-subproblem memo the
+	// analyzer no longer keeps (it never hit: the full table and the
+	// in-flight layer already solve each canonical problem once). They
+	// always read 0 and stay only because the benchmark module's ledger
+	// reads them (memo.dir_hit_ratio); retire them with that reader.
 	DirLookups, DirHits             int
 	UniqueFull, UniqueEq, UniqueDir int
 
