@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt race check allocgate benchmark-selftest bench bench-json benchcmp benchcmp-gate serve-smoke
+.PHONY: build test vet fmt race check allocgate benchmark-selftest bench bench-smoke bench-json benchcmp benchcmp-gate serve-smoke
 
 build:
 	$(GO) build ./...
@@ -48,77 +48,93 @@ benchmark-selftest:
 # the concurrent driver (core.AnalyzeAll, memo.ShardedTable, memo.InFlight,
 # the shared verdict store) is race-checked on every run — their hammers ten
 # times over — plus the allocation-regression gate, the benchmark module's
-# self-tests, and the service smoke (a real depserve process loaded by
-# depload). Set PERFGATE=1 to also run the wall-clock perf gate
-# (benchcmp-gate) — opt-in because ns/op on a shared or throttled host is
-# too noisy to block every CI run on.
-check: vet fmt race allocgate benchmark-selftest serve-smoke
+# self-tests, one run of every benchmark body (bench-smoke), and the service
+# smoke (a real depserve process loaded by depload). Set PERFGATE=1 to also
+# run the wall-clock perf gate (benchcmp-gate) — opt-in because ns/op on a
+# shared or throttled host is too noisy to block every CI run on.
+check: vet fmt race allocgate benchmark-selftest bench-smoke serve-smoke
 	@if [ "$(PERFGATE)" = "1" ]; then $(MAKE) benchcmp-gate; fi
 
 # serve-smoke boots a real depserve process on a random port (small queue,
 # so the burst exercises admission control), replays a short rated run plus
-# an overload burst with depload, and requires zero 5xx responses and
-# served verdicts byte-identical to a local batch run. depload SIGTERMs the
-# server at the end and requires a clean drain, so graceful shutdown is
-# covered by a real process, not just the in-process tests. The second run
-# turns on two executors with coalescing (max-batch 8) so the warm-analyzer
-# batch path and the narrowed store lock are exercised — and byte-checked —
-# by a real process too.
+# an overload burst with depload, and requires zero 5xx responses, a load
+# degradation in any phase that was shed (the queue degrades before it
+# sheds), and served verdicts byte-identical to a local batch run. depload
+# SIGTERMs the server at the end and requires a clean drain, so graceful
+# shutdown is covered by a real process, not just the in-process tests. The
+# second run turns on two executors with coalescing (max-batch 8) so the
+# warm-analyzer batch path and the narrowed store lock are exercised — and
+# byte-checked — by a real process too.
 serve-smoke:
 	$(GO) build -o .smoke_depserve ./cmd/depserve
 	$(GO) run ./cmd/depload -spawn ./.smoke_depserve -spawn-flags "-queue 8" \
-		-rate 40 -duration 2s -burst 24 -large-nests 16 -check -out .smoke_serve.json
+		-rate 40 -duration 2s -burst 24 -large-nests 16 -check
 	$(GO) run ./cmd/depload -spawn ./.smoke_depserve -spawn-flags "-queue 8 -executors 2 -max-batch 8" \
-		-rate 40 -duration 2s -burst 24 -large-nests 16 -check -out .smoke_serve.json
-	@rm -f .smoke_depserve .smoke_serve.json
+		-rate 40 -duration 2s -burst 24 -large-nests 16 -check
+	@rm -f .smoke_depserve
 
-# bench runs the paper-evaluation benchmarks (root package), the front-end
-# layer benchmarks (parse, lower, pair enumeration over LargeCorpus-shaped
-# sources), the cascade, memo, and refinement stage/allocation
-# microbenchmarks, and the verdict store's load and save, with allocation
-# counts.
+# BENCH_PKGS holds every package with Benchmark functions: the
+# paper-evaluation, corpus and serve benchmarks (root package), the
+# front-end layers (parse, lower, pair enumeration over LargeCorpus-shaped
+# sources), the cascade, memo and refinement stage/allocation
+# microbenchmarks, and the verdict store's load and save. bench, bench-smoke,
+# bench-json and benchcmp-gate all run this one list.
+BENCH_PKGS := . ./internal/lang ./internal/opt ./internal/refs ./internal/dtest ./internal/memo ./internal/depvec ./internal/corpus
+
+# bench runs every benchmark once, human-readable, with allocation counts.
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem . ./internal/lang ./internal/opt ./internal/refs ./internal/dtest ./internal/memo ./internal/depvec ./internal/corpus
+	$(GO) test -run '^$$' -bench . -benchmem $(BENCH_PKGS)
 
-# bench-json writes the machine-readable perf baseline (ns/op, allocs/op,
-# memo hit rates over the suite, budget-trip profile of the FM-hard
-# adversarial suite, refinement counter profile, cold large-corpus scaling,
-# incremental corpus cold/warm split, pipelined corpus cold/warm from mem
-# and dir sources with per-stage timing, serve request-model split with a
-# per-request latency profile, host metadata) so future PRs can diff
-# against it.
+# bench-smoke runs every benchmark body exactly once, so the assertions the
+# bodies hold (a 1%-dirty warm run re-solves exactly 41 units, warm runs
+# re-solve none, each §7 problem is decided by its own test, the concurrent
+# suite is byte-identical across worker counts) run in CI.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x $(BENCH_PKGS)
+
+# bench-json records the perf baseline: five samples of every benchmark,
+# reduced by cmd/benchjson to one median record each (ns/op, B/op,
+# allocs/op, any reported metrics) plus the host section. The run takes
+# longer than go test's default 10-minute timeout, hence -timeout.
 bench-json:
-	$(GO) run ./cmd/benchjson -out BENCH_PR16.json
+	$(GO) test -run '^$$' -bench . -benchmem -count 5 -timeout 60m $(BENCH_PKGS) 2>&1 \
+		| tee /dev/stderr | $(GO) run ./cmd/benchjson -out BENCH_PR17.json
 
-# benchcmp diffs the previous PR's committed baseline against this PR's.
+# benchcmp diffs the previous committed baseline against the newest.
 benchcmp:
-	$(GO) run ./cmd/benchcmp BENCH_PR10.json BENCH_PR16.json
+	$(GO) run ./cmd/benchcmp BENCH_PR16.json BENCH_PR17.json
 
 # BASELINE is the committed perf baseline benchcmp-gate measures against,
 # recorded on the 2-vCPU host the end-to-end benchmark runs on.
-BASELINE := BENCH_PR16.json
+BASELINE := BENCH_PR17.json
 
-# benchcmp-gate re-measures the gated benchmarks (just those, via the
-# benchjson -only filter) and fails if one regressed more than 15% in ns/op
-# against the committed baseline. The corpus warm path is the incremental
-# layer's headline number, and the warm Dir-backed pipeline run is the
-# front-end (parse+fingerprint+probe) twin of it, so both are gated
-# alongside the memo-hot pass and the warm serve request model (the
-# depserve executor's cross-request memo dividend). A missing baseline file fails loudly up
-# front rather than as a confusing benchcmp read error — PERFGATE=1 on
-# check means someone asked for the gate, so silently skipping it would be
-# worse. Opt into the gate from check with PERFGATE=1.
+# GATED lists the gated benchmarks as go test -bench patterns. The corpus
+# warm path is the incremental layer's headline number, and the warm
+# Dir-backed pipeline run is the front-end (parse+fingerprint+probe) twin of
+# it, so both are gated alongside the memo-hot pass and the warm serve
+# request model (the depserve executor's cross-request memo dividend).
+GATED := AnalyzeAllMemoHot/workers=4 CorpusIncremental/warm_1pct/workers=1 \
+	CorpusPipeline/warm/dir/workers=1 ServeBatch/warm/workers=1
+
+# benchcmp-gate re-measures the gated benchmarks, five samples each as
+# bench-json takes them, and fails if one's median regressed more than 15%
+# in ns/op against the committed baseline. Each pattern runs in its own go
+# test: -bench splits a pattern at '/' and matches level by level, so one
+# alternation cannot select sub-benchmarks of different depths. A missing
+# baseline file fails loudly up front rather than as a confusing benchcmp
+# read error — PERFGATE=1 on check means someone asked for the gate, so
+# silently skipping it would be worse. Opt into the gate from check with
+# PERFGATE=1.
 benchcmp-gate:
 	@if [ ! -f $(BASELINE) ]; then \
 		echo "benchcmp-gate: baseline $(BASELINE) is missing — run 'make bench-json' and commit it"; \
 		exit 1; \
 	fi
-	$(GO) run ./cmd/benchjson -only analyze_all_memo_hot -out .bench_gate.json
+	for p in $(GATED); do \
+		$(GO) test -run '^$$' -bench "^Benchmark$$p\$$" -benchmem -count 5 $(BENCH_PKGS) 2>&1; \
+	done | tee /dev/stderr | $(GO) run ./cmd/benchjson -out .bench_gate.json
 	$(GO) run ./cmd/benchcmp -gate analyze_all_memo_hot_workers_4 -tolerance 15 $(BASELINE) .bench_gate.json
-	$(GO) run ./cmd/benchjson -only corpus_incremental_warm -out .bench_gate.json
 	$(GO) run ./cmd/benchcmp -gate corpus_incremental_warm_1pct_workers_1 -tolerance 15 $(BASELINE) .bench_gate.json
-	$(GO) run ./cmd/benchjson -only corpus_pipeline_warm_dir_workers_1 -out .bench_gate.json
 	$(GO) run ./cmd/benchcmp -gate corpus_pipeline_warm_dir_workers_1 -tolerance 15 $(BASELINE) .bench_gate.json
-	$(GO) run ./cmd/benchjson -only serve_batch_warm -out .bench_gate.json
 	$(GO) run ./cmd/benchcmp -gate serve_batch_warm_workers_1 -tolerance 15 $(BASELINE) .bench_gate.json
 	@rm -f .bench_gate.json

@@ -369,6 +369,81 @@ func BenchmarkCorpusPipeline(b *testing.B) {
 	}
 }
 
+// BenchmarkServeBatch: the two depserve request models over the same burst
+// of same-class requests, one suite program per request (the executor's
+// unit of work) and one op per full burst, so the series divide cleanly.
+// perjob builds a fresh storeless corpus driver per request, the model
+// before the warm tier; warm replays the burst on one persistent driver
+// whose memo tables survive between requests, resetting its counters per
+// request as the executor does. The gap is the cross-request memo
+// dividend; warm/workers=1 is gated in benchcmp-gate.
+func BenchmarkServeBatch(b *testing.B) {
+	opts := core.Options{DirectionVectors: true, PruneUnused: true,
+		PruneDistance: true, Memoize: true, ImprovedMemo: true}
+	suite, err := workload.SuiteSource(false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, w := range []int{1, 4} {
+		b.Run(fmt.Sprintf("perjob/workers=%d", w), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for u := range suite {
+					d := corpus.NewDriver(opts, w)
+					if _, err := d.RunAll(context.Background(), suite[u:u+1]); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("warm/workers=%d", w), func(b *testing.B) {
+			d := corpus.NewDriver(opts, w)
+			if _, err := d.RunAll(context.Background(), suite); err != nil { // warm the tables
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for u := range suite {
+					d.Analyzer().ResetStats()
+					if _, err := d.RunAll(context.Background(), suite[u:u+1]); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkAnalyzeFMHardBudgeted: the FM-hard adversarial suite under a
+// starvation budget of two Fourier–Motzkin eliminations, a fresh analyzer
+// per op — how fast the cascade degrades. Its Maybe count and per-reason
+// trip counts are deterministic, so they are reported per op next to the
+// timing: a change in what the budget layer decides shows in the recorded
+// metrics, not only in ns/op.
+func BenchmarkAnalyzeFMHardBudgeted(b *testing.B) {
+	hard, err := workload.FMHardSuiteCandidates()
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := core.Options{Memoize: true, ImprovedMemo: true,
+		Budget: dtest.Budget{MaxFMEliminations: 2}}
+	var a *core.Analyzer
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		a = core.New(opts)
+		if _, err := a.AnalyzeAll(hard, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(a.Stats.Maybe), "maybe/op")
+	for t := dtest.TripReason(1); int(t) < dtest.NumTripReasons; t++ {
+		if n := a.Stats.TripCount(t); n > 0 {
+			b.ReportMetric(float64(n), t.String()+"-trips/op")
+		}
+	}
+}
+
 // BenchmarkFigure1Residue: the §3.4 residue-graph construction and
 // negative-cycle check.
 func BenchmarkFigure1Residue(b *testing.B) {

@@ -1,5 +1,5 @@
 // Command benchcmp diffs two bench-json baselines (make benchcmp →
-// BENCH_PR5.json vs BENCH_PR6.json): benchmarks are matched by name and the
+// BENCH_PR16.json vs BENCH_PR17.json): benchmarks are matched by name and the
 // ns/op, bytes/op and allocs/op deltas printed side by side, with benchmarks
 // present in only one file called out separately. It reads only the
 // "benchmarks" array and the "host" section (warning when the two baselines
@@ -11,10 +11,11 @@
 // that one benchmark: if NEW's ns/op exceeds OLD's by more than -tolerance
 // percent (default 15), or the benchmark is missing from either file, the
 // exit status is 1. This is the perf gate behind make benchcmp-gate, which
-// re-measures just the gated benchmark (benchjson -only) and compares it
-// against the committed baseline. The tolerance is deliberately generous:
-// it is meant to catch structural regressions (a lost fast path, restored
-// per-pair allocations), not scheduler noise on a busy host.
+// re-measures the gated benchmarks (five samples each, recorded as medians
+// by cmd/benchjson) and compares them against the committed baseline. The
+// tolerance is deliberately generous: it is meant to catch structural
+// regressions (a lost fast path, restored per-pair allocations), not
+// scheduler noise on a busy host.
 package main
 
 import (

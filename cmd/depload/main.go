@@ -1,14 +1,20 @@
-// Command depload is the load generator for depserve: it replays the
-// workload suite (optionally including LargeCorpus units) against a
-// running server — or one it spawns itself — at a configurable request
-// rate, then fires an overload burst, and reports p50/p99 latency,
-// degradation and shed rates per phase. It exits non-zero if the server
-// ever answers 5xx, and with -check it also replays the suite once and
-// asserts the served verdicts are byte-identical to a local batch run —
-// the same canonical bytes depanalyze would print.
+// Command depload is the smoke driver for depserve: it replays the
+// workload suite (optionally with a LargeCorpus request) against a running
+// server, or one it spawns, at a fixed request rate, then fires an
+// overload burst, and counts each phase's answers by status. It exits 1 if
+// a phase got a 5xx or a failed request, or was shed (429) without a single
+// answer degraded by load: admission control degrades before it sheds. That
+// holds for a queue of two or more and a class above the last one, since
+// only a full queue sheds and the request that filled it saw the queue at
+// least half full, so its class was shrunk. With -check depload also
+// replays the suite once and requires the served verdicts to be
+// byte-identical to a local batch run, the same canonical bytes depanalyze
+// would print; with -spawn it SIGTERMs the server at the end and requires a
+// clean drain. Usage errors exit 2. Service latency is measured by the
+// end-to-end benchmark's serve-mixed workload (benchmark/), not here.
 //
-//	depload -spawn ./depserve -spawn-flags "-queue 8" -rate 50 -duration 3s \
-//	        -burst 32 -check -merge BENCH_PR9.json
+//	depload -spawn ./depserve -spawn-flags "-queue 8" -rate 40 -duration 2s \
+//	        -burst 24 -check
 package main
 
 import (
@@ -22,7 +28,6 @@ import (
 	"net/http"
 	"os"
 	"os/exec"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -39,58 +44,30 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// phaseReport is one load phase's outcome.
-type phaseReport struct {
-	Requests    int     `json:"requests"`
-	OK          int     `json:"ok"`
-	Degraded    int     `json:"degraded"`
-	Shed        int     `json:"shed"`
-	Errors5xx   int     `json:"errors5xx"`
-	OtherErrors int     `json:"otherErrors"`
-	P50Ms       float64 `json:"p50Ms"`
-	P99Ms       float64 `json:"p99Ms"`
-	// DegradedRate counts degraded-by-load responses per completed request.
-	DegradedRate float64 `json:"degradedRate"`
-	// ShedRate counts 429s per attempted request.
-	ShedRate float64 `json:"shedRate"`
+// phase counts one load phase's answers by status.
+type phase struct {
+	requests, ok, degraded, shed, errors5xx, other int
 }
 
-// serveReport is the JSON document depload emits (and merges into a
-// benchjson baseline under the top-level "serve" key, which benchcmp
-// ignores).
-type serveReport struct {
-	SchemaVersion int          `json:"schemaVersion"`
-	RatePerSec    float64      `json:"ratePerSec"`
-	Rated         *phaseReport `json:"rated,omitempty"`
-	Burst         *phaseReport `json:"burst,omitempty"`
-	// ByteIdentical is set by -check: served suite verdicts rendered
-	// canonically match a local batch corpus run byte for byte.
-	ByteIdentical *bool `json:"byteIdentical,omitempty"`
-	// Statsz is the server's final counter snapshot (coalescing batches,
-	// cross-request memo hits, fingerprint dedup, evictions, ...), fetched
-	// after the load phases.
-	Statsz *wire.Statsz `json:"statsz,omitempty"`
+func (p *phase) String() string {
+	return fmt.Sprintf("%d requests, %d ok (%d degraded by load), %d shed, %d 5xx, %d failed",
+		p.requests, p.ok, p.degraded, p.shed, p.errors5xx, p.other)
 }
 
-// getStatsz fetches the server's counter snapshot.
-func getStatsz(base string) (*wire.Statsz, error) {
-	resp, err := http.Get(base + "/v1/statsz")
-	if err != nil {
-		return nil, err
+// failure says why the phase fails the smoke check, or returns "".
+// canDegrade is false for the last budget class, which has no weaker class
+// to shrink to.
+func (p *phase) failure(canDegrade bool) string {
+	switch {
+	case p.errors5xx > 0 || p.other > 0:
+		return "5xx or failed requests"
+	case canDegrade && p.shed > 0 && p.degraded == 0:
+		return "shed without degrading any request first"
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(resp.Body)
-		return nil, fmt.Errorf("statsz: %d: %s", resp.StatusCode, msg)
-	}
-	var st wire.Statsz
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return nil, err
-	}
-	return &st, nil
+	return ""
 }
 
-func run(args []string, stdout, stderr io.Writer) int {
+func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("depload", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", "", "target server address (host:port); empty with -spawn")
@@ -103,8 +80,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	largeNests := fs.Int("large-nests", 32, "include a LargeCorpus request of this many nests (0 = none)")
 	burst := fs.Int("burst", 0, "overload phase: this many simultaneous requests (0 = skip)")
 	check := fs.Bool("check", false, "replay the suite once and require byte-identity with a local batch run")
-	out := fs.String("out", "", "write the serve report to this file (default stdout)")
-	merge := fs.String("merge", "", "merge the serve report into this benchjson baseline under \"serve\"")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -112,10 +87,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "depload: set exactly one of -addr or -spawn")
 		return 2
 	}
-	if _, ok := wire.ClassIndex(*class); !ok {
+	classIdx, ok := wire.ClassIndex(*class)
+	if !ok {
 		fmt.Fprintf(stderr, "depload: unknown budget class %q\n", *class)
 		return 2
 	}
+	canDegrade := classIdx < len(wire.BudgetClasses)-1
 
 	base := "http://" + *addr
 	if *spawn != "" {
@@ -128,6 +105,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		defer func() {
 			if err := srv.stop(); err != nil {
 				fmt.Fprintf(stderr, "depload: spawned server: %v\n", err)
+				code = 1
 			}
 		}()
 	}
@@ -138,21 +116,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	report := &serveReport{SchemaVersion: wire.SchemaVersion, RatePerSec: *rate}
 	fail := false
-
+	report := func(name string, p *phase) {
+		fmt.Fprintf(stdout, "depload: %s: %v\n", name, p)
+		if why := p.failure(canDegrade); why != "" {
+			fmt.Fprintf(stderr, "depload: %s: %s\n", name, why)
+			fail = true
+		}
+	}
 	if *duration > 0 && *rate > 0 {
-		report.Rated = ratedPhase(base, pool, *rate, *duration, *concurrency)
-		fmt.Fprintf(stdout, "depload: rated %v at %.0f req/s: %d requests, p50 %.1fms p99 %.1fms, %.1f%% degraded, %d shed, %d 5xx\n",
-			*duration, *rate, report.Rated.Requests, report.Rated.P50Ms, report.Rated.P99Ms,
-			100*report.Rated.DegradedRate, report.Rated.Shed, report.Rated.Errors5xx)
-		fail = fail || report.Rated.Errors5xx > 0 || report.Rated.OtherErrors > 0
+		report(fmt.Sprintf("rated %v at %.0f req/s", *duration, *rate),
+			ratedPhase(base, pool, *rate, *duration, *concurrency))
 	}
 	if *burst > 0 {
-		report.Burst = burstPhase(base, pool, *burst)
-		fmt.Fprintf(stdout, "depload: burst %d: %d ok, %.1f%% degraded, %d shed, %d 5xx\n",
-			*burst, report.Burst.OK, 100*report.Burst.DegradedRate, report.Burst.Shed, report.Burst.Errors5xx)
-		fail = fail || report.Burst.Errors5xx > 0 || report.Burst.OtherErrors > 0
+		report(fmt.Sprintf("burst %d", *burst), burstPhase(base, pool, *burst))
 	}
 	if *check {
 		same, err := checkIdentity(base)
@@ -160,26 +137,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "depload: check: %v\n", err)
 			return 1
 		}
-		report.ByteIdentical = &same
 		if same {
 			fmt.Fprintln(stdout, "depload: served suite verdicts byte-identical to the batch run")
 		} else {
 			fmt.Fprintln(stderr, "depload: served suite verdicts DIVERGE from the batch run")
 			fail = true
 		}
-	}
-
-	if st, err := getStatsz(base); err != nil {
-		fmt.Fprintf(stderr, "depload: %v\n", err)
-	} else {
-		report.Statsz = st
-		fmt.Fprintf(stdout, "depload: server coalescing: %d batches (max %d), %d coalesced jobs, %d fp-deduped, %d cross-request memo hits, %d cancelled, %d evictions\n",
-			st.Batches, st.MaxBatch, st.CoalescedJobs, st.FingerprintDeduped, st.CrossRequestMemoHits, st.Cancelled, st.MemoEvictions)
-	}
-
-	if err := emit(report, *out, *merge, stdout); err != nil {
-		fmt.Fprintf(stderr, "depload: %v\n", err)
-		return 1
 	}
 	if fail {
 		return 1
@@ -222,18 +185,16 @@ func requestPool(class string, largeNests int) ([][]byte, error) {
 	return bodies, nil
 }
 
-// outcome classifies one response into the phase counters.
+// outcome is one response's status and whether load degraded its class.
 type outcome struct {
 	status   int
 	degraded bool
-	latency  time.Duration
 }
 
 func post(base string, body []byte) outcome {
-	start := time.Now()
 	resp, err := http.Post(base+"/v1/analyze", "application/json", bytes.NewReader(body))
 	if err != nil {
-		return outcome{status: -1, latency: time.Since(start)}
+		return outcome{status: -1}
 	}
 	defer resp.Body.Close()
 	o := outcome{status: resp.StatusCode}
@@ -246,52 +207,32 @@ func post(base string, body []byte) outcome {
 	} else {
 		io.Copy(io.Discard, resp.Body)
 	}
-	o.latency = time.Since(start)
 	return o
 }
 
-func summarize(outcomes []outcome) *phaseReport {
-	r := &phaseReport{Requests: len(outcomes)}
-	var latencies []time.Duration
+func summarize(outcomes []outcome) *phase {
+	p := &phase{requests: len(outcomes)}
 	for _, o := range outcomes {
 		switch {
 		case o.status == http.StatusOK:
-			r.OK++
+			p.ok++
 			if o.degraded {
-				r.Degraded++
+				p.degraded++
 			}
-			latencies = append(latencies, o.latency)
 		case o.status == http.StatusTooManyRequests:
-			r.Shed++
+			p.shed++
 		case o.status >= 500:
-			r.Errors5xx++
+			p.errors5xx++
 		default:
-			r.OtherErrors++
+			p.other++
 		}
 	}
-	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	r.P50Ms = percentileMs(latencies, 0.50)
-	r.P99Ms = percentileMs(latencies, 0.99)
-	if r.OK > 0 {
-		r.DegradedRate = float64(r.Degraded) / float64(r.OK)
-	}
-	if r.Requests > 0 {
-		r.ShedRate = float64(r.Shed) / float64(r.Requests)
-	}
-	return r
-}
-
-func percentileMs(sorted []time.Duration, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(q * float64(len(sorted)-1))
-	return float64(sorted[i]) / float64(time.Millisecond)
+	return p
 }
 
 // ratedPhase fires requests at a fixed rate with bounded concurrency,
 // cycling through the pool round-robin.
-func ratedPhase(base string, pool [][]byte, rate float64, duration time.Duration, concurrency int) *phaseReport {
+func ratedPhase(base string, pool [][]byte, rate float64, duration time.Duration, concurrency int) *phase {
 	interval := time.Duration(float64(time.Second) / rate)
 	if interval <= 0 {
 		interval = time.Millisecond
@@ -339,7 +280,7 @@ loop:
 
 // burstPhase fires n simultaneous requests — the overload probe. Every
 // response must be a 200 (possibly degraded) or a shed 429, never a 5xx.
-func burstPhase(base string, pool [][]byte, n int) *phaseReport {
+func burstPhase(base string, pool [][]byte, n int) *phase {
 	outcomes := make([]outcome, n)
 	var wg sync.WaitGroup
 	var idx atomic.Int64
@@ -465,38 +406,4 @@ func (s *spawnedServer) stop() error {
 		s.cmd.Process.Kill()
 		return fmt.Errorf("did not drain within 60s after SIGTERM")
 	}
-}
-
-// emit writes the report to -out (or stdout) and merges it into a
-// benchjson baseline when -merge is set.
-func emit(report *serveReport, out, merge string, stdout io.Writer) error {
-	buf, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if out != "" {
-		if err := os.WriteFile(out, buf, 0o644); err != nil {
-			return err
-		}
-	} else if merge == "" {
-		stdout.Write(buf)
-	}
-	if merge != "" {
-		raw, err := os.ReadFile(merge)
-		if err != nil {
-			return err
-		}
-		var doc map[string]any
-		if err := json.Unmarshal(raw, &doc); err != nil {
-			return fmt.Errorf("%s: %v", merge, err)
-		}
-		doc["serve"] = report
-		merged, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			return err
-		}
-		return os.WriteFile(merge, append(merged, '\n'), 0o644)
-	}
-	return nil
 }

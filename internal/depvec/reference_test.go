@@ -9,8 +9,9 @@ import (
 // ComputeObserved replaced, retained verbatim as a differential oracle: it
 // ignores Options.Refiner and deep-copies the system at every tree node, so
 // its Summary (modulo the trail counters, which stay zero) is the ground
-// truth the optimized walk is pinned against (TestRefineDifferential). It
-// is not part of any production path.
+// truth the optimized walk is pinned against (TestRefineDifferential), and
+// BenchmarkRefinementDeep prices the gap. Only tests use it, so it lives in
+// a test file.
 func ComputeReference(ts *system.TSystem, opts Options, onTest func(dtest.Result)) Summary {
 	levels := 0
 	if ts.Prob != nil {
