@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt race check allocgate benchmark-selftest bench bench-smoke bench-json benchcmp benchcmp-gate serve-smoke
+.PHONY: build test vet fmt loc race check allocgate benchmark-selftest bench bench-smoke bench-json benchcmp benchcmp-gate serve-smoke
 
 build:
 	$(GO) build ./...
@@ -14,6 +14,12 @@ vet:
 # fmt fails when any file is not gofmt-formatted, listing the offenders.
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
+
+# loc prints the non-test Go line count outside benchmark/ (a separate
+# module) and .bench_build/ (its build output): the size a simplicity
+# change reports.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l
 
 # race runs every test under the race detector, then repeats four hammers
 # ten times each: the shared memo table's in-place publication (lock-free

@@ -10,10 +10,10 @@
 // analyzes the inputs as one corpus: a single analyzer session with shared
 // memo tables, one unit per file in deterministic order. The -store flag
 // adds the persistent verdict store, so a re-run re-solves only the files
-// whose dependence structure changed. The per-program renderers (-annotate,
-// -dot, -distribute) and the parallelization summary need a single parsed
-// program and are rejected in corpus mode; single-file behavior and exit
-// codes are unchanged.
+// whose dependence structure changed. A single file is analyzed as a
+// corpus of one unit by the same driver. The per-program renderers
+// (-annotate, -dot, -distribute) and the parallelization summary need a
+// single parsed program and are rejected in corpus mode.
 //
 // Flags:
 //
@@ -166,128 +166,113 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintln(stderr, "depanalyze: -json replaces the text report; drop -annotate, -dot and -distribute")
 		return 2
 	}
-	if corpusMode {
-		if *annotate || *dot || *distribute {
-			fmt.Fprintln(stderr, "depanalyze: -annotate, -dot and -distribute need a single program, not a corpus")
-			return 2
-		}
-		return runCorpus(corpusConfig{
-			args:      fs.Args(),
-			opts:      opts,
-			workers:   *workers,
-			timeout:   *timeout,
-			memoFile:  *memoFile,
-			storeFile: *storeFile,
-			stats:     *showStats,
-			memoStats: *memoStats,
-			jsonOut:   *jsonOut,
-		}, stdout, stderr)
+	if corpusMode && (*annotate || *dot || *distribute) {
+		fmt.Fprintln(stderr, "depanalyze: -annotate, -dot and -distribute need a single program, not a corpus")
+		return 2
 	}
 
-	src, err := readSource(fs.Arg(0))
-	if err != nil {
-		fmt.Fprintf(stderr, "depanalyze: %v\n", err)
-		return 1
-	}
-	prog, err := exactdep.Parse(src)
-	if err != nil {
-		fmt.Fprintf(stderr, "depanalyze: %v\n", err)
-		return 1
-	}
-	unit := exactdep.Lower(prog)
-	analyzer := exactdep.NewAnalyzer(opts)
-	if *memoFile != "" {
-		if f, err := os.Open(*memoFile); err == nil {
-			loadErr := analyzer.LoadMemo(f)
-			f.Close()
-			if loadErr != nil {
-				fmt.Fprintf(stderr, "depanalyze: %v\n", loadErr)
-				return 1
-			}
-		} else if !os.IsNotExist(err) {
-			fmt.Fprintf(stderr, "depanalyze: %v\n", err)
-			return 1
+	// A single file runs as a corpus of one unit, through the same driver
+	// as corpus mode; its parsed program stays at hand for the per-program
+	// renderers.
+	var (
+		src  exactdep.Corpus
+		prog *exactdep.Program
+		unit *exactdep.Unit
+	)
+	switch {
+	case !corpusMode:
+		text, err := readSource(fs.Arg(0))
+		if err == nil {
+			prog, err = exactdep.Parse(text)
 		}
-	}
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-	results, err := analyzer.AnalyzeAllContext(ctx, exactdep.Pairs(unit), *workers)
-	if err != nil {
-		fmt.Fprintf(stderr, "depanalyze: %v\n", err)
-		return 1
-	}
-	report := &exactdep.Report{Unit: unit, Results: results, Stats: analyzer.Stats}
-	if *memoFile != "" {
-		if err := saveMemoFile(analyzer, *memoFile); err != nil {
-			fmt.Fprintf(stderr, "depanalyze: %v\n", err)
-			return 1
-		}
-	}
-
-	if *jsonOut {
-		name := fs.Arg(0)
-		if name == "-" {
-			name = "stdin"
-		}
-		u, err := corpuspkg.FromSource(name, src)
 		if err != nil {
 			fmt.Fprintf(stderr, "depanalyze: %v\n", err)
 			return 1
 		}
-		var fp corpuspkg.Fingerprinter
-		ur := exactdep.UnitResult{
-			Name:        name,
-			Fingerprint: u.Fingerprint(&fp),
-			Results:     results,
-			Cost:        corpuspkg.Summarize(results),
-			Warnings:    unit.Warnings,
+		unit = exactdep.Lower(prog)
+		name := fs.Arg(0)
+		if name == "-" {
+			name = "stdin"
 		}
-		cs := exactdep.CorpusStats{Units: 1, UnitsSolved: 1, PairsSolved: len(results)}
-		if err := writeWireJSON(stdout, []exactdep.UnitResult{ur}, cs, analyzer.Stats, opts); err != nil {
+		src = exactdep.CorpusMem{{Name: name, Cands: exactdep.Pairs(unit), Warnings: unit.Warnings}}
+	case fs.NArg() == 1:
+		src = exactdep.CorpusDir(fs.Arg(0))
+	default:
+		src = exactdep.CorpusFiles(fs.Args()...)
+	}
+
+	var urs []exactdep.UnitResult
+	emit := func(ur exactdep.UnitResult) error {
+		urs = append(urs, ur)
+		return nil
+	}
+	if corpusMode && !*jsonOut {
+		emit = unitPrinter(stdout, stderr)
+	}
+	driver, err := analyze(src, emit, corpusConfig{
+		opts:      opts,
+		workers:   *workers,
+		timeout:   *timeout,
+		memoFile:  *memoFile,
+		storeFile: *storeFile,
+		stats:     *showStats,
+	})
+	if err != nil {
+		fmt.Fprintf(stderr, "depanalyze: %v\n", err)
+		return 1
+	}
+	analyzer := driver.Analyzer()
+
+	if *jsonOut {
+		if err := writeWireJSON(stdout, urs, driver.Stats, analyzer.Stats, opts); err != nil {
 			fmt.Fprintf(stderr, "depanalyze: %v\n", err)
 			return 1
 		}
 		return 0
 	}
-
-	for _, w := range report.Unit.Warnings {
-		fmt.Fprintf(stderr, "warning: %s\n", w)
-	}
-	for _, r := range report.Results {
-		printResult(stdout, r)
-	}
-
-	if *par {
-		fmt.Fprintln(stdout)
-		fmt.Fprintln(stdout, "parallelization:")
-		fmt.Fprint(stdout, exactdep.ParallelizeResults(report.Unit, report.Results))
-	}
-	if *annotate {
-		fmt.Fprintln(stdout)
-		fmt.Fprintln(stdout, "annotated source:")
-		fmt.Fprint(stdout, exactdep.AnnotateSource(prog, exactdep.ParallelizeResults(report.Unit, report.Results)))
-	}
-	if *dot {
-		fmt.Fprintln(stdout)
-		fmt.Fprint(stdout, exactdep.BuildDepGraph(report.Unit, report.Results).Dot())
-	}
-	if *distribute {
-		dist, err := exactdep.DistributeProgram(prog)
-		if err != nil {
-			fmt.Fprintf(stderr, "depanalyze: %v\n", err)
-			return 1
+	if !corpusMode {
+		results := urs[0].Results
+		for _, w := range unit.Warnings {
+			fmt.Fprintf(stderr, "warning: %s\n", w)
 		}
-		fmt.Fprintln(stdout)
-		fmt.Fprintln(stdout, "distributed:")
-		fmt.Fprint(stdout, dist)
+		for _, r := range results {
+			printResult(stdout, r)
+		}
+		if *par {
+			fmt.Fprintln(stdout)
+			fmt.Fprintln(stdout, "parallelization:")
+			fmt.Fprint(stdout, exactdep.ParallelizeResults(unit, results))
+		}
+		if *annotate {
+			fmt.Fprintln(stdout)
+			fmt.Fprintln(stdout, "annotated source:")
+			fmt.Fprint(stdout, exactdep.AnnotateSource(prog, exactdep.ParallelizeResults(unit, results)))
+		}
+		if *dot {
+			fmt.Fprintln(stdout)
+			fmt.Fprint(stdout, exactdep.BuildDepGraph(unit, results).Dot())
+		}
+		if *distribute {
+			dist, err := exactdep.DistributeProgram(prog)
+			if err != nil {
+				fmt.Fprintf(stderr, "depanalyze: %v\n", err)
+				return 1
+			}
+			fmt.Fprintln(stdout)
+			fmt.Fprintln(stdout, "distributed:")
+			fmt.Fprint(stdout, dist)
+		}
 	}
 	if *showStats {
-		s := report.Stats
 		fmt.Fprintln(stdout)
+		if corpusMode {
+			cs := driver.Stats
+			fmt.Fprintf(stdout, "corpus: %d units (%d reused, %d solved), %d pairs served, %d pairs solved\n",
+				cs.Units, cs.UnitsReused, cs.UnitsSolved, cs.PairsServed, cs.PairsSolved)
+			fmt.Fprintf(stdout, "pipeline: load %s  fingerprint %s  probe %s  solve %s  emit %s  wall %s\n",
+				cs.Stage.Load, cs.Stage.Fingerprint, cs.Stage.Probe, cs.Stage.Solve, cs.Stage.Emit, cs.Stage.Wall)
+		}
+		s := analyzer.Stats
 		fmt.Fprintf(stdout, "pairs: %d  constant: %d  gcd-independent: %d  tests: %d\n",
 			s.Pairs, s.Constant, s.GCDIndependent, s.TotalTests())
 		fmt.Fprintf(stdout, "verdicts: %d independent, %d dependent, %d unknown, %d maybe\n",
@@ -377,30 +362,20 @@ func printResult(w io.Writer, r exactdep.Result) {
 	fmt.Fprintln(w)
 }
 
-// corpusConfig carries the corpus-mode invocation.
+// corpusConfig carries what one driver run needs besides the corpus.
 type corpusConfig struct {
-	args      []string
 	opts      exactdep.Options
 	workers   int
 	timeout   time.Duration
 	memoFile  string
 	storeFile string
 	stats     bool
-	memoStats bool
-	jsonOut   bool
 }
 
-// runCorpus analyzes a directory or a list of files as one corpus: a single
-// incremental driver run with shared memo tables, units in deterministic
-// order, optionally against a persistent verdict store.
-func runCorpus(cfg corpusConfig, stdout, stderr io.Writer) int {
-	var src exactdep.Corpus
-	if len(cfg.args) == 1 {
-		src = exactdep.CorpusDir(cfg.args[0])
-	} else {
-		src = exactdep.CorpusFiles(cfg.args...)
-	}
-
+// analyze runs src through one incremental driver with shared memo tables,
+// units in deterministic order: the memo file is loaded before the run and
+// saved after it, the store likewise, and -timeout bounds the run.
+func analyze(src exactdep.Corpus, emit func(exactdep.UnitResult) error, cfg corpusConfig) (*exactdep.CorpusDriver, error) {
 	driver := exactdep.NewCorpusDriver(cfg.opts, cfg.workers)
 	// Stage accounting is opt-in (per-unit clock reads); -stats asks for it.
 	driver.TimeStages = cfg.stats
@@ -410,12 +385,10 @@ func runCorpus(cfg corpusConfig, stdout, stderr io.Writer) int {
 			loadErr := analyzer.LoadMemo(f)
 			f.Close()
 			if loadErr != nil {
-				fmt.Fprintf(stderr, "depanalyze: %v\n", loadErr)
-				return 1
+				return nil, loadErr
 			}
 		} else if !os.IsNotExist(err) {
-			fmt.Fprintf(stderr, "depanalyze: %v\n", err)
-			return 1
+			return nil, err
 		}
 	}
 	if cfg.storeFile != "" {
@@ -424,8 +397,7 @@ func runCorpus(cfg corpusConfig, stdout, stderr io.Writer) int {
 			err = driver.SetStore(store)
 		}
 		if err != nil {
-			fmt.Fprintf(stderr, "depanalyze: %v\n", err)
-			return 1
+			return nil, err
 		}
 	}
 
@@ -435,9 +407,27 @@ func runCorpus(cfg corpusConfig, stdout, stderr io.Writer) int {
 		ctx, cancel = context.WithTimeout(ctx, cfg.timeout)
 		defer cancel()
 	}
-	var jsonResults []exactdep.UnitResult
+	if err := driver.Run(ctx, src, emit); err != nil {
+		return nil, err
+	}
+	if cfg.memoFile != "" {
+		if err := saveMemoFile(analyzer, cfg.memoFile); err != nil {
+			return nil, err
+		}
+	}
+	if cfg.storeFile != "" {
+		if err := driver.Store().SaveFile(cfg.storeFile); err != nil {
+			return nil, err
+		}
+	}
+	return driver, nil
+}
+
+// unitPrinter returns the corpus-mode emit callback: each unit's text
+// report under a "== name ==" header, as the driver streams it out.
+func unitPrinter(stdout, stderr io.Writer) func(exactdep.UnitResult) error {
 	first := true
-	emit := func(ur exactdep.UnitResult) error {
+	return func(ur exactdep.UnitResult) error {
 		if !first {
 			fmt.Fprintln(stdout)
 		}
@@ -455,62 +445,6 @@ func runCorpus(cfg corpusConfig, stdout, stderr io.Writer) int {
 		}
 		return nil
 	}
-	if cfg.jsonOut {
-		emit = func(ur exactdep.UnitResult) error {
-			jsonResults = append(jsonResults, ur)
-			return nil
-		}
-	}
-	err := driver.Run(ctx, src, emit)
-	if err != nil {
-		fmt.Fprintf(stderr, "depanalyze: %v\n", err)
-		return 1
-	}
-
-	if cfg.memoFile != "" {
-		if err := saveMemoFile(analyzer, cfg.memoFile); err != nil {
-			fmt.Fprintf(stderr, "depanalyze: %v\n", err)
-			return 1
-		}
-	}
-	if cfg.storeFile != "" {
-		if err := driver.Store().SaveFile(cfg.storeFile); err != nil {
-			fmt.Fprintf(stderr, "depanalyze: %v\n", err)
-			return 1
-		}
-	}
-
-	if cfg.jsonOut {
-		if err := writeWireJSON(stdout, jsonResults, driver.Stats, analyzer.Stats, cfg.opts); err != nil {
-			fmt.Fprintf(stderr, "depanalyze: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-	if cfg.stats {
-		cs, s := driver.Stats, analyzer.Stats
-		fmt.Fprintln(stdout)
-		fmt.Fprintf(stdout, "corpus: %d units (%d reused, %d solved), %d pairs served, %d pairs solved\n",
-			cs.Units, cs.UnitsReused, cs.UnitsSolved, cs.PairsServed, cs.PairsSolved)
-		fmt.Fprintf(stdout, "pipeline: load %s  fingerprint %s  probe %s  solve %s  emit %s  wall %s\n",
-			cs.Stage.Load, cs.Stage.Fingerprint, cs.Stage.Probe, cs.Stage.Solve, cs.Stage.Emit, cs.Stage.Wall)
-		fmt.Fprintf(stdout, "pairs: %d  constant: %d  gcd-independent: %d  tests: %d\n",
-			s.Pairs, s.Constant, s.GCDIndependent, s.TotalTests())
-		fmt.Fprintf(stdout, "verdicts: %d independent, %d dependent, %d unknown, %d maybe\n",
-			s.Independent, s.Dependent, s.Unknown, s.Maybe)
-		if s.TotalBudgetTrips() > 0 || s.CancelledPairs > 0 {
-			fmt.Fprintf(stdout, "degraded: %d budget trips, %d pairs cancelled\n",
-				s.TotalBudgetTrips(), s.CancelledPairs)
-		}
-		if cfg.opts.Memoize {
-			fmt.Fprintf(stdout, "memo: %d unique cases, %d/%d hits\n",
-				s.UniqueFull, s.FullHits, s.FullLookups)
-		}
-	}
-	if cfg.memoStats {
-		printMemoStats(stdout, analyzer)
-	}
-	return 0
 }
 
 // writeWireJSON renders results as the same versioned wire document

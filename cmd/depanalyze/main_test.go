@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -445,5 +447,46 @@ func TestJSONOutput(t *testing.T) {
 	// -json excludes the per-program text renderers.
 	if code := run([]string{"-json", "-annotate", single}, &out, &errb); code != 2 {
 		t.Errorf("-json -annotate exit %d, want 2", code)
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite the golden files")
+
+// TestSingleFileGolden pins the single-file report byte for byte at one
+// worker: the plain text report, -stats (with and without -memo), and the
+// -json document, for a cheap program and one that reaches
+// Fourier–Motzkin. The temp-file path is replaced by its base name so the
+// golden is stable. Run with -update to rewrite testdata/singlefile.golden.
+func TestSingleFileGolden(t *testing.T) {
+	var got bytes.Buffer
+	for _, prog := range []struct{ name, src string }{{"simple", simpleSrc}, {"fmhard", fmHardSrc}} {
+		path := writeLoop(t, prog.src)
+		for _, flags := range [][]string{nil, {"-stats"}, {"-stats", "-memo"}, {"-json"}} {
+			args := append([]string{"-workers=1"}, flags...)
+			var out, errb bytes.Buffer
+			if code := run(append(args, path), &out, &errb); code != 0 {
+				t.Fatalf("%s %v: exit %d, stderr %q", prog.name, args, code, errb.String())
+			}
+			fmt.Fprintf(&got, "=== %s %s\n", prog.name, strings.Join(args, " "))
+			got.WriteString(strings.ReplaceAll(out.String(), path, filepath.Base(path)))
+			got.WriteString(errb.String())
+		}
+	}
+	golden := filepath.Join("testdata", "singlefile.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run: go test ./cmd/depanalyze -run SingleFileGolden -update)", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("single-file output differs from %s:\n got:\n%s\nwant:\n%s", golden, got.Bytes(), want)
 	}
 }

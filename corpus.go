@@ -45,8 +45,9 @@ var (
 	CorpusDir = corpus.Dir
 	// CorpusFiles is a Corpus over an explicit list of DSL files.
 	CorpusFiles = corpus.Files
-	// NewCorpusDriver returns a fresh incremental driver (workers: 1
-	// serial, <= 0 GOMAXPROCS).
+	// NewCorpusDriver returns a fresh incremental driver (workers: 1 runs
+	// on the calling goroutine, <= 0 GOMAXPROCS; at one worker CorpusDir
+	// and CorpusFiles still read and parse with a GOMAXPROCS pool).
 	NewCorpusDriver = corpus.NewDriver
 	// NewCorpusStore returns an empty verdict store bound to an options
 	// signature.
@@ -79,9 +80,11 @@ type CorpusRequest struct {
 	// Source is any pre-built corpus (in-memory units, custom sources).
 	Source Corpus
 	// Options configures the analyzer. Options.Workers sizes the whole
-	// load/fingerprint/probe/solve pipeline (0 serial, negative
-	// GOMAXPROCS); Options.StorePath attaches the persistent verdict
-	// store (loaded when present, saved back after the run).
+	// load/fingerprint/probe/solve pipeline (0 one worker, negative
+	// GOMAXPROCS; one worker analyzes on the calling goroutine, but Dir
+	// and Files are still read and parsed with a GOMAXPROCS pool);
+	// Options.StorePath attaches the persistent verdict store (loaded when
+	// present, saved back after the run).
 	Options Options
 }
 
@@ -117,14 +120,13 @@ var errCorpusSelection = errors.New("exactdep: CorpusRequest must set exactly on
 // match the configuration), consulted so only changed or new units are
 // re-solved, and saved back atomically after the run when it changed — the
 // incremental IDE/CI workflow in one call. Without a StorePath every unit
-// is solved fresh in a single batch with shared memo tables.
+// is solved fresh with shared memo tables.
 //
 // Options.Workers sizes the whole corpus pipeline as in AnalyzeUnitContext
-// (0 serial, negative GOMAXPROCS): at more than one worker the driver
+// (0 one worker, negative GOMAXPROCS): at more than one worker the driver
 // loads, fingerprints, and store-probes units with a worker pool and
 // overlaps analyzer batches with the rest of the front end, with canonical
-// results, counters, and store traffic identical to the serial run at every
-// worker count. Cut-short units degrade to sound Maybe verdicts and are
+// results, counters, and store traffic identical at every worker count. Cut-short units degrade to sound Maybe verdicts and are
 // never stored. Invalid options are rejected up front with the shared
 // Options.Validate error.
 func AnalyzeCorpusRequest(ctx context.Context, req CorpusRequest) (*CorpusReport, error) {

@@ -260,7 +260,8 @@ func AnalyzeUnit(u *Unit, opts Options) (*Report, error) {
 
 // AnalyzeUnitContext analyzes an already-lowered unit with a fresh analyzer,
 // honoring the context and every Options knob: Options.Workers sizes the
-// concurrent driver (0 serial, negative GOMAXPROCS), Options.Budget bounds
+// concurrent driver (0 one worker on the calling goroutine, negative
+// GOMAXPROCS), Options.Budget bounds
 // per-pair work, and the context's deadline/cancellation degrade remaining
 // pairs to sound Maybe verdicts instead of aborting (see
 // Analyzer.AnalyzeAllContext). The report always covers every candidate

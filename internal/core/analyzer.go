@@ -68,9 +68,11 @@ type Options struct {
 	// Workers is the concurrent driver's pool size for the unit-level entry
 	// points (exactdep.AnalyzeUnitContext / AnalyzeSourceContext) and the
 	// corpus entry point (exactdep.AnalyzeCorpusRequest, where it sizes the
-	// whole load/fingerprint/probe/solve pipeline): 0 means serial, negative
-	// means GOMAXPROCS. Analyzer.AnalyzeAll takes the pool size as an
-	// explicit argument and ignores this field.
+	// whole load/fingerprint/probe/solve pipeline): 0 means one worker,
+	// negative means GOMAXPROCS. One worker analyzes on the calling
+	// goroutine, but a directory or file-list corpus is still read and
+	// parsed by a GOMAXPROCS pool. Analyzer.AnalyzeAll takes the pool size
+	// as an explicit argument and ignores this field.
 	Workers int
 	// StorePath names a persistent corpus verdict-store snapshot for the
 	// corpus entry point (exactdep.AnalyzeCorpusRequest): loaded when
@@ -300,9 +302,9 @@ type Analyzer struct {
 	pb system.Builder
 
 	// inflight is the singleflight layer over the full table, shared by all
-	// worker views of one concurrent run; nil on serial analyzers and on the
-	// parent (the parent's flights field owns it and workerView copies it
-	// here). A worker that misses every cache layer claims its key before
+	// worker views of one concurrent run; nil on the parent, which is also
+	// the one-worker run's worker (the parent's flights field owns the
+	// layer and workerView copies it here). A worker that misses every cache layer claims its key before
 	// solving, so two workers never run the cascade for one canonical
 	// problem at the same time.
 	inflight *memo.InFlight[cached]
@@ -436,9 +438,10 @@ func (a *Analyzer) EvictMemo() {
 }
 
 // PipelineWorkers maps the public Options.Workers knob to a corpus-driver
-// worker count: 0 means serial (one worker), negative means "all cores"
-// (the driver's 0), and a positive value passes through. The facade and the
-// depserve service layer share this mapping so the two cannot drift.
+// worker count: 0 means one worker, negative means "all cores" (the
+// driver's 0), and a positive value passes through. The facade, the
+// depserve service layer and the workload suite runner share this mapping
+// so they cannot drift.
 func PipelineWorkers(w int) int {
 	switch {
 	case w == 0:
@@ -452,18 +455,10 @@ func PipelineWorkers(w int) int {
 // Options returns the analyzer's configuration (a copy).
 func (a *Analyzer) Options() Options { return a.opts }
 
-// AnalyzeUnit analyzes every candidate pair of a lowered unit.
+// AnalyzeUnit analyzes every candidate pair of a lowered unit, in order on
+// the calling goroutine (AnalyzeAll at one worker).
 func (a *Analyzer) AnalyzeUnit(u *ir.Unit) ([]Result, error) {
-	cands := refs.Pairs(u)
-	out := make([]Result, 0, len(cands))
-	for _, c := range cands {
-		r, err := a.AnalyzeCandidate(c)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
+	return a.AnalyzeAll(refs.Pairs(u), 1)
 }
 
 // AnalyzePair analyzes a single pair, classifying constants first.

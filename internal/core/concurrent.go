@@ -14,8 +14,9 @@ import (
 
 // AnalyzeAll analyzes every candidate pair with a pool of workers sharing
 // this analyzer's memo tables, and returns the results in candidate order.
-// workers <= 0 means runtime.GOMAXPROCS(0); workers == 1 runs serially on
-// the calling goroutine with no synchronization overhead.
+// workers <= 0 means runtime.GOMAXPROCS(0); at one worker the same loop
+// runs on the calling goroutine over the analyzer itself, with no
+// goroutine and no provenance bookkeeping.
 //
 // The workers share the analyzer's sharded memo tables (memo.ShardedTable,
 // lock-free reads) as they are, entries from LoadMemo or earlier runs
@@ -84,38 +85,8 @@ func (a *Analyzer) AnalyzeAllContext(ctx context.Context, cands []refs.Candidate
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(cands) {
-		workers = len(cands)
-	}
+	workers = max(1, min(workers, len(cands)))
 	plainCtx := ctx.Done() == nil
-	if workers <= 1 {
-		if !plainCtx && a.pipe != nil {
-			a.pipe.SetBudget(a.effectiveBudget(ctx))
-			a.pipe.SetCancel(ctx.Done())
-			defer func() {
-				a.pipe.SetBudget(a.opts.Budget)
-				a.pipe.SetCancel(nil)
-			}()
-		}
-		out := make([]Result, 0, len(cands))
-		for i, c := range cands {
-			if !plainCtx && ctx.Err() != nil {
-				for _, rest := range cands[i:] {
-					out = append(out, degradedResult(rest))
-					a.Stats.CancelledPairs++
-				}
-				return out, nil
-			}
-			r, err := a.AnalyzeCandidate(c)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, r)
-		}
-		return out, nil
-	}
-
-	views := a.ensureViews(workers)
 
 	// Snapshot the keys already cached (LoadMemo, earlier runs) before
 	// workers start: the provenance post-pass must treat them as hits from
@@ -123,9 +94,11 @@ func (a *Analyzer) AnalyzeAllContext(ctx context.Context, cands []refs.Candidate
 	// would. The default replay matches keys by interned-instance identity
 	// (no strings, no allocation per pair); SymmetricMemo replays over key
 	// *content* because one canonical problem is reachable through two keys.
+	// A single worker visits candidates in order, so it reports the serial
+	// DecidedBy as it goes and records no provenance.
 	var provs []provenance
 	var seenStr map[string]bool
-	if a.opts.Memoize {
+	if a.opts.Memoize && workers > 1 {
 		if cap(a.provBuf) < len(cands) {
 			a.provBuf = make([]provenance, len(cands))
 		}
@@ -179,75 +152,90 @@ func (a *Analyzer) AnalyzeAllContext(ctx context.Context, cands []refs.Candidate
 	var (
 		next   atomic.Int64
 		failed atomic.Bool
-		wg     sync.WaitGroup
 		errMu  sync.Mutex
 		errIdx = len(cands)
 		errVal error
 	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// Each worker is a private Analyzer view over the shared
-			// tables: options and the cascade stage configuration are
-			// read-only; the cascade pipeline (with its scratch), the L1
-			// caches (kept warm across runs), and the counters — including
-			// the per-stage Table 6 cost counters — are per-worker and
-			// merged at the end. The pipeline carries the deadline-merged
-			// budget and the context's Done channel.
-			wa := views[w]
-			wa.Stats = stats.Counters{}
-			if wa.pipe != nil {
-				if plainCtx {
-					wa.pipe.SetBudget(a.opts.Budget)
-					wa.pipe.SetCancel(nil)
-				} else {
-					wa.pipe.SetBudget(eff)
-					wa.pipe.SetCancel(ctx.Done())
-				}
+	// work is one worker's loop over an analyzer: a worker view, or the
+	// parent itself at one worker. Options and the cascade stage
+	// configuration are read-only; the cascade pipeline (with its scratch),
+	// the L1 cache (kept warm across runs), and the counters — including
+	// the per-stage Table 6 cost counters — belong to wa, and its counters
+	// land in counters[w] for the merge. The pipeline carries the
+	// deadline-merged budget and the context's Done channel.
+	work := func(w int, wa *Analyzer) {
+		wa.Stats = stats.Counters{}
+		if wa.pipe != nil {
+			if plainCtx {
+				wa.pipe.SetBudget(a.opts.Budget)
+				wa.pipe.SetCancel(nil)
+			} else {
+				wa.pipe.SetBudget(eff)
+				wa.pipe.SetCancel(ctx.Done())
 			}
-			// Hand the counters over before wg.Wait releases the merge.
-			defer func() { counters[w] = wa.Stats }()
-			for !failed.Load() {
-				base := int(next.Add(int64(chunk))) - chunk
-				if base >= len(cands) {
+		}
+		defer func() { counters[w] = wa.Stats }()
+		for !failed.Load() {
+			base := int(next.Add(int64(chunk))) - chunk
+			if base >= len(cands) {
+				return
+			}
+			end := base + chunk
+			if end > len(cands) {
+				end = len(cands)
+			}
+			if !plainCtx && ctx.Err() != nil {
+				return
+			}
+			for i := base; i < end; i++ {
+				if failed.Load() {
 					return
 				}
-				end := base + chunk
-				if end > len(cands) {
-					end = len(cands)
+				var prov *provenance
+				if provs != nil {
+					prov = &provs[i]
 				}
-				if !plainCtx && ctx.Err() != nil {
+				r, err := wa.analyzeCandidate(cands[i], prov)
+				if err != nil {
+					errMu.Lock()
+					// Keep the error of the earliest failing candidate so
+					// the reported failure does not depend on scheduling.
+					if i < errIdx {
+						errIdx, errVal = i, err
+					}
+					errMu.Unlock()
+					failed.Store(true)
 					return
 				}
-				for i := base; i < end; i++ {
-					if failed.Load() {
-						return
-					}
-					var prov *provenance
-					if provs != nil {
-						prov = &provs[i]
-					}
-					r, err := wa.analyzeCandidate(cands[i], prov)
-					if err != nil {
-						errMu.Lock()
-						// Keep the error of the earliest failing candidate
-						// so the reported failure does not depend on
-						// scheduling.
-						if i < errIdx {
-							errIdx, errVal = i, err
-						}
-						errMu.Unlock()
-						failed.Store(true)
-						return
-					}
-					out[i] = r
-					processed[i] = true
-				}
+				out[i] = r
+				processed[i] = true
 			}
-		}(w)
+		}
 	}
-	wg.Wait()
+	if workers == 1 {
+		// The parent is the worker, on the calling goroutine: its own L1,
+		// pipeline and refiner, and no in-flight layer. work zeroes its
+		// counters, so set the session totals aside for the merge, and put
+		// the pipeline back on the options budget for direct
+		// AnalyzeCandidate calls.
+		saved := a.Stats
+		work(0, a)
+		a.Stats = saved
+		if a.pipe != nil {
+			a.pipe.SetBudget(a.opts.Budget)
+			a.pipe.SetCancel(nil)
+		}
+	} else {
+		var wg sync.WaitGroup
+		for w, wa := range a.ensureViews(workers) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				work(w, wa)
+			}()
+		}
+		wg.Wait()
+	}
 	for w := range counters {
 		a.Stats.Add(&counters[w])
 	}

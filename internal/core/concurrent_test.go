@@ -112,19 +112,21 @@ func TestAnalyzeAllMatchesAnalyzeCandidate(t *testing.T) {
 		want = append(want, r)
 	}
 
-	par := core.New(opts)
-	got, err := par.AnalyzeAll(cands, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("AnalyzeAll(4 workers) differs from per-candidate serial analysis")
-	}
-	if par.Stats.Pairs != serial.Stats.Pairs ||
-		par.Stats.Independent != serial.Stats.Independent ||
-		par.Stats.Dependent != serial.Stats.Dependent ||
-		par.Stats.Unknown != serial.Stats.Unknown {
-		t.Fatalf("verdict tallies differ: parallel %+v, serial %+v", par.Stats, serial.Stats)
+	for _, workers := range []int{1, 4} {
+		par := core.New(opts)
+		got, err := par.AnalyzeAll(cands, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("AnalyzeAll(%d workers) differs from per-candidate serial analysis", workers)
+		}
+		if par.Stats.Pairs != serial.Stats.Pairs ||
+			par.Stats.Independent != serial.Stats.Independent ||
+			par.Stats.Dependent != serial.Stats.Dependent ||
+			par.Stats.Unknown != serial.Stats.Unknown {
+			t.Fatalf("workers=%d: verdict tallies differ: parallel %+v, serial %+v", workers, par.Stats, serial.Stats)
+		}
 	}
 }
 

@@ -22,8 +22,9 @@
 //     concurrent use; OpenStore and SaveFile (atomic, skipped while
 //     unchanged) are the one way a front end opens and saves a store file.
 //   - Driver: diffs fingerprints against the store, schedules only
-//     changed/new units through core.AnalyzeAll (one batch, shared memo
-//     tables, deterministic order, serial == concurrent byte-identical),
+//     changed/new units through core.AnalyzeAll (chunked batches, shared
+//     memo tables, deterministic order, byte-identical at every worker
+//     count),
 //     and serves everything else from the store — under the cross-class
 //     rule when the store belongs to another budget class.
 //
@@ -97,45 +98,29 @@ type Item struct {
 
 // Lister is the streaming face of a Source: sources that can enumerate
 // their members cheaply (a directory walk, a path list) before paying the
-// per-unit read+parse cost. The driver's pipelined front end loads,
-// fingerprints, and store-probes Lister items with a worker pool while the
-// solver is already chewing on earlier units; plain Sources are fully
-// materialized first. Dir and Files implement it; Mem deliberately does
-// not (its units already exist).
+// per-unit read+parse cost. At more than one worker the driver's front end
+// loads, fingerprints, and store-probes Lister items with a worker pool
+// while the solver is already chewing on earlier units; plain Sources, and
+// every Source at one worker, are materialized through Units first. Dir
+// and Files implement it; Mem deliberately does not (its units already
+// exist).
 type Lister interface {
 	Source
 	List() ([]Item, error)
 }
 
-// loadItems materializes a listing with a bounded worker pool, preserving
-// item order: workers claim indices atomically and fill a pre-sized slice,
-// so the result is byte-identical to a serial loop at any worker count.
-// workers <= 0 means runtime.GOMAXPROCS(0). On failure the error of the
-// lowest-index failing item wins — the same error a serial loop would have
-// stopped on — and every worker is joined before returning, so no goroutine
-// outlives the call.
-func loadItems(items []Item, workers int) ([]Unit, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(items) {
-		workers = len(items)
-	}
+// loadItems materializes a listing with a pool of up to GOMAXPROCS
+// workers, preserving item order: workers claim indices atomically and fill
+// a pre-sized slice, so the result is byte-identical to a serial loop at
+// any worker count. On failure the error of the lowest-index failing item
+// wins — the same error a serial loop would have stopped on — and every
+// worker is joined before returning, so no goroutine outlives the call.
+func loadItems(items []Item) ([]Unit, error) {
 	units := make([]Unit, len(items))
-	if workers <= 1 {
-		for i := range items {
-			u, err := items[i].Load()
-			if err != nil {
-				return nil, err
-			}
-			units[i] = u
-		}
-		return units, nil
-	}
 	errs := make([]error, len(items))
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(runtime.GOMAXPROCS(0), len(items)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -193,7 +178,7 @@ type files []string
 
 // Files returns a Source over the given loop-language files, one unit per
 // file in the given order, named by path. Units reads and parses the files
-// with a worker pool (List exposes the lazy form for the pipelined driver);
+// with a worker pool (List exposes the lazy form for the driver's pool);
 // unit order is the given path order regardless of worker count.
 func Files(paths ...string) Source { return files(paths) }
 
@@ -210,7 +195,7 @@ func (f files) Units() ([]Unit, error) {
 	if err != nil {
 		return nil, err
 	}
-	return loadItems(items, 0)
+	return loadItems(items)
 }
 
 // dir is the Source over a directory tree of DSL files.
@@ -223,7 +208,7 @@ const DirExt = ".loop"
 // one unit per file in sorted relative-path order — the stable order that
 // makes corpus output deterministic across runs and platforms. Units reads
 // and parses the files with a worker pool (List exposes the lazy form for
-// the pipelined driver); the sorted order is fixed by the walk, before any
+// the driver's pool); the sorted order is fixed by the walk, before any
 // loading starts, so it is identical at every worker count.
 func Dir(root string) Source { return dir(root) }
 
@@ -261,5 +246,5 @@ func (d dir) Units() ([]Unit, error) {
 	if err != nil {
 		return nil, err
 	}
-	return loadItems(items, 0)
+	return loadItems(items)
 }

@@ -10,7 +10,6 @@ import (
 	"exactdep/internal/core"
 	"exactdep/internal/dtest"
 	"exactdep/internal/memo"
-	"exactdep/internal/refs"
 )
 
 // StageTimes breaks one Run's cost into pipeline stages. Load, Fingerprint
@@ -75,14 +74,15 @@ type UnitResult struct {
 // unit is solved fresh, and the driver is simply the corpus front end the
 // suite runner and depanalyze share.
 //
-// At workers == 1 a Run is fully serial: load everything, fingerprint and
-// probe unit by unit, solve the misses in one analyzer batch, emit. At
-// workers > 1 the whole path is pipelined (see pipeline.go): a worker pool
-// loads, fingerprints, and store-probes units concurrently; the solver
-// feeds accumulated miss batches to core.AnalyzeAllContext while later
-// units are still in the front end; and results are emitted in corpus
-// order as their prefix completes. Cold and warm canonical bytes — and the
-// unit/pair counters above — are identical at every worker count.
+// A Run is one walk at every worker count (see pipeline.go): the front end
+// loads, fingerprints, and store-probes each unit; the solver walks the
+// units in corpus order, feeds accumulated miss batches to
+// core.AnalyzeAllContext, and emits results in corpus order as their prefix
+// completes. At workers > 1 a pool runs the front end concurrently, so
+// later units are still in it while the analyzer solves earlier batches; at
+// one worker the solver runs each unit's front-end step itself and no
+// goroutine is started. Cold and warm canonical bytes — and the unit/pair
+// counters above — are identical at every worker count.
 //
 // A Driver is not safe for concurrent use; its own worker pools provide
 // the parallelism. Several drivers may share one Store.
@@ -94,7 +94,9 @@ type Driver struct {
 	// crossClass is set when the store is bound to another count-budget
 	// class than the driver (see SetStore).
 	crossClass bool
-	fp         Fingerprinter
+	// fp is the hasher scratch of one-worker runs' front end; pool
+	// workers keep their own.
+	fp Fingerprinter
 
 	// Stats describes the most recent Run.
 	Stats Stats
@@ -106,9 +108,10 @@ type Driver struct {
 
 // NewDriver returns a driver over a fresh analyzer configured by opts.
 // workers sizes the whole pipeline — the front-end load/fingerprint/probe
-// pool and the analyzer pool of each solve batch (1 serial, <= 0
-// GOMAXPROCS) — with the same byte-identical-results guarantee as
-// core.AnalyzeAll.
+// pool and the analyzer pool of each solve batch (<= 0 GOMAXPROCS) — with
+// the same byte-identical-results guarantee as core.AnalyzeAll. At one
+// worker a Run starts no goroutine of its own, but Dir and Files still
+// read and parse their files with a GOMAXPROCS pool in Units.
 func NewDriver(opts core.Options, workers int) *Driver {
 	return &Driver{analyzer: core.New(opts), workers: workers, sig: signatureOf(opts)}
 }
@@ -156,14 +159,14 @@ func (d *Driver) Store() *Store { return d.store }
 // Stats without materializing store-served results at all; a non-nil emit
 // error aborts the run. Stats is reset at the start of each run.
 //
-// At workers > 1 the run is pipelined: units are loaded, fingerprinted,
-// and probed by a worker pool, miss batches overlap the rest of the front
-// end in the analyzer, and UnitResults stream out in corpus order as their
-// prefix completes. Canonical bytes, unit/pair counters, and store traffic
-// are identical to the serial run; on a load failure, results for units
-// preceding the failing one may already have been emitted before the
-// (deterministic, lowest-index) error is returned, where the serial run
-// emits nothing.
+// UnitResults stream out in corpus order as their prefix completes. At
+// workers > 1 units are loaded, fingerprinted, and probed by a worker pool
+// and miss batches overlap the rest of the front end in the analyzer.
+// Canonical bytes, unit/pair counters, and store traffic are identical at
+// every worker count. On a load failure the (deterministic, lowest-index)
+// error is returned; at workers > 1 results for units preceding the
+// failing one may already have been emitted, where one worker, which
+// loads the whole corpus up front, emits nothing.
 func (d *Driver) Run(ctx context.Context, src Source, emit func(UnitResult) error) error {
 	start := time.Now()
 	d.Stats = Stats{}
@@ -171,115 +174,9 @@ func (d *Driver) Run(ctx context.Context, src Source, emit func(UnitResult) erro
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	var err error
-	if workers <= 1 {
-		err = d.runSerial(ctx, src, emit)
-	} else {
-		err = d.runPipelined(ctx, src, emit, workers)
-	}
+	err := d.run(ctx, src, emit, workers)
 	d.Stats.Stage.Wall = time.Since(start)
 	return err
-}
-
-// runSerial is the workers == 1 path: everything on the calling goroutine,
-// one analyzer batch, no synchronization — the counter-for-counter
-// reference the pipelined path is asserted against.
-func (d *Driver) runSerial(ctx context.Context, src Source, emit func(UnitResult) error) error {
-	t0 := time.Now()
-	units, err := src.Units()
-	if err != nil {
-		return err
-	}
-	if d.TimeStages {
-		d.Stats.Stage.Load = time.Since(t0)
-	}
-	d.Stats.Units = len(units)
-
-	type slot struct {
-		fp     memo.Fingerprint
-		stored *StoredUnit
-		off    int // offset into the miss batch when stored == nil
-	}
-	slots := make([]slot, len(units))
-	var batch []refs.Candidate
-	for i := range units {
-		u := &units[i]
-		var t1 time.Time
-		if d.TimeStages {
-			t1 = time.Now()
-		}
-		// The fingerprint is part of the unit's result surface even without
-		// a store (UnitResult.Fingerprint), and it is cached on the Unit, so
-		// compute it unconditionally.
-		slots[i].fp = u.Fingerprint(&d.fp)
-		if d.TimeStages {
-			t2 := time.Now()
-			d.Stats.Stage.Fingerprint += t2.Sub(t1)
-			t1 = t2
-		}
-		if d.store != nil {
-			su := d.probe(slots[i].fp, len(u.Cands))
-			if d.TimeStages {
-				d.Stats.Stage.Probe += time.Since(t1)
-			}
-			if su != nil {
-				slots[i].stored = su
-				d.Stats.UnitsReused++
-				d.Stats.PairsServed += len(u.Cands)
-				continue
-			}
-		}
-		slots[i].off = len(batch)
-		batch = append(batch, u.Cands...)
-		d.Stats.UnitsSolved++
-		d.Stats.PairsSolved += len(u.Cands)
-	}
-
-	var solved []core.Result
-	if len(batch) > 0 {
-		t1 := time.Now()
-		solved, err = d.analyzer.AnalyzeAllContext(ctx, batch, 1)
-		if d.TimeStages {
-			d.Stats.Stage.Solve = time.Since(t1)
-		}
-		if err != nil {
-			return err
-		}
-	}
-
-	var emitStart time.Time
-	if d.TimeStages {
-		emitStart = time.Now()
-	}
-	for i := range units {
-		u := &units[i]
-		ur := UnitResult{Name: u.Name, Fingerprint: slots[i].fp, Warnings: u.Warnings}
-		if slots[i].stored != nil {
-			if emit == nil {
-				// No consumer: a stats-only run (e.g. "did anything
-				// change?") pays nothing to rebuild served results.
-				continue
-			}
-			ur.Reused = true
-			ur.Results = Serve(u.Cands, slots[i].stored)
-			ur.Cost = slots[i].stored.Cost
-		} else {
-			ur.Results = solved[slots[i].off : slots[i].off+len(u.Cands)]
-			ur.Cost = Summarize(ur.Results)
-			if d.storable(ur.Results) {
-				d.store.Put(slots[i].fp, ToStored(u.Name, ur.Results))
-			}
-		}
-		if emit != nil {
-			if err := emit(ur); err != nil {
-				return err
-			}
-		}
-	}
-	if d.TimeStages {
-		d.Stats.Stage.Emit = time.Since(emitStart)
-	}
-	return nil
 }
 
 // probe returns the stored unit that may serve a unit with fingerprint fp

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"exactdep/internal/core"
 )
 
 // pipelineSrc renders the i-th synthetic test file: constants vary so
@@ -170,10 +172,39 @@ func TestParallelLoadErrorPath(t *testing.T) {
 	}
 }
 
+// canonicalOracle renders a source's units without the driver: one
+// analyzer's AnalyzeCandidate over each unit's candidates in order, each
+// unit rendered with AppendCanonical. It also returns the cold Stats
+// the unit list implies: every unit and pair solved, nothing served.
+func canonicalOracle(t *testing.T, src Source) ([]byte, Stats) {
+	t.Helper()
+	units, err := src.Units()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := core.New(testOpts)
+	var buf []byte
+	st := Stats{Units: len(units), UnitsSolved: len(units)}
+	for _, u := range units {
+		ur := UnitResult{Name: u.Name}
+		for _, c := range u.Cands {
+			r, err := a.AnalyzeCandidate(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ur.Results = append(ur.Results, r)
+		}
+		buf = AppendCanonical(buf, &ur)
+		st.PairsSolved += len(u.Cands)
+	}
+	return buf, st
+}
+
 // TestPipelineCanonicalIdentity is the byte-identity acceptance check of
-// the pipelined driver: cold and warm canonical bytes at workers 2/4/8 —
-// from Dir, Files, and Mem sources alike — must equal the workers=1 serial
-// run's, with identical unit/pair counters and store traffic.
+// the driver: cold and warm canonical bytes at workers 1/2/4/8 — from Dir,
+// Files, and Mem sources alike — must equal a per-candidate analyzer
+// loop's, with the unit/pair counters the unit list implies and unchanged
+// store traffic on the warm run.
 func TestPipelineCanonicalIdentity(t *testing.T) {
 	const n = 30
 	root, names := pipelineDir(t, n)
@@ -193,16 +224,9 @@ func TestPipelineCanonicalIdentity(t *testing.T) {
 	}
 
 	for name, src := range sources {
-		// Serial cold reference (no store).
-		refDriver := NewDriver(testOpts, 1)
-		want, err := refDriver.Canonical(context.Background(), src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantStats := refDriver.Stats
-		wantStats.Stage = StageTimes{}
+		want, wantStats := canonicalOracle(t, src)
 
-		for _, workers := range []int{2, 4, 8} {
+		for _, workers := range []int{1, 2, 4, 8} {
 			// Cold, filling a store.
 			d := NewDriver(testOpts, workers)
 			if err := d.SetStore(NewStore(testOpts)); err != nil {
@@ -213,7 +237,7 @@ func TestPipelineCanonicalIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, want) {
-				t.Fatalf("%s workers=%d: cold canonical bytes diverged from serial", name, workers)
+				t.Fatalf("%s workers=%d: cold canonical bytes diverged from the oracle", name, workers)
 			}
 			cs := d.Stats
 			cs.Stage = StageTimes{}
@@ -240,6 +264,52 @@ func TestPipelineCanonicalIdentity(t *testing.T) {
 				t.Fatalf("%s workers=%d: warm run changed store traffic (%d -> %d entries)",
 					name, workers, storeLen, d.Store().Len())
 			}
+		}
+	}
+}
+
+// TestOneWorkerRunsInline: a one-worker Run starts no goroutine. A warm run
+// over an in-memory corpus with a store attached still runs the front end
+// for every unit — here a fresh fingerprint walk plus a store probe, since
+// the warm units are new values — so the first emit would see a pool still
+// working through the later units. A pool can also finish before the
+// solver is scheduled, so the warm run is repeated.
+func TestOneWorkerRunsInline(t *testing.T) {
+	units := make(Mem, 512)
+	for i := range units {
+		u, err := FromSource(fmt.Sprintf("u%03d", i), pipelineSrc(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		units[i] = u
+	}
+	d := NewDriver(testOpts, 1)
+	if err := d.SetStore(NewStore(testOpts)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Run(context.Background(), units, nil); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 8; round++ {
+		warm := make(Mem, len(units))
+		for i, u := range units {
+			warm[i] = Unit{Name: u.Name, Cands: u.Cands, Warnings: u.Warnings}
+		}
+		before := runtime.NumGoroutine()
+		during := -1
+		if err := d.Run(context.Background(), warm, func(UnitResult) error {
+			if during < 0 {
+				during = runtime.NumGoroutine()
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if d.Stats.UnitsReused != len(units) {
+			t.Fatalf("warm run reused %d of %d units", d.Stats.UnitsReused, len(units))
+		}
+		if during != before {
+			t.Fatalf("round %d: goroutines during the one-worker run: %d, before it: %d", round, during, before)
 		}
 	}
 }

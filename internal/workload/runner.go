@@ -17,58 +17,38 @@ type RunnerOptions struct {
 	Core core.Options
 	// Symbolic appends the Table 7 symbolic cases to each program.
 	Symbolic bool
-	// Workers is the fan-out of the concurrent driver (core.AnalyzeAll):
-	// 0 or 1 analyzes serially on the calling goroutine, N > 1 shares the
-	// analyzer's sharded memo tables across N goroutines. Results and
+	// Workers is the fan-out of the corpus driver and the analyzer
+	// (core.AnalyzeAll), mapped by core.PipelineWorkers: 0 or 1 analyzes on
+	// the calling goroutine, N > 1 shares the analyzer's sharded memo
+	// tables across N goroutines, negative means GOMAXPROCS. The runner's
+	// units are parsed in memory before the run, so unlike a Dir or Files
+	// corpus no read+parse pool runs at one worker either. Results and
 	// verdict tallies are identical either way; only wall-clock changes.
 	Workers int
-	// Cascade selects the dtest pipeline configuration by name ("" keeps
-	// Core.Cascade; "full" is the paper's cost-ordered cascade, "fm-only"
-	// runs Fourier–Motzkin alone for cross-validation). When non-empty it
-	// overrides Core.Cascade in Run/RunSuite.
-	Cascade string
-}
-
-// coreOpts resolves the analyzer options, applying the Cascade override.
-func (ro RunnerOptions) coreOpts() core.Options {
-	c := ro.Core
-	if ro.Cascade != "" {
-		c.Cascade = ro.Cascade
-	}
-	return c
 }
 
 // Run analyzes one synthetic program with a fresh analyzer and returns the
 // analyzer with its counters.
 func Run(s Spec, ro RunnerOptions) (*core.Analyzer, error) {
-	a := core.New(ro.coreOpts())
+	a := core.New(ro.Core)
 	if _, err := RunInto(a, s, ro); err != nil {
 		return nil, err
 	}
 	return a, nil
 }
 
-// driverWorkers maps the runner's worker convention (0 or 1 serial, N > 1
-// pool of N) onto the corpus driver's (where <= 0 means GOMAXPROCS).
-func driverWorkers(w int) int {
-	if w <= 1 {
-		return 1
-	}
-	return w
-}
-
 // RunInto runs one synthetic program through an existing analyzer (sharing
 // its memo tables, as a compiler would across a session) and returns the
 // per-pair results in candidate order. It is a corpus-of-one run of the
 // incremental driver with no store attached: the driver batches the unit
-// straight through the analyzer, serially at Workers <= 1, so counters are
-// identical to a direct AnalyzeCandidate loop.
+// straight through the analyzer, on the calling goroutine at Workers <= 1,
+// so counters are identical to a direct AnalyzeCandidate loop.
 func RunInto(a *core.Analyzer, s Spec, ro RunnerOptions) ([]core.Result, error) {
 	cands, err := Candidates(s, ro.Symbolic)
 	if err != nil {
 		return nil, err
 	}
-	d := corpus.NewDriverOver(a, driverWorkers(ro.Workers))
+	d := corpus.NewDriverOver(a, core.PipelineWorkers(ro.Workers))
 	urs, err := d.RunAll(context.Background(), corpus.Mem{{Name: s.Name, Cands: cands}})
 	if err != nil {
 		return nil, fmt.Errorf("workload %s: %w", s.Name, err)
@@ -78,13 +58,13 @@ func RunInto(a *core.Analyzer, s Spec, ro RunnerOptions) ([]core.Result, error) 
 
 // RunSuite runs every program of the suite through one analyzer (shared
 // memo tables, one compiler session) and returns it with merged counters.
-// The suite is a thirteen-unit corpus: one driver run, one analyzer batch.
+// The suite is a thirteen-unit corpus: one driver run.
 func RunSuite(ro RunnerOptions) (*core.Analyzer, error) {
 	src, err := SuiteSource(ro.Symbolic)
 	if err != nil {
 		return nil, err
 	}
-	d := corpus.NewDriver(ro.coreOpts(), driverWorkers(ro.Workers))
+	d := corpus.NewDriver(ro.Core, core.PipelineWorkers(ro.Workers))
 	if err := d.Run(context.Background(), src, nil); err != nil {
 		return nil, err
 	}

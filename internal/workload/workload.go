@@ -14,9 +14,9 @@
 // against the real pipeline.
 //
 // The suite runner (Run/RunInto/RunSuite, configured by RunnerOptions)
-// drives generated programs through the analyzer; RunnerOptions.Workers
-// selects between the serial path and the concurrent driver
-// (core.Analyzer.AnalyzeAll) without changing results.
+// drives generated programs through the corpus driver and the analyzer;
+// RunnerOptions.Workers sizes both (core.Analyzer.AnalyzeAll) without
+// changing results.
 package workload
 
 import (
