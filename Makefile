@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt loc race check allocgate benchmark-selftest bench bench-smoke bench-json benchcmp benchcmp-gate serve-smoke
+.PHONY: build test vet fmt loc race check allocgate fuzz-smoke benchmark-selftest bench bench-smoke bench-json benchcmp benchcmp-gate serve-smoke
 
 build:
 	$(GO) build ./...
@@ -36,13 +36,26 @@ race:
 # allocates), so the zero-allocation cascade path, the zero-allocation
 # memo path (encode + lookup + hit), the bounded per-insert cost of the
 # shared memo table, the zero-allocation Fourier–Motzkin solve, the
-# clone-free refinement walk, and the map-free lexer stay gated even though
-# the main test run is race-enabled.
+# clone-free refinement walk, the map-free lexer, and the verdict store's
+# per-unit slabs (a fixed number of allocations per unit to load a snapshot
+# and to serve a unit, however many results it holds) stay gated even
+# though the main test run is race-enabled.
 allocgate:
 	$(GO) test ./internal/dtest -run 'TestCascadeZeroAllocs|TestRunTracedReusesScratch|TestBudgetZeroAllocs|TestFMSolveZeroAllocs'
 	$(GO) test ./internal/memo -run 'TestEncoderZeroAllocs|TestMemoHitZeroAllocs|TestShardedInsertAllocs'
 	$(GO) test ./internal/depvec -run 'TestRefineZeroAllocs'
 	$(GO) test ./internal/lang -run 'TestLexerZeroAllocs'
+	$(GO) test ./internal/corpus -run 'TestLoadStoreAllocs|TestServeAllocs'
+
+# fuzz-smoke fuzzes every decoder of outside input for 10 s each: the DSL
+# parser, and the verdict store's and memo file's shared binary decoder
+# through LoadStore and LoadMemo. Each starts from its seed corpus (the
+# suite's sources; a real snapshot of each file and every corrupt-record
+# test case).
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/lang
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadStore$$' -fuzztime 10s ./internal/corpus
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadMemo$$' -fuzztime 10s ./internal/core
 
 # benchmark-selftest vets and tests the benchmark module (benchmark/, a
 # separate Go module the root go test ./... never reaches): its generator,
@@ -53,12 +66,13 @@ benchmark-selftest:
 # check is the CI gate: vet and the gofmt gate plus race-enabled tests, so
 # the concurrent driver (core.AnalyzeAll, memo.ShardedTable, memo.InFlight,
 # the shared verdict store) is race-checked on every run — their hammers ten
-# times over — plus the allocation-regression gate, the benchmark module's
-# self-tests, one run of every benchmark body (bench-smoke), and the service
-# smoke (a real depserve process loaded by depload). Set PERFGATE=1 to also
+# times over — plus the allocation-regression gate, ten seconds of fuzzing
+# per decoder (fuzz-smoke), the benchmark module's self-tests, one run of
+# every benchmark body (bench-smoke), and the service smoke (a real
+# depserve process loaded by depload). Set PERFGATE=1 to also
 # run the wall-clock perf gate (benchcmp-gate) — opt-in because ns/op on a
 # shared or throttled host is too noisy to block every CI run on.
-check: vet fmt race allocgate benchmark-selftest bench-smoke serve-smoke
+check: vet fmt race allocgate fuzz-smoke benchmark-selftest bench-smoke serve-smoke
 	@if [ "$(PERFGATE)" = "1" ]; then $(MAKE) benchcmp-gate; fi
 
 # serve-smoke boots a real depserve process on a random port (small queue,
@@ -83,9 +97,10 @@ serve-smoke:
 # paper-evaluation, corpus and serve benchmarks (root package), the
 # front-end layers (parse, lower, pair enumeration over LargeCorpus-shaped
 # sources), the cascade, memo and refinement stage/allocation
-# microbenchmarks, and the verdict store's load and save. bench, bench-smoke,
-# bench-json and benchcmp-gate all run this one list.
-BENCH_PKGS := . ./internal/lang ./internal/opt ./internal/refs ./internal/dtest ./internal/memo ./internal/depvec ./internal/corpus
+# microbenchmarks, the memo file's save and load, and the verdict store's
+# load, save and serve. bench, bench-smoke, bench-json and benchcmp-gate all
+# run this one list.
+BENCH_PKGS := . ./internal/lang ./internal/opt ./internal/refs ./internal/dtest ./internal/memo ./internal/depvec ./internal/core ./internal/corpus
 
 # bench runs every benchmark once, human-readable, with allocation counts.
 bench:

@@ -55,6 +55,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -66,6 +67,7 @@ import (
 	"exactdep"
 	"exactdep/internal/atomicfile"
 	corpuspkg "exactdep/internal/corpus"
+	"exactdep/internal/persist"
 	"exactdep/internal/wire"
 )
 
@@ -381,11 +383,13 @@ func analyze(src exactdep.Corpus, emit func(exactdep.UnitResult) error, cfg corp
 	driver.TimeStages = cfg.stats
 	analyzer := driver.Analyzer()
 	if cfg.memoFile != "" {
+		// A stale memo file (an older format or semantics version) starts
+		// the run cold; the save after the run replaces it.
 		if f, err := os.Open(cfg.memoFile); err == nil {
 			loadErr := analyzer.LoadMemo(f)
 			f.Close()
-			if loadErr != nil {
-				return nil, loadErr
+			if loadErr != nil && !errors.Is(loadErr, persist.ErrStale) {
+				return nil, fmt.Errorf("%s: %w", cfg.memoFile, loadErr)
 			}
 		} else if !os.IsNotExist(err) {
 			return nil, err

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -11,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"exactdep/internal/persist"
 	"exactdep/internal/wire"
 )
 
@@ -358,6 +360,49 @@ func TestMemoFileWarmStart(t *testing.T) {
 	}
 	if len(left) != 0 {
 		t.Errorf("temp files left behind: %v", left)
+	}
+}
+
+// TestMemoFileStale: a -memo-file written under an older semantics version
+// starts the run cold instead of failing it, and the run replaces the file,
+// so the next run starts warm.
+func TestMemoFileStale(t *testing.T) {
+	src := writeLoop(t, simpleSrc)
+	memoPath := filepath.Join(t.TempDir(), "memo.bin")
+	stale := binary.AppendUvarint([]byte(persist.MemoFile.Magic), persist.FormatVersion)
+	stale = binary.AppendUvarint(stale, persist.SemanticsVersion-1)
+	if err := os.WriteFile(memoPath, persist.AppendString(stale, "keys=improved"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	args := []string{"-memo-file", memoPath, "-stats", src}
+	testsRun := regexp.MustCompile(`tests: (\d+)`)
+	for i, want := range []string{"cold", "warm"} {
+		var out, errb bytes.Buffer
+		if code := run(args, &out, &errb); code != 0 {
+			t.Fatalf("run %d exit %d, stderr %q", i, code, errb.String())
+		}
+		m := testsRun.FindStringSubmatch(out.String())
+		if m == nil || (m[1] == "0") != (want == "warm") {
+			t.Fatalf("run %d must start %s:\n%s", i, want, out.String())
+		}
+	}
+}
+
+// TestMemoFileWithoutMagic: a -memo-file without the header's magic — every
+// gob memo file written before the binary format — fails the run with an
+// error that names the file.
+func TestMemoFileWithoutMagic(t *testing.T) {
+	src := writeLoop(t, simpleSrc)
+	memoPath := filepath.Join(t.TempDir(), "memo.bin")
+	if err := os.WriteFile(memoPath, []byte("\x1d\xff\x81\x03\x01\x01\x0bsavedTables"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	var out, errb bytes.Buffer
+	if code := run([]string{"-memo-file", memoPath, src}, &out, &errb); code != 1 {
+		t.Fatalf("exit %d, want 1", code)
+	}
+	if !strings.Contains(errb.String(), memoPath) {
+		t.Fatalf("error does not name the file: %q", errb.String())
 	}
 }
 

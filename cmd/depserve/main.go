@@ -88,6 +88,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	if err := srv.StaleStore(); err != nil {
+		fmt.Fprintf(stderr, "depserve: %v; starting with an empty warm tier\n", err)
+	}
+
 	bound, err := srv.Start(*addr)
 	if err != nil {
 		fmt.Fprintf(stderr, "depserve: %v\n", err)

@@ -1,181 +1,195 @@
 package core
 
 import (
-	"encoding/gob"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 
 	"exactdep/internal/depvec"
 	"exactdep/internal/dtest"
 	"exactdep/internal/memo"
+	"exactdep/internal/persist"
 	"exactdep/internal/system"
 )
 
 // Memo-table persistence (the paper's §5 suggestion: "store the hash table
 // across compilations... one could use a set of benchmarks to set up a
-// standard table which would be used by all programs"). The serialized form
-// is a compact record per entry; pairs and problems are not stored — only
-// the canonical keys and the verdicts.
+// standard table which would be used by all programs"). The file is the
+// persist format's memo file: a header bound to the key scheme, then two
+// counted sections, the full table's entries and the without-bounds (GCD)
+// table's:
+//
+//	full = key  verdict
+//	eq   = key  result:varint (a system.GCDResult)
+//	key  = len:uvarint { varint }
+//
+// Pairs and problems are not stored — only the canonical keys and the
+// verdicts, with vectors and distances projected onto the used levels.
 
-// memoFileVersion guards the on-disk format. Version 1 held the full and eq
-// tables; version 2 added a Dir section for a refinement-subproblem table
-// the analyzer no longer keeps. Both load: gob skips a Dir section on
-// decode, and a file written today (no Dir section) still loads in
-// analyzers that expect one.
-const memoFileVersion = 2
-
-// savedEntry is the serializable form of one full-table entry.
-type savedEntry struct {
-	Key       []int64
-	Outcome   int
-	Exact     bool
-	Kind      int
-	Vectors   [][]byte // projected direction vectors, one byte per level
-	DistLevel []int
-	DistValue []int64
+// keyScheme is the memo file's binding: simple and improved keys are not
+// interchangeable.
+func keyScheme(improved bool) string {
+	if improved {
+		return "keys=improved"
+	}
+	return "keys=simple"
 }
 
-// savedEq is one without-bounds (GCD) table entry.
-type savedEq struct {
-	Key    []int64
-	Result int
+func appendKey(b []byte, k memo.Key) []byte {
+	b = binary.AppendUvarint(b, uint64(len(k)))
+	for _, x := range k {
+		b = binary.AppendVarint(b, x)
+	}
+	return b
 }
 
-// savedTables is the on-disk document.
-type savedTables struct {
-	Version  int
-	Improved bool
-	Full     []savedEntry
-	Eq       []savedEq
+// appendFull appends one full-table entry.
+func appendFull(b []byte, k memo.Key, v *persist.Verdict) []byte {
+	return persist.AppendVerdict(appendKey(b, k), v)
 }
 
-// SaveMemo writes the analyzer's memo tables so a later session (or another
-// program's compilation) can start warm. Degraded (Maybe) entries are
-// skipped: they are valid only under the budget class that produced them,
-// and a persisted table must serve every future configuration.
+// appendEq appends one without-bounds table entry.
+func appendEq(b []byte, k memo.Key, r system.GCDResult) []byte {
+	return binary.AppendVarint(appendKey(b, k), int64(r))
+}
+
+// SaveMemo writes the analyzer's memo tables, in one Write, so a later
+// session (or another program's compilation) can start warm. Degraded
+// (Maybe) entries are skipped: they are valid only under the budget class
+// that produced them, and a persisted table must serve every future
+// configuration.
 func (a *Analyzer) SaveMemo(w io.Writer) error {
-	doc := savedTables{Version: memoFileVersion, Improved: a.opts.ImprovedMemo}
-	a.full.Range(func(k memo.Key, v cached) bool {
-		if v.res.Outcome == dtest.Maybe {
+	var full, eq []byte
+	var nFull, nEq int
+	var v persist.Verdict
+	a.full.Range(func(k memo.Key, c cached) bool {
+		if c.res.Outcome == dtest.Maybe {
 			return true
 		}
-		e := savedEntry{
-			Key:     append([]int64(nil), k...),
-			Outcome: int(v.res.Outcome),
-			Exact:   v.res.Exact,
-			Kind:    int(v.res.Kind),
+		v.Outcome, v.Exact, v.Kind, v.Vectors = int(c.res.Outcome), c.res.Exact, int(c.res.Kind), c.projVectors
+		v.DistLevel, v.DistValue = v.DistLevel[:0], v.DistValue[:0]
+		for _, d := range c.projDistances {
+			v.DistLevel = append(v.DistLevel, d.Level)
+			v.DistValue = append(v.DistValue, d.Value)
 		}
-		for _, pv := range v.projVectors {
-			bs := make([]byte, len(pv))
-			for i, d := range pv {
-				bs[i] = byte(d)
-			}
-			e.Vectors = append(e.Vectors, bs)
-		}
-		for _, d := range v.projDistances {
-			e.DistLevel = append(e.DistLevel, d.Level)
-			e.DistValue = append(e.DistValue, d.Value)
-		}
-		doc.Full = append(doc.Full, e)
+		full = appendFull(full, k, &v)
+		nFull++
 		return true
 	})
-	a.eq.Range(func(k memo.Key, v system.GCDResult) bool {
-		doc.Eq = append(doc.Eq, savedEq{Key: append([]int64(nil), k...), Result: int(v)})
+	a.eq.Range(func(k memo.Key, r system.GCDResult) bool {
+		eq = appendEq(eq, k, r)
+		nEq++
 		return true
 	})
-	return gob.NewEncoder(w).Encode(&doc)
+	b := persist.AppendHeader(make([]byte, 0, 64+len(full)+len(eq)), persist.MemoFile, keyScheme(a.opts.ImprovedMemo))
+	b = append(binary.AppendUvarint(b, uint64(nFull)), full...)
+	b = append(binary.AppendUvarint(b, uint64(nEq)), eq...)
+	_, err := w.Write(b)
+	return err
 }
 
-// LoadMemo merges previously saved tables into the analyzer. The saved
-// encoding scheme must match the analyzer's (simple vs improved keys are not
-// interchangeable), and every entry must be one SaveMemo can write (see
-// validate): a truncated or hand-edited file is rejected whole, before any
-// entry is merged, rather than panicking here or on a later hit.
+// LoadMemo merges previously saved tables into the analyzer. The file must
+// carry the current format and semantics versions (an older one is stale:
+// the error wraps persist.ErrStale and the caller may start cold) and the
+// analyzer's key scheme, and every entry must be one SaveMemo can write:
+// a verdict persist.CheckVerdict accepts that is not degraded (Maybe), or
+// an Extended GCD result that names a GCDResult. A truncated or
+// hand-edited file is rejected whole, before any entry is merged, rather
+// than panicking here or on a later hit.
 func (a *Analyzer) LoadMemo(r io.Reader) error {
-	var doc savedTables
-	if err := gob.NewDecoder(r).Decode(&doc); err != nil {
-		return fmt.Errorf("core: loading memo table: %w", err)
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return fmt.Errorf("core: reading memo table: %w", err)
 	}
-	if doc.Version < 1 || doc.Version > memoFileVersion {
-		return fmt.Errorf("core: memo table version %d, want 1..%d", doc.Version, memoFileVersion)
+	full, eq, err := decodeMemo(b, a.opts.ImprovedMemo)
+	if err != nil {
+		return fmt.Errorf("core: memo table: %w", err)
 	}
-	if doc.Improved != a.opts.ImprovedMemo {
-		return fmt.Errorf("core: memo table uses improved=%v keys, analyzer uses improved=%v",
-			doc.Improved, a.opts.ImprovedMemo)
+	for i := range full {
+		a.full.Insert(full[i].key, full[i].c)
 	}
-	if err := doc.validate(); err != nil {
-		return fmt.Errorf("core: memo table %w", err)
-	}
-	for _, e := range doc.Full {
-		c := cached{res: Result{
-			Outcome: dtest.Outcome(e.Outcome),
-			Exact:   e.Exact,
-			Kind:    dtest.Kind(e.Kind),
-			// DecidedBy is rewritten to ByCache on every hit.
-			DecidedBy: ByTest,
-		}}
-		for _, bs := range e.Vectors {
-			pv := make([]depvec.Direction, len(bs))
-			for i, b := range bs {
-				pv[i] = depvec.Direction(b)
-			}
-			c.projVectors = append(c.projVectors, pv)
-		}
-		for i := range e.DistLevel {
-			c.projDistances = append(c.projDistances,
-				depvec.Distance{Level: e.DistLevel[i], Value: e.DistValue[i]})
-		}
-		a.full.Insert(memo.Key(e.Key), c)
-	}
-	for _, e := range doc.Eq {
-		a.eq.Insert(memo.Key(e.Key), system.GCDResult(e.Result))
+	for i := range eq {
+		a.eq.Insert(eq[i].key, eq[i].r)
 	}
 	a.Stats.UniqueFull = a.full.Len()
 	a.Stats.UniqueEq = a.eq.Len()
 	return nil
 }
 
-// validate checks a decoded document against what SaveMemo can produce:
-// verdicts CheckVerdict accepts, and Extended GCD results that name a
-// GCDResult. The error names the offending entry by table and index.
-func (doc *savedTables) validate() error {
-	for i := range doc.Full {
-		e := &doc.Full[i]
-		if err := CheckVerdict(e.Outcome, e.Kind, e.Vectors, e.DistLevel, e.DistValue); err != nil {
-			return fmt.Errorf("full entry %d: %w", i, err)
-		}
-	}
-	for i, e := range doc.Eq {
-		if r := system.GCDResult(e.Result); r != system.GCDIndependent && r != system.GCDDependent {
-			return fmt.Errorf("eq entry %d: GCD result %d out of range", i, e.Result)
-		}
-	}
-	return nil
+type fullEntry struct {
+	key memo.Key
+	c   cached
 }
 
-// CheckVerdict checks one persisted verdict against what the analyzer can
-// produce: outcome and deciding-test kind inside their enums, direction
-// bytes that name a depvec.Direction, and one distance value per distance
-// level. Memo files and the corpus verdict store both load through it, so
-// a truncated or hand-edited snapshot is rejected instead of panicking on a
-// later hit.
-func CheckVerdict(outcome, kind int, vectors [][]byte, distLevel []int, distValue []int64) error {
-	switch {
-	case outcome < int(dtest.Independent) || outcome > int(dtest.Maybe):
-		return fmt.Errorf("outcome %d out of range", outcome)
-	case kind < int(dtest.KindNone) || kind > int(dtest.KindFourierMotzkin):
-		return fmt.Errorf("test kind %d out of range", kind)
-	case len(distLevel) != len(distValue):
-		return fmt.Errorf("%d distance levels, %d values", len(distLevel), len(distValue))
+type eqEntry struct {
+	key memo.Key
+	r   system.GCDResult
+}
+
+// decodeMemo decodes a memo file. Keys, vectors, direction bytes and
+// distances are carved off one growing slab each for the whole file.
+func decodeMemo(b []byte, improved bool) ([]fullEntry, []eqEntry, error) {
+	d := persist.NewDecoder(b)
+	scheme, err := d.Header(persist.MemoFile)
+	if err != nil {
+		return nil, nil, err
 	}
-	for _, v := range vectors {
-		for _, b := range v {
-			switch depvec.Direction(b) {
-			case depvec.Any, depvec.Less, depvec.Equal, depvec.Greater:
-			default:
-				return fmt.Errorf("direction byte %q out of range", b)
-			}
+	if want := keyScheme(improved); scheme != want {
+		return nil, nil, fmt.Errorf("uses %s, analyzer uses %s", scheme, want)
+	}
+	var keys []int64
+	readKey := func() memo.Key {
+		k := persist.Take(&keys, d.Count(1))
+		for i := range k {
+			k[i] = d.Int64()
+		}
+		return k
+	}
+	var slabs persist.Slabs
+	var dists []depvec.Distance
+	full := make([]fullEntry, d.Count(1+persist.MinVerdictBytes))
+	for i := range full {
+		e := &full[i]
+		e.key = readKey()
+		var v persist.Verdict
+		slabs.Levels, slabs.Values = slabs.Levels[:0], slabs.Values[:0]
+		d.Verdict(&v, &slabs)
+		if d.Err() == nil && v.Outcome == int(dtest.Maybe) {
+			d.Fail(errors.New("degraded (maybe) verdict, which SaveMemo never writes"))
+		}
+		if err := d.Err(); err != nil {
+			return nil, nil, fmt.Errorf("full entry %d: %w", i, err)
+		}
+		e.c = cached{
+			res: Result{
+				Outcome: dtest.Outcome(v.Outcome),
+				Exact:   v.Exact,
+				Kind:    dtest.Kind(v.Kind),
+				// DecidedBy is rewritten to ByCache on every hit.
+				DecidedBy: ByTest,
+			},
+			projVectors:   v.Vectors,
+			projDistances: persist.Take(&dists, len(v.DistLevel)),
+		}
+		for j := range e.c.projDistances {
+			e.c.projDistances[j] = depvec.Distance{Level: v.DistLevel[j], Value: v.DistValue[j]}
 		}
 	}
-	return nil
+	eq := make([]eqEntry, d.Count(2))
+	for i := range eq {
+		e := &eq[i]
+		e.key = readKey()
+		e.r = system.GCDResult(d.Int())
+		if err := d.Err(); err != nil {
+			return nil, nil, fmt.Errorf("eq entry %d: %w", i, err)
+		}
+		if e.r != system.GCDIndependent && e.r != system.GCDDependent {
+			return nil, nil, fmt.Errorf("eq entry %d: GCD result %d out of range", i, e.r)
+		}
+	}
+	if err := d.End(); err != nil {
+		return nil, nil, err
+	}
+	return full, eq, nil
 }

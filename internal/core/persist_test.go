@@ -2,14 +2,19 @@ package core
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
+	"errors"
+	"slices"
 	"strings"
 	"testing"
 
+	"exactdep/internal/depvec"
 	"exactdep/internal/dtest"
 	"exactdep/internal/lang"
 	"exactdep/internal/memo"
 	"exactdep/internal/opt"
+	"exactdep/internal/persist"
+	"exactdep/internal/system"
 )
 
 const persistSrc = `
@@ -79,135 +84,104 @@ func TestSaveLoadMemoRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLoadMemoSkipsDirSection pins compatibility with files written before
-// the refinement memo was removed: a version-2 document with a Dir section
-// — even one holding an entry no analyzer could write — still loads, the
-// section is skipped, and the full and eq entries answer the unit with no
-// fresh tests.
-func TestLoadMemoSkipsDirSection(t *testing.T) {
-	opts := Options{Memoize: true, ImprovedMemo: true,
-		DirectionVectors: true, PruneUnused: true, PruneDistance: true}
+// warmMemo returns an analyzer that has analyzed persistSrc under opts,
+// and its saved memo file.
+func warmMemo(tb testing.TB, opts Options) (*Analyzer, []byte) {
+	tb.Helper()
 	prog, err := lang.Parse(persistSrc)
 	if err != nil {
-		t.Fatal(err)
-	}
-	unit := opt.Lower(prog)
-	warm := New(opts)
-	if _, err := warm.AnalyzeUnit(unit); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := warm.SaveMemo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var cur savedTables
-	if err := gob.NewDecoder(&buf).Decode(&cur); err != nil {
-		t.Fatal(err)
-	}
-
-	// The version-2 document as it was written with the refinement memo.
-	type savedDir struct {
-		Key     []int64
-		Outcome int
-		Exact   bool
-		Kind    int
-	}
-	type savedTablesV2 struct {
-		Version  int
-		Improved bool
-		Full     []savedEntry
-		Eq       []savedEq
-		Dir      []savedDir
-	}
-	old := savedTablesV2{Version: 2, Improved: true, Full: cur.Full, Eq: cur.Eq, Dir: []savedDir{
-		{Key: []int64{1, 2, 3, '<'}, Outcome: int(dtest.Independent), Exact: true, Kind: int(dtest.KindSVPC)},
-		{Key: []int64{4, 5, 6, '='}, Outcome: -1, Kind: int(dtest.KindFourierMotzkin) + 1},
-	}}
-	if len(old.Full) == 0 || len(old.Eq) == 0 {
-		t.Fatal("premise: the saved tables need full and eq entries")
-	}
-	var file bytes.Buffer
-	if err := gob.NewEncoder(&file).Encode(&old); err != nil {
-		t.Fatal(err)
-	}
-
-	cold := New(opts)
-	if err := cold.LoadMemo(&file); err != nil {
-		t.Fatalf("version-2 file with a Dir section must load: %v", err)
-	}
-	if got, want := cold.MemoLen(), len(old.Full)+len(old.Eq); got != want {
-		t.Fatalf("loaded %d entries, want the %d full and eq entries", got, want)
-	}
-	if _, err := cold.AnalyzeUnit(unit); err != nil {
-		t.Fatal(err)
-	}
-	if n := cold.Stats.TotalTests(); n != 0 {
-		t.Fatalf("warm-started analyzer ran %d tests, want 0", n)
-	}
-}
-
-// TestLoadMemoRejectsCorruptEntries hand-edits a saved memo document the
-// ways a truncated or tampered file can differ from what SaveMemo writes.
-// LoadMemo indexes DistValue for every DistLevel, so a short DistValue used
-// to panic; every edit must instead fail with an error naming the entry,
-// and merge nothing.
-func TestLoadMemoRejectsCorruptEntries(t *testing.T) {
-	opts := Options{Memoize: true, ImprovedMemo: true,
-		DirectionVectors: true, PruneUnused: true, PruneDistance: true}
-	prog, err := lang.Parse(persistSrc)
-	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	warm := New(opts)
 	if _, err := warm.AnalyzeUnit(opt.Lower(prog)); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	var buf bytes.Buffer
 	if err := warm.SaveMemo(&buf); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	saved := buf.Bytes()
+	return warm, buf.Bytes()
+}
 
-	// withDistance returns the first full entry that carries a distance
-	// and a vector, the one the full-table edits corrupt.
-	withDistance := func(doc *savedTables) *savedEntry {
-		for i := range doc.Full {
-			if e := &doc.Full[i]; len(e.DistLevel) > 0 && len(e.Vectors) > 0 {
-				return e
-			}
+var persistOpts = Options{Memoize: true, ImprovedMemo: true,
+	DirectionVectors: true, PruneUnused: true, PruneDistance: true}
+
+// corruptMemos returns persistOpts' memo file for persistSrc and, per
+// case, the file with one entry edited the ways a truncated or tampered
+// file can differ from what SaveMemo writes, each paired with the table
+// the error must name. A case re-encodes its entry and splices it over the
+// entry's saved bytes.
+func corruptMemos(tb testing.TB) (clean []byte, cases map[string]corruptMemo) {
+	tb.Helper()
+	warm, clean := warmMemo(tb, persistOpts)
+	var key memo.Key
+	var verdict persist.Verdict
+	warm.full.Range(func(k memo.Key, c cached) bool {
+		if len(c.projDistances) == 0 || len(c.projVectors) == 0 {
+			return true
 		}
-		t.Fatal("no full entry with a distance and a vector")
-		return nil
+		key = k
+		verdict = persist.Verdict{Outcome: int(c.res.Outcome), Exact: c.res.Exact, Kind: int(c.res.Kind), Vectors: c.projVectors}
+		for _, d := range c.projDistances {
+			verdict.DistLevel = append(verdict.DistLevel, d.Level)
+			verdict.DistValue = append(verdict.DistValue, d.Value)
+		}
+		return false
+	})
+	if key == nil {
+		tb.Fatal("premise: no full entry with a distance and a vector")
 	}
-	cases := []struct {
-		name, entry string
-		corrupt     func(doc *savedTables)
-	}{
-		{"two levels one value", "full entry", func(doc *savedTables) {
-			e := withDistance(doc)
-			e.DistLevel, e.DistValue = []int{1, 2}, e.DistValue[:1]
-		}},
-		{"outcome", "full entry", func(doc *savedTables) { withDistance(doc).Outcome = int(dtest.Maybe) + 1 }},
-		{"kind", "full entry", func(doc *savedTables) { withDistance(doc).Kind = -1 }},
-		{"direction", "full entry", func(doc *savedTables) { withDistance(doc).Vectors[0][0] = 'x' }},
-		{"gcd result", "eq entry", func(doc *savedTables) { doc.Eq[0].Result = 2 }},
+	var eqKey memo.Key
+	var eqResult system.GCDResult
+	warm.eq.Range(func(k memo.Key, r system.GCDResult) bool {
+		eqKey, eqResult = k, r
+		return false
+	})
+	if eqKey == nil {
+		tb.Fatal("premise: the saved tables need eq entries")
 	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			var doc savedTables
-			if err := gob.NewDecoder(bytes.NewReader(saved)).Decode(&doc); err != nil {
-				t.Fatal(err)
-			}
-			if len(doc.Eq) == 0 {
-				t.Fatal("premise: the saved tables need eq entries")
-			}
-			c.corrupt(&doc)
-			var out bytes.Buffer
-			if err := gob.NewEncoder(&out).Encode(&doc); err != nil {
-				t.Fatal(err)
-			}
-			cold := New(opts)
-			err := cold.LoadMemo(&out)
+	splice := func(old, new []byte) []byte {
+		if bytes.Count(clean, old) != 1 {
+			tb.Fatal("premise: the entry's bytes are not unique in the file")
+		}
+		return bytes.Replace(clean, old, new, 1)
+	}
+	full := func(corrupt func(v *persist.Verdict)) []byte {
+		v := verdict
+		v.Vectors = make([][]depvec.Direction, len(verdict.Vectors))
+		for i, vec := range verdict.Vectors {
+			v.Vectors[i] = slices.Clone(vec)
+		}
+		v.DistLevel, v.DistValue = slices.Clone(verdict.DistLevel), slices.Clone(verdict.DistValue)
+		corrupt(&v)
+		return splice(appendFull(nil, key, &verdict), appendFull(nil, key, &v))
+	}
+	cases = map[string]corruptMemo{
+		"two levels one value": {"full entry", full(func(v *persist.Verdict) { v.DistLevel, v.DistValue = []int{1, 2}, v.DistValue[:1] })},
+		"outcome":              {"full entry", full(func(v *persist.Verdict) { v.Outcome = int(dtest.Maybe) + 1 })},
+		"degraded":             {"full entry", full(func(v *persist.Verdict) { v.Outcome = int(dtest.Maybe) })},
+		"kind":                 {"full entry", full(func(v *persist.Verdict) { v.Kind = -1 })},
+		"direction":            {"full entry", full(func(v *persist.Verdict) { v.Vectors[0][0] = 'x' })},
+		"gcd result":           {"eq entry", splice(appendEq(nil, eqKey, eqResult), appendEq(nil, eqKey, 2))},
+	}
+	return clean, cases
+}
+
+type corruptMemo struct {
+	entry string
+	file  []byte
+}
+
+// TestLoadMemoRejectsCorruptEntries: every corrupt memo file fails LoadMemo
+// with an error naming the entry's table, and merges nothing. LoadMemo
+// indexes DistValue for every DistLevel, so a short DistValue used to
+// panic.
+func TestLoadMemoRejectsCorruptEntries(t *testing.T) {
+	_, cases := corruptMemos(t)
+	for name, c := range cases {
+		t.Run(name, func(t *testing.T) {
+			cold := New(persistOpts)
+			err := cold.LoadMemo(bytes.NewReader(c.file))
 			if err == nil {
 				t.Fatal("corrupt memo table accepted by LoadMemo")
 			}
@@ -221,51 +195,76 @@ func TestLoadMemoRejectsCorruptEntries(t *testing.T) {
 	}
 }
 
-// TestLoadMemoVersion1 pins backward compatibility: a version-1 snapshot
-// (full+eq only, no Dir section) still loads.
-func TestLoadMemoVersion1(t *testing.T) {
-	warm := New(Options{Memoize: true, ImprovedMemo: true})
-	prog, err := lang.Parse(persistSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := warm.AnalyzeUnit(opt.Lower(prog)); err != nil {
-		t.Fatal(err)
-	}
-	var doc savedTables
-	doc.Version = 1
-	doc.Improved = true
-	warm.full.Range(func(k memo.Key, v cached) bool {
-		if v.res.Outcome == dtest.Maybe {
-			return true
+// restampMemo returns memo file b with the versions in its header
+// replaced.
+func restampMemo(b []byte, format, semantics uint64) []byte {
+	scheme := keyScheme(true)
+	out := binary.AppendUvarint([]byte(persist.MemoFile.Magic), format)
+	out = binary.AppendUvarint(out, semantics)
+	out = persist.AppendString(out, scheme)
+	return append(out, b[len(persist.AppendHeader(nil, persist.MemoFile, scheme)):]...)
+}
+
+// TestLoadMemoStaleVersion: a memo file written under an older format or
+// semantics version fails with persist.ErrStale, merging nothing, so a
+// caller can start cold.
+func TestLoadMemoStaleVersion(t *testing.T) {
+	_, saved := warmMemo(t, persistOpts)
+	for _, file := range [][]byte{
+		restampMemo(saved, persist.FormatVersion-1, persist.SemanticsVersion),
+		restampMemo(saved, persist.FormatVersion, persist.SemanticsVersion-1),
+	} {
+		cold := New(persistOpts)
+		if err := cold.LoadMemo(bytes.NewReader(file)); !errors.Is(err, persist.ErrStale) {
+			t.Fatalf("LoadMemo of a stale file = %v, want persist.ErrStale", err)
 		}
-		doc.Full = append(doc.Full, savedEntry{Key: append([]int64(nil), k...),
-			Outcome: int(v.res.Outcome), Exact: v.res.Exact, Kind: int(v.res.Kind)})
-		return true
+		if n := cold.MemoLen(); n != 0 {
+			t.Fatalf("stale memo file merged %d entries", n)
+		}
+	}
+}
+
+// TestLoadMemoNewerVersion: a memo file from a newer build is an error,
+// not stale.
+func TestLoadMemoNewerVersion(t *testing.T) {
+	_, saved := warmMemo(t, persistOpts)
+	for _, file := range [][]byte{
+		restampMemo(saved, persist.FormatVersion+1, persist.SemanticsVersion),
+		restampMemo(saved, persist.FormatVersion, persist.SemanticsVersion+1),
+	} {
+		if err := New(persistOpts).LoadMemo(bytes.NewReader(file)); err == nil || errors.Is(err, persist.ErrStale) {
+			t.Fatalf("LoadMemo of a newer file = %v, want a non-stale error", err)
+		}
+	}
+}
+
+// FuzzLoadMemo: no input panics LoadMemo, and a memo file that loads saves
+// to one that loads back to as many entries.
+func FuzzLoadMemo(f *testing.F) {
+	clean, cases := corruptMemos(f)
+	f.Add(clean)
+	for _, c := range cases {
+		f.Add(c.file)
+	}
+	huge := persist.AppendHeader(nil, persist.MemoFile, keyScheme(true))
+	f.Add(binary.AppendUvarint(huge, 1<<40))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		a := New(persistOpts)
+		if a.LoadMemo(bytes.NewReader(b)) != nil {
+			return
+		}
+		var saved bytes.Buffer
+		if err := a.SaveMemo(&saved); err != nil {
+			t.Fatal(err)
+		}
+		again := New(persistOpts)
+		if err := again.LoadMemo(&saved); err != nil {
+			t.Fatalf("a loaded memo table saved to a file that does not load: %v", err)
+		}
+		if again.MemoLen() != a.MemoLen() {
+			t.Fatalf("reloaded %d entries, saved %d", again.MemoLen(), a.MemoLen())
+		}
 	})
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&doc); err != nil {
-		t.Fatal(err)
-	}
-	cold := New(Options{Memoize: true, ImprovedMemo: true})
-	if err := cold.LoadMemo(&buf); err != nil {
-		t.Fatalf("version-1 snapshot must load: %v", err)
-	}
-	if cold.Stats.UniqueFull == 0 {
-		t.Fatal("version-1 full entries were dropped")
-	}
-	if cold.Stats.UniqueDir != 0 {
-		t.Fatal("version-1 snapshot cannot carry dir entries")
-	}
-	// An unknown future version must still be rejected.
-	doc.Version = memoFileVersion + 1
-	buf.Reset()
-	if err := gob.NewEncoder(&buf).Encode(&doc); err != nil {
-		t.Fatal(err)
-	}
-	if err := cold.LoadMemo(&buf); err == nil {
-		t.Fatal("future version must be rejected")
-	}
 }
 
 func TestLoadMemoSchemeMismatch(t *testing.T) {

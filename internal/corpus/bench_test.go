@@ -11,12 +11,16 @@ import (
 	"exactdep/internal/workload"
 )
 
-// largeStore is the verdict store a cold run of the 4,096-nest LargeCorpus
-// leaves under storeOpts — the direction-vector configuration the
-// end-to-end benchmark measures — and its gob snapshot. Built once per
-// test binary; both store benchmarks read it.
-var largeStore = sync.OnceValues(func() (*corpus.Store, []byte) {
-	units, err := workload.LargeCorpusUnits(4096)
+// storeFixture is a corpus, the verdict store a cold run of it leaves under
+// storeOpts — the direction-vector configuration the end-to-end benchmark
+// measures — and the store's snapshot.
+type storeFixture struct {
+	units corpus.Mem
+	store *corpus.Store
+	snap  []byte
+}
+
+func newStoreFixture(units corpus.Mem, err error) storeFixture {
 	if err != nil {
 		panic(err)
 	}
@@ -32,35 +36,89 @@ var largeStore = sync.OnceValues(func() (*corpus.Store, []byte) {
 	if err := st.Save(&buf); err != nil {
 		panic(err)
 	}
-	return st, buf.Bytes()
+	return storeFixture{units, st, buf.Bytes()}
+}
+
+// largeStore is the store of the 4,096-nest LargeCorpus, one unit per nest
+// (3,553 units of one or a few results). Built once per test binary.
+var largeStore = sync.OnceValue(func() storeFixture {
+	return newStoreFixture(workload.LargeCorpusUnits(4096))
+})
+
+// editStore is corpus-edit's shape: the same 32 LargeCorpus programs as one
+// unit per file, 256 results each. Built once per test binary.
+var editStore = sync.OnceValue(func() storeFixture {
+	var units corpus.Mem
+	for _, s := range workload.LargeCorpus(4096) {
+		u, err := corpus.FromSource(s.Name+corpus.DirExt, workload.Source(s, false))
+		if err != nil {
+			return newStoreFixture(nil, err)
+		}
+		units = append(units, u)
+	}
+	return newStoreFixture(units, nil)
 })
 
 // BenchmarkStoreLoad decodes and validates the large snapshot (LoadStore),
 // the corpus.load_store layer of a warm run.
-func BenchmarkStoreLoad(b *testing.B) {
-	st, snap := largeStore()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := corpus.LoadStore(bytes.NewReader(snap), storeOpts); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(st.Len()), "units")
-	b.ReportMetric(float64(len(snap))/1024, "KB")
-}
+func BenchmarkStoreLoad(b *testing.B) { benchmarkLoad(b, largeStore()) }
 
 // BenchmarkStoreSave encodes the large store (Save to io.Discard), the
 // corpus.save_store layer less the file write.
-func BenchmarkStoreSave(b *testing.B) {
-	st, snap := largeStore()
+func BenchmarkStoreSave(b *testing.B) { benchmarkSave(b, largeStore()) }
+
+// BenchmarkStoreLoadEditShape is BenchmarkStoreLoad on corpus-edit's shape.
+func BenchmarkStoreLoadEditShape(b *testing.B) { benchmarkLoad(b, editStore()) }
+
+// BenchmarkStoreSaveEditShape is BenchmarkStoreSave on corpus-edit's shape.
+func BenchmarkStoreSaveEditShape(b *testing.B) { benchmarkSave(b, editStore()) }
+
+// BenchmarkStoreServeEditShape serves every unit of corpus-edit's shape
+// from its store (Lookup, then Serve), the store-hit share of
+// corpus.emit_ms.
+func BenchmarkStoreServeEditShape(b *testing.B) {
+	fx := editStore()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := st.Save(io.Discard); err != nil {
+		serveAll(b, fx)
+	}
+	b.ReportMetric(float64(len(fx.units)), "units")
+}
+
+func benchmarkLoad(b *testing.B, fx storeFixture) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := corpus.LoadStore(bytes.NewReader(fx.snap), storeOpts); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(st.Len()), "units")
-	b.ReportMetric(float64(len(snap))/1024, "KB")
+	b.ReportMetric(float64(fx.store.Len()), "units")
+	b.ReportMetric(float64(len(fx.snap))/1024, "KB")
+}
+
+func benchmarkSave(b *testing.B, fx storeFixture) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := fx.store.Save(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(fx.store.Len()), "units")
+	b.ReportMetric(float64(len(fx.snap))/1024, "KB")
+}
+
+// serveAll serves every unit of fx from its store.
+func serveAll(tb testing.TB, fx storeFixture) {
+	var f corpus.Fingerprinter
+	for i := range fx.units {
+		u := &fx.units[i]
+		su, ok := fx.store.Lookup(u.Fingerprint(&f))
+		if !ok {
+			tb.Fatalf("unit %s is not in the store", u.Name)
+		}
+		corpus.Serve(u.Cands, su)
+	}
 }

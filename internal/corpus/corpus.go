@@ -17,10 +17,11 @@
 //     structural digest, straight off the IR with no system building, so
 //     fingerprinting a corpus costs microseconds per unit.
 //   - Store: fingerprint → per-unit verdicts, direction vectors, distances
-//     and cost counters, with gob snapshot Save/Load (the same discipline
-//     as core.SaveMemo) scoped to an Options signature. Safe for
-//     concurrent use; OpenStore and SaveFile (atomic, skipped while
-//     unchanged) are the one way a front end opens and saves a store file.
+//     and cost counters, with snapshot Save/Load in the binary format of
+//     package persist (shared with core.SaveMemo) scoped to an Options
+//     signature and a semantics version. Safe for concurrent use;
+//     OpenStore and SaveFile (atomic, skipped while unchanged) are the one
+//     way a front end opens and saves a store file.
 //   - Driver: diffs fingerprints against the store, schedules only
 //     changed/new units through core.AnalyzeAll (chunked batches, shared
 //     memo tables, deterministic order, byte-identical at every worker

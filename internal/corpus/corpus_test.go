@@ -3,15 +3,17 @@ package corpus
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
+	"encoding/binary"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
 	"exactdep/internal/core"
 	"exactdep/internal/dtest"
 	"exactdep/internal/memo"
+	"exactdep/internal/persist"
 )
 
 var testOpts = core.Options{
@@ -22,7 +24,7 @@ var testOpts = core.Options{
 const srcA = "for i = 1 to 100\n  a[i+1] = a[i] + 3\nend\n"
 const srcB = "for i = 1 to 50\n  b[2*i] = b[2*i+1] + 1\nend\n"
 
-func memUnits(t *testing.T) Mem {
+func memUnits(t testing.TB) Mem {
 	t.Helper()
 	ua, err := FromSource("a", srcA)
 	if err != nil {
@@ -218,63 +220,84 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLoadStoreRejectsCorruptUnits hand-edits a saved snapshot the ways a
-// truncated or tampered file can differ from what Save writes. Serve
-// indexes DistValue for every DistLevel, so an accepted unit with a short
-// DistValue used to panic on its first store hit; every edit must instead
-// fail LoadStore with an error naming the unit.
-func TestLoadStoreRejectsCorruptUnits(t *testing.T) {
-	units := memUnits(t)
+// corruptStores returns the snapshot of memUnits' store and, per case, the
+// snapshot with unit "a" edited the ways a truncated or tampered file can
+// differ from what Save writes. Each edit is made to a freshly loaded copy
+// of the unit, which Save then writes as it finds it; "fingerprint order"
+// writes unit "a" twice, which no Save can.
+func corruptStores(tb testing.TB) (clean []byte, cases map[string][]byte) {
+	tb.Helper()
+	units := memUnits(tb)
 	d := NewDriver(testOpts, 1)
 	if err := d.SetStore(NewStore(testOpts)); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	if _, err := d.RunAll(context.Background(), units); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	var buf bytes.Buffer
 	if err := d.Store().Save(&buf); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	saved := buf.Bytes()
+	clean = buf.Bytes()
+	var f Fingerprinter
+	fpA := f.Unit(units[0])
 
-	// edit returns the result of unit "a" that carries a distance, the
-	// one every edit below corrupts.
-	edit := func(doc *savedStore) (*StoredUnit, *StoredResult) {
-		for i := range doc.Units {
-			su := &doc.Units[i].Unit
-			if su.Name != "a" {
-				continue
-			}
-			for j := range su.Results {
-				if len(su.Results[j].DistLevel) > 0 && len(su.Results[j].Vectors) > 0 {
-					return su, &su.Results[j]
+	// edit loads the clean snapshot, hands corrupt unit "a" and its first
+	// result carrying a distance and a vector, and saves what it left.
+	edit := func(corrupt func(su *StoredUnit, sr *StoredResult)) []byte {
+		s, err := LoadStore(bytes.NewReader(clean), testOpts)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		su, ok := s.Lookup(fpA)
+		if !ok || su.Name != "a" {
+			tb.Fatal("unit a is not in the store")
+		}
+		for j := range su.Results {
+			if sr := &su.Results[j]; len(sr.DistLevel) > 0 && len(sr.Vectors) > 0 {
+				corrupt(su, sr)
+				var out bytes.Buffer
+				if err := s.Save(&out); err != nil {
+					tb.Fatal(err)
 				}
+				return out.Bytes()
 			}
 		}
-		t.Fatal("unit a has no result with a distance and a vector")
-		return nil, nil
+		tb.Fatal("unit a has no result with a distance and a vector")
+		return nil
 	}
-	cases := map[string]func(su *StoredUnit, sr *StoredResult){
-		"short distance values": func(_ *StoredUnit, sr *StoredResult) { sr.DistValue = sr.DistValue[:0] },
-		"outcome":               func(_ *StoredUnit, sr *StoredResult) { sr.Outcome = int(dtest.Maybe) + 1 },
-		"kind":                  func(_ *StoredUnit, sr *StoredResult) { sr.Kind = -1 },
-		"trip":                  func(_ *StoredUnit, sr *StoredResult) { sr.Trip = dtest.NumTripReasons },
-		"direction":             func(_ *StoredUnit, sr *StoredResult) { sr.Vectors[0][0] = 'x' },
-		"pair count":            func(su *StoredUnit, _ *StoredResult) { su.Cost.Pairs++ },
+	cases = map[string][]byte{
+		"short distance values": edit(func(_ *StoredUnit, sr *StoredResult) { sr.DistValue = sr.DistValue[:0] }),
+		"outcome":               edit(func(_ *StoredUnit, sr *StoredResult) { sr.Outcome = int(dtest.Maybe) + 1 }),
+		"kind":                  edit(func(_ *StoredUnit, sr *StoredResult) { sr.Kind = -1 }),
+		"trip":                  edit(func(_ *StoredUnit, sr *StoredResult) { sr.Trip = dtest.NumTripReasons }),
+		"direction":             edit(func(_ *StoredUnit, sr *StoredResult) { sr.Vectors[0][0] = 'x' }),
+		"pair count":            edit(func(su *StoredUnit, _ *StoredResult) { su.Cost.Pairs++ }),
+		"vector count":          edit(func(su *StoredUnit, _ *StoredResult) { su.Cost.Vectors-- }),
 	}
-	for name, corrupt := range cases {
+	s, err := LoadStore(bytes.NewReader(clean), testOpts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	su, _ := s.Lookup(fpA)
+	twice := persist.AppendHeader(nil, persist.StoreFile, s.Signature())
+	twice = binary.AppendUvarint(twice, 2)
+	twice = appendUnit(twice, fpA, su)
+	cases["fingerprint order"] = appendUnit(twice, fpA, su)
+	return clean, cases
+}
+
+// TestLoadStoreRejectsCorruptUnits: every corrupt snapshot fails LoadStore
+// with an error naming the unit. Serve indexes DistValue for every
+// DistLevel, so an accepted unit with a short DistValue used to panic on
+// its first store hit.
+func TestLoadStoreRejectsCorruptUnits(t *testing.T) {
+	units := memUnits(t)
+	_, cases := corruptStores(t)
+	for name, file := range cases {
 		t.Run(name, func(t *testing.T) {
-			var doc savedStore
-			if err := gob.NewDecoder(bytes.NewReader(saved)).Decode(&doc); err != nil {
-				t.Fatal(err)
-			}
-			corrupt(edit(&doc))
-			var out bytes.Buffer
-			if err := gob.NewEncoder(&out).Encode(&doc); err != nil {
-				t.Fatal(err)
-			}
-			s, err := LoadStore(&out, testOpts)
+			s, err := LoadStore(bytes.NewReader(file), testOpts)
 			if err == nil {
 				// Serving the accepted unit is where a corrupt entry bites.
 				d := NewDriver(testOpts, 1)
@@ -289,6 +312,85 @@ func TestLoadStoreRejectsCorruptUnits(t *testing.T) {
 			}
 		})
 	}
+}
+
+// hugeCounts are snapshots that claim 2^40 of something in a few bytes:
+// units in the header, or, in one unit's record, the name's length or one
+// of the counts that size the unit's slabs (after zeroed fingerprint and
+// cost fields). Zero padding keeps every count before the huge one
+// within the bytes left.
+func hugeCounts() map[string][]byte {
+	const huge = 1 << 40
+	head := persist.AppendHeader(nil, persist.StoreFile, Signature(testOpts))
+	oneUnit := binary.AppendUvarint(bytes.Clone(head), 1)
+	oneUnit = append(oneUnit, make([]byte, 16)...) // fingerprint
+	name := append(binary.AppendUvarint(bytes.Clone(oneUnit), huge), make([]byte, 16)...)
+	named := persist.AppendString(oneUnit, "a")
+	// after claims huge at the count that follows zeros zero fields.
+	after := func(zeros int) []byte {
+		return binary.AppendUvarint(append(bytes.Clone(named), make([]byte, zeros)...), huge)
+	}
+	return map[string][]byte{
+		"units":      binary.AppendUvarint(bytes.Clone(head), huge),
+		"name":       name,
+		"vectors":    after(5), // Pairs … Maybe are plain values
+		"distances":  after(6),
+		"directions": after(7),
+		"results":    after(8),
+	}
+}
+
+// TestLoadStoreRejectsHugeCounts: a count the bytes left cannot back is
+// rejected before anything is sized by it.
+func TestLoadStoreRejectsHugeCounts(t *testing.T) {
+	for name, file := range hugeCounts() {
+		t.Run(name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := LoadStore(bytes.NewReader(file), testOpts)
+			runtime.ReadMemStats(&after)
+			if err == nil || !strings.Contains(err.Error(), "exceeds") {
+				t.Fatalf("LoadStore = %v, want a count error", err)
+			}
+			if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+				t.Fatalf("rejecting the count allocated %d bytes", n)
+			}
+		})
+	}
+}
+
+// FuzzLoadStore: no input panics LoadStore, and a snapshot that loads
+// saves to bytes that load back to the same snapshot.
+func FuzzLoadStore(f *testing.F) {
+	clean, cases := corruptStores(f)
+	f.Add(clean)
+	for _, b := range cases {
+		f.Add(b)
+	}
+	for _, b := range hugeCounts() {
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		s, err := LoadStore(bytes.NewReader(b), testOpts)
+		if err != nil {
+			return
+		}
+		var saved bytes.Buffer
+		if err := s.Save(&saved); err != nil {
+			t.Fatal(err)
+		}
+		again, err := LoadStore(bytes.NewReader(saved.Bytes()), testOpts)
+		if err != nil {
+			t.Fatalf("a loaded store saved to a snapshot that does not load: %v", err)
+		}
+		var resaved bytes.Buffer
+		if err := again.Save(&resaved); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(saved.Bytes(), resaved.Bytes()) {
+			t.Fatal("a loaded store's snapshot does not load back equal")
+		}
+	})
 }
 
 // TestDriverIncremental: editing one unit re-solves exactly that unit, and

@@ -1,13 +1,14 @@
 package corpus
 
 import (
-	"encoding/gob"
+	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"io/fs"
 	"os"
-	"sort"
+	"slices"
 	"sync"
 
 	"exactdep/internal/atomicfile"
@@ -15,16 +16,18 @@ import (
 	"exactdep/internal/depvec"
 	"exactdep/internal/dtest"
 	"exactdep/internal/memo"
+	"exactdep/internal/persist"
 	"exactdep/internal/refs"
 )
 
 // Store is the persistent verdict store of the incremental driver:
 // fingerprint → per-unit verdicts, direction vectors, distances and cost
-// counters. It follows the SaveMemo discipline — gob snapshot save/load,
-// versioned, validated against the analyzer configuration — but lives one
-// level up: where the memo tables cache canonical *problems*, the store
-// caches whole *units*, so an unchanged unit costs one map probe instead of
-// one memo probe per pair.
+// counters. It follows the SaveMemo discipline — a snapshot in the one
+// binary format of package persist, versioned, validated as it is read
+// and bound to the analyzer configuration — but lives one level up: where
+// the memo tables cache canonical *problems*, the store caches whole
+// *units*, so an unchanged unit costs one map probe instead of one memo
+// probe per pair.
 //
 // A store is bound to an options signature (Signature): the subset of
 // core.Options that can change result bytes — direction vectors, pruning,
@@ -50,6 +53,7 @@ type Store struct {
 	units map[memo.Fingerprint]*StoredUnit
 	puts  int64 // Puts since NewStore/LoadStore
 	saved int64 // puts at the last successful SaveFile
+	stale error // the stale file OpenStore set aside, if any
 
 	saveMu sync.Mutex // serializes SaveFile, so renames land in snapshot order
 }
@@ -66,15 +70,11 @@ type StoredUnit struct {
 	Cost CostSummary
 }
 
-// StoredResult is the serializable form of one pair's verdict.
+// StoredResult is the serializable form of one pair's verdict: the verdict
+// record the store shares with the memo file, plus the trip reason.
 type StoredResult struct {
-	Outcome   int
-	Exact     bool
-	Kind      int
-	Trip      int
-	Vectors   [][]byte // one byte per level, depvec.Direction
-	DistLevel []int
-	DistValue []int64
+	persist.Verdict
+	Trip int
 }
 
 // CostSummary is the per-unit cost profile persisted next to the verdicts:
@@ -152,48 +152,81 @@ func (s *Store) Put(fp memo.Fingerprint, su StoredUnit) {
 	s.mu.Unlock()
 }
 
-// storeFileVersion guards the on-disk format.
-const storeFileVersion = 1
-
-// savedStore is the on-disk document. Units are sorted by fingerprint so a
-// given store always serializes to the same bytes.
-type savedStore struct {
-	Version   int
-	Signature string
-	Units     []savedStoreUnit
-}
-
-type savedStoreUnit struct {
-	Hi, Lo uint64
-	Unit   StoredUnit
-}
-
-// Save writes the store as a gob snapshot.
+// Save writes the store as a snapshot file (package persist) in one Write.
 func (s *Store) Save(w io.Writer) error {
-	doc, _ := s.snapshot()
-	return gob.NewEncoder(w).Encode(&doc)
+	b, _ := s.encode()
+	_, err := w.Write(b)
+	return err
 }
 
-// snapshot copies the store into its on-disk document and returns the Put
-// count the copy reflects. Only the copy runs under the read lock; the sort
-// (and the caller's encode) run outside it, so a save holds up Puts only
-// for the copy.
-func (s *Store) snapshot() (savedStore, int64) {
-	doc := savedStore{Version: storeFileVersion, Signature: s.sig.String()}
+// A snapshot is a persist header bound to the store's signature, then the
+// units as counted records in strictly increasing fingerprint order, so a
+// given store always encodes to the same bytes:
+//
+//	unit   = hi:8 lo:8 (little-endian)  name:string
+//	         cost: 7 × uvarint (CostSummary, field order)
+//	         directions:uvarint (direction bytes over the unit's vectors)
+//	         results:uvarint { verdict  trip:varint }
+//
+// The cost and the direction count size the unit's slabs before its
+// results are read.
+const minUnitBytes = 16 + 1 + 7 + 1 + 1
+const minResultBytes = persist.MinVerdictBytes + 1
+
+// encode renders the store's snapshot and returns the Put count it
+// reflects. Only collecting the units runs under the read lock (stored
+// units are immutable); the sort and the encoding run outside it, so a
+// save holds up Puts only for the copy.
+func (s *Store) encode() ([]byte, int64) {
+	type entry struct {
+		fp memo.Fingerprint
+		su *StoredUnit
+	}
 	s.mu.RLock()
-	doc.Units = make([]savedStoreUnit, 0, len(s.units))
+	units := make([]entry, 0, len(s.units))
 	for fp, su := range s.units {
-		doc.Units = append(doc.Units, savedStoreUnit{Hi: fp.Hi, Lo: fp.Lo, Unit: *su})
+		units = append(units, entry{fp, su})
 	}
 	puts := s.puts
 	s.mu.RUnlock()
-	sort.Slice(doc.Units, func(i, j int) bool {
-		if doc.Units[i].Hi != doc.Units[j].Hi {
-			return doc.Units[i].Hi < doc.Units[j].Hi
+	slices.SortFunc(units, func(a, b entry) int { return compareFP(a.fp, b.fp) })
+	b := persist.AppendHeader(nil, persist.StoreFile, s.sig.String())
+	b = binary.AppendUvarint(b, uint64(len(units)))
+	for _, u := range units {
+		b = appendUnit(b, u.fp, u.su)
+	}
+	return b, puts
+}
+
+func compareFP(a, b memo.Fingerprint) int {
+	if c := cmp.Compare(a.Hi, b.Hi); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Lo, b.Lo)
+}
+
+func appendUnit(b []byte, fp memo.Fingerprint, su *StoredUnit) []byte {
+	b = binary.LittleEndian.AppendUint64(b, fp.Hi)
+	b = binary.LittleEndian.AppendUint64(b, fp.Lo)
+	b = persist.AppendString(b, su.Name)
+	c := &su.Cost
+	for _, n := range [...]int{c.Pairs, c.Independent, c.Dependent, c.Unknown, c.Maybe, c.Vectors, c.Distances} {
+		b = binary.AppendUvarint(b, uint64(n))
+	}
+	dirs := 0
+	for i := range su.Results {
+		for _, v := range su.Results[i].Vectors {
+			dirs += len(v)
 		}
-		return doc.Units[i].Lo < doc.Units[j].Lo
-	})
-	return doc, puts
+	}
+	b = binary.AppendUvarint(b, uint64(dirs))
+	b = binary.AppendUvarint(b, uint64(len(su.Results)))
+	for i := range su.Results {
+		sr := &su.Results[i]
+		b = persist.AppendVerdict(b, &sr.Verdict)
+		b = binary.AppendVarint(b, int64(sr.Trip))
+	}
+	return b
 }
 
 // SaveFile writes the store to path atomically — a temp file in the same
@@ -209,9 +242,10 @@ func (s *Store) SaveFile(path string) error {
 	if clean {
 		return nil
 	}
-	doc, puts := s.snapshot()
+	b, puts := s.encode()
 	if err := atomicfile.Write(path, ".exactdep-store-*", func(w io.Writer) error {
-		return gob.NewEncoder(w).Encode(&doc)
+		_, err := w.Write(b)
+		return err
 	}); err != nil {
 		return err
 	}
@@ -222,63 +256,127 @@ func (s *Store) SaveFile(path string) error {
 }
 
 // OpenStore loads the snapshot at path (see LoadStore), or returns an empty
-// store bound to opts when no file exists there yet.
+// store bound to opts when no file exists there yet. A snapshot written
+// under an older format or semantics version is stale, not an error: the
+// store opens empty, reports the file through Stale, and counts as
+// unsaved, so the next SaveFile replaces the file.
 func OpenStore(path string, opts core.Options) (*Store, error) {
-	f, err := os.Open(path)
+	b, err := os.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
 		return NewStore(opts), nil
 	}
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return LoadStore(f, opts)
-}
-
-// LoadStore reads a snapshot saved by Save, validating that it was produced
-// under the same options signature and that every unit is one Serve can
-// rebuild (see StoredUnit.validate): a truncated or hand-edited snapshot is
-// rejected here rather than panicking on a later store hit.
-func LoadStore(r io.Reader, opts core.Options) (*Store, error) {
-	var doc savedStore
-	if err := gob.NewDecoder(r).Decode(&doc); err != nil {
-		return nil, fmt.Errorf("corpus: loading verdict store: %w", err)
+	s, err := decodeStore(b, opts)
+	if errors.Is(err, persist.ErrStale) {
+		s = NewStore(opts)
+		s.stale = fmt.Errorf("corpus: %s: %w", path, err)
+		s.saved = -1
+		return s, nil
 	}
-	if doc.Version != storeFileVersion {
-		return nil, fmt.Errorf("corpus: verdict store version %d, want %d", doc.Version, storeFileVersion)
-	}
-	s := NewStore(opts)
-	if doc.Signature != s.Signature() {
-		return nil, fmt.Errorf("corpus: verdict store signature %q, analyzer configuration needs %q",
-			doc.Signature, s.sig)
-	}
-	for i := range doc.Units {
-		su := &doc.Units[i]
-		fp := memo.Fingerprint{Hi: su.Hi, Lo: su.Lo}
-		if err := su.Unit.validate(); err != nil {
-			return nil, fmt.Errorf("corpus: verdict store unit %q (%s): %w", su.Unit.Name, fp, err)
-		}
-		s.units[fp] = &su.Unit
+	if err != nil {
+		return nil, fmt.Errorf("corpus: %s: %w", path, err)
 	}
 	return s, nil
 }
 
-// validate checks a decoded unit against what ToStored can produce: every
-// result a verdict core.CheckVerdict accepts with a trip reason inside its
-// enum, and a cost profile counting every result.
-func (su *StoredUnit) validate() error {
-	if su.Cost.Pairs != len(su.Results) {
-		return fmt.Errorf("cost counts %d pairs, %d results stored", su.Cost.Pairs, len(su.Results))
+// Stale returns why OpenStore set the file at its path aside as stale, or
+// nil when the store was not opened over a stale file.
+func (s *Store) Stale() error { return s.stale }
+
+// LoadStore reads a snapshot saved by Save. The snapshot must carry the
+// current format and semantics versions and the signature of opts, and
+// every unit must be one Serve can rebuild: verdicts persist.CheckVerdict
+// accepts, trip reasons inside their enum, a cost profile equal to
+// Summarize of the results, and fingerprints strictly increasing. A
+// truncated or hand-edited snapshot is rejected here, whole, rather than
+// panicking on a later store hit. An older version's snapshot fails with
+// an error wrapping persist.ErrStale (OpenStore opens it as empty).
+func LoadStore(r io.Reader, opts core.Options) (*Store, error) {
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("corpus: reading verdict store: %w", err)
 	}
-	for i := range su.Results {
-		sr := &su.Results[i]
-		err := core.CheckVerdict(sr.Outcome, sr.Kind, sr.Vectors, sr.DistLevel, sr.DistValue)
-		if err == nil && (sr.Trip < int(dtest.TripNone) || sr.Trip >= dtest.NumTripReasons) {
-			err = fmt.Errorf("trip reason %d out of range", sr.Trip)
+	s, err := decodeStore(b, opts)
+	if err != nil {
+		return nil, fmt.Errorf("corpus: %w", err)
+	}
+	return s, nil
+}
+
+// decodeStore decodes a snapshot. Each unit costs a fixed number of
+// allocations — its name and one slab each for its results, vectors,
+// direction bytes, distance levels and distance values — however many
+// results it holds.
+func decodeStore(b []byte, opts core.Options) (*Store, error) {
+	s := NewStore(opts)
+	d := persist.NewDecoder(b)
+	sig, err := d.Header(persist.StoreFile)
+	if err != nil {
+		return nil, err
+	}
+	if sig != s.Signature() {
+		return nil, fmt.Errorf("verdict store signature %q, analyzer configuration needs %q", sig, s.sig)
+	}
+	units := make([]StoredUnit, d.Count(minUnitBytes))
+	s.units = make(map[memo.Fingerprint]*StoredUnit, len(units))
+	var prev memo.Fingerprint
+	for i := range units {
+		su := &units[i]
+		fp := memo.Fingerprint{Hi: d.Uint64(), Lo: d.Uint64()}
+		su.Name = d.String()
+		err := decodeUnit(d, su)
+		if err == nil && i > 0 && compareFP(prev, fp) >= 0 {
+			err = fmt.Errorf("fingerprint not above the previous unit's %s", prev)
 		}
 		if err != nil {
+			return nil, fmt.Errorf("verdict store unit %q (%s): %w", su.Name, fp, err)
+		}
+		s.units[fp] = su
+		prev = fp
+	}
+	if err := d.End(); err != nil {
+		return nil, fmt.Errorf("verdict store: %w", err)
+	}
+	return s, nil
+}
+
+// decodeUnit reads the rest of one unit record into su.
+func decodeUnit(d *persist.Decoder, su *StoredUnit) error {
+	c := &su.Cost
+	for _, f := range [...]*int{&c.Pairs, &c.Independent, &c.Dependent, &c.Unknown, &c.Maybe} {
+		*f = int(d.Uvarint())
+	}
+	// A vector takes at least its length byte, a distance a level byte and
+	// a value byte.
+	c.Vectors, c.Distances = d.Count(1), d.Count(2)
+	dirs := d.Count(1)
+	slabs := persist.Slabs{
+		Vectors:    make([][]depvec.Direction, 0, c.Vectors),
+		Directions: make([]depvec.Direction, 0, dirs),
+		Levels:     make([]int, 0, c.Distances),
+		Values:     make([]int64, 0, c.Distances),
+	}
+	su.Results = make([]StoredResult, d.Count(minResultBytes))
+	var sum CostSummary
+	for i := range su.Results {
+		sr := &su.Results[i]
+		d.Verdict(&sr.Verdict, &slabs)
+		sr.Trip = d.Int()
+		if d.Err() == nil && (sr.Trip < int(dtest.TripNone) || sr.Trip >= dtest.NumTripReasons) {
+			d.Fail(fmt.Errorf("trip reason %d out of range", sr.Trip))
+		}
+		if err := d.Err(); err != nil {
 			return fmt.Errorf("result %d: %w", i, err)
 		}
+		sum.count(dtest.Outcome(sr.Outcome), len(sr.Vectors), len(sr.DistLevel))
+	}
+	if err := d.Err(); err != nil {
+		return err
+	}
+	if sum != *c {
+		return fmt.Errorf("cost profile %+v, results sum to %+v", *c, sum)
 	}
 	return nil
 }
@@ -303,75 +401,85 @@ func ToStored(name string, results []core.Result) StoredUnit {
 	su := StoredUnit{Name: name, Results: make([]StoredResult, len(results)), Cost: Summarize(results)}
 	for i := range results {
 		r := &results[i]
-		sr := StoredResult{
-			Outcome: int(r.Outcome),
-			Exact:   r.Exact,
-			Kind:    int(r.Kind),
-			Trip:    int(r.Trip),
-		}
+		sr := &su.Results[i]
+		sr.Outcome, sr.Exact, sr.Kind, sr.Trip = int(r.Outcome), r.Exact, int(r.Kind), int(r.Trip)
 		for _, v := range r.Vectors {
-			bs := make([]byte, len(v))
-			for l, d := range v {
-				bs[l] = byte(d)
-			}
-			sr.Vectors = append(sr.Vectors, bs)
+			sr.Vectors = append(sr.Vectors, slices.Clone([]depvec.Direction(v)))
 		}
 		for _, d := range r.Distances {
 			sr.DistLevel = append(sr.DistLevel, d.Level)
 			sr.DistValue = append(sr.DistValue, d.Value)
 		}
-		su.Results[i] = sr
 	}
 	return su
 }
 
 // Serve rebuilds a unit's results from the store, attaching the *current*
 // candidates' pairs (the fingerprint proved them equivalent). Served
-// results report ByCache.
+// results report ByCache. The results' vectors, direction bytes and
+// distances are carved off one slab each, so serving a unit costs four
+// allocations however many results it holds.
 func Serve(cands []refs.Candidate, su *StoredUnit) []core.Result {
+	var nv, nd, nl int
+	for i := range su.Results {
+		sr := &su.Results[i]
+		nv += len(sr.Vectors)
+		nl += len(sr.DistLevel)
+		for _, v := range sr.Vectors {
+			nd += len(v)
+		}
+	}
+	vecs := make([]depvec.Vector, 0, nv)
+	dirs := make([]depvec.Direction, 0, nd)
+	dists := make([]depvec.Distance, 0, nl)
 	out := make([]core.Result, len(su.Results))
 	for i := range su.Results {
 		sr := &su.Results[i]
-		r := core.Result{
+		r := &out[i]
+		*r = core.Result{
 			Pair:      cands[i].Pair,
 			Outcome:   dtest.Outcome(sr.Outcome),
 			Exact:     sr.Exact,
 			DecidedBy: core.ByCache,
 			Kind:      dtest.Kind(sr.Kind),
 			Trip:      dtest.TripReason(sr.Trip),
+			Vectors:   persist.Take(&vecs, len(sr.Vectors)),
+			Distances: persist.Take(&dists, len(sr.DistLevel)),
 		}
-		for _, bs := range sr.Vectors {
-			v := make(depvec.Vector, len(bs))
-			for l, b := range bs {
-				v[l] = depvec.Direction(b)
-			}
-			r.Vectors = append(r.Vectors, v)
+		for j, bs := range sr.Vectors {
+			r.Vectors[j] = persist.Take(&dirs, len(bs))
+			copy(r.Vectors[j], bs)
 		}
-		for j := range sr.DistLevel {
-			r.Distances = append(r.Distances, depvec.Distance{Level: sr.DistLevel[j], Value: sr.DistValue[j]})
+		for j := range r.Distances {
+			r.Distances[j] = depvec.Distance{Level: sr.DistLevel[j], Value: sr.DistValue[j]}
 		}
-		out[i] = r
 	}
 	return out
 }
 
 // Summarize computes a unit's cost profile from its results.
 func Summarize(results []core.Result) CostSummary {
-	c := CostSummary{Pairs: len(results)}
+	var c CostSummary
 	for i := range results {
 		r := &results[i]
-		switch r.Outcome {
-		case dtest.Independent:
-			c.Independent++
-		case dtest.Dependent:
-			c.Dependent++
-		case dtest.Maybe:
-			c.Maybe++
-		default:
-			c.Unknown++
-		}
-		c.Vectors += len(r.Vectors)
-		c.Distances += len(r.Distances)
+		c.count(r.Outcome, len(r.Vectors), len(r.Distances))
 	}
 	return c
+}
+
+// count adds one result to the profile.
+func (c *CostSummary) count(o dtest.Outcome, vectors, distances int) {
+	c.Pairs++
+	switch o {
+	case dtest.Independent:
+		c.Independent++
+	case dtest.Dependent:
+		c.Dependent++
+	case dtest.Maybe:
+		c.Maybe++
+	default:
+		c.Unknown++
+	}
+	c.Vectors += vectors
+	c.Distances += distances
 }

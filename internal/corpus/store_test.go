@@ -8,9 +8,13 @@ package corpus_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/gob"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -18,6 +22,7 @@ import (
 	"exactdep/internal/corpus"
 	"exactdep/internal/dtest"
 	"exactdep/internal/memo"
+	"exactdep/internal/persist"
 	"exactdep/internal/wire"
 	"exactdep/internal/workload"
 )
@@ -143,6 +148,107 @@ func TestOpenStoreMissingFile(t *testing.T) {
 	}
 	if _, err := corpus.OpenStore(dir, storeOpts); err == nil {
 		t.Error("OpenStore on a directory succeeded")
+	}
+}
+
+// savedSnapshot returns the snapshot of simpleUnits' store under
+// storeOpts.
+func savedSnapshot(t *testing.T) []byte {
+	t.Helper()
+	st := corpus.NewStore(storeOpts)
+	d := corpus.NewDriver(storeOpts, 1)
+	if err := d.SetStore(st); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.RunAll(context.Background(), simpleUnits(t)); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := st.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// restamp returns snapshot b with the versions in its header replaced.
+func restamp(b []byte, format, semantics uint64) []byte {
+	sig := corpus.Signature(storeOpts)
+	out := binary.AppendUvarint([]byte(persist.StoreFile.Magic), format)
+	out = binary.AppendUvarint(out, semantics)
+	out = persist.AppendString(out, sig)
+	return append(out, b[len(persist.AppendHeader(nil, persist.StoreFile, sig)):]...)
+}
+
+// TestOpenStoreStale: a snapshot written under an older semantics version
+// opens as an empty store bound to the options that reports the file, and
+// the next SaveFile replaces the file even though nothing was Put.
+func TestOpenStoreStale(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "verdicts.store")
+	stale := restamp(savedSnapshot(t), persist.FormatVersion, persist.SemanticsVersion-1)
+	if err := os.WriteFile(path, stale, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := corpus.LoadStore(bytes.NewReader(stale), storeOpts); !errors.Is(err, persist.ErrStale) {
+		t.Fatalf("LoadStore of a stale snapshot = %v, want persist.ErrStale", err)
+	}
+	st, err := corpus.OpenStore(path, storeOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Len() != 0 || st.Signature() != corpus.Signature(storeOpts) {
+		t.Fatalf("stale file opened as %d units under %q", st.Len(), st.Signature())
+	}
+	if err := st.Stale(); !errors.Is(err, persist.ErrStale) || !strings.Contains(err.Error(), path) {
+		t.Fatalf("Stale() = %v, want persist.ErrStale naming %s", err, path)
+	}
+	if err := st.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := corpus.OpenStore(path, storeOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reopened.Stale() != nil || reopened.Len() != 0 {
+		t.Fatalf("replaced file: Stale() = %v, %d units", reopened.Stale(), reopened.Len())
+	}
+}
+
+// TestOpenStoreWithoutMagic: a file without the header's magic — every gob
+// store written before the binary format — fails to open with an error
+// that names the file. It is not stale: nothing says it is a store.
+func TestOpenStoreWithoutMagic(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "verdicts.store")
+	var old bytes.Buffer
+	if err := gob.NewEncoder(&old).Encode(struct {
+		Version   int
+		Signature string
+	}{1, corpus.Signature(storeOpts)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, old.Bytes(), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	_, err := corpus.OpenStore(path, storeOpts)
+	if err == nil || errors.Is(err, persist.ErrStale) || !strings.Contains(err.Error(), path) {
+		t.Fatalf("OpenStore of a gob store = %v, want a non-stale error naming %s", err, path)
+	}
+}
+
+// TestOpenStoreNewerVersion: a snapshot from a newer build fails to open;
+// it is not stale, because this build cannot tell what it would drop.
+func TestOpenStoreNewerVersion(t *testing.T) {
+	snap := savedSnapshot(t)
+	for _, file := range [][]byte{
+		restamp(snap, persist.FormatVersion+1, persist.SemanticsVersion),
+		restamp(snap, persist.FormatVersion, persist.SemanticsVersion+1),
+	} {
+		path := filepath.Join(t.TempDir(), "verdicts.store")
+		if err := os.WriteFile(path, file, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := corpus.OpenStore(path, storeOpts); err == nil || errors.Is(err, persist.ErrStale) {
+			t.Fatalf("OpenStore of a newer snapshot = %v, want a non-stale error", err)
+		}
 	}
 }
 

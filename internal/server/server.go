@@ -348,6 +348,11 @@ func (s *Server) snapshotLoop() {
 	}
 }
 
+// StaleStore returns why the file at Config.StorePath was set aside as
+// stale at boot (corpus.Store.Stale), or nil; the warm tier then starts
+// empty and the next snapshot replaces the file.
+func (s *Server) StaleStore() error { return s.store.Stale() }
+
 // StoreLen returns the warm tier's unit count (for statsz and tests).
 func (s *Server) StoreLen() int { return s.store.Len() }
 

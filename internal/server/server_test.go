@@ -9,7 +9,9 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -22,6 +24,7 @@ import (
 	"exactdep/internal/core"
 	"exactdep/internal/corpus"
 	"exactdep/internal/dtest"
+	"exactdep/internal/persist"
 	"exactdep/internal/wire"
 	"exactdep/internal/workload"
 )
@@ -328,6 +331,31 @@ func waitFor(t *testing.T, cond func() bool) {
 			t.Fatal("condition not reached")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestStaleStoreAtBoot: a store file written under an older semantics
+// version boots an empty warm tier that reports the file, and the first
+// snapshot replaces it.
+func TestStaleStoreAtBoot(t *testing.T) {
+	storePath := filepath.Join(t.TempDir(), "warm.store")
+	stale := binary.AppendUvarint([]byte(persist.StoreFile.Magic), persist.FormatVersion)
+	stale = binary.AppendUvarint(stale, persist.SemanticsVersion-1)
+	if err := os.WriteFile(storePath, stale, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Options: testOptions(), StorePath: storePath})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.StaleStore(); !errors.Is(err, persist.ErrStale) || s.StoreLen() != 0 {
+		t.Fatalf("StaleStore() = %v with %d units, want persist.ErrStale and an empty tier", err, s.StoreLen())
+	}
+	if err := s.SaveStore(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := corpus.OpenStore(storePath, s.baseOpts); err != nil {
+		t.Fatalf("the first snapshot did not replace the stale file: %v", err)
 	}
 }
 
