@@ -25,7 +25,9 @@ loc:
 # ten times each: the shared memo table's in-place publication (lock-free
 # readers against inserting, growing writers), its many-writer overlap, the
 # in-flight leader election, and the verdict store (goroutines mixing
-# Lookup, Put, Len and SaveFile on one shared store).
+# Lookup, Put, Len and SaveFile on one shared store; TestStoreHammer also
+# selects TestStoreHammerFileIndex, drivers sharing one store's file
+# index).
 race:
 	$(GO) test -race -timeout 120s ./...
 	$(GO) test -race -count=10 -run 'TestShardedTableLockFreeStress|TestShardedTableHammer|TestInFlightHammer' ./internal/memo
@@ -36,16 +38,18 @@ race:
 # allocates), so the zero-allocation cascade path, the zero-allocation
 # memo path (encode + lookup + hit), the bounded per-insert cost of the
 # shared memo table, the zero-allocation Fourier–Motzkin solve, the
-# clone-free refinement walk, the map-free lexer, and the verdict store's
+# clone-free refinement walk, the map-free lexer, the verdict store's
 # per-unit slabs (a fixed number of allocations per unit to load a snapshot
-# and to serve a unit, however many results it holds) stay gated even
-# though the main test run is race-enabled.
+# and to serve a unit, however many results it holds) and its file index
+# (serving an unchanged file without building its IR, in a fixed number of
+# allocations however many pairs it holds) stay gated even though the main
+# test run is race-enabled.
 allocgate:
 	$(GO) test ./internal/dtest -run 'TestCascadeZeroAllocs|TestRunTracedReusesScratch|TestBudgetZeroAllocs|TestFMSolveZeroAllocs'
 	$(GO) test ./internal/memo -run 'TestEncoderZeroAllocs|TestMemoHitZeroAllocs|TestShardedInsertAllocs'
 	$(GO) test ./internal/depvec -run 'TestRefineZeroAllocs'
 	$(GO) test ./internal/lang -run 'TestLexerZeroAllocs'
-	$(GO) test ./internal/corpus -run 'TestLoadStoreAllocs|TestServeAllocs'
+	$(GO) test ./internal/corpus -run 'TestLoadStoreAllocs|TestServeAllocs|TestIndexHitAllocs'
 
 # fuzz-smoke fuzzes every decoder of outside input for 10 s each: the DSL
 # parser, and the verdict store's and memo file's shared binary decoder
@@ -98,8 +102,8 @@ serve-smoke:
 # front-end layers (parse, lower, pair enumeration over LargeCorpus-shaped
 # sources), the cascade, memo and refinement stage/allocation
 # microbenchmarks, the memo file's save and load, and the verdict store's
-# load, save and serve. bench, bench-smoke, bench-json and benchcmp-gate all
-# run this one list.
+# load, save and serve, the fingerprint walk and the file read + digest.
+# bench, bench-smoke, bench-json and benchcmp-gate all run this one list.
 BENCH_PKGS := . ./internal/lang ./internal/opt ./internal/refs ./internal/dtest ./internal/memo ./internal/depvec ./internal/core ./internal/corpus
 
 # bench runs every benchmark once, human-readable, with allocation counts.
@@ -119,21 +123,22 @@ bench-smoke:
 # longer than go test's default 10-minute timeout, hence -timeout.
 bench-json:
 	$(GO) test -run '^$$' -bench . -benchmem -count 5 -timeout 60m $(BENCH_PKGS) 2>&1 \
-		| tee /dev/stderr | $(GO) run ./cmd/benchjson -out BENCH_PR17.json
+		| tee /dev/stderr | $(GO) run ./cmd/benchjson -out BENCH_PR20.json
 
 # benchcmp diffs the previous committed baseline against the newest.
 benchcmp:
-	$(GO) run ./cmd/benchcmp BENCH_PR16.json BENCH_PR17.json
+	$(GO) run ./cmd/benchcmp BENCH_PR17.json BENCH_PR20.json
 
 # BASELINE is the committed perf baseline benchcmp-gate measures against,
 # recorded on the 2-vCPU host the end-to-end benchmark runs on.
-BASELINE := BENCH_PR17.json
+BASELINE := BENCH_PR20.json
 
 # GATED lists the gated benchmarks as go test -bench patterns. The corpus
 # warm path is the incremental layer's headline number, and the warm
-# Dir-backed pipeline run is the front-end (parse+fingerprint+probe) twin of
-# it, so both are gated alongside the memo-hot pass and the warm serve
-# request model (the depserve executor's cross-request memo dividend).
+# Dir-backed pipeline run is its file-backed twin — every file unchanged,
+# so it measures read + digest + file index probe, no parse — so both are
+# gated alongside the memo-hot pass and the warm serve request model (the
+# depserve executor's cross-request memo dividend).
 GATED := AnalyzeAllMemoHot/workers=4 CorpusIncremental/warm_1pct/workers=1 \
 	CorpusPipeline/warm/dir/workers=1 ServeBatch/warm/workers=1
 

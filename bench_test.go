@@ -303,11 +303,13 @@ func writeLargeCorpusDir(b *testing.B, nests int) string {
 // 4096-nest LargeCorpus, cold (empty store: load, fingerprint, solve, fill)
 // and warm (filled store: the front end is the whole run), from both an
 // in-memory source (units pre-built, fingerprints cached after the first
-// pass) and a Dir source (32 files re-read and re-parsed every run). Worker
-// counts 1/2/4/8 chart the pipeline's scaling; the warm Dir series is the
-// headline — serial parse+fingerprint used to dominate the incremental win,
-// and the parallel front end is what moves it. Canonical-byte identity
-// across these worker counts is pinned by TestPipelineCanonicalIdentity.
+// pass) and a Dir source (32 files re-read every run: a cold run parses
+// them all, a warm run serves each through the store's file index after a
+// read and a digest). Worker counts 1/2/4/8 chart the pipeline's scaling;
+// the warm Dir series is the headline of the file index, and the cold Dir
+// series at one worker still parses on a GOMAXPROCS pool. Canonical-byte
+// identity across these worker counts is pinned by
+// TestPipelineCanonicalIdentity.
 func BenchmarkCorpusPipeline(b *testing.B) {
 	opts := core.Options{Memoize: true, ImprovedMemo: true}
 	const nests = 4096

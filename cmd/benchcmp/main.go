@@ -1,5 +1,5 @@
 // Command benchcmp diffs two bench-json baselines (make benchcmp →
-// BENCH_PR16.json vs BENCH_PR17.json): benchmarks are matched by name and the
+// BENCH_PR17.json vs BENCH_PR20.json): benchmarks are matched by name and the
 // ns/op, bytes/op and allocs/op deltas printed side by side, with benchmarks
 // present in only one file called out separately. It reads only the
 // "benchmarks" array and the "host" section (warning when the two baselines

@@ -1,5 +1,5 @@
 // Command benchjson records `go test -bench` output as a machine-readable
-// perf baseline (make bench-json → BENCH_PR17.json). It reads the output of
+// perf baseline (make bench-json → BENCH_PR20.json). It reads the output of
 //
 //	go test -run '^$' -bench . -benchmem -count 5 <packages>
 //

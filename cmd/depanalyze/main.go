@@ -432,6 +432,10 @@ func analyze(src exactdep.Corpus, emit func(exactdep.UnitResult) error, cfg corp
 func unitPrinter(stdout, stderr io.Writer) func(exactdep.UnitResult) error {
 	first := true
 	return func(ur exactdep.UnitResult) error {
+		// A unit served through the store's file index carries no pairs.
+		if err := ur.LoadPairs(); err != nil {
+			return err
+		}
 		if !first {
 			fmt.Fprintln(stdout)
 		}
@@ -464,6 +468,10 @@ func writeWireJSON(w io.Writer, urs []exactdep.UnitResult, cs exactdep.CorpusSta
 		Counters:      wire.FromCounters(counters),
 	}
 	for i := range urs {
+		// A unit served through the store's file index carries no pairs.
+		if err := urs[i].LoadPairs(); err != nil {
+			return err
+		}
 		resp.Units[i] = wire.FromUnitResult(&urs[i])
 	}
 	enc := json.NewEncoder(w)

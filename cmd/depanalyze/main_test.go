@@ -535,3 +535,46 @@ func TestSingleFileGolden(t *testing.T) {
 		t.Errorf("single-file output differs from %s:\n got:\n%s\nwant:\n%s", golden, got.Bytes(), want)
 	}
 }
+
+// TestCorpusStoreGolden pins the report of a warm -store run over a
+// directory byte for byte: the text report and the -json document, at one
+// and at four workers. Every file is unchanged, so the run serves each
+// unit without parsing it, and the printers must still render every pair
+// and every lowering warning. The golden was captured before the verdict
+// store kept a file index. Run with -update to rewrite
+// testdata/corpusstore.golden.
+func TestCorpusStoreGolden(t *testing.T) {
+	root := corpusDir(t)
+	if err := os.WriteFile(filepath.Join(root, "c.loop"), []byte("for i = 1 to 10\n  c[i*i] = c[i] + 1\n  d[i+1] = d[i]\nend\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	store := filepath.Join(t.TempDir(), "verdicts.store")
+	var got, out, errb bytes.Buffer
+	if code := run([]string{"-store", store, root}, &out, &errb); code != 0 {
+		t.Fatalf("cold exit %d, stderr %q", code, errb.String())
+	}
+	for _, flags := range [][]string{{"-workers=1"}, {"-workers=4"}, {"-workers=1", "-json"}, {"-workers=4", "-json"}} {
+		out.Reset()
+		errb.Reset()
+		if code := run(append(flags, "-store", store, root), &out, &errb); code != 0 {
+			t.Fatalf("%v: exit %d, stderr %q", flags, code, errb.String())
+		}
+		fmt.Fprintf(&got, "=== %s\n", strings.Join(flags, " "))
+		got.Write(out.Bytes())
+		got.Write(errb.Bytes())
+	}
+	golden := filepath.Join("testdata", "corpusstore.golden")
+	if *update {
+		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run: go test ./cmd/depanalyze -run CorpusStoreGolden -update)", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("warm corpus output differs from %s:\n got:\n%s\nwant:\n%s", golden, got.Bytes(), want)
+	}
+}

@@ -4,7 +4,8 @@ package exactdep
 // analyzer. A Corpus is any ordered set of named units (directory trees of
 // DSL files, explicit file lists, or in-memory units); the driver
 // fingerprints each unit, serves unchanged units from a persistent verdict
-// store, and batches only changed/new units through the analyzer. See
+// store — an unchanged file through the store's file index, without a
+// parse — and batches only changed/new units through the analyzer. See
 // internal/corpus and the ARCHITECTURE.md "Corpus layer" section.
 
 import (
@@ -58,7 +59,11 @@ var (
 
 // CorpusReport is the result of analyzing one corpus.
 type CorpusReport struct {
-	// Units holds one result per unit, in corpus order.
+	// Units holds one result per unit, in corpus order. A Dir or Files unit
+	// served through the store's file index (Stats.UnitsIndexed of them)
+	// was never parsed, so its results carry verdicts, vectors and
+	// distances but a zero Result.Pair; call UnitResult.LoadPairs on it
+	// before reading the pairs.
 	Units []UnitResult
 	// Stats counts the run's incremental traffic.
 	Stats CorpusStats

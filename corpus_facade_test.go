@@ -11,8 +11,9 @@ import (
 
 // TestAnalyzeCorpusStorePath drives the facade's one-call incremental
 // workflow: the first AnalyzeCorpusRequest creates the store at
-// Options.StorePath, the second serves every unit from it, and an edit
-// re-solves only the edited unit.
+// Options.StorePath, the second serves every unit from it through its file
+// index (at the default of one worker, without parsing a file), and an
+// edit re-solves only the edited unit.
 func TestAnalyzeCorpusStorePath(t *testing.T) {
 	root := t.TempDir()
 	write := func(name, src string) {
@@ -57,6 +58,18 @@ func TestAnalyzeCorpusStorePath(t *testing.T) {
 	if warm.Counters.Pairs != 0 {
 		t.Fatalf("warm run analyzed %d pairs, want 0", warm.Counters.Pairs)
 	}
+	if warm.Stats.UnitsIndexed != 2 {
+		t.Fatalf("warm run parsed %d files, want none", 2-warm.Stats.UnitsIndexed)
+	}
+	if p := warm.Units[0].Results[0].Pair; p.A.Ref.Array != "" {
+		t.Fatalf("a unit served through the file index carries a pair: %v", p.A.Ref)
+	}
+	if err := warm.Units[0].LoadPairs(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := warm.Units[0].Results[1].Pair.B.Ref.String(), cold.Units[0].Results[1].Pair.B.Ref.String(); got != want {
+		t.Fatalf("LoadPairs attached %q, want %q", got, want)
+	}
 	for ui, u := range warm.Units {
 		if !u.Reused || u.Fingerprint.IsZero() {
 			t.Fatalf("warm unit %d not reused: %+v", ui, u)
@@ -78,7 +91,7 @@ func TestAnalyzeCorpusStorePath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dirty.Stats.UnitsSolved != 1 || dirty.Stats.UnitsReused != 1 {
+	if dirty.Stats.UnitsSolved != 1 || dirty.Stats.UnitsReused != 1 || dirty.Stats.UnitsIndexed != 1 {
 		t.Fatalf("dirty stats: %+v", dirty.Stats)
 	}
 	if dirty.Units[0].Reused || !dirty.Units[1].Reused {

@@ -354,7 +354,9 @@ type DistanceVec = transform.DistanceVector
 
 // FullDistanceVector assembles a complete distance vector from a result's
 // per-level constant distances. ok is false unless every common level's
-// distance is known (requires Options.PruneDistance).
+// distance is known (requires Options.PruneDistance). It reads the pair's
+// common depth, so a result served through a corpus store's file index
+// needs UnitResult.LoadPairs first; without its pair, ok is false.
 func FullDistanceVector(r Result) (DistanceVec, bool) {
 	n := r.Pair.Common
 	if len(r.Distances) != n || n == 0 {

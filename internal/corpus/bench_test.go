@@ -3,11 +3,15 @@ package corpus_test
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"io"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
 	"exactdep/internal/corpus"
+	"exactdep/internal/memo"
 	"exactdep/internal/workload"
 )
 
@@ -84,6 +88,59 @@ func BenchmarkStoreServeEditShape(b *testing.B) {
 		serveAll(b, fx)
 	}
 	b.ReportMetric(float64(len(fx.units)), "units")
+}
+
+// BenchmarkFingerprint walks every unit of corpus-edit's shape with a
+// Fingerprinter, the corpus.fingerprint layer alone: what a file index hit
+// saves besides the parse, lowering and pair enumeration.
+func BenchmarkFingerprint(b *testing.B) {
+	fx := editStore()
+	var f corpus.Fingerprinter
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, u := range fx.units {
+			fpSink = f.Unit(u)
+		}
+	}
+	b.ReportMetric(float64(len(fx.units)), "units")
+}
+
+// fpSink and digestSink keep the measured results live.
+var (
+	fpSink     memo.Fingerprint
+	digestSink [sha256.Size]byte
+)
+
+// BenchmarkFileDigest reads and hashes (SHA-256) the 32 files of
+// corpus-edit's shape, what the front end pays per file before a file
+// index probe.
+func BenchmarkFileDigest(b *testing.B) {
+	root := b.TempDir()
+	var paths []string
+	var size int64
+	for _, s := range workload.LargeCorpus(4096) {
+		path := filepath.Join(root, s.Name+corpus.DirExt)
+		src := workload.Source(s, false)
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			b.Fatal(err)
+		}
+		paths = append(paths, path)
+		size += int64(len(src))
+	}
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, path := range paths {
+			src, err := os.ReadFile(path)
+			if err != nil {
+				b.Fatal(err)
+			}
+			digestSink = sha256.Sum256(src)
+		}
+	}
+	b.ReportMetric(float64(len(paths)), "files")
 }
 
 func benchmarkLoad(b *testing.B, fx storeFixture) {

@@ -17,17 +17,20 @@
 //     structural digest, straight off the IR with no system building, so
 //     fingerprinting a corpus costs microseconds per unit.
 //   - Store: fingerprint → per-unit verdicts, direction vectors, distances
-//     and cost counters, with snapshot Save/Load in the binary format of
-//     package persist (shared with core.SaveMemo) scoped to an Options
-//     signature and a semantics version. Safe for concurrent use;
-//     OpenStore and SaveFile (atomic, skipped while unchanged) are the one
-//     way a front end opens and saves a store file.
-//   - Driver: diffs fingerprints against the store, schedules only
-//     changed/new units through core.AnalyzeAll (chunked batches, shared
-//     memo tables, deterministic order, byte-identical at every worker
-//     count),
-//     and serves everything else from the store — under the cross-class
-//     rule when the store belongs to another budget class.
+//     and cost counters, plus a file index (unit name → SHA-256 of the
+//     file's bytes, fingerprint, pair count, warnings), with snapshot
+//     Save/Load in the binary format of package persist (shared with
+//     core.SaveMemo) scoped to an Options signature and a semantics
+//     version. Safe for concurrent use; OpenStore and SaveFile (atomic,
+//     skipped while unchanged) are the one way a front end opens and saves
+//     a store file.
+//   - Driver: serves a file-backed unit whose bytes the file index already
+//     knows without parsing it, diffs the other units' fingerprints
+//     against the store, schedules only changed/new units through
+//     core.AnalyzeAll (chunked batches, shared memo tables, deterministic
+//     order, byte-identical at every worker count), and serves everything
+//     else from the store — under the cross-class rule when the store
+//     belongs to another budget class.
 //
 // Front ends never read or write a store's entries themselves: they open
 // it, attach it to a driver, and save it.
@@ -89,22 +92,38 @@ type Source interface {
 }
 
 // Item is one lazily-loadable member of a corpus listing: the unit's name
-// plus the deferred read+parse that materializes it. Load must be safe to
-// call from any goroutine (items are loaded by a worker pool) and
-// independent of every other item's Load.
+// plus either Read, which returns the loop-language source the unit is
+// parsed from, or Load, the deferred read+parse that materializes it; Read
+// wins when both are set. With Read the driver digests the bytes before
+// parsing them, so a store's file index can serve an unchanged file
+// without a parse (see Store). Read and Load must be safe to call from any
+// goroutine (items are loaded by a worker pool) and independent of every
+// other item's.
 type Item struct {
 	Name string
+	Read func() ([]byte, error)
 	Load func() (Unit, error)
+}
+
+// unit materializes the item.
+func (it *Item) unit() (Unit, error) {
+	if it.Read == nil {
+		return it.Load()
+	}
+	src, err := it.Read()
+	if err != nil {
+		return Unit{}, fmt.Errorf("corpus: %w", err)
+	}
+	return FromSource(it.Name, string(src))
 }
 
 // Lister is the streaming face of a Source: sources that can enumerate
 // their members cheaply (a directory walk, a path list) before paying the
-// per-unit read+parse cost. At more than one worker the driver's front end
-// loads, fingerprints, and store-probes Lister items with a worker pool
-// while the solver is already chewing on earlier units; plain Sources, and
-// every Source at one worker, are materialized through Units first. Dir
-// and Files implement it; Mem deliberately does not (its units already
-// exist).
+// per-unit read+parse cost. The driver's front end reads (or loads),
+// fingerprints, and store-probes Lister items with a worker pool while the
+// solver is already chewing on earlier units; plain Sources are
+// materialized through Units first. Dir and Files implement it with Read
+// items; Mem deliberately does not (its units already exist).
 type Lister interface {
 	Source
 	List() ([]Item, error)
@@ -130,7 +149,7 @@ func loadItems(items []Item) ([]Unit, error) {
 				if i >= len(items) {
 					return
 				}
-				units[i], errs[i] = items[i].Load()
+				units[i], errs[i] = items[i].unit()
 			}
 		}()
 	}
@@ -162,18 +181,6 @@ func FromSource(name, src string) (Unit, error) {
 	return Unit{Name: name, Cands: refs.Pairs(u), Warnings: u.Warnings}, nil
 }
 
-// loadFile is the Item.Load of the file-backed sources: read and parse one
-// DSL file into the unit named name.
-func loadFile(name, path string) func() (Unit, error) {
-	return func() (Unit, error) {
-		b, err := os.ReadFile(path)
-		if err != nil {
-			return Unit{}, fmt.Errorf("corpus: %w", err)
-		}
-		return FromSource(name, string(b))
-	}
-}
-
 // files is the Source over an explicit list of DSL file paths.
 type files []string
 
@@ -186,7 +193,7 @@ func Files(paths ...string) Source { return files(paths) }
 func (f files) List() ([]Item, error) {
 	items := make([]Item, len(f))
 	for i, path := range f {
-		items[i] = Item{Name: path, Load: loadFile(path, path)}
+		items[i] = Item{Name: path, Read: func() ([]byte, error) { return os.ReadFile(path) }}
 	}
 	return items, nil
 }
@@ -237,7 +244,7 @@ func (d dir) List() ([]Item, error) {
 		if err != nil {
 			rel = path
 		}
-		items[i] = Item{Name: filepath.ToSlash(rel), Load: loadFile(filepath.ToSlash(rel), path)}
+		items[i] = Item{Name: filepath.ToSlash(rel), Read: func() ([]byte, error) { return os.ReadFile(path) }}
 	}
 	return items, nil
 }

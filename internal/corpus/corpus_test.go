@@ -3,6 +3,7 @@ package corpus
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
 	"os"
 	"path/filepath"
@@ -288,12 +289,67 @@ func corruptStores(tb testing.TB) (clean []byte, cases map[string][]byte) {
 	return clean, cases
 }
 
+// corruptIndexes returns the snapshot of memUnits' store with a file index
+// entry for unit "a" and, per case, a snapshot whose index is broken the
+// way a truncated or tampered file can break it, with the error each must
+// raise. Save writes the index last, so the index cases replace the clean
+// snapshot's empty index (its last byte, a zero count).
+func corruptIndexes(tb testing.TB) (indexed []byte, cases map[string]struct {
+	file []byte
+	err  string
+}) {
+	tb.Helper()
+	clean, _ := corruptStores(tb)
+	units := memUnits(tb)
+	var f Fingerprinter
+	entry := func(name string) []byte {
+		return appendFile(nil, name, &fileEntry{digest: sha256.Sum256([]byte(srcA)), fp: f.Unit(units[0]),
+			pairs: len(units[0].Cands), warnings: []string{"w"}})
+	}
+	index := func(count uint64, entries ...[]byte) []byte {
+		b := binary.AppendUvarint(bytes.Clone(clean[:len(clean)-1]), count)
+		for _, e := range entries {
+			b = append(b, e...)
+		}
+		return b
+	}
+	a := entry("a")
+	indexed = index(1, a)
+	// A name long enough that the count fits the bytes left when the
+	// record is cut in its digest.
+	long := strings.Repeat("x", minFileBytes)
+	cut := entry(long)[:1+len(long)+sha256.Size/2]
+	cases = map[string]struct {
+		file []byte
+		err  string
+	}{
+		"index name order":     {index(2, entry("b"), a), `file index entry "a": name not above the previous entry's "b"`},
+		"index count":          {index(2, a), "exceeds what the"},
+		"index digest cut":     {index(1, cut), `file index entry "` + long + `": input ends mid-record`},
+		"index trailing bytes": {append(bytes.Clone(indexed), 0), "1 bytes of trailing input"},
+	}
+	return indexed, cases
+}
+
 // TestLoadStoreRejectsCorruptUnits: every corrupt snapshot fails LoadStore
-// with an error naming the unit. Serve indexes DistValue for every
-// DistLevel, so an accepted unit with a short DistValue used to panic on
-// its first store hit.
+// with an error naming the unit, or, in the file index, the entry and what
+// is wrong with it. Serve indexes DistValue for every DistLevel, so an
+// accepted unit with a short DistValue used to panic on its first store
+// hit.
 func TestLoadStoreRejectsCorruptUnits(t *testing.T) {
 	units := memUnits(t)
+	indexed, indexCases := corruptIndexes(t)
+	if s, err := LoadStore(bytes.NewReader(indexed), testOpts); err != nil || len(s.files) != 1 {
+		t.Fatalf("the snapshot with an index loads as %v", err)
+	}
+	for name, c := range indexCases {
+		t.Run(name, func(t *testing.T) {
+			_, err := LoadStore(bytes.NewReader(c.file), testOpts)
+			if err == nil || !strings.Contains(err.Error(), c.err) {
+				t.Fatalf("LoadStore = %v, want an error containing %q", err, c.err)
+			}
+		})
+	}
 	_, cases := corruptStores(t)
 	for name, file := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -366,6 +422,11 @@ func FuzzLoadStore(f *testing.F) {
 	f.Add(clean)
 	for _, b := range cases {
 		f.Add(b)
+	}
+	indexed, indexCases := corruptIndexes(f)
+	f.Add(indexed)
+	for _, c := range indexCases {
+		f.Add(c.file)
 	}
 	for _, b := range hugeCounts() {
 		f.Add(b)

@@ -20,13 +20,13 @@ import (
 // to a warm store probe, so the accounting is opt-in, like
 // core.Options.TimeCascade).
 type StageTimes struct {
-	// Load is reading + parsing units (file-backed sources; zero for
-	// in-memory corpora, whose units already exist).
+	// Load is reading, digesting and parsing units (file-backed sources;
+	// zero for in-memory corpora, whose units already exist).
 	Load time.Duration
 	// Fingerprint is the structural digest pass (zero-cost for units whose
-	// cached fingerprint is still valid).
+	// cached fingerprint is still valid, and skipped on file index hits).
 	Fingerprint time.Duration
-	// Probe is the fingerprint → verdict store lookups.
+	// Probe is the file index and fingerprint → verdict store lookups.
 	Probe time.Duration
 	// Solve is the analyzer batches over store misses.
 	Solve time.Duration
@@ -45,6 +45,9 @@ type Stats struct {
 	Units int
 	// UnitsReused were served from the store without analysis.
 	UnitsReused int
+	// UnitsIndexed of them were served through the store's file index,
+	// without a parse (unchanged Dir and Files units).
+	UnitsIndexed int
 	// UnitsSolved went through the analyzer (changed, new, or no store).
 	UnitsSolved int
 	// PairsServed / PairsSolved split the pair population the same way.
@@ -56,6 +59,10 @@ type Stats struct {
 }
 
 // UnitResult is one unit's outcome in corpus order.
+//
+// A unit served through the store's file index was never parsed, so its
+// results carry verdicts without IR: every Result.Pair is zero. LoadPairs
+// attaches the pairs when a caller needs them.
 type UnitResult struct {
 	Name        string
 	Fingerprint memo.Fingerprint
@@ -65,24 +72,49 @@ type UnitResult struct {
 	Results  []core.Result
 	Cost     CostSummary
 	Warnings []string
+
+	src []byte // the file bytes of a file index hit, until LoadPairs
+}
+
+// LoadPairs sets the Pair of every result of a unit served through the
+// file index, by parsing the file bytes the run read and digested: the
+// bytes the verdicts belong to, even if the file has changed since. It
+// does nothing for results that already carry their pairs.
+func (ur *UnitResult) LoadPairs() error {
+	if ur.src == nil {
+		return nil
+	}
+	u, err := FromSource(ur.Name, string(ur.src))
+	if err != nil {
+		return err
+	}
+	if len(u.Cands) != len(ur.Results) {
+		return fmt.Errorf("corpus: %s: %d pairs parsed for %d results", ur.Name, len(u.Cands), len(ur.Results))
+	}
+	for i := range ur.Results {
+		ur.Results[i].Pair = u.Cands[i].Pair
+	}
+	ur.src = nil
+	return nil
 }
 
 // Driver is the incremental corpus driver: it diffs unit fingerprints
 // against a persistent Store and schedules only changed or new units
 // through the analyzer, so unchanged-unit reuse (store hits) layers on top
-// of cross-unit canonical-problem reuse (memo hits). Without a store every
-// unit is solved fresh, and the driver is simply the corpus front end the
-// suite runner and depanalyze share.
+// of cross-unit canonical-problem reuse (memo hits). A file-backed unit
+// whose bytes the store's file index already knows is served without even
+// a parse. Without a store every unit is solved fresh, and the driver is
+// simply the corpus front end the suite runner and depanalyze share.
 //
 // A Run is one walk at every worker count (see pipeline.go): the front end
-// loads, fingerprints, and store-probes each unit; the solver walks the
-// units in corpus order, feeds accumulated miss batches to
-// core.AnalyzeAllContext, and emits results in corpus order as their prefix
-// completes. At workers > 1 a pool runs the front end concurrently, so
-// later units are still in it while the analyzer solves earlier batches; at
-// one worker the solver runs each unit's front-end step itself and no
-// goroutine is started. Cold and warm canonical bytes — and the unit/pair
-// counters above — are identical at every worker count.
+// reads, digests, parses, fingerprints, and store-probes each unit; the
+// solver walks the units in corpus order, feeds accumulated miss batches
+// to core.AnalyzeAllContext, and emits results in corpus order as their
+// prefix completes. A pool runs the front end concurrently, so later units
+// are still in it while the analyzer solves earlier batches; at one worker
+// over an in-memory corpus the solver runs each unit's front-end step
+// itself and no goroutine is started. Cold and warm canonical bytes — and
+// the unit/pair counters above — are identical at every worker count.
 //
 // A Driver is not safe for concurrent use; its own worker pools provide
 // the parallelism. Several drivers may share one Store.
@@ -110,8 +142,8 @@ type Driver struct {
 // workers sizes the whole pipeline — the front-end load/fingerprint/probe
 // pool and the analyzer pool of each solve batch (<= 0 GOMAXPROCS) — with
 // the same byte-identical-results guarantee as core.AnalyzeAll. At one
-// worker a Run starts no goroutine of its own, but Dir and Files still
-// read and parse their files with a GOMAXPROCS pool in Units.
+// worker the analyzer runs on the calling goroutine, but a listed corpus
+// (Dir, Files) is still read and parsed by a GOMAXPROCS pool.
 func NewDriver(opts core.Options, workers int) *Driver {
 	return &Driver{analyzer: core.New(opts), workers: workers, sig: signatureOf(opts)}
 }
@@ -159,14 +191,13 @@ func (d *Driver) Store() *Store { return d.store }
 // Stats without materializing store-served results at all; a non-nil emit
 // error aborts the run. Stats is reset at the start of each run.
 //
-// UnitResults stream out in corpus order as their prefix completes. At
-// workers > 1 units are loaded, fingerprinted, and probed by a worker pool
-// and miss batches overlap the rest of the front end in the analyzer.
-// Canonical bytes, unit/pair counters, and store traffic are identical at
-// every worker count. On a load failure the (deterministic, lowest-index)
-// error is returned; at workers > 1 results for units preceding the
-// failing one may already have been emitted, where one worker, which
-// loads the whole corpus up front, emits nothing.
+// UnitResults stream out in corpus order as their prefix completes. Units
+// are read, fingerprinted, and probed by a worker pool and miss batches
+// overlap the rest of the front end in the analyzer. Canonical bytes,
+// unit/pair counters, and store traffic are identical at every worker
+// count. On a load failure the (deterministic, lowest-index) error is
+// returned; results for units preceding the failing one may already have
+// been emitted.
 func (d *Driver) Run(ctx context.Context, src Source, emit func(UnitResult) error) error {
 	start := time.Now()
 	d.Stats = Stats{}

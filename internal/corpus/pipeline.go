@@ -2,6 +2,9 @@ package corpus
 
 import (
 	"context"
+	"crypto/sha256"
+	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,20 +14,23 @@ import (
 	"exactdep/internal/refs"
 )
 
-// The corpus run. At more than one worker three stages overlap:
+// The corpus run. Three stages overlap:
 //
 //	front end (pool of N workers)      solver (the Run goroutine)
 //	┌───────────────────────────┐      ┌───────────────────────────────┐
 //	│ claim index i (atomic)    │      │ walk slots in corpus order    │
-//	│ load unit i (Lister only) │ ───▶ │ hit  → serve / queue          │
-//	│ fingerprint (cached)      │ slot │ miss → append to chunk        │
-//	│ probe store (read-only)   │ ready│ chunk full → AnalyzeAll batch │
-//	└───────────────────────────┘      │ emit finished prefix in order │
-//	                                   └───────────────────────────────┘
+//	│ read + digest unit i:     │      │ hit  → serve / queue          │
+//	│   file index hit → done   │ ───▶ │ miss → append to chunk        │
+//	│ else parse (Lister only), │ slot │ chunk full → AnalyzeAll batch │
+//	│ fingerprint (cached),     │ ready│ emit finished prefix in order │
+//	│ probe store (read-only)   │      │ after the walk: Puts, index   │
+//	└───────────────────────────┘      └───────────────────────────────┘
 //
-// At one worker there is no pool: the solver runs the front-end step for
-// slot i itself just before it walks the slot, and the analyzer batches run
-// on the same goroutine, so a one-worker Run starts no goroutine.
+// The pool has N = workers goroutines at more than one worker. At one
+// worker the analyzer batches run on the solver goroutine, and so does the
+// front end of an in-memory corpus, which starts no goroutine at all; a
+// listing (Dir, Files) still gets a pool of GOMAXPROCS readers, because a
+// file index miss pays a parse.
 //
 // Determinism invariants, in force at every worker count:
 //
@@ -37,11 +43,12 @@ import (
 //     deterministic and memo-state independent, so the batching cannot
 //     change a verdict, a vector, or a distance.
 //   - No unit hits an entry written earlier in the same run: the front end
-//     only reads the store, and the solver defers its Puts until every
-//     slot has been probed. The store is safe for concurrent use, so this
-//     is not about data races (other drivers sharing the store may Put at
-//     any time); it is what keeps UnitsSolved/PairsSolved independent of
-//     how far the front end has run ahead of the solver.
+//     only reads the store, and the solver defers its Puts and its file
+//     index entries until every slot has been probed. The store is safe
+//     for concurrent use, so this is not about data races (other drivers
+//     sharing the store may Put at any time); it is what keeps
+//     UnitsSolved/PairsSolved independent of how far the front end has run
+//     ahead of the solver.
 //   - Emit happens on the solver goroutine only, in corpus order, as each
 //     prefix completes: the caller's emit callback needs no locking.
 //   - On a load error the solver stops at the lowest failing index —
@@ -60,11 +67,18 @@ const solveChunkPairs = 512
 type feSlot struct {
 	fp     memo.Fingerprint
 	stored *StoredUnit // store hit, if any
+	// With a store attached, the bytes of a Read item are digested. A file
+	// index hit keeps them in src (UnitResult.LoadPairs) and builds no IR;
+	// a parsed unit's digest becomes its index entry after the run.
+	digested bool
+	digest   [sha256.Size]byte
+	indexed  bool
+	src      []byte // index hits only
 }
 
 // frontEnd is one run's corpus and the per-unit products of its front end.
-// items is set only for a Lister source at more than one worker: the step
-// then loads units[i] from items[i] and records its load error in errs[i].
+// items is set only for a Lister source: the step then reads or loads
+// units[i] from items[i] and records its load error in errs[i].
 type frontEnd struct {
 	units []Unit
 	items []Item
@@ -74,55 +88,75 @@ type frontEnd struct {
 	load, fingerprint, probe atomic.Int64 // nanoseconds, summed over workers
 }
 
-// step is the front end for slot i: load the unit if it is lazy,
-// fingerprint it, probe the store. fpr is the caller's hasher scratch.
+// step is the front end for slot i: read the unit if it is listed — with a
+// store attached, digest the bytes and finish on a file index hit the
+// store still serves — and parse it (or load it); then fingerprint the
+// unit and probe the store. fpr is the caller's hasher scratch.
 func (d *Driver) step(fe *frontEnd, i int, fpr *Fingerprinter) {
 	timed := d.TimeStages
 	var t0 time.Time
 	if timed {
 		t0 = time.Now()
 	}
-	if fe.items != nil {
-		fe.units[i], fe.errs[i] = fe.items[i].Load()
+	// lap charges the time since the previous lap to one stage.
+	lap := func(stage *atomic.Int64) {
 		if timed {
 			t1 := time.Now()
-			fe.load.Add(t1.Sub(t0).Nanoseconds())
+			stage.Add(t1.Sub(t0).Nanoseconds())
 			t0 = t1
 		}
+	}
+	u, s := &fe.units[i], &fe.slots[i]
+	if fe.items != nil {
+		if it := &fe.items[i]; it.Read == nil {
+			*u, fe.errs[i] = it.Load()
+		} else if src, err := it.Read(); err != nil {
+			fe.errs[i] = fmt.Errorf("corpus: %w", err)
+		} else {
+			if d.store != nil {
+				s.digested, s.digest = true, sha256.Sum256(src)
+				lap(&fe.load)
+				e, ok := d.store.file(it.Name)
+				if ok && e.digest == s.digest {
+					s.stored = d.probe(e.fp, e.pairs)
+				}
+				lap(&fe.probe)
+				if s.stored != nil {
+					// The unit the entry describes, without its IR.
+					*u = Unit{Name: it.Name, Warnings: e.warnings}
+					s.fp, s.indexed, s.src = e.fp, true, src
+					return
+				}
+			}
+			*u, fe.errs[i] = FromSource(it.Name, string(src))
+		}
+		lap(&fe.load)
 		if fe.errs[i] != nil {
 			return
 		}
 	}
-	u, s := &fe.units[i], &fe.slots[i]
 	// The fingerprint is part of the unit's result surface even without a
 	// store (UnitResult.Fingerprint). It is cached on the Unit, so a
 	// long-lived in-memory corpus pays the digest walk once per unit across
 	// runs; steps touch disjoint slice elements, so the in-place caching is
 	// race-free.
 	s.fp = u.Fingerprint(fpr)
-	if timed {
-		t1 := time.Now()
-		fe.fingerprint.Add(t1.Sub(t0).Nanoseconds())
-		t0 = t1
-	}
+	lap(&fe.fingerprint)
 	if d.store != nil {
 		s.stored = d.probe(s.fp, len(u.Cands))
-		if timed {
-			fe.probe.Add(time.Since(t0).Nanoseconds())
-		}
+		lap(&fe.probe)
 	}
 }
 
 // run is Run's walk: enumerate the corpus, run the front end over every
-// slot (inline at one worker, on a pool otherwise) and solve in corpus
-// order. See the comment above for the stage diagram and the determinism
-// invariants.
+// slot (on a pool, or inline for an in-memory corpus at one worker) and
+// solve in corpus order. See the comment above for the stage diagram and
+// the determinism invariants.
 func (d *Driver) run(ctx context.Context, src Source, emit func(UnitResult) error, workers int) error {
-	// Lister sources stay lazy on a pool, which pays the read+parse per
-	// unit. Everything else is materialized here: Mem is a no-op, and at one
-	// worker Dir and Files read and parse through their own pool in Units.
+	// Lister sources stay lazy: the front end reads them. Everything else
+	// is materialized here (Mem is a no-op).
 	var fe frontEnd
-	if l, ok := src.(Lister); ok && workers > 1 {
+	if l, ok := src.(Lister); ok {
 		items, err := l.List()
 		if err != nil {
 			return err
@@ -147,8 +181,12 @@ func (d *Driver) run(ctx context.Context, src Source, emit func(UnitResult) erro
 
 	ready := func(i int) { d.step(&fe, i, &d.fp) }
 	join := func() {}
-	if workers > 1 {
-		ready, join = d.startFrontEnd(&fe, workers)
+	pool := workers
+	if pool == 1 && fe.items != nil {
+		pool = runtime.GOMAXPROCS(0)
+	}
+	if pool > 1 {
+		ready, join = d.startFrontEnd(&fe, pool)
 	}
 	err := d.solve(ctx, &fe, ready, emit, workers)
 	join()
@@ -244,8 +282,9 @@ func (d *Driver) solve(ctx context.Context, fe *frontEnd, ready func(int), emit 
 		}
 		if p.off < 0 {
 			ur.Reused = true
-			ur.Results = Serve(u.Cands, s.stored)
+			ur.Results = Serve(u.Cands, s.stored) // no pairs on an index hit
 			ur.Cost = s.stored.Cost
+			ur.src = s.src
 		} else {
 			ur.Results = solved[p.off : p.off+len(u.Cands)]
 			ur.Cost = Summarize(ur.Results)
@@ -296,10 +335,13 @@ func (d *Driver) solve(ctx context.Context, fe *frontEnd, ready func(int), emit 
 			err = fe.errs[i]
 			break
 		}
-		u := &fe.units[i]
-		if fe.slots[i].stored != nil {
+		u, s := &fe.units[i], &fe.slots[i]
+		if s.stored != nil {
 			d.Stats.UnitsReused++
-			d.Stats.PairsServed += len(u.Cands)
+			d.Stats.PairsServed += len(s.stored.Results)
+			if s.indexed {
+				d.Stats.UnitsIndexed++
+			}
 			if emit == nil {
 				// No consumer: a stats-only run pays nothing to rebuild
 				// served results.
@@ -333,11 +375,24 @@ func (d *Driver) solve(ctx context.Context, fe *frontEnd, ready func(int), emit 
 	if err == nil {
 		// Every slot was walked, so every front-end step — and with it
 		// every store probe of this run — has finished: no unit of this run
-		// can hit one of these entries. On the error path puts are dropped
-		// entirely, so a failed run stores nothing.
+		// can hit one of these entries. On the error path puts and index
+		// entries are dropped entirely, so a failed run stores nothing.
 		for i := range puts {
 			d.store.Put(puts[i].fp, puts[i].su)
 		}
+		d.indexFiles(fe)
 	}
 	return err
+}
+
+// indexFiles records the file index entry of every unit the run parsed from
+// digested bytes and the store now serves, so the next run over the same
+// bytes skips the parse.
+func (d *Driver) indexFiles(fe *frontEnd) {
+	for i := range fe.slots {
+		u, s := &fe.units[i], &fe.slots[i]
+		if s.digested && !s.indexed && d.probe(s.fp, len(u.Cands)) != nil {
+			d.store.indexFile(u.Name, fileEntry{s.digest, s.fp, len(u.Cands), u.Warnings})
+		}
+	}
 }

@@ -204,7 +204,8 @@ func canonicalOracle(t *testing.T, src Source) ([]byte, Stats) {
 // the driver: cold and warm canonical bytes at workers 1/2/4/8 — from Dir,
 // Files, and Mem sources alike — must equal a per-candidate analyzer
 // loop's, with the unit/pair counters the unit list implies and unchanged
-// store traffic on the warm run.
+// store traffic on the warm run, which serves Dir and Files through the
+// store's file index.
 func TestPipelineCanonicalIdentity(t *testing.T) {
 	const n = 30
 	root, names := pipelineDir(t, n)
@@ -259,6 +260,10 @@ func TestPipelineCanonicalIdentity(t *testing.T) {
 			}
 			if d.Stats.UnitsReused != n || d.Stats.UnitsSolved != 0 {
 				t.Fatalf("%s workers=%d: warm stats %+v", name, workers, d.Stats)
+			}
+			// Listed files are served through the file index, unparsed.
+			if _, listed := src.(Lister); listed != (d.Stats.UnitsIndexed == n) {
+				t.Fatalf("%s workers=%d: warm run served %d units through the file index", name, workers, d.Stats.UnitsIndexed)
 			}
 			if d.Store().Len() != storeLen {
 				t.Fatalf("%s workers=%d: warm run changed store traffic (%d -> %d entries)",

@@ -2,6 +2,7 @@ package corpus
 
 import (
 	"cmp"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"io/fs"
 	"os"
 	"slices"
+	"strings"
 	"sync"
 
 	"exactdep/internal/atomicfile"
@@ -41,19 +43,29 @@ import (
 // on session history even in a serial analyzer, so the driver serves store
 // hits as ByCache and the canonical rendering excludes it.
 //
+// Next to the units the store keeps a file index: unit name → the SHA-256
+// of the file the unit was parsed from, its fingerprint, pair count and
+// lowering warnings. The driver records an entry for every file-backed
+// unit (Dir, Files) the store serves, so on the next run an unchanged file
+// costs a digest and an index probe instead of a parse: equal bytes under
+// an equal semantics version give an equal unit. An entry is only a hint:
+// a hit still passes the driver's probe of its fingerprint, and a hit the
+// store no longer serves falls back to parsing.
+//
 // A Store is safe for concurrent use: Lookup, Put, Len, Save and SaveFile
 // may run from any number of goroutines, so several drivers (depserve's
 // per-class warm analyzers) can share one store. It also remembers whether
-// a Put ran since it was opened or last saved to a file, so SaveFile writes
-// only a store that changed.
+// a Put ran or an index entry changed since it was opened or last saved to
+// a file, so SaveFile writes only a store that changed.
 type Store struct {
 	sig signature
 
-	mu    sync.RWMutex
-	units map[memo.Fingerprint]*StoredUnit
-	puts  int64 // Puts since NewStore/LoadStore
-	saved int64 // puts at the last successful SaveFile
-	stale error // the stale file OpenStore set aside, if any
+	mu      sync.RWMutex
+	units   map[memo.Fingerprint]*StoredUnit
+	files   map[string]fileEntry // the file index, by unit name
+	changes int64                // Puts and index changes since NewStore/LoadStore
+	saved   int64                // changes at the last successful SaveFile
+	stale   error                // the stale file OpenStore set aside, if any
 
 	saveMu sync.Mutex // serializes SaveFile, so renames land in snapshot order
 }
@@ -90,9 +102,19 @@ type CostSummary struct {
 	Distances   int
 }
 
+// fileEntry is one file index entry: what the front end derived from the
+// file whose bytes hash to digest.
+type fileEntry struct {
+	digest   [sha256.Size]byte
+	fp       memo.Fingerprint
+	pairs    int
+	warnings []string
+}
+
 // NewStore returns an empty store bound to the signature of opts.
 func NewStore(opts core.Options) *Store {
-	return &Store{sig: signatureOf(opts), units: make(map[memo.Fingerprint]*StoredUnit)}
+	return &Store{sig: signatureOf(opts), units: make(map[memo.Fingerprint]*StoredUnit),
+		files: make(map[string]fileEntry)}
 }
 
 // signature is an options signature in its two parts: the result surface
@@ -148,7 +170,23 @@ func (s *Store) Lookup(fp memo.Fingerprint) (*StoredUnit, bool) {
 func (s *Store) Put(fp memo.Fingerprint, su StoredUnit) {
 	s.mu.Lock()
 	s.units[fp] = &su
-	s.puts++
+	s.changes++
+	s.mu.Unlock()
+}
+
+// file returns the index entry of the unit named name.
+func (s *Store) file(name string) (fileEntry, bool) {
+	s.mu.RLock()
+	e, ok := s.files[name]
+	s.mu.RUnlock()
+	return e, ok
+}
+
+// indexFile sets the index entry of the unit named name.
+func (s *Store) indexFile(name string, e fileEntry) {
+	s.mu.Lock()
+	s.files[name] = e
+	s.changes++
 	s.mu.Unlock()
 }
 
@@ -160,42 +198,59 @@ func (s *Store) Save(w io.Writer) error {
 }
 
 // A snapshot is a persist header bound to the store's signature, then the
-// units as counted records in strictly increasing fingerprint order, so a
-// given store always encodes to the same bytes:
+// units as counted records in strictly increasing fingerprint order, then
+// the file index as counted records in strictly increasing name order, so
+// a given store always encodes to the same bytes:
 //
 //	unit   = hi:8 lo:8 (little-endian)  name:string
 //	         cost: 7 × uvarint (CostSummary, field order)
 //	         directions:uvarint (direction bytes over the unit's vectors)
 //	         results:uvarint { verdict  trip:varint }
+//	file   = name:string  sha256:32  hi:8 lo:8  pairs:uvarint
+//	         warnings:uvarint { string }
 //
 // The cost and the direction count size the unit's slabs before its
 // results are read.
 const minUnitBytes = 16 + 1 + 7 + 1 + 1
 const minResultBytes = persist.MinVerdictBytes + 1
+const minFileBytes = 1 + sha256.Size + 16 + 1 + 1
 
-// encode renders the store's snapshot and returns the Put count it
-// reflects. Only collecting the units runs under the read lock (stored
-// units are immutable); the sort and the encoding run outside it, so a
-// save holds up Puts only for the copy.
+// encode renders the store's snapshot and returns the change count it
+// reflects. Only collecting the units and index entries runs under the
+// read lock (both are immutable once stored); the sorts and the encoding
+// run outside it, so a save holds up Puts only for the copy.
 func (s *Store) encode() ([]byte, int64) {
 	type entry struct {
 		fp memo.Fingerprint
 		su *StoredUnit
+	}
+	type named struct {
+		name string
+		e    fileEntry
 	}
 	s.mu.RLock()
 	units := make([]entry, 0, len(s.units))
 	for fp, su := range s.units {
 		units = append(units, entry{fp, su})
 	}
-	puts := s.puts
+	files := make([]named, 0, len(s.files))
+	for name, e := range s.files {
+		files = append(files, named{name, e})
+	}
+	changes := s.changes
 	s.mu.RUnlock()
 	slices.SortFunc(units, func(a, b entry) int { return compareFP(a.fp, b.fp) })
+	slices.SortFunc(files, func(a, b named) int { return strings.Compare(a.name, b.name) })
 	b := persist.AppendHeader(nil, persist.StoreFile, s.sig.String())
 	b = binary.AppendUvarint(b, uint64(len(units)))
 	for _, u := range units {
 		b = appendUnit(b, u.fp, u.su)
 	}
-	return b, puts
+	b = binary.AppendUvarint(b, uint64(len(files)))
+	for _, f := range files {
+		b = appendFile(b, f.name, &f.e)
+	}
+	return b, changes
 }
 
 func compareFP(a, b memo.Fingerprint) int {
@@ -229,20 +284,34 @@ func appendUnit(b []byte, fp memo.Fingerprint, su *StoredUnit) []byte {
 	return b
 }
 
+func appendFile(b []byte, name string, e *fileEntry) []byte {
+	b = persist.AppendString(b, name)
+	b = append(b, e.digest[:]...)
+	b = binary.LittleEndian.AppendUint64(b, e.fp.Hi)
+	b = binary.LittleEndian.AppendUint64(b, e.fp.Lo)
+	b = binary.AppendUvarint(b, uint64(e.pairs))
+	b = binary.AppendUvarint(b, uint64(len(e.warnings)))
+	for _, w := range e.warnings {
+		b = persist.AppendString(b, w)
+	}
+	return b
+}
+
 // SaveFile writes the store to path atomically — a temp file in the same
-// directory, then a rename — and does nothing when no Put ran since the
-// store was opened or last saved. A failed save leaves the previous file
-// intact and the store unsaved, so the next SaveFile writes it again.
+// directory, then a rename — and does nothing when no Put ran and no index
+// entry changed since the store was opened or last saved. A failed save
+// leaves the previous file intact and the store unsaved, so the next
+// SaveFile writes it again.
 func (s *Store) SaveFile(path string) error {
 	s.saveMu.Lock()
 	defer s.saveMu.Unlock()
 	s.mu.RLock()
-	clean := s.puts == s.saved
+	clean := s.changes == s.saved
 	s.mu.RUnlock()
 	if clean {
 		return nil
 	}
-	b, puts := s.encode()
+	b, changes := s.encode()
 	if err := atomicfile.Write(path, ".exactdep-store-*", func(w io.Writer) error {
 		_, err := w.Write(b)
 		return err
@@ -250,7 +319,7 @@ func (s *Store) SaveFile(path string) error {
 		return err
 	}
 	s.mu.Lock()
-	s.saved = puts
+	s.saved = changes
 	s.mu.Unlock()
 	return nil
 }
@@ -289,10 +358,11 @@ func (s *Store) Stale() error { return s.stale }
 // current format and semantics versions and the signature of opts, and
 // every unit must be one Serve can rebuild: verdicts persist.CheckVerdict
 // accepts, trip reasons inside their enum, a cost profile equal to
-// Summarize of the results, and fingerprints strictly increasing. A
-// truncated or hand-edited snapshot is rejected here, whole, rather than
-// panicking on a later store hit. An older version's snapshot fails with
-// an error wrapping persist.ErrStale (OpenStore opens it as empty).
+// Summarize of the results, and fingerprints strictly increasing. The
+// file index must follow, its names strictly increasing, and nothing after
+// it. A truncated or hand-edited snapshot is rejected here, whole, rather
+// than panicking on a later store hit. An older version's snapshot fails
+// with an error wrapping persist.ErrStale (OpenStore opens it as empty).
 func LoadStore(r io.Reader, opts core.Options) (*Store, error) {
 	b, err := io.ReadAll(r)
 	if err != nil {
@@ -335,6 +405,31 @@ func decodeStore(b []byte, opts core.Options) (*Store, error) {
 		}
 		s.units[fp] = su
 		prev = fp
+	}
+	n := d.Count(minFileBytes)
+	s.files = make(map[string]fileEntry, n)
+	var prevName string
+	for i := 0; i < n; i++ {
+		name := d.String()
+		var e fileEntry
+		d.Bytes(e.digest[:])
+		e.fp = memo.Fingerprint{Hi: d.Uint64(), Lo: d.Uint64()}
+		e.pairs = int(d.Uvarint())
+		if nw := d.Count(1); nw > 0 {
+			e.warnings = make([]string, nw)
+			for j := range e.warnings {
+				e.warnings[j] = d.String()
+			}
+		}
+		err := d.Err()
+		if err == nil && i > 0 && name <= prevName {
+			err = fmt.Errorf("name not above the previous entry's %q", prevName)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("verdict store file index entry %q: %w", name, err)
+		}
+		s.files[name] = e
+		prevName = name
 	}
 	if err := d.End(); err != nil {
 		return nil, fmt.Errorf("verdict store: %w", err)
@@ -415,10 +510,11 @@ func ToStored(name string, results []core.Result) StoredUnit {
 }
 
 // Serve rebuilds a unit's results from the store, attaching the *current*
-// candidates' pairs (the fingerprint proved them equivalent). Served
-// results report ByCache. The results' vectors, direction bytes and
-// distances are carved off one slab each, so serving a unit costs four
-// allocations however many results it holds.
+// candidates' pairs (the fingerprint proved them equivalent); with nil
+// cands — a unit served through the file index, never parsed — every Pair
+// stays zero. Served results report ByCache. The results' vectors,
+// direction bytes and distances are carved off one slab each, so serving a
+// unit costs four allocations however many results it holds.
 func Serve(cands []refs.Candidate, su *StoredUnit) []core.Result {
 	var nv, nd, nl int
 	for i := range su.Results {
@@ -437,7 +533,6 @@ func Serve(cands []refs.Candidate, su *StoredUnit) []core.Result {
 		sr := &su.Results[i]
 		r := &out[i]
 		*r = core.Result{
-			Pair:      cands[i].Pair,
 			Outcome:   dtest.Outcome(sr.Outcome),
 			Exact:     sr.Exact,
 			DecidedBy: core.ByCache,
@@ -445,6 +540,9 @@ func Serve(cands []refs.Candidate, su *StoredUnit) []core.Result {
 			Trip:      dtest.TripReason(sr.Trip),
 			Vectors:   persist.Take(&vecs, len(sr.Vectors)),
 			Distances: persist.Take(&dists, len(sr.DistLevel)),
+		}
+		if cands != nil {
+			r.Pair = cands[i].Pair
 		}
 		for j, bs := range sr.Vectors {
 			r.Vectors[j] = persist.Take(&dirs, len(bs))

@@ -32,14 +32,17 @@ var storeOpts = core.Options{
 	DirectionVectors: true, PruneUnused: true, PruneDistance: true,
 }
 
-// simpleUnits are units every budget class decides exactly.
+// simpleSrcs are sources every budget class decides exactly.
+var simpleSrcs = []string{
+	"for i = 1 to 100\n  a[i+1] = a[i] + 3\nend\n",
+	"for i = 1 to 50\n  b[2*i] = b[2*i+1] + 1\nend\n",
+}
+
+// simpleUnits are the units of simpleSrcs.
 func simpleUnits(t *testing.T) corpus.Mem {
 	t.Helper()
 	var units corpus.Mem
-	for i, src := range []string{
-		"for i = 1 to 100\n  a[i+1] = a[i] + 3\nend\n",
-		"for i = 1 to 50\n  b[2*i] = b[2*i+1] + 1\nend\n",
-	} {
+	for i, src := range simpleSrcs {
 		u, err := corpus.FromSource(fmt.Sprintf("simple%d", i), src)
 		if err != nil {
 			t.Fatal(err)
@@ -210,6 +213,47 @@ func TestOpenStoreStale(t *testing.T) {
 	}
 	if reopened.Stale() != nil || reopened.Len() != 0 {
 		t.Fatalf("replaced file: Stale() = %v, %d units", reopened.Stale(), reopened.Len())
+	}
+}
+
+// TestOpenStoreFormatV1: a store written before the file index existed
+// (format version 1: the units and no index section) opens stale and
+// empty, so the next run solves every file; SaveFile replaces it even
+// though the run stored what the file held, and the run after that serves
+// every file through the index.
+func TestOpenStoreFormatV1(t *testing.T) {
+	root, path := t.TempDir(), filepath.Join(t.TempDir(), "verdicts.store")
+	for i, src := range simpleSrcs {
+		if err := os.WriteFile(filepath.Join(root, fmt.Sprintf("simple%d.loop", i)), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := savedSnapshot(t) // ends in the empty index's zero count
+	if err := os.WriteFile(path, restamp(snap[:len(snap)-1], 1, persist.SemanticsVersion), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []corpus.Stats{{UnitsSolved: 2}, {UnitsReused: 2, UnitsIndexed: 2}} {
+		st, err := corpus.OpenStore(path, storeOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stale := i == 0; (st.Stale() != nil) != stale || stale && st.Len() != 0 {
+			t.Fatalf("run %d: Stale() = %v with %d units", i, st.Stale(), st.Len())
+		}
+		d := corpus.NewDriver(storeOpts, 1)
+		if err := d.SetStore(st); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Run(context.Background(), corpus.Dir(root), nil); err != nil {
+			t.Fatal(err)
+		}
+		got := corpus.Stats{UnitsReused: d.Stats.UnitsReused, UnitsIndexed: d.Stats.UnitsIndexed, UnitsSolved: d.Stats.UnitsSolved}
+		if got != want {
+			t.Fatalf("run %d: stats %+v, want %+v", i, d.Stats, want)
+		}
+		if err := st.SaveFile(path); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -33,8 +33,10 @@ import (
 )
 
 // FormatVersion is the version of the layout. Bump it with any change to
-// the bytes a file holds; files written under an older one are stale.
-const FormatVersion = 1
+// the bytes a file holds; files written under an older one are stale. Both
+// files share it: version 2 added the verdict store's file index, so memo
+// files written under version 1 are stale too.
+const FormatVersion = 2
 
 // SemanticsVersion names the analyzer behaviour a persisted verdict was
 // produced under. Bump it whenever the front end's candidates for a source,
@@ -176,6 +178,15 @@ func (d *Decoder) Int64() int64 {
 
 // Int reads a zigzag varint as an int.
 func (d *Decoder) Int() int { return int(d.Int64()) }
+
+// Bytes reads the next len(dst) bytes into dst.
+func (d *Decoder) Bytes(dst []byte) {
+	if len(d.buf) < len(dst) {
+		d.Fail(errShort)
+		return
+	}
+	d.buf = d.buf[copy(dst, d.buf):]
+}
 
 // Uint64 reads a fixed eight-byte little-endian word.
 func (d *Decoder) Uint64() uint64 {

@@ -65,6 +65,7 @@ func TestDecoderRejects(t *testing.T) {
 	}{
 		{"short varint", []byte{0x80}, func(d *Decoder) { d.Uvarint() }, "ends mid-record"},
 		{"short word", make([]byte, 7), func(d *Decoder) { d.Uint64() }, "ends mid-record"},
+		{"short bytes", make([]byte, 31), func(d *Decoder) { d.Bytes(make([]byte, 32)) }, "ends mid-record"},
 		{"short bool", nil, func(d *Decoder) { d.Bool() }, "ends mid-record"},
 		{"bool", []byte{2}, func(d *Decoder) { d.Bool() }, "boolean byte 2"},
 		{"overflow", []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, func(d *Decoder) { d.Int64() }, "overflows"},
