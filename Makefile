@@ -38,17 +38,19 @@ race:
 # allocates), so the zero-allocation cascade path, the zero-allocation
 # memo path (encode + lookup + hit), the bounded per-insert cost of the
 # shared memo table, the zero-allocation Fourier–Motzkin solve, the
-# clone-free refinement walk, the map-free lexer, the verdict store's
-# per-unit slabs (a fixed number of allocations per unit to load a snapshot
-# and to serve a unit, however many results it holds) and its file index
-# (serving an unchanged file without building its IR, in a fixed number of
-# allocations however many pairs it holds) stay gated even though the main
-# test run is race-enabled.
+# clone-free refinement walk, the map-free lexer, the zero-allocation
+# problem build (renamed bounds carved from the builder's arena), the
+# verdict store's per-unit slabs (a fixed number of allocations per unit to
+# load a snapshot and to serve a unit, however many results it holds) and
+# its file index (serving an unchanged file without building its IR, in a
+# fixed number of allocations however many pairs it holds) stay gated even
+# though the main test run is race-enabled.
 allocgate:
 	$(GO) test ./internal/dtest -run 'TestCascadeZeroAllocs|TestRunTracedReusesScratch|TestBudgetZeroAllocs|TestFMSolveZeroAllocs'
 	$(GO) test ./internal/memo -run 'TestEncoderZeroAllocs|TestMemoHitZeroAllocs|TestShardedInsertAllocs'
 	$(GO) test ./internal/depvec -run 'TestRefineZeroAllocs'
 	$(GO) test ./internal/lang -run 'TestLexerZeroAllocs'
+	$(GO) test ./internal/system -run 'TestBuildZeroAllocs'
 	$(GO) test ./internal/corpus -run 'TestLoadStoreAllocs|TestServeAllocs|TestIndexHitAllocs'
 
 # fuzz-smoke fuzzes every decoder of outside input for 10 s each: the DSL
@@ -100,11 +102,12 @@ serve-smoke:
 # BENCH_PKGS holds every package with Benchmark functions: the
 # paper-evaluation, corpus and serve benchmarks (root package), the
 # front-end layers (parse, lower, pair enumeration over LargeCorpus-shaped
-# sources), the cascade, memo and refinement stage/allocation
-# microbenchmarks, the memo file's save and load, and the verdict store's
+# sources), the problem build plus Extended GCD, the cascade, memo and
+# refinement stage/allocation microbenchmarks, the memo file's save and
+# load, a warm call against a large memo table, and the verdict store's
 # load, save and serve, the fingerprint walk and the file read + digest.
 # bench, bench-smoke, bench-json and benchcmp-gate all run this one list.
-BENCH_PKGS := . ./internal/lang ./internal/opt ./internal/refs ./internal/dtest ./internal/memo ./internal/depvec ./internal/core ./internal/corpus
+BENCH_PKGS := . ./internal/lang ./internal/opt ./internal/refs ./internal/system ./internal/dtest ./internal/memo ./internal/depvec ./internal/core ./internal/corpus
 
 # bench runs every benchmark once, human-readable, with allocation counts.
 bench:
@@ -123,15 +126,15 @@ bench-smoke:
 # longer than go test's default 10-minute timeout, hence -timeout.
 bench-json:
 	$(GO) test -run '^$$' -bench . -benchmem -count 5 -timeout 60m $(BENCH_PKGS) 2>&1 \
-		| tee /dev/stderr | $(GO) run ./cmd/benchjson -out BENCH_PR20.json
+		| tee /dev/stderr | $(GO) run ./cmd/benchjson -out BENCH_PR21.json
 
 # benchcmp diffs the previous committed baseline against the newest.
 benchcmp:
-	$(GO) run ./cmd/benchcmp BENCH_PR17.json BENCH_PR20.json
+	$(GO) run ./cmd/benchcmp BENCH_PR20.json BENCH_PR21.json
 
 # BASELINE is the committed perf baseline benchcmp-gate measures against,
 # recorded on the 2-vCPU host the end-to-end benchmark runs on.
-BASELINE := BENCH_PR20.json
+BASELINE := BENCH_PR21.json
 
 # GATED lists the gated benchmarks as go test -bench patterns. The corpus
 # warm path is the incremental layer's headline number, and the warm

@@ -18,6 +18,7 @@ package core
 import (
 	"errors"
 	"runtime"
+	"slices"
 
 	"exactdep/internal/depvec"
 	"exactdep/internal/dtest"
@@ -158,13 +159,41 @@ type Result struct {
 	Distances []depvec.Distance
 }
 
-// cached is the memoized value for a full problem key. Direction vectors
+// verdict is the part of a Result a memo entry keeps: no pair, vectors or
+// distances. Every field is a small enumeration, so each takes one byte.
+type verdict struct {
+	Outcome   uint8 // dtest.Outcome
+	Exact     bool
+	DecidedBy uint8 // DecidedBy
+	Kind      uint8 // dtest.Kind
+	Trip      uint8 // dtest.TripReason
+}
+
+func verdictOf(r *Result) verdict {
+	return verdict{Outcome: uint8(r.Outcome), Exact: r.Exact, DecidedBy: uint8(r.DecidedBy),
+		Kind: uint8(r.Kind), Trip: uint8(r.Trip)}
+}
+
+// result returns the verdict as a Result without pair, vectors or distances.
+func (v verdict) result() Result {
+	return Result{Outcome: dtest.Outcome(v.Outcome), Exact: v.Exact, DecidedBy: DecidedBy(v.DecidedBy),
+		Kind: dtest.Kind(v.Kind), Trip: dtest.TripReason(v.Trip)}
+}
+
+// cached is the memoized value for a full problem key. It keeps the
+// verdict, not the Result of the pair that first produced it, so the table
+// holds no pair's IR alive and a hit copies a few words. Direction vectors
 // are stored projected onto the problem's *used* loop levels: under the
 // improved scheme two pairs sharing a key may differ in their unused levels,
 // so the vectors are re-expanded against the requesting pair (unused levels
 // always get '*').
 type cached struct {
-	res Result
+	res verdict
+	// stamp is the sequence number of the parent analyzer's AnalyzeAll run
+	// that inserted the entry (Analyzer.run), 0 for LoadMemo entries. A
+	// concurrent run tells an entry that was in the table when it started
+	// from one its own workers inserted by the stamp alone.
+	stamp uint64
 	// projVectors[i][k] is the direction at the k-th used level.
 	projVectors [][]depvec.Direction
 	// projDistances pairs the ordinal of a used level with its constant
@@ -179,70 +208,76 @@ type cached struct {
 
 // usable reports whether a cache hit may answer a lookup under the given
 // budget class.
-func (c cached) usable(class dtest.BudgetClass) bool {
-	return c.res.Outcome != dtest.Maybe || c.budgetClass == class
+func (c *cached) usable(class dtest.BudgetClass) bool {
+	return dtest.Outcome(c.res.Outcome) != dtest.Maybe || c.budgetClass == class
 }
 
-// usedLevels lists the common loop levels that constrain the problem.
-func usedLevels(p *system.Problem) []int {
-	var out []int
+// usedLevels lists the common loop levels that constrain the problem, in
+// the analyzer's scratch: valid until its next call.
+func (a *Analyzer) usedLevels(p *system.Problem) []int {
+	a.levels = a.levels[:0]
 	for lvl := 0; lvl < p.Common; lvl++ {
 		if p.LevelUsed(lvl) {
-			out = append(out, lvl)
+			a.levels = append(a.levels, lvl)
 		}
 	}
-	return out
+	return a.levels
 }
 
-// project reduces vectors/distances to used levels only.
-func project(res Result, prob *system.Problem) cached {
-	used := usedLevels(prob)
-	pos := make(map[int]int, len(used))
-	for i, lvl := range used {
-		pos[lvl] = i
-	}
-	c := cached{res: res}
-	for _, v := range res.Vectors {
-		pv := make([]depvec.Direction, len(used))
-		for i, lvl := range used {
-			if lvl < len(v) {
-				pv[i] = v[lvl]
-			} else {
-				pv[i] = depvec.Any
+// project reduces vectors/distances to the used levels, carving the
+// projected vectors from one slab.
+func project(res *Result, used []int) cached {
+	c := cached{res: verdictOf(res)}
+	if len(res.Vectors) > 0 {
+		n := len(used)
+		slab := make([]depvec.Direction, len(res.Vectors)*n)
+		c.projVectors = make([][]depvec.Direction, len(res.Vectors))
+		for k, v := range res.Vectors {
+			pv := slab[k*n : (k+1)*n : (k+1)*n]
+			for i, lvl := range used {
+				if lvl < len(v) {
+					pv[i] = v[lvl]
+				} else {
+					pv[i] = depvec.Any
+				}
 			}
+			c.projVectors[k] = pv
 		}
-		c.projVectors = append(c.projVectors, pv)
 	}
 	for _, d := range res.Distances {
-		if i, ok := pos[d.Level]; ok {
+		if i := slices.Index(used, d.Level); i >= 0 {
 			c.projDistances = append(c.projDistances, depvec.Distance{Level: i, Value: d.Value})
 		}
 	}
 	return c
 }
 
-// expand rebuilds vectors/distances for the requesting pair's levels.
-func (c cached) expand(prob *system.Problem) Result {
-	res := c.res
-	res.Vectors = nil
-	res.Distances = nil
+// expand rebuilds vectors/distances for the requesting pair's levels. The
+// vectors are carved from one slab, each capped at its own length.
+func (a *Analyzer) expand(c *cached, prob *system.Problem) Result {
+	res := c.res.result()
 	if len(c.projVectors) == 0 && len(c.projDistances) == 0 {
 		// Nothing to re-expand; skip computing used levels so a vector-free
 		// memo hit stays allocation-free.
 		return res
 	}
-	used := usedLevels(prob)
-	for _, pv := range c.projVectors {
-		v := make(depvec.Vector, prob.Common)
-		for i := range v {
-			v[i] = depvec.Any
+	used := a.usedLevels(prob)
+	if len(c.projVectors) > 0 {
+		n := prob.Common
+		slab := make([]depvec.Direction, len(c.projVectors)*n)
+		for i := range slab {
+			slab[i] = depvec.Any
 		}
-		for i, lvl := range used {
-			if i < len(pv) {
-				v[lvl] = pv[i]
+		res.Vectors = make([]depvec.Vector, len(c.projVectors))
+		for k, pv := range c.projVectors {
+			v := depvec.Vector(slab[k*n : (k+1)*n : (k+1)*n])
+			for i, lvl := range used {
+				if i < len(pv) {
+					v[lvl] = pv[i]
+				}
 			}
+			res.Vectors[k] = v
 		}
-		res.Vectors = append(res.Vectors, v)
 	}
 	for _, d := range c.projDistances {
 		if d.Level < len(used) {
@@ -300,6 +335,8 @@ type Analyzer struct {
 	// fresh Problem per pair. The built Problem is only live within one
 	// analyzeCandidate call, which is what makes the reuse safe.
 	pb system.Builder
+	// levels is usedLevels' scratch, live within one project or expand.
+	levels []int
 
 	// inflight is the singleflight layer over the full table, shared by all
 	// worker views of one concurrent run; nil on the parent, which is also
@@ -326,6 +363,11 @@ type Analyzer struct {
 	procBuf []bool
 	ctrBuf  []stats.Counters
 	seenPtr map[*int64]bool
+
+	// run is the sequence number of the parent's current (or last)
+	// AnalyzeAll run, copied into every worker view when a run starts; each
+	// full-table insert is stamped with it (cached.stamp).
+	run uint64
 }
 
 // New returns an analyzer with the given options.
@@ -495,6 +537,11 @@ type provenance struct {
 	// post-pass must not treat their keys as seen — a later occurrence of
 	// the same problem re-analyzes fresh in a serial pass too.
 	cacheable bool
+	// pre marks a pair whose problem was in the full table before this run
+	// started (an entry stamped by an earlier run, or under SymmetricMemo
+	// its mirror's): a serial pass reports ByCache for every occurrence, so
+	// the post-pass needs nothing else from it.
+	pre bool
 }
 
 // analyzeCandidate analyzes one pre-classified candidate, optionally
@@ -546,6 +593,9 @@ func (a *Analyzer) analyzeCandidate(c refs.Candidate, prov *provenance) (Result,
 			prov.keyStr = fullKey.Bytes()
 			if mk, err := a.mirrorKey(p); err == nil {
 				prov.mirror = mk.Bytes()
+				if mc, ok := a.full.Lookup(mk); ok && mc.stamp < a.run {
+					prov.pre = true
+				}
 			}
 		}
 		if a.l1 != nil {
@@ -569,7 +619,7 @@ func (a *Analyzer) analyzeCandidate(c refs.Candidate, prov *provenance) (Result,
 					prov.fresh = under
 					prov.cacheable = true
 				}
-				a.tallyVerdict(res)
+				a.tallyVerdict(res.Outcome)
 				return res, nil
 			}
 		}
@@ -652,17 +702,23 @@ func (a *Analyzer) serveL2Hit(prob *system.Problem, p ir.Pair, stored memo.Key, 
 }
 
 // serveHit expands a cached entry for the requesting pair and records
-// provenance; sk is the entry's stable interned key.
+// provenance; sk is the entry's stable interned key. An entry from before
+// this run answers every occurrence of its problem, the first included, as
+// ByCache, so only this run's own entries leave a key for the post-pass.
 func (a *Analyzer) serveHit(prob *system.Problem, p ir.Pair, sk memo.Key, hit cached, prov *provenance) Result {
 	if prov != nil {
-		prov.key = sk
-		prov.fresh = hit.res.DecidedBy
-		prov.cacheable = true
+		if hit.stamp < a.run {
+			prov.pre = true
+		} else {
+			prov.key = sk
+			prov.fresh = DecidedBy(hit.res.DecidedBy)
+			prov.cacheable = true
+		}
 	}
-	res := hit.expand(prob)
+	res := a.expand(&hit, prob)
 	res.Pair = p
 	res.DecidedBy = ByCache
-	a.tallyVerdict(res)
+	a.tallyVerdict(res.Outcome)
 	return res
 }
 
@@ -696,8 +752,9 @@ func (a *Analyzer) solveAndCache(prob *system.Problem, p ir.Pair, fullKey, owned
 		if ck == nil {
 			ck = fullKey.Clone()
 		}
-		cv := project(res, prob)
+		cv := project(&res, a.usedLevels(prob))
 		cv.budgetClass = a.budClass
+		cv.stamp = a.run
 		a.full.Insert(ck, cv)
 		if !a.shared {
 			a.Stats.UniqueFull = a.full.Len()
@@ -716,7 +773,7 @@ func (a *Analyzer) solveAndCache(prob *system.Problem, p ir.Pair, fullKey, owned
 		// problem, so clone it here (rare: only clock/cancel trips).
 		prov.key = fullKey.Clone()
 	}
-	a.tallyVerdict(res)
+	a.tallyVerdict(res.Outcome)
 	return res, fin
 }
 
@@ -750,7 +807,7 @@ func (a *Analyzer) lookupMirrored(p ir.Pair, prob *system.Problem) (_ Result, un
 	if !ok || !hit.usable(a.budClass) {
 		return Result{}, 0, false, nil
 	}
-	res := hit.expand(prob)
+	res := a.expand(&hit, prob)
 	res.Pair = p
 	res.DecidedBy = ByCache
 	// Mirror the direction information: swapping the references turns a
@@ -772,7 +829,7 @@ func (a *Analyzer) lookupMirrored(p ir.Pair, prob *system.Problem) (_ Result, un
 	for di := range res.Distances {
 		res.Distances[di].Value = -res.Distances[di].Value
 	}
-	return res, hit.res.DecidedBy, true, nil
+	return res, DecidedBy(hit.res.DecidedBy), true, nil
 }
 
 // analyzeFresh runs GCD preprocessing and the tests on a cache miss.
@@ -892,8 +949,8 @@ func (a *Analyzer) analyzeFresh(prob *system.Problem, p ir.Pair) Result {
 }
 
 // tallyVerdict updates the verdict counters.
-func (a *Analyzer) tallyVerdict(r Result) {
-	switch r.Outcome {
+func (a *Analyzer) tallyVerdict(o dtest.Outcome) {
+	switch o {
 	case dtest.Independent:
 		a.Stats.Independent++
 	case dtest.Dependent:

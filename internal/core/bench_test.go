@@ -2,11 +2,14 @@ package core_test
 
 import (
 	"bytes"
+	"fmt"
 	"io"
+	"math/rand"
 	"sync"
 	"testing"
 
 	"exactdep/internal/core"
+	"exactdep/internal/refs"
 	"exactdep/internal/workload"
 )
 
@@ -64,4 +67,39 @@ func BenchmarkMemoLoad(b *testing.B) {
 	}
 	b.ReportMetric(float64(a.MemoLen()), "entries")
 	b.ReportMetric(float64(len(file))/1024, "KB")
+}
+
+// BenchmarkAnalyzeAllWarmTable prices one warm AnalyzeAll call over 64
+// LargeCorpus candidates (a fixed random sample, all hits after an untimed
+// first call) against the size of the full table the call shares: 0, 10k,
+// 100k and 1M synthetic entries, filled untimed, at one and two workers. A
+// long-lived analyzer (depserve's, evicted only past 1<<20 entries) reaches
+// the last row; the call must still cost its candidates, not the table.
+func BenchmarkAnalyzeAllWarmTable(b *testing.B) {
+	all, err := workload.LargeCorpusCandidates(4096)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cands := make([]refs.Candidate, 64)
+	for i, j := range rand.New(rand.NewSource(1)).Perm(len(all))[:len(cands)] {
+		cands[i] = all[j]
+	}
+	for _, n := range []int{0, 10_000, 100_000, 1_000_000} {
+		a := core.New(largeMemoOpts)
+		core.FillMemo(a, n)
+		for _, w := range []int{1, 2} {
+			b.Run(fmt.Sprintf("entries=%d/workers=%d", n, w), func(b *testing.B) {
+				if _, err := a.AnalyzeAll(cands, w); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := a.AnalyzeAll(cands, w); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
 }

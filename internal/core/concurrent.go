@@ -33,12 +33,15 @@ import (
 // cache hit expands to exactly what a fresh computation of the same
 // canonical problem produces, so racing workers can only agree; an L1 hit
 // only ever re-observes an entry also present in the shared table, so the
-// L1 layer cannot introduce new outcomes. DecidedBy
-// is provenance (cache vs test) and *does* depend on which worker reached a
-// problem first, so workers record each pair's canonical key plus its
-// underlying fresh verdict, and an ordered post-pass replays the serial
-// rule: the first occurrence of each cacheable problem keeps its fresh
-// DecidedBy, later occurrences report ByCache. (Exception: with
+// L1 layer cannot introduce new outcomes. DecidedBy is provenance (cache vs
+// test). A hit on an entry from before the run is ByCache, as in a serial
+// pass; every entry is stamped with the run that inserted it, so telling
+// one apart costs no look at the rest of the table. For problems this run
+// inserts, DecidedBy *does* depend on which worker reached a problem first,
+// so workers record each such pair's canonical key plus its underlying
+// fresh verdict, and an ordered post-pass replays the serial rule: the
+// first occurrence of each cacheable problem keeps its fresh DecidedBy,
+// later occurrences report ByCache. (Exception: with
 // Options.SymmetricMemo the *order* of a result's direction vectors can
 // depend on whether the mirrored entry was cached first; verdicts, vector
 // sets, and distances remain deterministic.)
@@ -87,17 +90,14 @@ func (a *Analyzer) AnalyzeAllContext(ctx context.Context, cands []refs.Candidate
 	}
 	workers = max(1, min(workers, len(cands)))
 	plainCtx := ctx.Done() == nil
+	// Entries this run inserts carry its number; anything stamped lower was
+	// in the table before it started (cached.stamp).
+	a.run++
 
-	// Snapshot the keys already cached (LoadMemo, earlier runs) before
-	// workers start: the provenance post-pass must treat them as hits from
-	// the first occurrence on, exactly as a serial pass over a warm table
-	// would. The default replay matches keys by interned-instance identity
-	// (no strings, no allocation per pair); SymmetricMemo replays over key
-	// *content* because one canonical problem is reachable through two keys.
-	// A single worker visits candidates in order, so it reports the serial
-	// DecidedBy as it goes and records no provenance.
+	// Workers record provenance for the post-pass. A single worker visits
+	// candidates in order, so it reports the serial DecidedBy as it goes and
+	// records none.
 	var provs []provenance
-	var seenStr map[string]bool
 	if a.opts.Memoize && workers > 1 {
 		if cap(a.provBuf) < len(cands) {
 			a.provBuf = make([]provenance, len(cands))
@@ -105,23 +105,6 @@ func (a *Analyzer) AnalyzeAllContext(ctx context.Context, cands []refs.Candidate
 		provs = a.provBuf[:len(cands)]
 		for i := range provs {
 			provs[i] = provenance{}
-		}
-		if a.opts.SymmetricMemo {
-			seenStr = make(map[string]bool, a.full.Len())
-			a.full.Range(func(k memo.Key, _ cached) bool {
-				seenStr[k.Bytes()] = true
-				return true
-			})
-		} else {
-			if a.seenPtr == nil {
-				a.seenPtr = make(map[*int64]bool, a.full.Len())
-			} else {
-				clear(a.seenPtr)
-			}
-			a.full.Range(func(k memo.Key, _ cached) bool {
-				a.seenPtr[&k[0]] = true
-				return true
-			})
 		}
 	}
 
@@ -165,6 +148,7 @@ func (a *Analyzer) AnalyzeAllContext(ctx context.Context, cands []refs.Candidate
 	// deadline-merged budget and the context's Done channel.
 	work := func(w int, wa *Analyzer) {
 		wa.Stats = stats.Counters{}
+		wa.run = a.run
 		if wa.pipe != nil {
 			if plainCtx {
 				wa.pipe.SetBudget(a.opts.Budget)
@@ -259,13 +243,20 @@ func (a *Analyzer) AnalyzeAllContext(ctx context.Context, cands []refs.Candidate
 	}
 
 	// Provenance post-pass: rewrite DecidedBy in candidate order to the
-	// serial rule. GCD-independent verdicts are never stored in the full
-	// table, so every occurrence reports ByGCD (their provenance carries no
-	// key); any other problem's first occurrence keeps its fresh verdict
-	// and marks the key, later occurrences report ByCache.
+	// serial rule, over the problems this run inserted. GCD-independent
+	// verdicts are never stored in the full table, so every occurrence
+	// reports ByGCD (their provenance carries no key); a problem answered by
+	// an entry from before the run already reports ByCache (pre); any other
+	// problem's first occurrence keeps its fresh verdict and marks the key,
+	// later occurrences report ByCache. The seen sets hold this run's keys
+	// only, so the pass costs the candidates, not the table.
+	if provs == nil {
+		return out, nil
+	}
 	if a.opts.SymmetricMemo {
-		// Content-keyed replay: a problem is also "seen" through its
-		// mirrored key.
+		// Content-keyed replay: one canonical problem is reachable through
+		// two keys, so a problem is also "seen" through its mirrored key.
+		seenStr := make(map[string]bool)
 		for i := range provs {
 			pv := &provs[i]
 			if pv.keyStr == "" { // constant or GCD-decided pair
@@ -275,7 +266,7 @@ func (a *Analyzer) AnalyzeAllContext(ctx context.Context, cands []refs.Candidate
 				out[i].DecidedBy = ByGCD
 				continue
 			}
-			if seenStr[pv.keyStr] || (pv.mirror != "" && seenStr[pv.mirror]) {
+			if pv.pre || seenStr[pv.keyStr] || (pv.mirror != "" && seenStr[pv.mirror]) {
 				out[i].DecidedBy = ByCache
 			} else {
 				out[i].DecidedBy = pv.fresh
@@ -290,13 +281,18 @@ func (a *Analyzer) AnalyzeAllContext(ctx context.Context, cands []refs.Candidate
 		}
 		return out, nil
 	}
-	// Identity-keyed replay: resolve each recorded key to the table's
-	// interned instance (occurrences of one canonical problem may have
-	// recorded distinct clones when racing workers both inserted it),
-	// then replay first-occurrence over instance identity.
+	// Identity-keyed replay (no strings, no allocation per pair): resolve
+	// each recorded key to the table's interned instance (occurrences of one
+	// canonical problem may have recorded distinct clones when racing
+	// workers both inserted it), then replay first-occurrence over instance
+	// identity.
+	if a.seenPtr == nil {
+		a.seenPtr = make(map[*int64]bool)
+	}
+	clear(a.seenPtr)
 	for i := range provs {
 		pv := &provs[i]
-		if pv.key == nil { // constant or GCD-decided pair
+		if pv.key == nil { // constant, GCD-decided or pre pair
 			continue
 		}
 		id := &pv.key[0]

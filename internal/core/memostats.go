@@ -53,7 +53,7 @@ func (a *Analyzer) MemoStats() MemoStats {
 		m.L1Entries = a.l1.Len()
 	}
 	a.full.Range(func(_ memo.Key, v cached) bool {
-		if v.res.Outcome == dtest.Maybe {
+		if dtest.Outcome(v.res.Outcome) == dtest.Maybe {
 			m.DegradedEntries++
 		}
 		return true

@@ -64,7 +64,7 @@ func (a *Analyzer) SaveMemo(w io.Writer) error {
 	var nFull, nEq int
 	var v persist.Verdict
 	a.full.Range(func(k memo.Key, c cached) bool {
-		if c.res.Outcome == dtest.Maybe {
+		if dtest.Outcome(c.res.Outcome) == dtest.Maybe {
 			return true
 		}
 		v.Outcome, v.Exact, v.Kind, v.Vectors = int(c.res.Outcome), c.res.Exact, int(c.res.Kind), c.projVectors
@@ -161,13 +161,15 @@ func decodeMemo(b []byte, improved bool) ([]fullEntry, []eqEntry, error) {
 		if err := d.Err(); err != nil {
 			return nil, nil, fmt.Errorf("full entry %d: %w", i, err)
 		}
+		// CheckVerdict has bounded Outcome and Kind, so they fit a byte.
+		// DecidedBy is rewritten to ByCache on every hit; the zero stamp
+		// puts the entry before every run.
 		e.c = cached{
-			res: Result{
-				Outcome: dtest.Outcome(v.Outcome),
-				Exact:   v.Exact,
-				Kind:    dtest.Kind(v.Kind),
-				// DecidedBy is rewritten to ByCache on every hit.
-				DecidedBy: ByTest,
+			res: verdict{
+				Outcome:   uint8(v.Outcome),
+				Exact:     v.Exact,
+				Kind:      uint8(v.Kind),
+				DecidedBy: uint8(ByTest),
 			},
 			projVectors:   v.Vectors,
 			projDistances: persist.Take(&dists, len(v.DistLevel)),

@@ -125,8 +125,8 @@ func TestFingerprintSensitivity(t *testing.T) {
 		"coefficient": func(u *Unit) {
 			s := u.Cands[0].Pair.B.Ref.Subscripts
 			s[0] = s[0].Clone()
-			for v := range s[0].Terms {
-				s[0].Terms[v]++
+			for i := range s[0].Terms {
+				s[0].Terms[i].Coeff++
 			}
 		},
 		"dropped pair": func(u *Unit) {

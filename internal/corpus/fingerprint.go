@@ -76,17 +76,18 @@ func (f *Fingerprinter) loops(ls []ir.Loop) {
 	}
 }
 
-// expr folds an affine expression: the constant, then the term map
-// commutatively (term maps iterate in nondeterministic order), sealed by
-// the negated term count. Constant expressions — the bulk of bounds and
-// subscripts — cost one chain step and no map iterator; the seal only
-// appears when terms were folded, and it is negative, so a sealed stream
-// cannot alias a run of constant expressions.
+// expr folds an affine expression: the constant, then the terms
+// commutatively, sealed by the negated term count. Folding commutatively
+// keeps every fingerprint the term maps of earlier versions produced, so
+// stores saved by them stay valid. Constant expressions — the bulk of
+// bounds and subscripts — cost one chain step; the seal only appears when
+// terms were folded, and it is negative, so a sealed stream cannot alias a
+// run of constant expressions.
 func (f *Fingerprinter) expr(e *ir.Expr) {
 	f.h.AddInt(e.Const)
 	if len(e.Terms) > 0 {
-		for v, c := range e.Terms {
-			f.h.AddTerm(v, c)
+		for _, t := range e.Terms {
+			f.h.AddTerm(t.Var, t.Coeff)
 		}
 		f.h.AddInt(-int64(len(e.Terms)))
 	}

@@ -11,22 +11,33 @@ package ir
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
-// Expr is an affine integer expression: Const + Σ Terms[v]·v.
-// The zero value is the constant 0. Terms never stores zero coefficients.
+// Term is one variable of an affine expression with its coefficient.
+type Term struct {
+	Var   string
+	Coeff int64
+}
+
+// Expr is an affine integer expression: Const + Σ t.Coeff·t.Var over Terms,
+// one row of the paper's A·x = b (§3.1). The zero value is the constant 0.
+// Terms is sorted by Var (byte order), names are unique, and no
+// coefficient is zero; an expression without variables has nil Terms.
 //
-// Expr is an immutable value. Every operation returns a fresh expression
-// (or, like Rename's no-op case, the receiver itself) and never writes to
-// a term map it did not just allocate, so copies of an Expr may share one
-// Terms map. Code that builds IR relies on this: the lowerer hands out one
-// shared expression per variable name to every subscript, bound and scalar
-// value that uses it. Nothing may write to Terms in place; clone first.
+// Expr is an immutable value. Every operation returns a fresh expression or,
+// where the terms do not change (AddConst, adding a constant, Scale(1), a
+// Subst or Rename of an absent variable), one sharing an operand's terms.
+// None appends to or writes into a Terms slice it did not just allocate, so
+// copies of an Expr may share one backing array. Code that builds IR relies
+// on this: the lowerer hands out one shared expression per variable name to
+// every subscript, bound and scalar value that uses it. Nothing may write
+// to Terms in place; Clone first. Read terms through Coeff and Vars, or
+// range over Terms; build expressions with the constructors and
+// operations, which keep the order.
 type Expr struct {
 	Const int64
-	Terms map[string]int64
+	Terms []Term
 }
 
 // NewConst returns the constant expression c.
@@ -34,7 +45,7 @@ func NewConst(c int64) Expr { return Expr{Const: c} }
 
 // NewVar returns the expression 1·name.
 func NewVar(name string) Expr {
-	return Expr{Terms: map[string]int64{name: 1}}
+	return Expr{Terms: []Term{{Var: name, Coeff: 1}}}
 }
 
 // NewTerm returns the expression coeff·name.
@@ -42,23 +53,35 @@ func NewTerm(name string, coeff int64) Expr {
 	if coeff == 0 {
 		return Expr{}
 	}
-	return Expr{Terms: map[string]int64{name: coeff}}
+	return Expr{Terms: []Term{{Var: name, Coeff: coeff}}}
 }
 
 // Clone returns a deep copy of e.
 func (e Expr) Clone() Expr {
 	out := Expr{Const: e.Const}
 	if len(e.Terms) > 0 {
-		out.Terms = make(map[string]int64, len(e.Terms))
-		for v, c := range e.Terms {
-			out.Terms[v] = c
-		}
+		out.Terms = append([]Term(nil), e.Terms...)
 	}
 	return out
 }
 
+// index returns the position of variable v in e.Terms, or -1.
+func (e Expr) index(v string) int {
+	for i := range e.Terms {
+		if e.Terms[i].Var == v {
+			return i
+		}
+	}
+	return -1
+}
+
 // Coeff returns the coefficient of variable v (0 if absent).
-func (e Expr) Coeff(v string) int64 { return e.Terms[v] }
+func (e Expr) Coeff(v string) int64 {
+	if i := e.index(v); i >= 0 {
+		return e.Terms[i].Coeff
+	}
+	return 0
+}
 
 // IsConst reports whether e has no variable terms.
 func (e Expr) IsConst() bool { return len(e.Terms) == 0 }
@@ -67,53 +90,80 @@ func (e Expr) IsConst() bool { return len(e.Terms) == 0 }
 func (e Expr) IsZero() bool { return e.Const == 0 && len(e.Terms) == 0 }
 
 // Uses reports whether variable v appears in e with a nonzero coefficient.
-func (e Expr) Uses(v string) bool { return e.Terms[v] != 0 }
+func (e Expr) Uses(v string) bool { return e.index(v) >= 0 }
 
 // Vars returns the variables of e in sorted order.
 func (e Expr) Vars() []string {
 	if len(e.Terms) == 0 {
 		return nil
 	}
-	vs := make([]string, 0, len(e.Terms))
-	for v := range e.Terms {
-		vs = append(vs, v)
+	vs := make([]string, len(e.Terms))
+	for i, t := range e.Terms {
+		vs[i] = t.Var
 	}
-	sort.Strings(vs)
 	return vs
 }
 
 // NumTerms returns the number of variables with nonzero coefficients.
 func (e Expr) NumTerms() int { return len(e.Terms) }
 
-func (e *Expr) setCoeff(v string, c int64) {
-	if c == 0 {
-		delete(e.Terms, v)
-		return
+// appendCombine appends the terms of a + k·b to dst, leaving out a's term
+// at index skip (-1 for none), and returns the extended dst. It merges the
+// two sorted lists, drops every coefficient that comes out zero (products
+// and sums wrap, as int64 arithmetic does), and writes into neither operand
+// nor dst's existing elements.
+func appendCombine(dst, a []Term, skip int, b []Term, k int64) []Term {
+	i, j := 0, 0
+	for i < len(a) || j < len(b) {
+		switch {
+		case i == skip:
+			i++
+		case j == len(b) || (i < len(a) && a[i].Var < b[j].Var):
+			dst = append(dst, a[i])
+			i++
+		case i == len(a) || b[j].Var < a[i].Var:
+			if c := k * b[j].Coeff; c != 0 {
+				dst = append(dst, Term{Var: b[j].Var, Coeff: c})
+			}
+			j++
+		default:
+			if c := a[i].Coeff + k*b[j].Coeff; c != 0 {
+				dst = append(dst, Term{Var: a[i].Var, Coeff: c})
+			}
+			i++
+			j++
+		}
 	}
-	if e.Terms == nil {
-		e.Terms = make(map[string]int64)
+	return dst
+}
+
+// combine returns the terms of a + k·b without a's term at index skip, in
+// a fresh slice, or nil when none remain.
+func combine(a []Term, skip int, b []Term, k int64) []Term {
+	out := appendCombine(make([]Term, 0, len(a)+len(b)), a, skip, b, k)
+	if len(out) == 0 {
+		return nil
 	}
-	e.Terms[v] = c
+	return out
 }
 
 // Add returns e + f.
 func (e Expr) Add(f Expr) Expr {
-	out := e.Clone()
-	out.Const += f.Const
-	for v, c := range f.Terms {
-		out.setCoeff(v, out.Terms[v]+c)
+	switch {
+	case len(f.Terms) == 0:
+		return Expr{Const: e.Const + f.Const, Terms: e.Terms}
+	case len(e.Terms) == 0:
+		return Expr{Const: e.Const + f.Const, Terms: f.Terms}
 	}
-	return out
+	return Expr{Const: e.Const + f.Const, Terms: combine(e.Terms, -1, f.Terms, 1)}
 }
 
 // Sub returns e - f.
 func (e Expr) Sub(f Expr) Expr {
-	out := e.Clone()
-	out.Const -= f.Const
-	for v, c := range f.Terms {
-		out.setCoeff(v, out.Terms[v]-c)
+	if len(f.Terms) == 0 {
+		return Expr{Const: e.Const - f.Const, Terms: e.Terms}
 	}
-	return out
+	return Expr{Const: e.Const - f.Const, Terms: combine(e.Terms, -1, f.Terms, -1)}
 }
 
 // Neg returns -e.
@@ -121,21 +171,18 @@ func (e Expr) Neg() Expr { return Expr{}.Sub(e) }
 
 // Scale returns k·e.
 func (e Expr) Scale(k int64) Expr {
-	if k == 0 {
+	switch k {
+	case 0:
 		return Expr{}
+	case 1:
+		return e
 	}
-	out := Expr{Const: e.Const * k}
-	for v, c := range e.Terms {
-		out.setCoeff(v, c*k)
-	}
-	return out
+	return Expr{Const: e.Const * k, Terms: combine(nil, -1, e.Terms, k)}
 }
 
 // AddConst returns e + c.
 func (e Expr) AddConst(c int64) Expr {
-	out := e.Clone()
-	out.Const += c
-	return out
+	return Expr{Const: e.Const + c, Terms: e.Terms}
 }
 
 // Mul returns e·f if at least one operand is constant, and reports whether
@@ -154,41 +201,59 @@ func (e Expr) Mul(f Expr) (Expr, bool) {
 
 // Subst returns e with every occurrence of variable v replaced by repl.
 func (e Expr) Subst(v string, repl Expr) Expr {
-	c := e.Terms[v]
-	if c == 0 {
-		return e.Clone()
+	i := e.index(v)
+	if i < 0 {
+		return e
 	}
-	out := e.Clone()
-	out.setCoeff(v, 0)
-	return out.Add(repl.Scale(c))
+	c := e.Terms[i].Coeff
+	return Expr{Const: e.Const + c*repl.Const, Terms: combine(e.Terms, i, repl.Terms, c)}
 }
 
 // Rename returns e with variable old renamed to new. If new already appears
 // in e the coefficients are combined. When old does not occur, e is returned
-// as is (expressions are treated as immutable values throughout, so sharing
-// the term map is safe and keeps the no-op case allocation-free — the common
-// case for rectangular loop bounds renamed onto primed indices).
+// as is (expressions are immutable values, so sharing the terms is safe and
+// keeps the no-op case allocation-free — the common case for rectangular
+// loop bounds renamed onto primed indices).
 func (e Expr) Rename(old, new string) Expr {
-	c := e.Terms[old]
-	if c == 0 {
+	i := e.index(old)
+	if i < 0 {
 		return e
 	}
-	out := e.Clone()
-	out.setCoeff(old, 0)
-	out.setCoeff(new, out.Terms[new]+c)
-	return out
+	renamed := [1]Term{{Var: new, Coeff: e.Terms[i].Coeff}}
+	return Expr{Const: e.Const, Terms: combine(e.Terms, i, renamed[:], 1)}
+}
+
+// AppendRename is Rename with the renamed terms appended to dst instead of
+// a fresh slice, for callers that keep an arena of terms: it returns the
+// extended dst and e.Rename(old, new), whose Terms alias dst's new tail
+// (capacity clipped, so no append can reach past them). dst's existing
+// elements are not written. When old does not occur, dst and e come back
+// unchanged.
+func (e Expr) AppendRename(dst []Term, old, new string) ([]Term, Expr) {
+	i := e.index(old)
+	if i < 0 {
+		return dst, e
+	}
+	n := len(dst)
+	renamed := [1]Term{{Var: new, Coeff: e.Terms[i].Coeff}}
+	dst = appendCombine(dst, e.Terms, i, renamed[:], 1)
+	out := Expr{Const: e.Const}
+	if len(dst) > n {
+		out.Terms = dst[n:len(dst):len(dst)]
+	}
+	return dst, out
 }
 
 // Eval evaluates e under the given variable assignment. It reports ok=false
 // if a variable of e is missing from env.
 func (e Expr) Eval(env map[string]int64) (int64, bool) {
 	val := e.Const
-	for v, c := range e.Terms {
-		x, ok := env[v]
+	for _, t := range e.Terms {
+		x, ok := env[t.Var]
 		if !ok {
 			return 0, false
 		}
-		val += c * x
+		val += t.Coeff * x
 	}
 	return val, true
 }
@@ -198,8 +263,8 @@ func (e Expr) Equal(f Expr) bool {
 	if e.Const != f.Const || len(e.Terms) != len(f.Terms) {
 		return false
 	}
-	for v, c := range e.Terms {
-		if f.Terms[v] != c {
+	for i, t := range e.Terms {
+		if f.Terms[i] != t {
 			return false
 		}
 	}
@@ -210,9 +275,8 @@ func (e Expr) Equal(f Expr) bool {
 func (e Expr) String() string {
 	var b strings.Builder
 	first := true
-	for _, v := range e.Vars() {
-		c := e.Terms[v]
-		writeTerm(&b, c, v, first)
+	for _, t := range e.Terms {
+		writeTerm(&b, t.Coeff, t.Var, first)
 		first = false
 	}
 	if e.Const != 0 || first {

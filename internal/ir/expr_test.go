@@ -1,6 +1,11 @@
 package ir
 
 import (
+	"math"
+	"math/rand"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -204,5 +209,248 @@ func TestNestCommonDepth(t *testing.T) {
 	deep := Ref{Depth: 5}
 	if got := len(n.LoopsFor(deep)); got != 2 {
 		t.Fatalf("LoopsFor clamps to nest depth, got %d", got)
+	}
+}
+
+// model is the map-backed representation Expr used before its terms became
+// a sorted slice, with the operations as they were written for it: the
+// reference the differential test holds every operation to.
+type model struct {
+	c int64
+	t map[string]int64
+}
+
+func (m model) set(v string, c int64) {
+	if c == 0 {
+		delete(m.t, v)
+		return
+	}
+	m.t[v] = c
+}
+
+func (m model) clone() model {
+	out := model{c: m.c, t: make(map[string]int64, len(m.t))}
+	for v, c := range m.t {
+		out.t[v] = c
+	}
+	return out
+}
+
+func (m model) add(f model, k int64) model {
+	out := m.clone()
+	out.c += k * f.c
+	for v, c := range f.t {
+		out.set(v, out.t[v]+k*c)
+	}
+	return out
+}
+
+func (m model) scale(k int64) model {
+	out := model{c: m.c * k, t: map[string]int64{}}
+	for v, c := range m.t {
+		out.set(v, c*k)
+	}
+	return out
+}
+
+func (m model) subst(v string, repl model) model {
+	c := m.t[v]
+	out := m.clone()
+	if c == 0 {
+		return out
+	}
+	out.set(v, 0)
+	return out.add(repl.scale(c), 1)
+}
+
+func (m model) rename(old, new string) model {
+	out := m.clone()
+	if c := m.t[old]; c != 0 {
+		out.set(old, 0)
+		out.set(new, out.t[new]+c)
+	}
+	return out
+}
+
+func (m model) vars() []string {
+	vs := make([]string, 0, len(m.t))
+	for v := range m.t {
+		vs = append(vs, v)
+	}
+	sort.Strings(vs)
+	if len(vs) == 0 {
+		return nil
+	}
+	return vs
+}
+
+func (m model) String() string {
+	var b strings.Builder
+	first := true
+	for _, v := range m.vars() {
+		writeTerm(&b, m.t[v], v, first)
+		first = false
+	}
+	if m.c != 0 || first {
+		writeTerm(&b, m.c, "", first)
+	}
+	return b.String()
+}
+
+// exprVars is the variable pool of the random expressions: names that
+// share prefixes, and a primed name, so that sorted order and renames onto
+// neighbours are exercised.
+var exprVars = []string{"a", "i", "i'", "i0", "ii", "j", "n"}
+
+// randCoeff draws a coefficient, now and then one whose products or sums
+// wrap around int64, as the old map arithmetic did.
+func randCoeff(r *rand.Rand) int64 {
+	switch r.Intn(12) {
+	case 0:
+		return math.MinInt64
+	case 1:
+		return math.MaxInt64
+	case 2:
+		return 1 << 62
+	}
+	return int64(r.Intn(9) - 4)
+}
+
+// randExpr draws a model and builds its Expr straight from the sorted
+// terms, not through the operations under test. The Terms slice gets spare
+// capacity holding sentinels, so an append into an operand shows up.
+func randExpr(r *rand.Rand) (Expr, model) {
+	m := model{c: randCoeff(r), t: map[string]int64{}}
+	for _, v := range exprVars {
+		if r.Intn(3) == 0 {
+			m.set(v, randCoeff(r))
+		}
+	}
+	var e Expr
+	e.Const = m.c
+	if vs := m.vars(); len(vs) > 0 {
+		e.Terms = make([]Term, len(vs), len(vs)+2)
+		for i, v := range vs {
+			e.Terms[i] = Term{Var: v, Coeff: m.t[v]}
+		}
+		e.Terms = append(e.Terms, Term{Var: "#", Coeff: 77}, Term{Var: "#", Coeff: 78})[:len(vs)]
+	}
+	return e, m
+}
+
+// snapshot copies e's backing array up to its capacity.
+func snapshot(e Expr) []Term { return append([]Term(nil), e.Terms[:cap(e.Terms)]...) }
+
+// matches reports whether e holds exactly m's terms and keeps Expr's
+// invariants: sorted, unique names, no zero coefficients, nil when empty.
+func matches(e Expr, m model) bool {
+	if e.Const != m.c || len(e.Terms) != len(m.t) || (len(e.Terms) == 0 && e.Terms != nil) {
+		return false
+	}
+	for i, t := range e.Terms {
+		if t.Coeff == 0 || m.t[t.Var] != t.Coeff || (i > 0 && e.Terms[i-1].Var >= t.Var) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestExprMatchesMapModel is a differential test of every Expr operation
+// against the map-backed model, over random expressions. Each result must
+// equal the model's and keep the invariants, and no operation may write
+// into an operand's backing array, within its length or past it.
+func TestExprMatchesMapModel(t *testing.T) {
+	check := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		e, me := randExpr(r)
+		f, mf := randExpr(r)
+		k := randCoeff(r)
+		v, w := exprVars[r.Intn(len(exprVars))], exprVars[r.Intn(len(exprVars))]
+		if r.Intn(2) == 0 && len(e.Terms) > 0 {
+			w = e.Terms[r.Intn(len(e.Terms))].Var // rename onto a name e has
+		}
+		se, sf := snapshot(e), snapshot(f)
+		fail := func(op string, got any, want any) bool {
+			t.Errorf("seed %d: %s of e=%v f=%v (k=%d v=%s w=%s): got %v, want %v", seed, op, me, mf, k, v, w, got, want)
+			return false
+		}
+		type result struct {
+			op   string
+			got  Expr
+			want model
+		}
+		results := []result{
+			{"Add", e.Add(f), me.add(mf, 1)},
+			{"Sub", e.Sub(f), me.add(mf, -1)},
+			{"Neg", e.Neg(), model{t: map[string]int64{}}.add(me, -1)},
+			{"Scale", e.Scale(k), me.scale(k)},
+			{"AddConst", e.AddConst(k), me.add(model{c: k}, 1)},
+			{"Subst", e.Subst(v, f), me.subst(v, mf)},
+			{"Rename", e.Rename(v, w), me.rename(v, w)},
+			{"Clone", e.Clone(), me},
+		}
+		arena := append(make([]Term, 0, 8), Term{Var: "arena", Coeff: 5}) // room to append in place
+		arena, renamed := e.AppendRename(arena, v, w)
+		results = append(results, result{"AppendRename", renamed, me.rename(v, w)})
+		if prod, ok := e.Mul(f); ok != (len(me.t) == 0 || len(mf.t) == 0) {
+			return fail("Mul ok", ok, !ok)
+		} else if ok {
+			want := mf.scale(me.c)
+			if len(me.t) > 0 {
+				want = me.scale(mf.c)
+			}
+			results = append(results, result{"Mul", prod, want})
+		}
+		for _, res := range results {
+			if !matches(res.got, res.want) {
+				return fail(res.op, res.got, res.want)
+			}
+			if res.got.String() != res.want.String() {
+				return fail(res.op+" String", res.got.String(), res.want.String())
+			}
+		}
+		if arena[0] != (Term{Var: "arena", Coeff: 5}) {
+			return fail("AppendRename arena head", arena[0], "untouched")
+		}
+		if len(e.Clone().Terms) > 0 && &e.Clone().Terms[0] == &e.Terms[0] {
+			return fail("Clone", "shared backing array", "a copy")
+		}
+		env := map[string]int64{}
+		for _, x := range exprVars {
+			if r.Intn(6) > 0 {
+				env[x] = int64(r.Intn(21) - 10)
+			}
+		}
+		got, gotOK := e.Eval(env)
+		want, wantOK := me.c, true
+		for x, c := range me.t {
+			val, ok := env[x]
+			wantOK = wantOK && ok
+			want += c * val
+		}
+		if gotOK != wantOK || (gotOK && got != want) {
+			return fail("Eval", got, want)
+		}
+		modelEqual := me.c == mf.c && len(me.t) == len(mf.t)
+		for x, c := range me.t {
+			modelEqual = modelEqual && mf.t[x] == c
+		}
+		if e.Equal(f) != modelEqual || !e.Equal(e.Clone()) {
+			return fail("Equal", e.Equal(f), modelEqual)
+		}
+		if !slices.Equal(e.Vars(), me.vars()) {
+			return fail("Vars", e.Vars(), me.vars())
+		}
+		if e.Coeff(v) != me.t[v] || e.Uses(v) != (me.t[v] != 0) || e.NumTerms() != len(me.t) ||
+			e.IsConst() != (len(me.t) == 0) || e.IsZero() != (len(me.t) == 0 && me.c == 0) {
+			return fail("Coeff/Uses/NumTerms/IsConst/IsZero", e, me)
+		}
+		if !slices.Equal(se, snapshot(e)) || !slices.Equal(sf, snapshot(f)) {
+			return fail("operand backing arrays", [][]Term{snapshot(e), snapshot(f)}, [][]Term{se, sf})
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Error(err)
 	}
 }

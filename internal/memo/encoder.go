@@ -126,8 +126,8 @@ func (e *Encoder) EncodeFull(p *system.Problem, improved bool) Key {
 
 // appendBound encodes one optional affine bound positionally: a presence
 // flag, the constant, then the coefficient of each kept variable. The
-// coefficient row is assembled by position, so iterating the expression's
-// term map in arbitrary order still yields a deterministic key.
+// coefficient row is assembled by kept position, not in the expression's
+// term order (which sorts by name).
 func (e *Encoder) appendBound(key Key, p *system.Problem, b system.Bound, nkept int) Key {
 	if !b.Has {
 		return append(key, 0)
@@ -137,9 +137,9 @@ func (e *Encoder) appendBound(key Key, p *system.Problem, b system.Bound, nkept 
 	for i := range e.coeffs {
 		e.coeffs[i] = 0
 	}
-	for v, c := range b.Expr.Terms {
-		if i := p.VarIndex(v); i >= 0 && e.pos[i] >= 0 {
-			e.coeffs[e.pos[i]] = c
+	for _, t := range b.Expr.Terms {
+		if i := p.VarIndex(t.Var); i >= 0 && e.pos[i] >= 0 {
+			e.coeffs[e.pos[i]] = t.Coeff
 		}
 	}
 	return append(key, e.coeffs...)
@@ -180,8 +180,8 @@ func (e *Encoder) keptVars(p *system.Problem, improved, withBounds bool) []int {
 					if !b.Has {
 						continue
 					}
-					for v := range b.Expr.Terms {
-						j := p.VarIndex(v)
+					for _, t := range b.Expr.Terms {
+						j := p.VarIndex(t.Var)
 						if j >= 0 && !e.used[j] {
 							e.used[j] = true
 							changed = true

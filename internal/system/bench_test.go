@@ -1,0 +1,46 @@
+package system_test
+
+// External test package: the benchmark builds LargeCorpus candidates
+// through internal/workload, which itself imports system.
+
+import (
+	"testing"
+
+	"exactdep/internal/ir"
+	"exactdep/internal/refs"
+	"exactdep/internal/system"
+	"exactdep/internal/workload"
+)
+
+// BenchmarkBuild measures the set-up every solved pair pays before the
+// cascade: Builder.Build into warm scratch, then Preprocess (the Extended
+// GCD step and the bounds re-expressed over the free t variables), over
+// the 4,096-nest LargeCorpus's candidates. Constant pairs never reach
+// Build and are left out.
+func BenchmarkBuild(b *testing.B) {
+	all, err := workload.LargeCorpusCandidates(4096)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var pairs []ir.Pair
+	for _, c := range all {
+		if c.Class == refs.NeedsTest {
+			pairs = append(pairs, c.Pair)
+		}
+	}
+	var bld system.Builder
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range pairs {
+			prob, err := bld.Build(p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, _, err := system.Preprocess(prob); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(len(pairs)), "pairs")
+}

@@ -10,11 +10,12 @@ import (
 // Builder constructs dependence problems into reusable scratch storage. It
 // exists because Build runs once per candidate pair even when the verdict
 // comes out of the memo tables, so its per-call allocations (the variable
-// index map, the Eq matrix, renamed subscript copies, primed-name strings)
-// dominate the memo-hot allocation profile. A Builder keeps the Problem
-// shell, its slices, the Eq matrix backing, and the primed-name cache alive
-// across calls and fills the equality matrix directly from the subscript
-// term maps instead of materializing renamed/subtracted expression copies.
+// index map, the Eq matrix, renamed subscript and bound copies, primed-name
+// strings) dominate the memo-hot allocation profile. A Builder keeps the
+// Problem shell, its slices, the Eq matrix backing, an arena of bound terms
+// and the primed-name cache alive across calls, and fills the equality
+// matrix directly from the subscript terms instead of materializing
+// renamed/subtracted expression copies, so a warm Build allocates nothing.
 //
 // The Problem returned by Build aliases the Builder's scratch and is valid
 // until the next Build call on the same Builder. Builders are not safe for
@@ -22,6 +23,7 @@ import (
 type Builder struct {
 	prob   Problem
 	eq     linalg.Matrix
+	terms  []ir.Term // arena for the terms of renamed B-side bounds
 	primed map[string]string
 }
 
@@ -112,35 +114,36 @@ func (b *Builder) Build(p ir.Pair) (*Problem, error) {
 	for d := 0; d < dims; d++ {
 		subA := ra.Subscripts[d]
 		subB := rb.Subscripts[d]
-		for v, c := range subA.Terms {
-			i := b.findVar(v)
+		for _, t := range subA.Terms {
+			i := b.findVar(t.Var)
 			if i < 0 {
-				return nil, fmt.Errorf("system: subscript uses unknown variable %q", v)
+				return nil, fmt.Errorf("system: subscript uses unknown variable %q", t.Var)
 			}
-			prob.Eq.Set(i, d, prob.Eq.At(i, d)+c)
+			prob.Eq.Set(i, d, prob.Eq.At(i, d)+t.Coeff)
 		}
-		for v, c := range subB.Terms {
+		for _, t := range subB.Terms {
 			i := -1
 			for lvl := range loopsB {
-				if loopsB[lvl].Index == v {
+				if loopsB[lvl].Index == t.Var {
 					i = len(loopsA) + lvl
 					break
 				}
 			}
 			if i < 0 {
-				i = b.findVar(v)
+				i = b.findVar(t.Var)
 			}
 			if i < 0 {
-				return nil, fmt.Errorf("system: subscript uses unknown variable %q", v)
+				return nil, fmt.Errorf("system: subscript uses unknown variable %q", t.Var)
 			}
-			prob.Eq.Set(i, d, prob.Eq.At(i, d)-c)
+			prob.Eq.Set(i, d, prob.Eq.At(i, d)-t.Coeff)
 		}
 		prob.RHS[d] = subB.Const - subA.Const
 	}
 
 	// Bounds: A-side bounds over unprimed outer indices and symbols; B-side
-	// bounds renamed onto primed indices (Rename is a no-op pass-through when
-	// the outer index does not occur, the common rectangular case).
+	// bounds renamed onto primed indices, their terms carved from the arena
+	// (AppendRename is a no-op pass-through when the outer index does not
+	// occur, the common rectangular case).
 	prob.Lower = resizeBounds(prob.Lower, len(prob.Vars))
 	prob.Upper = resizeBounds(prob.Upper, len(prob.Vars))
 	for _, l := range loopsA {
@@ -152,13 +155,14 @@ func (b *Builder) Build(p ir.Pair) (*Problem, error) {
 			prob.Upper[i] = Bound{Has: true, Expr: l.Upper}
 		}
 	}
+	b.terms = b.terms[:0]
 	for lvl, l := range loopsB {
 		i := len(loopsA) + lvl
 		lo, hi := l.Lower, l.Upper
 		for _, outer := range loopsB[:lvl] {
 			pn := b.primedName(outer.Index)
-			lo = lo.Rename(outer.Index, pn)
-			hi = hi.Rename(outer.Index, pn)
+			b.terms, lo = lo.AppendRename(b.terms, outer.Index, pn)
+			b.terms, hi = hi.AppendRename(b.terms, outer.Index, pn)
 		}
 		if !l.NoLower {
 			prob.Lower[i] = Bound{Has: true, Expr: lo}
@@ -168,15 +172,15 @@ func (b *Builder) Build(p ir.Pair) (*Problem, error) {
 		}
 	}
 	// Validate that bound expressions only mention known variables, walking
-	// the term maps directly (Expr.Vars sorts into a fresh slice per call).
+	// the term rows directly (Expr.Vars copies the names into a fresh slice).
 	for i := range prob.Vars {
 		for _, bd := range [2]Bound{prob.Lower[i], prob.Upper[i]} {
 			if !bd.Has {
 				continue
 			}
-			for v := range bd.Expr.Terms {
-				if b.findVar(v) < 0 {
-					return nil, fmt.Errorf("system: bound of %q uses unknown variable %q", prob.Vars[i].Name, v)
+			for _, t := range bd.Expr.Terms {
+				if b.findVar(t.Var) < 0 {
+					return nil, fmt.Errorf("system: bound of %q uses unknown variable %q", prob.Vars[i].Name, t.Var)
 				}
 			}
 		}

@@ -14,8 +14,8 @@ import (
 // against the allocating Build on the same inputs it will see in anger.
 func builderPairs(t *testing.T) []ir.Pair {
 	t.Helper()
-	mk := func(loops []ir.Loop, subA, subB []ir.Expr) ir.Pair {
-		nest := &ir.Nest{Label: "t", Loops: loops}
+	mk := func(loops []ir.Loop, subA, subB []ir.Expr, symbols ...string) ir.Pair {
+		nest := &ir.Nest{Label: "t", Loops: loops, Symbols: symbols}
 		a := ir.Ref{Array: "a", Subscripts: subA, Kind: ir.Write, Depth: len(loops)}
 		b := ir.Ref{Array: "a", Subscripts: subB, Kind: ir.Read, Depth: len(loops)}
 		nest.Refs = []ir.Ref{a, b}
@@ -51,11 +51,22 @@ func builderPairs(t *testing.T) []ir.Pair {
 			{Index: "i", Lower: ir.NewConst(1), Upper: ir.NewConst(30)},
 			{Index: "j", Lower: ir.NewTerm("i", 2), Upper: ir.NewTerm("i", 2).AddConst(5)}},
 		[]ir.Expr{i1("j").AddConst(1)}, []ir.Expr{i1("j")}))
-	// Symbolic bound and subscript offset.
+	// Triangular three deep: the innermost bounds use both outer indices,
+	// so each B-side bound is renamed twice.
 	pairs = append(pairs, mk(
-		[]ir.Loop{{Index: "i", Lower: ir.NewConst(1), Upper: ir.NewVar("n")}},
-		[]ir.Expr{i1("i").Add(ir.NewVar("n")).AddConst(1)},
-		[]ir.Expr{i1("i").Add(ir.NewTerm("n", 2))}))
+		[]ir.Loop{
+			{Index: "i", Lower: ir.NewConst(1), Upper: ir.NewConst(20)},
+			{Index: "j", Lower: ir.NewVar("i"), Upper: ir.NewConst(20)},
+			{Index: "k", Lower: ir.NewVar("i"), Upper: ir.NewVar("j").Add(ir.NewVar("i"))}},
+		[]ir.Expr{i1("k").AddConst(1), i1("j")}, []ir.Expr{i1("k"), i1("j")}))
+	// Symbolic bound and subscript offset, undeclared (an error) and
+	// declared.
+	for _, syms := range [][]string{nil, {"n"}} {
+		pairs = append(pairs, mk(
+			[]ir.Loop{{Index: "i", Lower: ir.NewConst(1), Upper: ir.NewVar("n")}},
+			[]ir.Expr{i1("i").Add(ir.NewVar("n")).AddConst(1)},
+			[]ir.Expr{i1("i").Add(ir.NewTerm("n", 2))}, syms...))
+	}
 	return pairs
 }
 
@@ -114,5 +125,32 @@ func TestBuilderScratchInvalidation(t *testing.T) {
 	}
 	if p1.String() == before {
 		t.Skip("scratch happened to be disjoint for these shapes")
+	}
+}
+
+// TestBuildZeroAllocs gates a warm Builder.Build at zero allocations over
+// rectangular nests, triangular nests (whose B-side bounds are renamed onto
+// primed indices, their terms carved from the Builder's arena) and symbols.
+// Part of the Makefile allocgate.
+func TestBuildZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed by the race detector")
+	}
+	var pairs []ir.Pair
+	var bld Builder
+	for _, p := range builderPairs(t) { // warm the scratch
+		if _, err := bld.Build(p); err == nil { // errors allocate their message
+			pairs = append(pairs, p)
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, p := range pairs {
+			if _, err := bld.Build(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a warm Build sweep allocates %.1f times, want 0", allocs)
 	}
 }

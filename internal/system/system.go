@@ -107,12 +107,12 @@ func Build(p ir.Pair) (*Problem, error) {
 			subB = subB.Rename(l.Index, primed(l.Index))
 		}
 		diff := subA.Sub(subB) // Σ coeff·x = RHS form with RHS = -const
-		for v, c := range diff.Terms {
-			i, ok := index[v]
+		for _, t := range diff.Terms {
+			i, ok := index[t.Var]
 			if !ok {
-				return nil, fmt.Errorf("system: subscript uses unknown variable %q", v)
+				return nil, fmt.Errorf("system: subscript uses unknown variable %q", t.Var)
 			}
-			prob.Eq.Set(i, d, c)
+			prob.Eq.Set(i, d, t.Coeff)
 		}
 		prob.RHS[d] = -diff.Const
 	}

@@ -252,12 +252,12 @@ func (p *Problem) exprToT(e ir.Expr, xof []TExpr) (TExpr, error) {
 	}
 	out := TExpr{Coef: make([]int64, numT), Const: e.Const}
 	var err error
-	for _, v := range e.Vars() {
-		i := p.VarIndex(v)
+	for _, t := range e.Terms {
+		i := p.VarIndex(t.Var)
 		if i < 0 {
-			return TExpr{}, fmt.Errorf("system: unknown variable %q in bound", v)
+			return TExpr{}, fmt.Errorf("system: unknown variable %q in bound", t.Var)
 		}
-		c := e.Coeff(v)
+		c := t.Coeff
 		prod, err2 := linalg.MulChecked(c, xof[i].Const)
 		if err2 != nil {
 			return TExpr{}, err2
