@@ -40,6 +40,7 @@ race:
 # shared memo table, the zero-allocation Fourier–Motzkin solve, the
 # clone-free refinement walk, the map-free lexer, the zero-allocation
 # problem build (renamed bounds carved from the builder's arena), the
+# zero-allocation Extended GCD step (a warm Preprocessor), the
 # verdict store's per-unit slabs (a fixed number of allocations per unit to
 # load a snapshot and to serve a unit, however many results it holds) and
 # its file index (serving an unchanged file without building its IR, in a
@@ -50,7 +51,7 @@ allocgate:
 	$(GO) test ./internal/memo -run 'TestEncoderZeroAllocs|TestMemoHitZeroAllocs|TestShardedInsertAllocs'
 	$(GO) test ./internal/depvec -run 'TestRefineZeroAllocs'
 	$(GO) test ./internal/lang -run 'TestLexerZeroAllocs'
-	$(GO) test ./internal/system -run 'TestBuildZeroAllocs'
+	$(GO) test ./internal/system -run 'TestBuildZeroAllocs|TestPreprocessZeroAllocs'
 	$(GO) test ./internal/corpus -run 'TestLoadStoreAllocs|TestServeAllocs|TestIndexHitAllocs'
 
 # fuzz-smoke fuzzes every decoder of outside input for 10 s each: the DSL
@@ -126,15 +127,15 @@ bench-smoke:
 # longer than go test's default 10-minute timeout, hence -timeout.
 bench-json:
 	$(GO) test -run '^$$' -bench . -benchmem -count 5 -timeout 60m $(BENCH_PKGS) 2>&1 \
-		| tee /dev/stderr | $(GO) run ./cmd/benchjson -out BENCH_PR21.json
+		| tee /dev/stderr | $(GO) run ./cmd/benchjson -out BENCH_PR22.json
 
 # benchcmp diffs the previous committed baseline against the newest.
 benchcmp:
-	$(GO) run ./cmd/benchcmp BENCH_PR20.json BENCH_PR21.json
+	$(GO) run ./cmd/benchcmp BENCH_PR21.json BENCH_PR22.json
 
 # BASELINE is the committed perf baseline benchcmp-gate measures against,
 # recorded on the 2-vCPU host the end-to-end benchmark runs on.
-BASELINE := BENCH_PR21.json
+BASELINE := BENCH_PR22.json
 
 # GATED lists the gated benchmarks as go test -bench patterns. The corpus
 # warm path is the incremental layer's headline number, and the warm

@@ -278,3 +278,48 @@ func TestAnnotateSourceUnitAPI(t *testing.T) {
 		t.Fatalf("missing private clause:\n%s", out)
 	}
 }
+
+// TestNoCommonLoopOneEmptyVector: a dependent pair whose references share
+// no loop (a[i] written in one nest, a[j+1] read in the next) is
+// loop-independent, so it reports the empty direction vector exactly once:
+// solved fresh and served from the memo, with one worker and with two.
+func TestNoCommonLoopOneEmptyVector(t *testing.T) {
+	prog, err := exactdep.Parse("for i = 1 to 10\n  a[i] = 0\nend\nfor j = 1 to 10\n  b[j] = a[j+1]\nend\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cands := exactdep.Pairs(exactdep.Lower(prog))
+	for _, workers := range []int{1, 2} {
+		a := exactdep.NewAnalyzer(exactdep.Options{DirectionVectors: true, PruneUnused: true,
+			PruneDistance: true, Memoize: true, ImprovedMemo: true})
+		for _, run := range []string{"fresh", "memo-hit"} {
+			res, err := a.AnalyzeAll(cands, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			found := 0
+			for _, r := range res {
+				if r.Pair.Common != 0 {
+					continue
+				}
+				found++
+				if r.Outcome != exactdep.Dependent {
+					t.Fatalf("workers=%d %s: %s vs %s is %v, want dependent", workers, run, r.Pair.A.Ref, r.Pair.B.Ref, r.Outcome)
+				}
+				want := exactdep.ByTest
+				if run == "memo-hit" {
+					want = exactdep.ByCache
+				}
+				if r.DecidedBy != want {
+					t.Fatalf("workers=%d %s: decided by %v, want %v", workers, run, r.DecidedBy, want)
+				}
+				if len(r.Vectors) != 1 || r.Vectors[0].String() != "()" {
+					t.Errorf("workers=%d %s: vectors %v, want the empty vector once", workers, run, r.Vectors)
+				}
+			}
+			if found != 1 {
+				t.Fatalf("workers=%d %s: %d pairs without a common loop, want 1", workers, run, found)
+			}
+		}
+	}
+}

@@ -335,6 +335,10 @@ type Analyzer struct {
 	// fresh Problem per pair. The built Problem is only live within one
 	// analyzeCandidate call, which is what makes the reuse safe.
 	pb system.Builder
+	// pp runs the Extended GCD step into per-analyzer scratch
+	// (system.Preprocessor): its TSystem is live within one analyzeFresh
+	// call, which is what makes the reuse safe.
+	pp system.Preprocessor
 	// levels is usedLevels' scratch, live within one project or expand.
 	levels []int
 
@@ -854,7 +858,7 @@ func (a *Analyzer) analyzeFresh(prob *system.Problem, p ir.Pair) Result {
 		return Result{Pair: p, Outcome: dtest.Independent, Exact: true, DecidedBy: ByGCD}
 	}
 
-	res, ts, err := system.Preprocess(prob)
+	res, ts, err := a.pp.Preprocess(prob)
 	if err != nil {
 		// Overflow in exact arithmetic: assume dependence, inexactly.
 		return Result{Pair: p, Outcome: dtest.Unknown, DecidedBy: ByTest}

@@ -5,10 +5,11 @@ package depvec
 // rows, test, pop, release — costs no allocations once the workspace is
 // warm; the old walk cloned the whole system per node, O(3^d) deep copies
 // on a d-level nest. Result materialization (appending surviving vectors to
-// the Summary) still allocates per *surviving leaf*, which is output, not
-// walk overhead; the gates below therefore drive walks with no surviving
-// vectors. The cascade's own zero-allocation property is gated separately
-// in internal/dtest (TestCascadeZeroAllocs, TestFMSolveZeroAllocs).
+// the Summary) costs one slab, one slice of vectors and one slice of
+// distances per Summary, however many vectors survive: the walk collects
+// them in the Refiner and copies them out once. The cascade's own
+// zero-allocation property is gated separately in internal/dtest
+// (TestCascadeZeroAllocs, TestFMSolveZeroAllocs).
 
 import (
 	"testing"
@@ -125,6 +126,34 @@ func TestRefineZeroAllocs(t *testing.T) {
 		if got := testing.AllocsPerRun(100, walk); got != want {
 			t.Errorf("steady-state walk allocated %.0f times per call, its %d cascade runs %.0f: the refinement bracket must allocate nothing",
 				got, len(nodes), want)
+		}
+	})
+	t.Run("prune-distance-output", func(t *testing.T) {
+		// A PruneDistance walk pays for its output once, not per vector:
+		// a[i+1][j][k] = a[i][j][k] survives as (<, =, =) alone, while
+		// a[i+1] = a[i] in the same three loops leaves j and k free, so
+		// the walk refines them into 9 vectors. Both copy out one
+		// []Direction, one []Vector and one []Distance.
+		loops := []ir.Loop{loop("i", 1, 10), loop("j", 1, 10), loop("k", 1, 10)}
+		i, j, k := ir.NewVar("i"), ir.NewVar("j"), ir.NewVar("k")
+		one := prep(t, loops, []ir.Expr{i.AddConst(1), j, k}, []ir.Expr{i, j, k})
+		nine := prep(t, loops, []ir.Expr{i.AddConst(1)}, []ir.Expr{i})
+		opts := Options{PruneDistance: true, Refiner: NewRefiner(), Pipeline: dtest.DefaultConfig().NewPipeline()}
+		allocs := make([]float64, 2)
+		for n, ts := range []*system.TSystem{one, nine} {
+			sum := ComputeObserved(ts, opts, nil)
+			if want := []int{1, 9}[n]; len(sum.Vectors) != want || len(sum.Distances) == 0 {
+				t.Fatalf("premise: want %d vectors and a constant distance, got %+v", want, sum)
+			}
+			for w := 0; w < 3; w++ {
+				ComputeObserved(ts, opts, nil)
+			}
+			allocs[n] = testing.AllocsPerRun(100, func() { ComputeObserved(ts, opts, nil) })
+		}
+		t.Logf("allocations per walk: %.0f with 1 surviving vector, %.0f with 9", allocs[0], allocs[1])
+		if allocs[0] != allocs[1] || allocs[0] > 3 {
+			t.Errorf("steady-state walk allocated %.0f times with 1 surviving vector and %.0f with 9, want the same, at most 3",
+				allocs[0], allocs[1])
 		}
 	})
 }

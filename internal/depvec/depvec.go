@@ -152,20 +152,28 @@ type Options struct {
 }
 
 // Refiner is the reusable workspace of the clone-free refinement walk: the
-// arena that backs pushed direction rows, and the per-level direction and
-// vector buffers. One Refiner serves many ComputeObserved calls (the
-// analyzer keeps one per worker); it is not safe for concurrent use.
+// arena that backs pushed direction rows, the per-level direction and
+// vector buffers, and the buffers the walk collects its output in (the
+// surviving vectors, flat; the constant distances; the separable method's
+// per-level direction sets). One Refiner serves many ComputeObserved calls
+// (the analyzer keeps one per worker); it is not safe for concurrent use.
 type Refiner struct {
 	arena system.Scratch
 	fixed []Direction
 	cur   Vector
+	// vecs holds the surviving vectors back to back, nvec of them, each
+	// the walk's number of levels long.
+	vecs  []Direction
+	nvec  int
+	dists []Distance
+	sets  [][]Direction
 }
 
 // NewRefiner returns an empty Refiner; buffers grow on first use.
 func NewRefiner() *Refiner { return &Refiner{} }
 
 // reset sizes the buffers for an analysis over the given number of levels:
-// fixed zeroed, cur all Any.
+// fixed zeroed, cur all Any, no vectors or distances collected.
 func (rf *Refiner) reset(levels int) {
 	if cap(rf.fixed) < levels {
 		rf.fixed = make([]Direction, levels)
@@ -177,6 +185,37 @@ func (rf *Refiner) reset(levels int) {
 		rf.fixed[i] = 0
 		rf.cur[i] = Any
 	}
+	rf.vecs, rf.nvec, rf.dists = rf.vecs[:0], 0, rf.dists[:0]
+}
+
+// emit records the current vector as a surviving one.
+func (rf *Refiner) emit() {
+	rf.vecs = append(rf.vecs, rf.cur...)
+	rf.nvec++
+}
+
+// vectors copies the surviving vectors out of the workspace: one slab and
+// one slice of vectors carved from it, nil when none survived.
+func (rf *Refiner) vectors() []Vector {
+	if rf.nvec == 0 {
+		return nil
+	}
+	n := len(rf.cur)
+	slab := append([]Direction(nil), rf.vecs...)
+	out := make([]Vector, rf.nvec)
+	for k := range out {
+		out[k] = Vector(slab[k*n : (k+1)*n : (k+1)*n])
+	}
+	return out
+}
+
+// distances copies the constant distances out of the workspace, nil when
+// there are none.
+func (rf *Refiner) distances() []Distance {
+	if len(rf.dists) == 0 {
+		return nil
+	}
+	return append([]Distance(nil), rf.dists...)
 }
 
 // Summary is the direction-vector analysis result for one pair.
@@ -228,31 +267,37 @@ func (s *Summary) note(r dtest.Result) {
 	}
 }
 
-// Compute runs the hierarchical direction vector analysis. onTest, when
-// non-nil, observes every cascade invocation (for the experiment counters).
-func Compute(ts *system.TSystem, opts Options) Summary {
-	return ComputeObserved(ts, opts, nil)
-}
-
-// ComputeObserved is Compute with a per-test observer.
+// ComputeObserved runs the hierarchical direction vector analysis. onTest,
+// when non-nil, observes every cascade invocation (for the experiment
+// counters).
 //
 // The refinement walks ts itself: each tree node pushes its direction
 // constraint onto the system's trail (system.TSystem.PushDirection), tests,
 // recurses, and pops — one scratch system DFS-style instead of a deep clone
 // per node, which on a d-level nest eliminates O(3^d) copies. ts is mutated
-// during the call and restored before it returns. ComputeReference retains
-// the clone-based walk as a differential oracle.
+// during the call and restored before it returns. The walk collects its
+// output in the Refiner, so a Summary costs at most one []Direction, one
+// []Vector and one []Distance however many vectors survive.
+// ComputeReference retains the clone-based walk as a differential oracle.
 func ComputeObserved(ts *system.TSystem, opts Options, onTest func(dtest.Result)) Summary {
+	rf := opts.Refiner
+	if rf == nil {
+		rf = NewRefiner()
+	}
+	sum := refine(ts, opts, rf, onTest)
+	sum.Vectors = rf.vectors()
+	sum.Distances = rf.distances()
+	return sum
+}
+
+// refine is ComputeObserved's walk; it leaves the surviving vectors and the
+// distances in rf.
+func refine(ts *system.TSystem, opts Options, rf *Refiner, onTest func(dtest.Result)) Summary {
 	levels := 0
 	if ts.Prob != nil {
 		levels = ts.Prob.Common
 	}
 	sum := Summary{Exact: true}
-
-	rf := opts.Refiner
-	if rf == nil {
-		rf = NewRefiner()
-	}
 	rf.reset(levels)
 	fixed, cur := rf.fixed, rf.cur
 
@@ -263,13 +308,12 @@ func ComputeObserved(ts *system.TSystem, opts Options, onTest func(dtest.Result)
 			continue
 		}
 		if opts.PruneDistance {
-			d, err := ts.Distance(lvl)
-			if err == nil && d.IsConst() {
-				sum.Distances = append(sum.Distances, Distance{Level: lvl, Value: d.Const})
+			if d, ok := ts.Distance(lvl); ok {
+				rf.dists = append(rf.dists, Distance{Level: lvl, Value: d})
 				switch {
-				case d.Const > 0:
+				case d > 0:
 					fixed[lvl] = Less
-				case d.Const < 0:
+				case d < 0:
 					fixed[lvl] = Greater
 				default:
 					fixed[lvl] = Equal
@@ -305,15 +349,15 @@ func ComputeObserved(ts *system.TSystem, opts Options, onTest func(dtest.Result)
 		return sum
 	}
 
-	var refine func(lvl, depth int)
-	refine = func(lvl, depth int) {
+	var walk func(lvl, depth int)
+	walk = func(lvl, depth int) {
 		// advance over fixed levels without testing
 		for lvl < levels && fixed[lvl] != 0 {
 			cur[lvl] = fixed[lvl]
 			lvl++
 		}
 		if lvl >= levels {
-			sum.Vectors = append(sum.Vectors, cur.Clone())
+			rf.emit()
 			return
 		}
 		for _, dir := range []Direction{Less, Equal, Greater} {
@@ -332,7 +376,7 @@ func ComputeObserved(ts *system.TSystem, opts Options, onTest func(dtest.Result)
 			}
 			if r := run(ts); r.Outcome != dtest.Independent {
 				cur[lvl] = dir
-				refine(lvl+1, depth+1)
+				walk(lvl+1, depth+1)
 				cur[lvl] = Any
 			}
 			ts.PopTo(tm)
@@ -340,9 +384,11 @@ func ComputeObserved(ts *system.TSystem, opts Options, onTest func(dtest.Result)
 			sum.TrailPops++
 		}
 	}
-	refine(0, 0)
+	// With no common loops the walk emits the one empty vector: the
+	// dependence is loop-independent.
+	walk(0, 0)
 
-	if len(sum.Vectors) == 0 && levels > 0 {
+	if rf.nvec == 0 {
 		// Every direction vector was refuted: the pair is independent even
 		// though the base (*,…,*) test said otherwise (§6's implicit
 		// branch-and-bound; possible because direction constraints cut the
@@ -354,10 +400,5 @@ func ComputeObserved(ts *system.TSystem, opts Options, onTest func(dtest.Result)
 		return sum
 	}
 	sum.Dependent = true
-	if levels == 0 {
-		// No common loops: dependence is loop-independent; represent it
-		// with the empty vector.
-		sum.Vectors = append(sum.Vectors, Vector{})
-	}
 	return sum
 }

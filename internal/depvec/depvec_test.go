@@ -1,6 +1,8 @@
 package depvec
 
 import (
+	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -48,7 +50,7 @@ func TestDistanceOneVector(t *testing.T) {
 	ts := prep(t, []ir.Loop{loop("i", 1, 10)},
 		[]ir.Expr{ir.NewVar("i").AddConst(1)}, []ir.Expr{ir.NewVar("i")})
 	for _, opts := range []Options{{}, {PruneUnused: true, PruneDistance: true}} {
-		sum := Compute(ts.Clone(), opts)
+		sum := ComputeObserved(ts.Clone(), opts, nil)
 		if !sum.Dependent || !sum.Exact {
 			t.Fatalf("opts %+v: %+v", opts, sum)
 		}
@@ -62,7 +64,7 @@ func TestEqualOnlyVector(t *testing.T) {
 	// paper §6 second example: a[i] = a[i]+7: dependent with '=' only.
 	ts := prep(t, []ir.Loop{loop("i", 1, 10)},
 		[]ir.Expr{ir.NewVar("i")}, []ir.Expr{ir.NewVar("i")})
-	sum := Compute(ts, Options{PruneDistance: true})
+	sum := ComputeObserved(ts, Options{PruneDistance: true}, nil)
 	if got := vecStrings(sum.Vectors); len(got) != 1 || got[0] != "(=)" {
 		t.Fatalf("vectors = %v, want [(=)]", got)
 	}
@@ -78,8 +80,8 @@ func TestEqualOnlyVector(t *testing.T) {
 func TestDistancePruningSkipsTests(t *testing.T) {
 	ts := prep(t, []ir.Loop{loop("i", 1, 10)},
 		[]ir.Expr{ir.NewVar("i").AddConst(3)}, []ir.Expr{ir.NewVar("i")})
-	pruned := Compute(ts.Clone(), Options{PruneDistance: true})
-	unpruned := Compute(ts.Clone(), Options{})
+	pruned := ComputeObserved(ts.Clone(), Options{PruneDistance: true}, nil)
+	unpruned := ComputeObserved(ts.Clone(), Options{}, nil)
 	if vecStrings(pruned.Vectors)[0] != "(<)" || vecStrings(unpruned.Vectors)[0] != "(<)" {
 		t.Fatalf("vectors: pruned %v unpruned %v", pruned.Vectors, unpruned.Vectors)
 	}
@@ -97,7 +99,7 @@ func TestUnusedVariablePruning(t *testing.T) {
 	// should be (*, <areas>) with '*' prepended.
 	loops := []ir.Loop{loop("i", 1, 10), loop("j", 1, 10)}
 	ts := prep(t, loops, []ir.Expr{ir.NewVar("j")}, []ir.Expr{ir.NewVar("j").AddConst(1)})
-	pruned := Compute(ts.Clone(), Options{PruneUnused: true, PruneDistance: true})
+	pruned := ComputeObserved(ts.Clone(), Options{PruneUnused: true, PruneDistance: true}, nil)
 	if !pruned.Dependent {
 		t.Fatal("a[j] vs a[j+1] depends")
 	}
@@ -107,7 +109,7 @@ func TestUnusedVariablePruning(t *testing.T) {
 		}
 	}
 	// without pruning, the i level is enumerated into <, =, >
-	unpruned := Compute(ts.Clone(), Options{})
+	unpruned := ComputeObserved(ts.Clone(), Options{}, nil)
 	if len(unpruned.Vectors) != 3*len(pruned.Vectors) {
 		t.Fatalf("expected 3x vectors without pruning: %v vs %v",
 			vecStrings(unpruned.Vectors), vecStrings(pruned.Vectors))
@@ -128,7 +130,7 @@ func TestMultipleVectors(t *testing.T) {
 	ts := prep(t, loops,
 		[]ir.Expr{ir.NewVar("i"), ir.NewVar("j")},
 		[]ir.Expr{ir.NewTerm("i", 2), ir.NewVar("j")})
-	sum := Compute(ts, Options{})
+	sum := ComputeObserved(ts, Options{}, nil)
 	if !sum.Dependent || !sum.Exact {
 		t.Fatalf("%+v", sum)
 	}
@@ -188,7 +190,7 @@ func equalStrings(a, b []string) bool {
 func TestIndependentPairNoVectors(t *testing.T) {
 	ts := prep(t, []ir.Loop{loop("i", 1, 10)},
 		[]ir.Expr{ir.NewVar("i").AddConst(10)}, []ir.Expr{ir.NewVar("i")})
-	sum := Compute(ts, Options{PruneUnused: true, PruneDistance: true})
+	sum := ComputeObserved(ts, Options{PruneUnused: true, PruneDistance: true}, nil)
 	if sum.Dependent || len(sum.Vectors) != 0 {
 		t.Fatalf("%+v", sum)
 	}
@@ -235,7 +237,7 @@ func TestImplicitBranchAndBound(t *testing.T) {
 	// LevelUsed needs an Eq matrix; give the problem a trivial one marking
 	// both variables used.
 	eqProb(prob)
-	sum := Compute(ts, Options{})
+	sum := ComputeObserved(ts, Options{}, nil)
 	if sum.Dependent {
 		t.Fatalf("implicit B&B must conclude independent: %+v", sum)
 	}
@@ -319,5 +321,29 @@ func TestMergeVectors(t *testing.T) {
 	}
 	if got := Merge(nil); got != nil {
 		t.Fatalf("Merge(nil) = %v", got)
+	}
+}
+
+// TestRefinerReuse runs one Refiner over random nests of depth 1–4 in every
+// pruning variant, separable included, as an analyzer worker keeps it, and
+// checks each walk against one with a fresh Refiner: the output buffers
+// and the per-level sets a deeper walk left behind must not leak into a
+// later Summary.
+func TestRefinerReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	shared := NewRefiner()
+	for tested := 0; tested < 120; {
+		ts := randNest(rng, 1+rng.Intn(4))
+		if ts == nil {
+			continue
+		}
+		tested++
+		for i, opts := range diffOpts {
+			fresh := ComputeObserved(ts, opts, nil)
+			opts.Refiner = shared
+			if got := ComputeObserved(ts, opts, nil); !reflect.DeepEqual(got, fresh) {
+				t.Fatalf("nest %d opts %d: reused Refiner\n got %+v\nwant %+v", tested, i, got, fresh)
+			}
+		}
 	}
 }

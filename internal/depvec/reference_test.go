@@ -26,13 +26,12 @@ func ComputeReference(ts *system.TSystem, opts Options, onTest func(dtest.Result
 			continue
 		}
 		if opts.PruneDistance {
-			d, err := ts.Distance(lvl)
-			if err == nil && d.IsConst() {
-				sum.Distances = append(sum.Distances, Distance{Level: lvl, Value: d.Const})
+			if d, ok := ts.Distance(lvl); ok {
+				sum.Distances = append(sum.Distances, Distance{Level: lvl, Value: d})
 				switch {
-				case d.Const > 0:
+				case d > 0:
 					fixed[lvl] = Less
-				case d.Const < 0:
+				case d < 0:
 					fixed[lvl] = Greater
 				default:
 					fixed[lvl] = Equal
@@ -95,9 +94,9 @@ func ComputeReference(ts *system.TSystem, opts Options, onTest func(dtest.Result
 			cur[lvl] = Any
 		}
 	}
-	refine(ts, 0)
+	refine(ts, 0) // with no common loops: the one empty vector
 
-	if len(sum.Vectors) == 0 && levels > 0 {
+	if len(sum.Vectors) == 0 {
 		sum.ImplicitBB = true
 		sum.Dependent = false
 		sum.Exact = true
@@ -105,9 +104,6 @@ func ComputeReference(ts *system.TSystem, opts Options, onTest func(dtest.Result
 		return sum
 	}
 	sum.Dependent = true
-	if levels == 0 {
-		sum.Vectors = append(sum.Vectors, Vector{})
-	}
 	return sum
 }
 

@@ -20,22 +20,20 @@ func Separable(ts *system.TSystem) bool {
 	if p == nil {
 		return false
 	}
-	levelOf := make([]int, len(p.Vars))
-	for i, v := range p.Vars {
+	for _, v := range p.Vars {
 		if v.Kind == system.Symbol || v.Level < 0 || v.Level >= p.Common {
 			return false
 		}
-		levelOf[i] = v.Level
 	}
 	for d := 0; d < p.Eq.Cols; d++ {
 		lvl := -1
-		for i := range p.Vars {
+		for i, v := range p.Vars {
 			if p.Eq.At(i, d) == 0 {
 				continue
 			}
 			if lvl == -1 {
-				lvl = levelOf[i]
-			} else if lvl != levelOf[i] {
+				lvl = v.Level
+			} else if lvl != v.Level {
 				return false // coupled subscript dimension
 			}
 		}
@@ -54,13 +52,19 @@ func Separable(ts *system.TSystem) bool {
 // on separable systems whose base (*,…,*) test was dependent; fixed is the
 // pruning array from ComputeObserved (nonzero entries are not re-tested).
 // Each single-level test pushes its direction onto ts's trail and pops it.
+// The per-level direction sets live in rf.sets, and the cross product is
+// emitted into rf like the hierarchical walk's vectors.
 func computeSeparable(ts *system.TSystem, fixed []Direction, sum *Summary,
 	rf *Refiner, run func(*system.TSystem) dtest.Result) {
 	levels := ts.Prob.Common
-	perLevel := make([][]Direction, levels)
+	for len(rf.sets) < levels {
+		rf.sets = append(rf.sets, nil)
+	}
+	perLevel := rf.sets[:levels]
 	for lvl := 0; lvl < levels; lvl++ {
+		perLevel[lvl] = perLevel[lvl][:0]
 		if fixed[lvl] != 0 {
-			perLevel[lvl] = []Direction{fixed[lvl]}
+			perLevel[lvl] = append(perLevel[lvl], fixed[lvl])
 			continue
 		}
 		for _, dir := range []Direction{Less, Equal, Greater} {
@@ -90,16 +94,15 @@ func computeSeparable(ts *system.TSystem, fixed []Direction, sum *Summary,
 			sum.Dependent = false
 			sum.Exact = true
 			sum.Trip = dtest.TripNone
-			sum.Vectors = nil
 			return
 		}
 	}
 	// cross product
-	cur := make(Vector, levels)
+	cur := rf.cur
 	var build func(lvl int)
 	build = func(lvl int) {
 		if lvl == levels {
-			sum.Vectors = append(sum.Vectors, cur.Clone())
+			rf.emit()
 			return
 		}
 		for _, d := range perLevel[lvl] {

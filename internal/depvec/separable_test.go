@@ -54,8 +54,8 @@ func TestSeparableMatchesHierarchical(t *testing.T) {
 		if !Separable(ts) {
 			t.Fatalf("case %d must be separable", ci)
 		}
-		hier := Compute(ts.Clone(), Options{})
-		sep := Compute(ts.Clone(), Options{Separable: true})
+		hier := ComputeObserved(ts.Clone(), Options{}, nil)
+		sep := ComputeObserved(ts.Clone(), Options{Separable: true}, nil)
 		if hier.Dependent != sep.Dependent || hier.Exact != sep.Exact {
 			t.Fatalf("case %d: verdicts differ: %+v vs %+v", ci, hier, sep)
 		}
@@ -77,8 +77,8 @@ func TestSeparableSavesTests(t *testing.T) {
 		[]ir.Loop{loop("i", 0, 10), loop("j", 0, 10), loop("k", 0, 10)},
 		[]ir.Expr{ir.NewTerm("i", 2), ir.NewTerm("j", 2), ir.NewTerm("k", 2)},
 		[]ir.Expr{ir.NewVar("i"), ir.NewVar("j"), ir.NewVar("k")})
-	hier := Compute(ts.Clone(), Options{})
-	sep := Compute(ts.Clone(), Options{Separable: true})
+	hier := ComputeObserved(ts.Clone(), Options{}, nil)
+	sep := ComputeObserved(ts.Clone(), Options{Separable: true}, nil)
 	if !equalStrings(vecStrings(hier.Vectors), vecStrings(sep.Vectors)) {
 		t.Fatalf("vector sets differ:\n%v\n%v", vecStrings(hier.Vectors), vecStrings(sep.Vectors))
 	}
@@ -96,8 +96,8 @@ func TestSeparableFallsBack(t *testing.T) {
 	ts := prep(t, []ir.Loop{loop("i", 0, 10), loop("j", 0, 10)},
 		[]ir.Expr{ir.NewVar("i").Add(ir.NewVar("j"))},
 		[]ir.Expr{ir.NewVar("i").Add(ir.NewVar("j")).AddConst(1)})
-	plain := Compute(ts.Clone(), Options{})
-	sep := Compute(ts.Clone(), Options{Separable: true})
+	plain := ComputeObserved(ts.Clone(), Options{}, nil)
+	sep := ComputeObserved(ts.Clone(), Options{Separable: true}, nil)
 	if !equalStrings(vecStrings(plain.Vectors), vecStrings(sep.Vectors)) {
 		t.Fatalf("fallback changed vectors: %v vs %v",
 			vecStrings(plain.Vectors), vecStrings(sep.Vectors))
@@ -110,7 +110,7 @@ func TestSeparableWithPruning(t *testing.T) {
 	ts := prep(t, []ir.Loop{loop("i", 0, 10), loop("j", 0, 10)},
 		[]ir.Expr{ir.NewVar("i").AddConst(1), ir.NewVar("j")},
 		[]ir.Expr{ir.NewVar("i"), ir.NewVar("j")})
-	sum := Compute(ts, Options{Separable: true, PruneDistance: true, PruneUnused: true})
+	sum := ComputeObserved(ts, Options{Separable: true, PruneDistance: true, PruneUnused: true}, nil)
 	if !sum.Dependent || len(sum.Vectors) != 1 || sum.Vectors[0].String() != "(<, =)" {
 		t.Fatalf("%+v", sum)
 	}

@@ -142,6 +142,13 @@ func FromRows(rows [][]int64) *Matrix {
 // of NewMatrix for callers (system.Builder) that rebuild a matrix per
 // problem without allocating one per call.
 func (m *Matrix) Reshape(rows, cols int) {
+	m.resize(rows, cols)
+	clear(m.a)
+}
+
+// resize sets m's shape to rows×cols, reusing the backing array when it is
+// large enough, and leaves the elements unspecified.
+func (m *Matrix) resize(rows, cols int) {
 	if rows < 0 || cols < 0 {
 		panic(fmt.Sprintf("linalg: negative dimension %dx%d", rows, cols))
 	}
@@ -150,9 +157,6 @@ func (m *Matrix) Reshape(rows, cols int) {
 		m.a = make([]int64, n)
 	} else {
 		m.a = m.a[:n]
-		for i := range m.a {
-			m.a[i] = 0
-		}
 	}
 	m.Rows, m.Cols = rows, cols
 }
@@ -290,11 +294,31 @@ type Echelon struct {
 // Extended GCD test: U·A = D, so integer solutions of x·A = c correspond to
 // t·D = c via x = t·U.
 func Factor(A *Matrix) (*Echelon, error) {
+	e := &Echelon{}
+	if err := e.FactorInto(A); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// FactorInto is Factor into e's storage: U, D and Lead reuse their backing
+// arrays across calls, so a caller that factors one problem after another
+// (system.Preprocessor) allocates nothing once they are large enough. On
+// error e holds a partial factorization and must not be read.
+func (e *Echelon) FactorInto(A *Matrix) error {
 	n := A.Rows
-	U := Identity(n)
-	D := A.Clone()
+	if e.U == nil {
+		e.U, e.D = &Matrix{}, &Matrix{}
+	}
+	U, D := e.U, e.D
+	U.Reshape(n, n)
+	for i := 0; i < n; i++ {
+		U.Set(i, i, 1)
+	}
+	D.resize(A.Rows, A.Cols)
+	copy(D.a, A.a)
 	pivotRow := 0
-	var lead []int
+	lead := e.Lead[:0]
 	for col := 0; col < D.Cols && pivotRow < n; col++ {
 		// Euclid's algorithm down column col, rows pivotRow..n-1: reduce to
 		// a single nonzero at pivotRow using unimodular row ops.
@@ -324,10 +348,10 @@ func Factor(A *Matrix) (*Echelon, error) {
 				}
 				q := v / p // truncating quotient keeps |remainder| < |p|
 				if err := D.AddMulRow(r, pivotRow, -q); err != nil {
-					return nil, err
+					return err
 				}
 				if err := U.AddMulRow(r, pivotRow, -q); err != nil {
-					return nil, err
+					return err
 				}
 				if D.At(r, col) != 0 {
 					done = false
@@ -346,7 +370,8 @@ func Factor(A *Matrix) (*Echelon, error) {
 			pivotRow++
 		}
 	}
-	return &Echelon{U: U, D: D, Rank: pivotRow, Lead: lead}, nil
+	e.Rank, e.Lead = pivotRow, lead
+	return nil
 }
 
 func abs64(v int64) int64 {
@@ -360,10 +385,20 @@ func abs64(v int64) int64 {
 // determined components t[0..Rank) and ok=false if no integer solution
 // exists. Rows ≥ Rank of t are free parameters (not returned).
 func (e *Echelon) Solve(c []int64) (t []int64, ok bool, err error) {
+	return e.SolveInto(nil, c)
+}
+
+// SolveInto is Solve writing t into dst's backing array when its capacity
+// reaches Rank (a fresh slice otherwise), so a reused buffer makes the solve
+// allocation-free.
+func (e *Echelon) SolveInto(dst, c []int64) (t []int64, ok bool, err error) {
 	if len(c) != e.D.Cols {
 		return nil, false, fmt.Errorf("linalg: rhs length %d, want %d", len(c), e.D.Cols)
 	}
-	t = make([]int64, e.Rank)
+	if cap(dst) < e.Rank {
+		dst = make([]int64, e.Rank)
+	}
+	t = dst[:e.Rank]
 	next := 0 // next pivot row to determine
 	for col := 0; col < e.D.Cols; col++ {
 		// residual = c[col] - Σ_{determined i} t_i·D[i][col]

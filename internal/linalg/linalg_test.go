@@ -3,6 +3,7 @@ package linalg
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -355,6 +356,46 @@ func TestSolveSoundAndComplete(t *testing.T) {
 			if got != c[j] {
 				t.Fatalf("iter %d: t·D ≠ c at col %d", iter, j)
 			}
+		}
+	}
+}
+
+// TestFactorIntoReuse factors random matrices of changing shape into one
+// Echelon and solves into one buffer, as system.Preprocessor does, and
+// checks every call against a fresh Factor and Solve.
+func TestFactorIntoReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	var e Echelon
+	var buf []int64
+	for iter := 0; iter < 300; iter++ {
+		n, m := 1+rng.Intn(5), 1+rng.Intn(3)
+		A := NewMatrix(n, m)
+		for i := 0; i < n; i++ {
+			for j := 0; j < m; j++ {
+				A.Set(i, j, int64(rng.Intn(9)-4))
+			}
+		}
+		c := make([]int64, m)
+		for j := range c {
+			c[j] = int64(rng.Intn(9) - 4)
+		}
+		want, err := Factor(A)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.FactorInto(A); err != nil {
+			t.Fatal(err)
+		}
+		if !e.U.Equal(want.U) || !e.D.Equal(want.D) || e.Rank != want.Rank || !slices.Equal(e.Lead, want.Lead) {
+			t.Fatalf("iter %d: FactorInto differs from Factor\nU=\n%v\nwant\n%v\nD=\n%v\nwant\n%v", iter, e.U, want.U, e.D, want.D)
+		}
+		wsol, wok, werr := want.Solve(c)
+		sol, ok, err := e.SolveInto(buf, c)
+		if ok != wok || (err == nil) != (werr == nil) || !slices.Equal(sol, wsol) {
+			t.Fatalf("iter %d: SolveInto = %v, %v, %v; Solve = %v, %v, %v", iter, sol, ok, err, wsol, wok, werr)
+		}
+		if cap(sol) > cap(buf) {
+			buf = sol
 		}
 	}
 }

@@ -44,8 +44,9 @@ const FormatVersion = 2
 // analyzer reports for a candidate, change: files written under an older
 // one are stale. TestSemanticsGoldenDigest (internal/workload) pins a
 // digest of both under this number and fails when they change without a
-// bump.
-const SemanticsVersion = 1
+// bump. Version 2: a dependent pair that shares no loop reports the empty
+// direction vector once, not twice.
+const SemanticsVersion = 2
 
 // ErrStale marks a file written under an older format or semantics
 // version: a cache its owner may drop and rebuild, not a corrupt file.

@@ -15,31 +15,6 @@ type TExpr struct {
 	Coef  []int64
 }
 
-// IsConst reports whether the expression has no t terms.
-func (e TExpr) IsConst() bool {
-	for _, c := range e.Coef {
-		if c != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Sub returns e - f (both must share a coefficient length).
-func (e TExpr) Sub(f TExpr) (TExpr, error) {
-	out := TExpr{Coef: make([]int64, len(e.Coef))}
-	var err error
-	if out.Const, err = linalg.AddChecked(e.Const, -f.Const); err != nil {
-		return TExpr{}, err
-	}
-	for i := range e.Coef {
-		if out.Coef[i], err = linalg.AddChecked(e.Coef[i], -f.Coef[i]); err != nil {
-			return TExpr{}, err
-		}
-	}
-	return out, nil
-}
-
 // String renders e over t1..tn.
 func (e TExpr) String() string {
 	var b strings.Builder
@@ -158,8 +133,10 @@ type TSystem struct {
 	Infeasible bool
 }
 
-// Clone returns a deep copy of the system sharing XOf/Prob (which are
-// immutable after construction) but with an independent constraint slice.
+// Clone returns a copy of the system with an independent constraint slice,
+// sharing XOf, Prob and the constraint rows, which nothing mutates. The
+// copy is valid as long as they are: a system from a Preprocessor until
+// its next call.
 func (s *TSystem) Clone() *TSystem {
 	out := *s
 	out.Cons = make([]Constraint, len(s.Cons))
@@ -179,25 +156,55 @@ const (
 )
 
 // Preprocess runs the Extended GCD test and, when it does not prove
-// independence, builds the t-space inequality system.
+// independence, builds the t-space inequality system. The system is the
+// caller's: Preprocess runs a fresh Preprocessor.
 func Preprocess(p *Problem) (GCDResult, *TSystem, error) {
-	ech, err := linalg.Factor(p.Eq)
-	if err != nil {
+	var pp Preprocessor
+	return pp.Preprocess(p)
+}
+
+// Preprocessor runs Preprocess into reusable scratch: the echelon
+// factorization, the solution, the TSystem shell with its XOf and
+// constraint slices, and an arena for every t-space row. A cold solve runs
+// Preprocess once per pair: into fresh storage that costs about fifty
+// allocations a pair, into a warm Preprocessor none.
+//
+// The TSystem it returns is valid until its next Preprocess call, as a
+// Builder's Problem is until its next Build (a Clone shares the rows, so
+// it expires with them). A Preprocessor is not safe for concurrent use;
+// give each worker its own.
+type Preprocessor struct {
+	ech  linalg.Echelon
+	sol  []int64
+	rows Scratch
+	ts   TSystem
+}
+
+// Preprocess is the package-level Preprocess into the Preprocessor's
+// scratch: the same verdict, system and errors.
+func (pp *Preprocessor) Preprocess(p *Problem) (GCDResult, *TSystem, error) {
+	if err := pp.ech.FactorInto(p.Eq); err != nil {
 		return 0, nil, err
 	}
-	sol, ok, err := ech.Solve(p.RHS)
+	if cap(pp.sol) < pp.ech.Rank {
+		pp.sol = make([]int64, pp.ech.Rank)
+	}
+	sol, ok, err := pp.ech.SolveInto(pp.sol, p.RHS)
 	if err != nil {
 		return 0, nil, err
 	}
 	if !ok {
 		return GCDIndependent, nil, nil
 	}
+	ech := &pp.ech
 	n := len(p.Vars)
 	numT := n - ech.Rank
+	pp.rows.Reset()
+	ts := &pp.ts
+	*ts = TSystem{NumT: numT, Cons: ts.Cons[:0], XOf: ts.XOf[:0], Prob: p}
 	// x_k = Σ_{i<rank} sol_i·U[i][k] + Σ_{f} t_f·U[rank+f][k]
-	xof := make([]TExpr, n)
 	for k := 0; k < n; k++ {
-		e := TExpr{Coef: make([]int64, numT)}
+		e := TExpr{Coef: pp.rows.Row(numT)}
 		for i := 0; i < ech.Rank; i++ {
 			prod, err := linalg.MulChecked(sol[i], ech.U.At(i, k))
 			if err != nil {
@@ -210,88 +217,91 @@ func Preprocess(p *Problem) (GCDResult, *TSystem, error) {
 		for f := 0; f < numT; f++ {
 			e.Coef[f] = ech.U.At(ech.Rank+f, k)
 		}
-		xof[k] = e
+		ts.XOf = append(ts.XOf, e)
 	}
-	ts := &TSystem{NumT: numT, XOf: xof, Prob: p}
 	// Transform each bound into a t-space constraint.
 	for i := range p.Vars {
 		if p.Lower[i].Has {
 			// L(x) ≤ x_i  →  L(x) - x_i ≤ 0
-			lhs, err := p.exprToT(p.Lower[i].Expr, xof)
-			if err != nil {
+			if err := pp.addBound(p.Lower[i].Expr, i, true); err != nil {
 				return 0, nil, err
 			}
-			diff, err := lhs.Sub(xof[i])
-			if err != nil {
-				return 0, nil, err
-			}
-			ts.addConstraint(diff)
 		}
 		if p.Upper[i].Has {
 			// x_i ≤ U(x)  →  x_i - U(x) ≤ 0
-			rhs, err := p.exprToT(p.Upper[i].Expr, xof)
-			if err != nil {
+			if err := pp.addBound(p.Upper[i].Expr, i, false); err != nil {
 				return 0, nil, err
 			}
-			diff, err := xof[i].Sub(rhs)
-			if err != nil {
-				return 0, nil, err
-			}
-			ts.addConstraint(diff)
 		}
 	}
 	return GCDDependent, ts, nil
 }
 
-// exprToT converts an affine x-space expression into a TExpr by substituting
-// each variable's t parameterization.
-func (p *Problem) exprToT(e ir.Expr, xof []TExpr) (TExpr, error) {
-	var numT int
-	if len(xof) > 0 {
-		numT = len(xof[0].Coef)
+// addBound pushes one bound of x_i as a t-space constraint: L(x) - x_i ≤ 0
+// for a lower bound, x_i - U(x) ≤ 0 for an upper one. The bound is
+// substituted into an arena row and x_i is subtracted in place, every step
+// checked for overflow.
+func (pp *Preprocessor) addBound(e ir.Expr, i int, lower bool) error {
+	ts := &pp.ts
+	row := pp.rows.Row(ts.NumT)
+	c, err := ts.Prob.exprToT(e, ts.XOf, row)
+	if err != nil {
+		return err
 	}
-	out := TExpr{Coef: make([]int64, numT), Const: e.Const}
+	x := ts.XOf[i]
+	if lower {
+		if c, err = linalg.AddChecked(c, -x.Const); err != nil {
+			return err
+		}
+		for f := range row {
+			if row[f], err = linalg.AddChecked(row[f], -x.Coef[f]); err != nil {
+				return err
+			}
+		}
+	} else {
+		if c, err = linalg.AddChecked(x.Const, -c); err != nil {
+			return err
+		}
+		for f := range row {
+			if row[f], err = linalg.AddChecked(x.Coef[f], -row[f]); err != nil {
+				return err
+			}
+		}
+	}
+	ts.pushConstraint(row, -c)
+	return nil
+}
+
+// exprToT substitutes each variable's t parameterization into the affine
+// x-space expression e: it writes the t coefficients into row (len NumT)
+// and returns the constant.
+func (p *Problem) exprToT(e ir.Expr, xof []TExpr, row []int64) (int64, error) {
+	clear(row)
+	c := e.Const
 	var err error
 	for _, t := range e.Terms {
 		i := p.VarIndex(t.Var)
 		if i < 0 {
-			return TExpr{}, fmt.Errorf("system: unknown variable %q in bound", t.Var)
+			return 0, fmt.Errorf("system: unknown variable %q in bound", t.Var)
 		}
-		c := t.Coeff
-		prod, err2 := linalg.MulChecked(c, xof[i].Const)
+		prod, err2 := linalg.MulChecked(t.Coeff, xof[i].Const)
 		if err2 != nil {
-			return TExpr{}, err2
+			return 0, err2
 		}
-		if out.Const, err = linalg.AddChecked(out.Const, prod); err != nil {
-			return TExpr{}, err
+		if c, err = linalg.AddChecked(c, prod); err != nil {
+			return 0, err
 		}
-		for f := 0; f < numT; f++ {
-			prod, err2 := linalg.MulChecked(c, xof[i].Coef[f])
+		for f := range row {
+			prod, err2 := linalg.MulChecked(t.Coeff, xof[i].Coef[f])
 			if err2 != nil {
-				return TExpr{}, err2
+				return 0, err2
 			}
-			if out.Coef[f], err = linalg.AddChecked(out.Coef[f], prod); err != nil {
-				return TExpr{}, err
+			if row[f], err = linalg.AddChecked(row[f], prod); err != nil {
+				return 0, err
 			}
 		}
 	}
-	return out, nil
-}
-
-// addConstraint appends "expr ≤ 0" as a normalized constraint, folding the
-// constant to the right-hand side. Trivially true constraints are dropped;
-// trivially false ones mark the system infeasible.
-func (s *TSystem) addConstraint(e TExpr) {
-	c := Constraint{Coef: e.Coef, C: -e.Const}
-	c, ok := c.Normalize()
-	if !ok {
-		s.Infeasible = true
-		return
-	}
-	if c.NumVarsUsed() == 0 {
-		return // 0 ≤ C with C ≥ 0: vacuous
-	}
-	s.Cons = append(s.Cons, c)
+	return c, nil
 }
 
 // AddDirection appends the constraint for direction dir at common loop level
@@ -341,8 +351,7 @@ func (s *TSystem) PushDirection(lvl int, dir byte, sc *Scratch) error {
 		return err
 	}
 	// row materializes sign·(iA - iB)'s coefficients. Only the element-wise
-	// subtraction is checked, matching TExpr.Sub; the sign flip mirrors
-	// AddDirection's unchecked negation.
+	// subtraction is checked; the sign flip is not.
 	row := func(sign int64) ([]int64, error) {
 		var r []int64
 		if sc != nil {
@@ -389,9 +398,9 @@ func (s *TSystem) PushDirection(lvl int, dir byte, sc *Scratch) error {
 	return nil
 }
 
-// pushConstraint is addConstraint for a caller-owned coefficient row: the
-// gcd normalization writes in place instead of allocating. Same dropping and
-// infeasibility rules.
+// pushConstraint appends "coef·t ≤ c" normalized in place: the gcd
+// division writes into the caller-owned row. Trivially true constraints are
+// dropped; trivially false ones mark the system infeasible.
 func (s *TSystem) pushConstraint(coef []int64, c int64) {
 	nc, ok := (Constraint{Coef: coef, C: c}).NormalizeInPlace()
 	if !ok {
@@ -404,14 +413,28 @@ func (s *TSystem) pushConstraint(coef []int64, c int64) {
 	s.Cons = append(s.Cons, nc)
 }
 
-// Distance returns iB - iA at common level lvl as a t-space expression. A
-// constant result is a known dependence distance (paper §6).
-func (s *TSystem) Distance(lvl int) (TExpr, error) {
+// Distance reports iB - iA at common level lvl when it is a constant: a
+// known dependence distance (paper §6). ok is false when the distance
+// varies with the free t variables, when lvl is not a common loop, or when
+// the subtraction overflows. It runs the checked arithmetic of the full
+// t-space subtraction without materializing the row, so it allocates
+// nothing.
+func (s *TSystem) Distance(lvl int) (d int64, ok bool) {
 	ai, bi := s.Prob.CommonPair(lvl)
 	if ai < 0 || bi < 0 {
-		return TExpr{}, fmt.Errorf("system: level %d is not a common loop", lvl)
+		return 0, false
 	}
-	return s.XOf[bi].Sub(s.XOf[ai])
+	a, b := s.XOf[ai], s.XOf[bi]
+	d, err := linalg.AddChecked(b.Const, -a.Const)
+	if err != nil {
+		return 0, false
+	}
+	for i := range b.Coef {
+		if c, err := linalg.AddChecked(b.Coef[i], -a.Coef[i]); err != nil || c != 0 {
+			return 0, false
+		}
+	}
+	return d, true
 }
 
 // LevelUsed reports whether common level lvl's index variables actually

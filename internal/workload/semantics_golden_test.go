@@ -23,10 +23,11 @@ var updateSemantics = flag.Bool("update-semantics", false, "re-pin the semantics
 // what the analyzer reports must bump it, or files written before the
 // change would keep serving the old verdicts. The test hashes the
 // canonical bytes (corpus.AppendCanonical) of the suite, plain and
-// symbolic, and of the 4,096-nest LargeCorpus under the end-to-end
-// benchmark's direction-vector options, plus the front-end digests of
-// frontend.golden, and pins the hash next to the version it was taken
-// under. A changed hash under an unchanged version fails, and
+// symbolic, of the 4,096-nest LargeCorpus and of a two-nest program whose
+// cross-nest pair shares no loop (its one empty direction vector), under
+// the end-to-end benchmark's direction-vector options, plus the front-end
+// digests of frontend.golden, and pins the hash next to the version it was
+// taken under. A changed hash under an unchanged version fails, and
 // -update-semantics refuses to re-pin one until the version is bumped:
 //
 //	go test ./internal/workload -run SemanticsGolden -update-semantics
@@ -42,6 +43,10 @@ func TestSemanticsGoldenDigest(t *testing.T) {
 		func() (corpus.Mem, error) { return SuiteSource(false) },
 		func() (corpus.Mem, error) { return SuiteSource(true) },
 		func() (corpus.Mem, error) { return LargeCorpusUnits(4096) },
+		func() (corpus.Mem, error) {
+			u, err := corpus.FromSource("two-nests", "for i = 1 to 10\n  a[i] = 0\nend\nfor j = 1 to 10\n  b[j] = a[j+1]\nend\n")
+			return corpus.Mem{u}, err
+		},
 	} {
 		units, err := src()
 		if err != nil {
