@@ -36,8 +36,9 @@ race:
 # allocgate re-runs the steady-state allocation assertions without the race
 # detector (they skip themselves under it, since the instrumentation
 # allocates), so the zero-allocation cascade path, the zero-allocation
-# memo path (encode + lookup + hit), the bounded per-insert cost of the
-# shared memo table, the zero-allocation Fourier–Motzkin solve, the
+# memo path (encode + lookup + hit), the analyzer's memo-hit path (a warm
+# run allocates a fixed number of times per call, however many candidates
+# hit), the bounded per-insert cost of the shared memo table, the zero-allocation Fourier–Motzkin solve, the
 # clone-free refinement walk, the map-free lexer, the zero-allocation
 # problem build (renamed bounds carved from the builder's arena), the
 # zero-allocation Extended GCD step (a warm Preprocessor), the
@@ -49,6 +50,7 @@ race:
 allocgate:
 	$(GO) test ./internal/dtest -run 'TestCascadeZeroAllocs|TestRunTracedReusesScratch|TestBudgetZeroAllocs|TestFMSolveZeroAllocs'
 	$(GO) test ./internal/memo -run 'TestEncoderZeroAllocs|TestMemoHitZeroAllocs|TestShardedInsertAllocs'
+	$(GO) test ./internal/core -run 'TestAnalyzeAllMemoHotAllocs'
 	$(GO) test ./internal/depvec -run 'TestRefineZeroAllocs'
 	$(GO) test ./internal/lang -run 'TestLexerZeroAllocs'
 	$(GO) test ./internal/system -run 'TestBuildZeroAllocs|TestPreprocessZeroAllocs'

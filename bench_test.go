@@ -149,11 +149,11 @@ func BenchmarkConcurrentSuite(b *testing.B) {
 	}
 }
 
-// BenchmarkAnalyzeAllMemoHot: the steady-state memo path this PR optimizes —
+// BenchmarkAnalyzeAllMemoHot: the steady-state memo path —
 // a pre-warmed analyzer re-running the whole suite, so every non-constant
-// pair is a cache hit (encode, L1/L2 probe, expand). Run with -benchmem:
-// per-candidate allocations should be amortized noise (the result slice),
-// not per-hit garbage.
+// pair is a cache hit (encode, shared-table probe, expand). Run with
+// -benchmem: per-candidate allocations should be amortized noise (the
+// result slice), not per-hit garbage.
 func BenchmarkAnalyzeAllMemoHot(b *testing.B) {
 	opts := core.Options{Memoize: true, ImprovedMemo: true}
 	var all []refs.Candidate

@@ -35,8 +35,8 @@
 //	                  per-stage pipeline timing)
 //	-cpuprofile=path  write a CPU profile of the run (pprof format)
 //	-memprofile=path  write a heap profile at exit (pprof format)
-//	-memostats        print memo table occupancy, shard spread, L1/L2 hit
-//	                  rates, and degraded-entry counts (implies -memo)
+//	-memostats        print memo table occupancy, shard spread, hit
+//	                  rate, and degraded-entry counts (implies -memo)
 //	-parallel=false   skip the parallelization summary
 //	-annotate         print the source with parallel loops marked 'parfor'
 //	-dot              print the dependence graph in Graphviz dot form
@@ -94,7 +94,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	showStats := fs.Bool("stats", false, "print analyzer statistics")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file at exit")
-	memoStats := fs.Bool("memostats", false, "print memo occupancy, shard spread, L1/L2 hit rates, degraded entries (implies -memo)")
+	memoStats := fs.Bool("memostats", false, "print memo occupancy, shard spread, hit rate, degraded entries (implies -memo)")
 	par := fs.Bool("parallel", true, "print the loop-parallelization summary")
 	annotate := fs.Bool("annotate", false, "print the source with parallel loops marked 'parfor'")
 	dot := fs.Bool("dot", false, "print the statement dependence graph in Graphviz dot form")
@@ -488,8 +488,8 @@ func saveMemoFile(a *exactdep.Analyzer, path string) error {
 }
 
 // printMemoStats renders the memo hierarchy introspection: table occupancy,
-// shard spread, the L1/L2 split of the lookup traffic, and how much
-// capacity holds budget-degraded verdicts.
+// shard spread, the full-table lookup traffic, and how much capacity holds
+// budget-degraded verdicts.
 func printMemoStats(w io.Writer, a *exactdep.Analyzer) {
 	m := a.MemoStats()
 	fmt.Fprintln(w)
@@ -499,13 +499,8 @@ func printMemoStats(w io.Writer, a *exactdep.Analyzer) {
 	fmt.Fprintf(w, "  eq table:   %d entries / %d buckets (%s occupancy)\n",
 		m.EqEntries, m.EqBuckets, rate(m.EqEntries, m.EqBuckets))
 	fmt.Fprintf(w, "  shards:     %d (entries per shard %d..%d)\n", m.Shards, m.ShardMin, m.ShardMax)
-	if m.L1Capacity > 0 {
-		fmt.Fprintf(w, "  L1:         %d/%d slots live, %d/%d hits (%s)\n",
-			m.L1Entries, m.L1Capacity, m.L1Hits, m.L1Lookups, rate(m.L1Hits, m.L1Lookups))
-	} else {
-		fmt.Fprintf(w, "  L1:         disabled\n")
-	}
-	fmt.Fprintf(w, "  L2:         %d/%d hits (%s)\n", m.L2Hits, m.L2Lookups, rate(m.L2Hits, m.L2Lookups))
+	s := a.Stats
+	fmt.Fprintf(w, "  lookups:    %d/%d hits (%s)\n", s.FullHits, s.FullLookups, rate(s.FullHits, s.FullLookups))
 	fmt.Fprintf(w, "  degraded:   %d entries (maybe verdicts, valid for this budget class only)\n",
 		m.DegradedEntries)
 }

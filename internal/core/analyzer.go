@@ -62,10 +62,6 @@ type Options struct {
 	// (stats.Counters.StageTimeNs). Off by default: two clock reads per
 	// consulted stage are measurable next to a sub-microsecond SVPC probe.
 	TimeCascade bool
-	// L1Size is the per-worker direct-mapped L1 memo cache's slot count,
-	// used only when Memoize is on: 0 means the default (memo.DefaultL1Size),
-	// negative disables the L1 so every lookup goes to the shared table.
-	L1Size int
 	// Workers is the concurrent driver's pool size for the unit-level entry
 	// points (exactdep.AnalyzeUnitContext / AnalyzeSourceContext) and the
 	// corpus entry point (exactdep.AnalyzeCorpusRequest, where it sizes the
@@ -301,12 +297,8 @@ type Analyzer struct {
 	Stats stats.Counters
 
 	// enc is this analyzer's (or worker view's) scratch-backed key encoder:
-	// steady-state encode+lookup+hit allocates nothing. l1 is the private
-	// direct-mapped cache in front of the shared full table; it holds only
-	// keys interned by that table, so every L1 entry is also an L2 entry
-	// (which keeps AnalyzeAll's provenance post-pass valid).
+	// steady-state encode+lookup+hit allocates nothing.
 	enc memo.Encoder
-	l1  *memo.L1[cached]
 
 	// refiner is the per-worker workspace of the clone-free direction-vector
 	// refinement walk (arena for pushed direction rows, per-level buffers).
@@ -358,9 +350,9 @@ type Analyzer struct {
 
 	// Concurrent-driver state owned by the parent analyzer (nil/empty on
 	// worker views): the shared in-flight layer, worker views cached across
-	// AnalyzeAll calls (so their L1 caches stay warm — rebuilding them per
-	// call made every pair of a memo-hot run fall through to the shared
-	// table), and reusable per-run buffers.
+	// AnalyzeAll calls (so their pipeline, builder, preprocessor and refiner
+	// scratch stays warm instead of regrowing every call), and reusable
+	// per-run buffers.
 	flights *memo.InFlight[cached]
 	views   []*Analyzer
 	provBuf []provenance
@@ -387,9 +379,6 @@ func New(opts Options) *Analyzer {
 		refiner:  depvec.NewRefiner(),
 		budClass: opts.Budget.Class(),
 	}
-	if opts.Memoize && opts.L1Size >= 0 {
-		a.l1 = memo.NewL1[cached](opts.L1Size)
-	}
 	cfg, err := dtest.ConfigByName(opts.Cascade)
 	if err != nil {
 		a.cfgErr = err
@@ -412,8 +401,8 @@ func (a *Analyzer) newPipeline() *dtest.Pipeline {
 
 // workerView returns a private analyzer view over the shared memo tables
 // for one worker goroutine: options and the stage configuration are shared
-// read-only; the pipeline (with its scratch), the key encoder, the L1 memo
-// cache, and the counters are per-worker.
+// read-only; the pipeline (with its scratch), the key encoder, the builder,
+// preprocessor and refiner scratch, and the counters are per-worker.
 func (a *Analyzer) workerView() *Analyzer {
 	wa := &Analyzer{opts: a.opts, full: a.full, eq: a.eq,
 		refiner: depvec.NewRefiner(), cfg: a.cfg, cfgErr: a.cfgErr, budClass: a.budClass,
@@ -421,9 +410,6 @@ func (a *Analyzer) workerView() *Analyzer {
 	if wa.cfg != nil {
 		wa.pipe = wa.newPipeline()
 		wa.prevStage = make([]dtest.StageMetrics, wa.cfg.NumStages())
-	}
-	if wa.opts.Memoize && wa.opts.L1Size >= 0 {
-		wa.l1 = memo.NewL1[cached](wa.opts.L1Size)
 	}
 	return wa
 }
@@ -453,34 +439,26 @@ func (a *Analyzer) ResetStats() { a.Stats = stats.Counters{} }
 
 // MemoLen returns the total entry count over the analyzer's two memo
 // tables (full and eq) — the size a long-lived analyzer's eviction policy
-// measures against. Worker-view L1 caches are bounded by construction and
-// not counted.
+// measures against.
 func (a *Analyzer) MemoLen() int {
 	return a.full.Len() + a.eq.Len()
 }
 
-// EvictMemo drops every memo entry — the two shared tables and every
-// cached worker view's L1 cache — starting a fresh memoization epoch while
-// keeping the analyzer itself (pipelines, encoders, worker views, traffic
-// counters) warm. A long-lived analyzer calls this when MemoLen exceeds its
-// memory bound; correctness is unaffected because evicted problems are
-// simply re-solved, and count-budget verdicts are deterministic, so a
-// re-solve reproduces the evicted entry byte for byte.
+// EvictMemo drops every entry of the two shared memo tables, starting a
+// fresh memoization epoch while keeping the analyzer itself (pipelines,
+// encoders, worker views, traffic counters) warm. A long-lived analyzer
+// calls this when MemoLen exceeds its memory bound; correctness is
+// unaffected because evicted problems are simply re-solved, and
+// count-budget verdicts are deterministic, so a re-solve reproduces the
+// evicted entry byte for byte.
 //
 // The tables are reset in place, so worker views (which hold the concrete
-// table objects) stay valid. Both sides of the L1 ⊆ L2 containment are
-// cleared together, which re-establishes the invariant trivially. Must not
-// be called concurrently with an analysis run; the in-flight layer is empty
-// between runs and is left alone.
+// table objects) stay valid. Must not be called concurrently with an
+// analysis run; the in-flight layer is empty between runs and is left
+// alone.
 func (a *Analyzer) EvictMemo() {
 	a.full.Reset()
 	a.eq.Reset()
-	views := append([]*Analyzer{a}, a.views...)
-	for _, v := range views {
-		if v.l1 != nil {
-			v.l1.Reset()
-		}
-	}
 }
 
 // PipelineWorkers maps the public Options.Workers knob to a corpus-driver
@@ -587,10 +565,11 @@ func (a *Analyzer) analyzeCandidate(c refs.Candidate, prov *provenance) (Result,
 	var fullKey memo.Key
 	if a.opts.Memoize {
 		// The steady-state fast path: scratch-backed problem build and key
-		// encode, L1 probe, L2 lock-free probe — zero allocations on a hit
-		// (gated by TestMemoHitZeroAllocs). FullLookups/FullHits stay the
-		// candidate-level totals; L1*/L2*/InflightAdopts split them by the
-		// layer that answered.
+		// encode, one lock-free probe of the shared table — zero
+		// allocations on a hit (gated by TestMemoHitZeroAllocs and
+		// TestAnalyzeAllMemoHotAllocs). The probe returns the table's
+		// interned key, which provenance records in place of the encoder's
+		// scratch.
 		fullKey = a.enc.EncodeFull(prob, a.opts.ImprovedMemo)
 		a.Stats.FullLookups++
 		if prov != nil && a.opts.SymmetricMemo {
@@ -602,17 +581,8 @@ func (a *Analyzer) analyzeCandidate(c refs.Candidate, prov *provenance) (Result,
 				}
 			}
 		}
-		if a.l1 != nil {
-			a.Stats.L1Lookups++
-			if sk, hit, ok := a.l1.LookupStored(fullKey); ok && hit.usable(a.budClass) {
-				a.Stats.L1Hits++
-				a.Stats.FullHits++
-				return a.serveHit(prob, p, sk, hit, prov), nil
-			}
-		}
-		a.Stats.L2Lookups++
 		if stored, hit, ok := a.full.LookupStored(fullKey); ok && hit.usable(a.budClass) {
-			return a.serveL2Hit(prob, p, stored, hit, prov), nil
+			return a.serveHit(prob, p, stored, hit, prov), nil
 		}
 		if a.opts.SymmetricMemo {
 			if res, under, ok, err := a.lookupMirrored(p, prob); err != nil {
@@ -646,7 +616,7 @@ func (a *Analyzer) analyzeCandidate(c refs.Candidate, prov *provenance) (Result,
 					if stored, hit, ok := a.full.LookupStored(fullKey); ok && hit.usable(a.budClass) {
 						a.inflight.Finish(f, stored, hit, true)
 						a.inflight.Forget(fullKey)
-						return a.serveL2Hit(prob, p, stored, hit, prov), nil
+						return a.serveHit(prob, p, stored, hit, prov), nil
 					}
 					// The flight's own key copy becomes the table's key.
 					res, fin := a.solveAndCache(prob, p, fullKey, f.Key(), prov)
@@ -665,10 +635,6 @@ func (a *Analyzer) analyzeCandidate(c refs.Candidate, prov *provenance) (Result,
 					break
 				}
 				a.Stats.InflightAdopts++
-				a.Stats.FullHits++
-				if a.l1 != nil {
-					a.l1.Store(ik, cv)
-				}
 				return a.serveHit(prob, p, ik, cv, prov), nil
 			}
 		}
@@ -694,22 +660,14 @@ func (a *Analyzer) peekGCDIndependent(prob *system.Problem) bool {
 	return ok && v == system.GCDIndependent
 }
 
-// serveL2Hit serves a usable entry found in the shared full table: it
-// counts the L2 hit, copies the entry into the worker's L1, and serves it.
-func (a *Analyzer) serveL2Hit(prob *system.Problem, p ir.Pair, stored memo.Key, hit cached, prov *provenance) Result {
-	a.Stats.L2Hits++
-	a.Stats.FullHits++
-	if a.l1 != nil {
-		a.l1.Store(stored, hit)
-	}
-	return a.serveHit(prob, p, stored, hit, prov)
-}
-
-// serveHit expands a cached entry for the requesting pair and records
-// provenance; sk is the entry's stable interned key. An entry from before
-// this run answers every occurrence of its problem, the first included, as
-// ByCache, so only this run's own entries leave a key for the post-pass.
+// serveHit counts a full-table hit (a probe's, or one adopted off another
+// worker's flight), expands the cached entry for the requesting pair and
+// records provenance; sk is the entry's stable interned key. An entry from
+// before this run answers every occurrence of its problem, the first
+// included, as ByCache, so only this run's own entries leave a key for the
+// post-pass.
 func (a *Analyzer) serveHit(prob *system.Problem, p ir.Pair, sk memo.Key, hit cached, prov *provenance) Result {
+	a.Stats.FullHits++
 	if prov != nil {
 		if hit.stamp < a.run {
 			prov.pre = true
@@ -751,7 +709,7 @@ func (a *Analyzer) solveAndCache(prob *system.Problem, p ir.Pair, fullKey, owned
 	// so caching them would leak one run's timing into another's answers.
 	if a.opts.Memoize && res.DecidedBy != ByGCD && cacheableTrip(res.Trip) {
 		// fullKey aliases the encoder's scratch; the tables retain their
-		// keys, so insert an owned copy (and reuse it for the L1 fill).
+		// keys, so insert an owned copy.
 		ck := owned
 		if ck == nil {
 			ck = fullKey.Clone()
@@ -762,9 +720,6 @@ func (a *Analyzer) solveAndCache(prob *system.Problem, p ir.Pair, fullKey, owned
 		a.full.Insert(ck, cv)
 		if !a.shared {
 			a.Stats.UniqueFull = a.full.Len()
-		}
-		if a.l1 != nil {
-			a.l1.Store(ck, cv)
 		}
 		if prov != nil {
 			prov.key = ck

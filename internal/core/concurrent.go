@@ -21,30 +21,27 @@ import (
 // The workers share the analyzer's sharded memo tables (memo.ShardedTable,
 // lock-free reads) as they are, entries from LoadMemo or earlier runs
 // included, so a warm table keeps serving hits across runs. Each worker
-// holds its own scratch key encoder and — unless Options.L1Size is
-// negative — a private direct-mapped L1 memo in front of the shared table,
-// so a worker's hot working set is answered without touching shared
-// memory. Each worker accumulates its own stats.Counters, merged into
-// a.Stats at the end; UniqueFull/UniqueEq are then snapshotted from the
-// shared tables.
+// holds its own scratch key encoder and probes the shared table directly:
+// a lookup is one hash and a few atomic loads. Each worker accumulates its
+// own stats.Counters, merged into a.Stats at the end; UniqueFull/UniqueEq
+// are then snapshotted from the shared tables.
 //
 // Results are deterministic — byte-identical across worker counts and
 // schedules. Verdicts, vectors, and distances are deterministic because a
 // cache hit expands to exactly what a fresh computation of the same
-// canonical problem produces, so racing workers can only agree; an L1 hit
-// only ever re-observes an entry also present in the shared table, so the
-// L1 layer cannot introduce new outcomes. DecidedBy is provenance (cache vs
-// test). A hit on an entry from before the run is ByCache, as in a serial
-// pass; every entry is stamped with the run that inserted it, so telling
-// one apart costs no look at the rest of the table. For problems this run
-// inserts, DecidedBy *does* depend on which worker reached a problem first,
-// so workers record each such pair's canonical key plus its underlying
-// fresh verdict, and an ordered post-pass replays the serial rule: the
-// first occurrence of each cacheable problem keeps its fresh DecidedBy,
-// later occurrences report ByCache. (Exception: with
-// Options.SymmetricMemo the *order* of a result's direction vectors can
-// depend on whether the mirrored entry was cached first; verdicts, vector
-// sets, and distances remain deterministic.)
+// canonical problem produces, so racing workers can only agree. DecidedBy
+// is provenance (cache vs test). A hit on an entry from before the run is
+// ByCache, as in a serial pass; every entry is stamped with the run that
+// inserted it, so telling one apart costs no look at the rest of the
+// table. For problems this run inserts, DecidedBy *does* depend on which
+// worker reached a problem first, so workers record each such pair's
+// canonical key plus its underlying fresh verdict, and an ordered
+// post-pass replays the serial rule: the first occurrence of each
+// cacheable problem keeps its fresh DecidedBy, later occurrences report
+// ByCache. (Exception: with Options.SymmetricMemo the *order* of a
+// result's direction vectors can depend on whether the mirrored entry was
+// cached first; verdicts, vector sets, and distances remain
+// deterministic.)
 //
 // Counter values that depend on cache timing — hit and per-test counts —
 // may vary between concurrent runs; verdict tallies (Pairs, Constant,
@@ -142,10 +139,11 @@ func (a *Analyzer) AnalyzeAllContext(ctx context.Context, cands []refs.Candidate
 	// work is one worker's loop over an analyzer: a worker view, or the
 	// parent itself at one worker. Options and the cascade stage
 	// configuration are read-only; the cascade pipeline (with its scratch),
-	// the L1 cache (kept warm across runs), and the counters — including
-	// the per-stage Table 6 cost counters — belong to wa, and its counters
-	// land in counters[w] for the merge. The pipeline carries the
-	// deadline-merged budget and the context's Done channel.
+	// the builder, preprocessor and refiner scratch (kept warm across runs),
+	// and the counters — including the per-stage Table 6 cost counters —
+	// belong to wa, and its counters land in counters[w] for the merge. The
+	// pipeline carries the deadline-merged budget and the context's Done
+	// channel.
 	work := func(w int, wa *Analyzer) {
 		wa.Stats = stats.Counters{}
 		wa.run = a.run
@@ -197,7 +195,7 @@ func (a *Analyzer) AnalyzeAllContext(ctx context.Context, cands []refs.Candidate
 		}
 	}
 	if workers == 1 {
-		// The parent is the worker, on the calling goroutine: its own L1,
+		// The parent is the worker, on the calling goroutine: its own
 		// pipeline and refiner, and no in-flight layer. work zeroes its
 		// counters, so set the session totals aside for the merge, and put
 		// the pipeline back on the options budget for direct
@@ -313,9 +311,8 @@ func (a *Analyzer) AnalyzeAllContext(ctx context.Context, cands []refs.Candidate
 
 // ensureViews returns one cached worker view per worker, creating the
 // in-flight dedup layer and any missing views. Views persist on the parent
-// across AnalyzeAll calls so their L1 caches stay warm — the dominant cost
-// of the previous per-call views was every worker re-faulting its working
-// set through the shared table.
+// across AnalyzeAll calls so their pipeline, builder, preprocessor and
+// refiner scratch is grown once, not once per call.
 func (a *Analyzer) ensureViews(workers int) []*Analyzer {
 	if a.opts.Memoize && a.flights == nil {
 		a.flights = memo.NewInFlight[cached](4 * workers)

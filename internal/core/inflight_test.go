@@ -61,22 +61,22 @@ func TestAnalyzeAllInflightSingleSolve(t *testing.T) {
 	}
 }
 
-// checkHitInvariant asserts the layered-hit accounting contract:
-// L1Hits + L2Hits + InflightAdopts == FullHits, and with the L1 enabled
-// every full lookup went through it first.
+// checkHitInvariant asserts the hit accounting contract under Memoize:
+// every non-constant pair makes exactly one full-table lookup, and every
+// adopted flight is a wait that ended in a hit.
 func checkHitInvariant(t *testing.T, c *stats.Counters, workers, round int) {
 	t.Helper()
-	if c.L1Hits+c.L2Hits+c.InflightAdopts != c.FullHits {
-		t.Fatalf("workers=%d round=%d: L1 %d + L2 %d + adopts %d != full hits %d",
-			workers, round, c.L1Hits, c.L2Hits, c.InflightAdopts, c.FullHits)
-	}
-	if c.L1Lookups != c.FullLookups {
-		t.Fatalf("workers=%d round=%d: L1 lookups %d != full lookups %d",
-			workers, round, c.L1Lookups, c.FullLookups)
+	if c.FullLookups != c.Pairs-c.Constant {
+		t.Fatalf("workers=%d round=%d: %d full lookups for %d non-constant pairs",
+			workers, round, c.FullLookups, c.Pairs-c.Constant)
 	}
 	if c.InflightAdopts > c.InflightWaits {
 		t.Fatalf("workers=%d round=%d: adopts %d > waits %d",
 			workers, round, c.InflightAdopts, c.InflightWaits)
+	}
+	if c.InflightAdopts > c.FullHits {
+		t.Fatalf("workers=%d round=%d: adopts %d > full hits %d",
+			workers, round, c.InflightAdopts, c.FullHits)
 	}
 }
 

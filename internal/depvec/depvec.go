@@ -366,8 +366,13 @@ func refine(ts *system.TSystem, opts Options, rf *Refiner, onTest func(dtest.Res
 			if err := ts.PushDirection(lvl, byte(dir), &rf.arena); err != nil {
 				// Overflow building the direction rows; the system is
 				// unchanged, but release any rows carved before the error.
+				// dir is not refuted: refine the deeper levels without its
+				// constraint rather than drop it.
 				rf.arena.Release(am)
 				sum.Exact = false
+				cur[lvl] = dir
+				walk(lvl+1, depth)
+				cur[lvl] = Any
 				continue
 			}
 			sum.TrailPushes++

@@ -1,6 +1,7 @@
 package depvec
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -185,6 +186,28 @@ func equalStrings(a, b []string) bool {
 		}
 	}
 	return true
+}
+
+// TestOverflowKeepsDirections: a direction whose constraint overflows is
+// not refuted. With iA's t-space constant moved to MinInt64, every
+// direction push of a[i] vs a[i-3] overflows; the hierarchical and the
+// separable walk must both keep all three directions as an inexact
+// dependence. They used to drop every direction and report an exact
+// independence (implicit branch-and-bound over no vectors).
+func TestOverflowKeepsDirections(t *testing.T) {
+	ts := prep(t, []ir.Loop{loop("i", 0, 10)},
+		[]ir.Expr{ir.NewVar("i")}, []ir.Expr{ir.NewVar("i").AddConst(-3)})
+	ai, bi := ts.Prob.CommonPair(0)
+	ts.XOf[ai].Const, ts.XOf[bi].Const = math.MinInt64, 1
+	want := []string{"(<)", "(=)", "(>)"}
+	for _, opts := range []Options{{}, {Separable: true}} {
+		diffOne(t, ts, opts, "overflow")
+		sum := ComputeObserved(ts.Clone(), opts, nil)
+		if got := vecStrings(sum.Vectors); !sum.Dependent || sum.Exact || sum.ImplicitBB || !equalStrings(got, want) {
+			t.Errorf("opts %+v: dependent=%v exact=%v implicitBB=%v vectors=%v, want an inexact dependence along %v",
+				opts, sum.Dependent, sum.Exact, sum.ImplicitBB, got, want)
+		}
+	}
 }
 
 func TestIndependentPairNoVectors(t *testing.T) {

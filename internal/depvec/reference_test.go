@@ -82,11 +82,8 @@ func ComputeReference(ts *system.TSystem, opts Options, onTest func(dtest.Result
 		for _, dir := range []Direction{Less, Equal, Greater} {
 			sub := s.Clone()
 			if err := sub.AddDirection(lvl, byte(dir)); err != nil {
-				sum.Exact = false
-				continue
-			}
-			r := run(sub)
-			if r.Outcome == dtest.Independent {
+				sum.Exact = false // not refuted: refine without it
+			} else if r := run(sub); r.Outcome == dtest.Independent {
 				continue
 			}
 			cur[lvl] = dir
@@ -121,6 +118,7 @@ func referenceSeparable(ts *system.TSystem, fixed []Direction, sum *Summary,
 			sub := ts.Clone()
 			if err := sub.AddDirection(lvl, byte(dir)); err != nil {
 				sum.Exact = false
+				perLevel[lvl] = append(perLevel[lvl], dir)
 				continue
 			}
 			if r := run(sub); r.Outcome != dtest.Independent {

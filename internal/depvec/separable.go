@@ -71,8 +71,10 @@ func computeSeparable(ts *system.TSystem, fixed []Direction, sum *Summary,
 			tm := ts.Mark()
 			am := rf.arena.Mark()
 			if err := ts.PushDirection(lvl, byte(dir), &rf.arena); err != nil {
+				// Overflow: dir is not refuted, so it stays in the set.
 				rf.arena.Release(am)
 				sum.Exact = false
+				perLevel[lvl] = append(perLevel[lvl], dir)
 				continue
 			}
 			sum.TrailPushes++

@@ -160,7 +160,7 @@ func (s *state) substitute(v int, val int64, sc *Scratch) error {
 		if err != nil {
 			return err
 		}
-		nc, err := linalg.AddChecked(c.C, -prod)
+		nc, err := linalg.SubChecked(c.C, prod)
 		if err != nil {
 			return err
 		}

@@ -14,7 +14,7 @@ import (
 // (§7). A Scratch is not safe for concurrent use — each Pipeline owns one,
 // and the concurrent driver gives every worker its own Pipeline. The memo
 // layer follows the same pattern: each worker owns a memo.Encoder (key
-// scratch) and a memo.L1, sharing only the lock-free L2 table.
+// scratch), sharing only the lock-free memo tables.
 type Scratch struct {
 	sys system.Scratch // coefficient-row arena (cloned/substituted/expanded rows)
 

@@ -69,13 +69,10 @@ func (h *Harness) CostReport() error {
 	fmt.Fprintf(h.w, "cost units: sum over stages of consulted x rank — each problem pays only for the probes it consults (paper §3)\n")
 
 	// The memo hierarchy is what makes the probes above the exception: most
-	// candidates are answered by a cache layer before any stage is consulted.
-	// L1 is the per-worker direct-mapped cache, L2 the shared table; their
-	// hits sum to the with-bounds hit total.
-	fmt.Fprintf(h.w, "memo hierarchy: %d lookups, %d hits (%s) — L1 %d/%d (%s), L2 %d/%d (%s)\n",
-		tot.FullLookups, tot.FullHits, pct(tot.FullHits, tot.FullLookups),
-		tot.L1Hits, tot.L1Lookups, pct(tot.L1Hits, tot.L1Lookups),
-		tot.L2Hits, tot.L2Lookups, pct(tot.L2Hits, tot.L2Lookups))
+	// candidates are answered by the with-bounds table before any stage is
+	// consulted.
+	fmt.Fprintf(h.w, "memo hierarchy: %d lookups, %d hits (%s)\n",
+		tot.FullLookups, tot.FullHits, pct(tot.FullHits, tot.FullLookups))
 	// Trail accounting for the clone-free walk: pushes and pops balance once
 	// every walk completes; max depth is the deepest direction stack seen.
 	fmt.Fprintf(h.w, "refinement trail: %d pushes, %d pops, max depth %d\n",

@@ -7,6 +7,7 @@ package linalg
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -24,13 +25,25 @@ func AddChecked(a, b int64) (int64, error) {
 	return s, nil
 }
 
+// SubChecked returns a-b or ErrOverflow. Unlike AddChecked(a, -b) it is
+// exact at b = math.MinInt64, whose negation wraps to itself.
+func SubChecked(a, b int64) (int64, error) {
+	s := a - b
+	if (b > 0 && s > a) || (b < 0 && s < a) {
+		return 0, ErrOverflow
+	}
+	return s, nil
+}
+
 // MulChecked returns a*b or ErrOverflow.
 func MulChecked(a, b int64) (int64, error) {
 	if a == 0 || b == 0 {
 		return 0, nil
 	}
 	p := a * b
-	if p/b != a {
+	// p/b == a misses one overflow: MinInt64 * -1 wraps to MinInt64, and
+	// Go defines MinInt64 / -1 as MinInt64 again.
+	if p/b != a || (a == math.MinInt64 && b == -1) {
 		return 0, ErrOverflow
 	}
 	return p, nil
@@ -408,7 +421,7 @@ func (e *Echelon) SolveInto(dst, c []int64) (t []int64, ok bool, err error) {
 			if err2 != nil {
 				return nil, false, err2
 			}
-			s, err2 := AddChecked(res, -p)
+			s, err2 := SubChecked(res, p)
 			if err2 != nil {
 				return nil, false, err2
 			}

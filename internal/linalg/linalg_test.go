@@ -1,7 +1,9 @@
 package linalg
 
 import (
+	"errors"
 	"math"
+	"math/big"
 	"math/rand"
 	"slices"
 	"testing"
@@ -75,6 +77,40 @@ func TestCheckedArith(t *testing.T) {
 	}
 	if v, err := MulChecked(0, math.MaxInt64); err != nil || v != 0 {
 		t.Errorf("MulChecked(0,max) = %d, %v", v, err)
+	}
+}
+
+// TestCheckedArithExtremes runs the checked operations over every ordered
+// pair of operands around the int64 limits against exact big.Int
+// arithmetic: each must return the exact value when it fits and
+// ErrOverflow when it does not. MulChecked(MinInt64, -1) and
+// AddChecked(x, -MinInt64) used to wrap without an error.
+func TestCheckedArithExtremes(t *testing.T) {
+	vals := []int64{math.MinInt64, math.MinInt64 + 1, -5, -1, 0, 1, 5, math.MaxInt64 - 1, math.MaxInt64}
+	ops := []struct {
+		name  string
+		f     func(a, b int64) (int64, error)
+		exact func(z, x, y *big.Int) *big.Int
+	}{
+		{"AddChecked", AddChecked, (*big.Int).Add},
+		{"SubChecked", SubChecked, (*big.Int).Sub},
+		{"MulChecked", MulChecked, (*big.Int).Mul},
+	}
+	for _, op := range ops {
+		for _, a := range vals {
+			for _, b := range vals {
+				want := op.exact(new(big.Int), big.NewInt(a), big.NewInt(b))
+				got, err := op.f(a, b)
+				switch {
+				case !want.IsInt64():
+					if !errors.Is(err, ErrOverflow) {
+						t.Errorf("%s(%d, %d) = %d, %v; want ErrOverflow", op.name, a, b, got, err)
+					}
+				case err != nil || got != want.Int64():
+					t.Errorf("%s(%d, %d) = %d, %v; want %s", op.name, a, b, got, err, want)
+				}
+			}
+		}
 	}
 }
 
@@ -397,6 +433,21 @@ func TestFactorIntoReuse(t *testing.T) {
 		if cap(sol) > cap(buf) {
 			buf = sol
 		}
+	}
+}
+
+// TestSolveResidualOverflow drives a residual to c - t·D = 5 - MinInt64,
+// which does not fit int64: one variable equal to both MinInt64 and 5.
+// AddChecked(5, -MinInt64) wrapped to 5 + MinInt64 without an error, so
+// the solve reported an ordinary inconsistent equation; it must report
+// the overflow instead.
+func TestSolveResidualOverflow(t *testing.T) {
+	e, err := Factor(FromRows([][]int64{{1, 1}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tv, ok, err := e.Solve([]int64{math.MinInt64, 5}); !errors.Is(err, ErrOverflow) {
+		t.Fatalf("Solve = %v, %v, %v; want ErrOverflow", tv, ok, err)
 	}
 }
 

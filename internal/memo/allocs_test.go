@@ -34,16 +34,15 @@ func TestEncoderZeroAllocs(t *testing.T) {
 }
 
 // TestMemoHitZeroAllocs gates the whole steady-state memo path — encode,
-// L1 probe, L2 lock-free probe, hit — at zero allocations per candidate.
-// Part of the Makefile allocgate.
+// lock-free LookupStored, hit — at zero allocations per candidate. Part of
+// the Makefile allocgate.
 func TestMemoHitZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed by the race detector")
 	}
 	probs := encoderProblems(t)
 	var e Encoder
-	l2 := NewShardedTable[int](0)
-	l1 := NewL1[int](0)
+	tbl := NewShardedTable[int](0)
 	// Two problems may share an improved key (the paper's unused-loop
 	// collapse), so expected values are assigned per canonical key.
 	want := make([]int, len(probs))
@@ -56,21 +55,13 @@ func TestMemoHitZeroAllocs(t *testing.T) {
 		}
 		canon[k.Bytes()] = i
 		want[i] = i
-		ck := k.Clone()
-		l2.Insert(ck, i)
-		l1.Store(ck, i)
+		tbl.Insert(k.Clone(), i)
 	}
 	hit := func(p *system.Problem, want int) {
 		k := e.EncodeFull(p, true)
-		if v, ok := l1.Lookup(k); ok {
-			if v != want {
-				t.Fatalf("L1 value %d, want %d", v, want)
-			}
-			return
-		}
-		_, v, ok := l2.LookupStored(k)
+		_, v, ok := tbl.LookupStored(k)
 		if !ok || v != want {
-			t.Fatalf("L2 = %d, %v, want hit with %d", v, ok, want)
+			t.Fatalf("LookupStored = %d, %v, want hit with %d", v, ok, want)
 		}
 	}
 	allocs := testing.AllocsPerRun(100, func() {

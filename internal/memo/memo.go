@@ -37,11 +37,6 @@
 //     (O(1) amortized, growth reuses the stored hashes). Traffic is counted
 //     by the caller (core's stats.Counters), not by the table (see
 //     sharded.go).
-//   - L1 is a small direct-mapped per-worker cache in front of the shared
-//     table, so a worker's hot working set is answered without touching
-//     shared memory at all (see l1.go). Every L1 entry's key is an interned
-//     L2 key, preserving the L1 ⊆ L2 containment the concurrent driver's
-//     provenance replay relies on.
 //   - InFlight deduplicates concurrent solves of the same canonical key, so
 //     two workers never run the test cascade for one problem at the same
 //     time (see inflight.go).

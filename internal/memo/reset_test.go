@@ -38,29 +38,3 @@ func TestShardedTableReset(t *testing.T) {
 		t.Fatalf("post-Reset insert/lookup = (%d, %v), want (42, true)", v, ok)
 	}
 }
-
-func TestL1Reset(t *testing.T) {
-	l1 := NewL1[int](8)
-	keys := resetKeys(6)
-	for i, k := range keys {
-		l1.Store(k, i)
-	}
-	if l1.Len() == 0 {
-		t.Fatal("no live slots before reset")
-	}
-
-	l1.Reset()
-	if l1.Len() != 0 {
-		t.Fatalf("Len after Reset = %d, want 0", l1.Len())
-	}
-	for _, k := range keys {
-		if _, ok := l1.Lookup(k); ok {
-			t.Fatalf("stale entry for %v survived Reset", k)
-		}
-	}
-
-	l1.Store(keys[2], 5)
-	if v, ok := l1.Lookup(keys[2]); !ok || v != 5 {
-		t.Fatalf("post-Reset store/lookup = (%d, %v), want (5, true)", v, ok)
-	}
-}

@@ -105,8 +105,9 @@ func (s *ShardedTable[V]) Lookup(k Key) (V, bool) {
 }
 
 // LookupStored is Lookup additionally returning the table's interned copy
-// of the key on a hit (for L1 caches that must retain a stable key). Same
-// lock-free guarantees as Lookup.
+// of the key on a hit, a stable identity for the entry (the concurrent
+// driver's provenance records keep it). Same lock-free guarantees as
+// Lookup.
 func (s *ShardedTable[V]) LookupStored(k Key) (Key, V, bool) {
 	h := mix(k.hash())
 	if _, e := (*s.shardAt(h).tab.Load()).probe(h, k); e != nil {
@@ -220,9 +221,7 @@ func (s *ShardedTable[V]) Buckets() int {
 // Reset drops every entry and shrinks each shard back to its initial
 // bucket array, releasing the retained keys and values to the collector —
 // the eviction primitive a long-lived analyzer uses to bound its memory.
-// Safe for concurrent use with Lookup/Insert, but the caller is responsible for the
-// larger invariant that no L1 cache still holds entries the table no
-// longer does (core.Analyzer.EvictMemo resets both sides together).
+// Safe for concurrent use with Lookup/Insert.
 func (s *ShardedTable[V]) Reset() {
 	for i := range s.sh {
 		sh := &s.sh[i]

@@ -55,7 +55,7 @@ func TestShardedHashCollision(t *testing.T) {
 
 // TestShardedOverwriteKeepsInternedKey: overwriting an entry keeps the key
 // instance the table already holds, so LookupStored identity — which the
-// L1 fill and the driver's provenance replay rely on — never changes.
+// driver's provenance replay relies on — never changes.
 func TestShardedOverwriteKeepsInternedKey(t *testing.T) {
 	s := NewShardedTable[int](0)
 	first := Key{4, 5, 6}
@@ -208,8 +208,8 @@ func TestShardedTableLockFreeStress(t *testing.T) {
 }
 
 // TestShardedLookupStoredInterns verifies LookupStored hands back the
-// table's own key, not the probe key — the contract the L1 fill relies on
-// to avoid cloning.
+// table's own key, not the probe key — the contract provenance relies on
+// to keep a stable key without cloning.
 func TestShardedLookupStoredInterns(t *testing.T) {
 	s := NewShardedTable[int](0)
 	owned := Key{9, 8, 7}

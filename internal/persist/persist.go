@@ -45,8 +45,12 @@ const FormatVersion = 2
 // one are stale. TestSemanticsGoldenDigest (internal/workload) pins a
 // digest of both under this number and fails when they change without a
 // bump. Version 2: a dependent pair that shares no loop reports the empty
-// direction vector once, not twice.
-const SemanticsVersion = 2
+// direction vector once, not twice. Version 3: checked arithmetic reports
+// the overflows at math.MinInt64 it used to wrap (MulChecked(MinInt64, -1),
+// differences negating MinInt64), and the direction walk keeps a direction
+// whose constraint overflows, so a verdict near the int64 limits may
+// differ.
+const SemanticsVersion = 3
 
 // ErrStale marks a file written under an older format or semantics
 // version: a cache its owner may drop and rebuild, not a corrupt file.

@@ -129,13 +129,13 @@ type serverStats struct {
 
 // warmAnalyzer is one budget class's long-lived analysis engine: a
 // persistent corpus driver over the shared warm tier whose analyzer
-// retains its memo tables (L1/L2), in-flight singleflight, and worker
-// views across requests, so a same-class burst runs memo-hot after its
-// first job. The mutex serializes whole executor batches (the driver is
-// not safe for concurrent use); executors working different classes
-// overlap freely. jobs counts requests served in the current memoization
-// epoch (reset on eviction) — a request after the first of an epoch can
-// only hit memo entries some earlier request planted.
+// retains its memo tables, in-flight singleflight, and worker views across
+// requests, so a same-class burst runs memo-hot after its first job. The
+// mutex serializes whole executor batches (the driver is not safe for
+// concurrent use); executors working different classes overlap freely.
+// jobs counts requests served in the current memoization epoch (reset on
+// eviction) — a request after the first of an epoch can only hit memo
+// entries some earlier request planted.
 type warmAnalyzer struct {
 	mu     sync.Mutex
 	driver *corpus.Driver

@@ -44,15 +44,16 @@ type Counters struct {
 	StageTimeNs    [numKinds]int64
 
 	// Memoization. FullLookups/FullHits are the candidate-level totals for
-	// the with-bounds cache regardless of which layer answered; L1*/L2*
-	// split them by layer (per-worker direct-mapped L1 vs shared table) and
-	// InflightAdopts counts hits served by adopting another worker's
-	// just-finished solve, so L1Hits+L2Hits+InflightAdopts == FullHits and,
-	// with the L1 enabled, L1Lookups == FullLookups.
-	FullLookups, FullHits int // with-bounds cache, all layers combined
-	L1Lookups, L1Hits     int // per-worker direct-mapped layer
-	L2Lookups, L2Hits     int // shared table layer (L1 misses fall through)
+	// the with-bounds cache: one lookup per non-constant pair under
+	// Memoize, and FullHits includes the InflightAdopts below.
+	FullLookups, FullHits int // with-bounds table
 	EqLookups, EqHits     int // without-bounds (GCD) table
+	// L1Lookups/L1Hits metered a per-worker cache in front of the
+	// with-bounds table that the analyzer no longer keeps (the shared
+	// table's lock-free probe answered as fast). They always read 0 and
+	// stay only because the benchmark module's ledger reads them
+	// (memo.l1_hit_ratio); retire them with that reader.
+	L1Lookups, L1Hits int
 	// Singleflight dedup (concurrent driver only). InflightWaits counts
 	// blocks on another worker's in-progress solve of the same canonical
 	// key; InflightAdopts counts waits that ended adopting the winner's
@@ -120,8 +121,6 @@ func (c *Counters) Add(o *Counters) {
 	c.FullHits += o.FullHits
 	c.L1Lookups += o.L1Lookups
 	c.L1Hits += o.L1Hits
-	c.L2Lookups += o.L2Lookups
-	c.L2Hits += o.L2Hits
 	c.EqLookups += o.EqLookups
 	c.EqHits += o.EqHits
 	c.InflightWaits += o.InflightWaits

@@ -11,8 +11,7 @@ func TestAddMerges(t *testing.T) {
 	a := Counters{Pairs: 10, Constant: 2, GCDIndependent: 1,
 		Independent: 4, Dependent: 5, Unknown: 1, Vectors: 7, ImplicitBB: 1,
 		FullLookups: 8, FullHits: 3, L1Lookups: 8, L1Hits: 1,
-		L2Lookups: 7, L2Hits: 2, EqLookups: 5, EqHits: 2,
-		UniqueFull: 4, UniqueEq: 3}
+		EqLookups: 5, EqHits: 2, UniqueFull: 4, UniqueEq: 3}
 	a.Tests[int(dtest.KindSVPC)] = 3
 	a.DirTests[int(dtest.KindAcyclic)] = 2
 	a.TestIndependent[int(dtest.KindLoopResidue)] = 1
@@ -36,8 +35,8 @@ func TestAddMerges(t *testing.T) {
 	if sum.FullLookups != 16 || sum.UniqueEq != 6 {
 		t.Fatalf("memo counters merge: %+v", sum)
 	}
-	if sum.L1Lookups != 16 || sum.L1Hits != 2 || sum.L2Lookups != 14 || sum.L2Hits != 4 {
-		t.Fatalf("memo layer counters merge: %+v", sum)
+	if sum.L1Lookups != 16 || sum.L1Hits != 2 || sum.EqHits != 4 {
+		t.Fatalf("memo counters merge: %+v", sum)
 	}
 }
 

@@ -1,11 +1,14 @@
 package system
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"exactdep/internal/ir"
+	"exactdep/internal/linalg"
 )
 
 // singleLoopPair builds the pair for:
@@ -274,6 +277,57 @@ func TestAddDirection(t *testing.T) {
 	}
 	if err := ts.Clone().AddDirection(5, '<'); err == nil {
 		t.Fatal("bad level must error")
+	}
+}
+
+// TestDirectionOverflow checks the t-space differences behind a constant
+// distance and a direction constraint at the int64 limits, on the system
+// of a[i] vs a[i-3] with iA's constant moved to MinInt64: iB - iA is then
+// 2^63, which does not fit. Distance used to report it as the wrapped
+// MinInt64, and '=' and '>' pushed wrapped constants; '<' needs
+// -1 - MinInt64 = MaxInt64, which fits.
+func TestDirectionOverflow(t *testing.T) {
+	p, err := Build(singleLoopPair(0, 10, ir.NewVar("i"), ir.NewVar("i").AddConst(-3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts, err := Preprocess(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ai, bi := p.CommonPair(0)
+	ts.XOf[ai].Const, ts.XOf[bi].Const = math.MinInt64, 0
+	if d, ok := ts.Distance(0); ok {
+		t.Fatalf("Distance = %d, want no constant distance (2^63 overflows)", d)
+	}
+	for _, dir := range []byte("=>") {
+		if err := ts.Clone().AddDirection(0, dir); !errors.Is(err, linalg.ErrOverflow) {
+			t.Errorf("AddDirection %q = %v, want ErrOverflow", dir, err)
+		}
+	}
+	if err := ts.Clone().AddDirection(0, '<'); err != nil {
+		t.Errorf("AddDirection '<' = %v, want nil", err)
+	}
+	// sign·(iA - iB) for '>' negates the coefficient difference, MinInt64.
+	ts.XOf[ai].Const = 0
+	ts.XOf[ai].Coef = []int64{math.MinInt64}
+	ts.XOf[bi].Coef = []int64{0}
+	if err := ts.Clone().AddDirection(0, '>'); !errors.Is(err, linalg.ErrOverflow) {
+		t.Errorf("AddDirection '>' over a MinInt64 coefficient = %v, want ErrOverflow", err)
+	}
+}
+
+// TestBoundOverflow: for i = MinInt64 to 10 the lower bound of i' in t
+// space is -t ≤ 2^63, which does not fit. addBound used to negate the
+// wrapped constant and push -t ≤ MinInt64 without an error; the Extended
+// GCD step must report the overflow instead.
+func TestBoundOverflow(t *testing.T) {
+	p, err := Build(singleLoopPair(math.MinInt64, 10, ir.NewVar("i"), ir.NewVar("i").AddConst(-3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ts, err := Preprocess(p); !errors.Is(err, linalg.ErrOverflow) {
+		t.Fatalf("Preprocess = %v, %v; want ErrOverflow", ts, err)
 	}
 }
 

@@ -240,7 +240,8 @@ func (pp *Preprocessor) Preprocess(p *Problem) (GCDResult, *TSystem, error) {
 // addBound pushes one bound of x_i as a t-space constraint: L(x) - x_i ≤ 0
 // for a lower bound, x_i - U(x) ≤ 0 for an upper one. The bound is
 // substituted into an arena row and x_i is subtracted in place, every step
-// checked for overflow.
+// checked for overflow; the constants are subtracted in the order that
+// leaves the right-hand side, so no negation can wrap.
 func (pp *Preprocessor) addBound(e ir.Expr, i int, lower bool) error {
 	ts := &pp.ts
 	row := pp.rows.Row(ts.NumT)
@@ -250,25 +251,25 @@ func (pp *Preprocessor) addBound(e ir.Expr, i int, lower bool) error {
 	}
 	x := ts.XOf[i]
 	if lower {
-		if c, err = linalg.AddChecked(c, -x.Const); err != nil {
+		if c, err = linalg.SubChecked(x.Const, c); err != nil {
 			return err
 		}
 		for f := range row {
-			if row[f], err = linalg.AddChecked(row[f], -x.Coef[f]); err != nil {
+			if row[f], err = linalg.SubChecked(row[f], x.Coef[f]); err != nil {
 				return err
 			}
 		}
 	} else {
-		if c, err = linalg.AddChecked(x.Const, -c); err != nil {
+		if c, err = linalg.SubChecked(c, x.Const); err != nil {
 			return err
 		}
 		for f := range row {
-			if row[f], err = linalg.AddChecked(x.Coef[f], -row[f]); err != nil {
+			if row[f], err = linalg.SubChecked(x.Coef[f], row[f]); err != nil {
 				return err
 			}
 		}
 	}
-	ts.pushConstraint(row, -c)
+	ts.pushConstraint(row, c)
 	return nil
 }
 
@@ -346,12 +347,12 @@ func (s *TSystem) PushDirection(lvl int, dir byte, sc *Scratch) error {
 		return fmt.Errorf("system: level %d is not a common loop", lvl)
 	}
 	a, b := s.XOf[ai], s.XOf[bi]
-	dc, err := linalg.AddChecked(a.Const, -b.Const) // (iA - iB).Const
+	dc, err := linalg.SubChecked(a.Const, b.Const) // (iA - iB).Const
 	if err != nil {
 		return err
 	}
-	// row materializes sign·(iA - iB)'s coefficients. Only the element-wise
-	// subtraction is checked; the sign flip is not.
+	// row materializes sign·(iA - iB)'s coefficients, checking the
+	// subtraction and the sign flip.
 	row := func(sign int64) ([]int64, error) {
 		var r []int64
 		if sc != nil {
@@ -360,11 +361,13 @@ func (s *TSystem) PushDirection(lvl int, dir byte, sc *Scratch) error {
 			r = make([]int64, len(a.Coef))
 		}
 		for i := range r {
-			d, err := linalg.AddChecked(a.Coef[i], -b.Coef[i])
+			d, err := linalg.SubChecked(a.Coef[i], b.Coef[i])
 			if err != nil {
 				return nil, err
 			}
-			r[i] = sign * d
+			if r[i], err = linalg.MulChecked(sign, d); err != nil {
+				return nil, err
+			}
 		}
 		return r, nil
 	}
@@ -374,8 +377,12 @@ func (s *TSystem) PushDirection(lvl int, dir byte, sc *Scratch) error {
 		if err != nil {
 			return err
 		}
-		s.pushConstraint(r, -(dc + 1))
+		s.pushConstraint(r, -1-dc) // fits for every int64 dc
 	case '=': // iA - iB ≤ 0 and iB - iA ≤ 0
+		c, err := linalg.SubChecked(0, dc)
+		if err != nil {
+			return err
+		}
 		r1, err := row(1)
 		if err != nil {
 			return err
@@ -384,14 +391,18 @@ func (s *TSystem) PushDirection(lvl int, dir byte, sc *Scratch) error {
 		if err != nil {
 			return err
 		}
-		s.pushConstraint(r1, -dc)
+		s.pushConstraint(r1, c)
 		s.pushConstraint(r2, dc)
 	case '>': // iB - iA ≤ -1
+		c, err := linalg.SubChecked(dc, 1)
+		if err != nil {
+			return err
+		}
 		r, err := row(-1)
 		if err != nil {
 			return err
 		}
-		s.pushConstraint(r, dc-1)
+		s.pushConstraint(r, c)
 	default:
 		return fmt.Errorf("system: unknown direction %q", string(dir))
 	}
@@ -425,12 +436,12 @@ func (s *TSystem) Distance(lvl int) (d int64, ok bool) {
 		return 0, false
 	}
 	a, b := s.XOf[ai], s.XOf[bi]
-	d, err := linalg.AddChecked(b.Const, -a.Const)
+	d, err := linalg.SubChecked(b.Const, a.Const)
 	if err != nil {
 		return 0, false
 	}
 	for i := range b.Coef {
-		if c, err := linalg.AddChecked(b.Coef[i], -a.Coef[i]); err != nil || c != 0 {
+		if c, err := linalg.SubChecked(b.Coef[i], a.Coef[i]); err != nil || c != 0 {
 			return 0, false
 		}
 	}
