@@ -618,33 +618,6 @@ end
 	b.Run("separable", func(b *testing.B) { run(b, core.Options{Separable: true}) })
 }
 
-// BenchmarkAblationSymmetric: symmetric cache matching on a mirrored
-// workload.
-func BenchmarkAblationSymmetric(b *testing.B) {
-	var cands []refs.Candidate
-	for _, s := range workload.Programs() {
-		cs, err := workload.Candidates(s, false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cands = append(cands, cs...)
-	}
-	run := func(b *testing.B, opts core.Options) {
-		for i := 0; i < b.N; i++ {
-			a := core.New(opts)
-			for _, c := range cands {
-				if _, err := a.AnalyzeCandidate(c); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
-	b.Run("plain", func(b *testing.B) { run(b, core.Options{Memoize: true, ImprovedMemo: true}) })
-	b.Run("symmetric", func(b *testing.B) {
-		run(b, core.Options{Memoize: true, ImprovedMemo: true, SymmetricMemo: true})
-	})
-}
-
 // BenchmarkAblationPruning: direction-vector pruning on/off for one deep
 // nest program (Tables 4 vs 5 in miniature).
 func BenchmarkAblationPruning(b *testing.B) {

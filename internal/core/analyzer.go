@@ -23,6 +23,7 @@ import (
 	"exactdep/internal/depvec"
 	"exactdep/internal/dtest"
 	"exactdep/internal/ir"
+	"exactdep/internal/linalg"
 	"exactdep/internal/memo"
 	"exactdep/internal/refs"
 	"exactdep/internal/stats"
@@ -47,11 +48,8 @@ type Options struct {
 	// method on systems whose loop levels are independent (3·L tests
 	// instead of up to 3^L; falls back to hierarchical refinement).
 	Separable bool
-	// SymmetricMemo also recognizes the mirrored pair (the paper's §5
-	// "further optimization": a[i] vs a[i-1] is the same case as a[i-1] vs
-	// a[i]). On a miss under the direct key the swapped key is consulted,
-	// and a hit is mirrored back: directions flip between '<' and '>',
-	// distances negate.
+	// Deprecated: SymmetricMemo is ignored. Mirrored pairs (a[i] vs a[i-1]
+	// and a[i-1] vs a[i]) are two canonical problems, each solved once.
 	SymmetricMemo bool
 	// Cascade names the dtest pipeline configuration: "" or "full" for the
 	// paper's cost-ordered cascade, "fm-only" to run the Fourier–Motzkin
@@ -506,11 +504,6 @@ type provenance struct {
 	// the final table and replays the serial first-occurrence rule on key
 	// *identity*, so no per-pair key strings are materialized.
 	key memo.Key
-	// keyStr/mirror are the string renderings of the direct and swapped
-	// keys, recorded only under SymmetricMemo, where one canonical problem
-	// is reachable through two distinct keys and the post-pass must match
-	// by content rather than identity.
-	keyStr, mirror string
 	// fresh is the DecidedBy a fresh (uncached) analysis of this canonical
 	// problem reports; for a cache hit it is read from the cached entry.
 	fresh DecidedBy
@@ -519,11 +512,6 @@ type provenance struct {
 	// post-pass must not treat their keys as seen — a later occurrence of
 	// the same problem re-analyzes fresh in a serial pass too.
 	cacheable bool
-	// pre marks a pair whose problem was in the full table before this run
-	// started (an entry stamped by an earlier run, or under SymmetricMemo
-	// its mirror's): a serial pass reports ByCache for every occurrence, so
-	// the post-pass needs nothing else from it.
-	pre bool
 }
 
 // analyzeCandidate analyzes one pre-classified candidate, optionally
@@ -559,7 +547,15 @@ func (a *Analyzer) analyzeCandidate(c refs.Candidate, prov *provenance) (Result,
 
 	prob, err := a.pb.Build(p)
 	if err != nil {
-		return Result{}, err
+		if !errors.Is(err, linalg.ErrOverflow) {
+			return Result{}, err
+		}
+		// A subscript constant or coefficient past int64: the same sound
+		// inexact verdict as an overflow in the Extended GCD step. With no
+		// problem there is no key, so the verdict is not memoized and every
+		// occurrence, at every worker count, reports ByTest.
+		a.tallyVerdict(dtest.Unknown)
+		return Result{Pair: p, Outcome: dtest.Unknown, DecidedBy: ByTest}, nil
 	}
 
 	var fullKey memo.Key
@@ -572,30 +568,8 @@ func (a *Analyzer) analyzeCandidate(c refs.Candidate, prov *provenance) (Result,
 		// scratch.
 		fullKey = a.enc.EncodeFull(prob, a.opts.ImprovedMemo)
 		a.Stats.FullLookups++
-		if prov != nil && a.opts.SymmetricMemo {
-			prov.keyStr = fullKey.Bytes()
-			if mk, err := a.mirrorKey(p); err == nil {
-				prov.mirror = mk.Bytes()
-				if mc, ok := a.full.Lookup(mk); ok && mc.stamp < a.run {
-					prov.pre = true
-				}
-			}
-		}
 		if stored, hit, ok := a.full.LookupStored(fullKey); ok && hit.usable(a.budClass) {
 			return a.serveHit(prob, p, stored, hit, prov), nil
-		}
-		if a.opts.SymmetricMemo {
-			if res, under, ok, err := a.lookupMirrored(p, prob); err != nil {
-				return Result{}, err
-			} else if ok {
-				a.Stats.FullHits++
-				if prov != nil {
-					prov.fresh = under
-					prov.cacheable = true
-				}
-				a.tallyVerdict(res.Outcome)
-				return res, nil
-			}
 		}
 		if a.inflight != nil && !a.peekGCDIndependent(prob) {
 			// Every cache layer missed: claim the key so only one worker
@@ -668,14 +642,10 @@ func (a *Analyzer) peekGCDIndependent(prob *system.Problem) bool {
 // post-pass.
 func (a *Analyzer) serveHit(prob *system.Problem, p ir.Pair, sk memo.Key, hit cached, prov *provenance) Result {
 	a.Stats.FullHits++
-	if prov != nil {
-		if hit.stamp < a.run {
-			prov.pre = true
-		} else {
-			prov.key = sk
-			prov.fresh = DecidedBy(hit.res.DecidedBy)
-			prov.cacheable = true
-		}
+	if prov != nil && hit.stamp >= a.run {
+		prov.key = sk
+		prov.fresh = DecidedBy(hit.res.DecidedBy)
+		prov.cacheable = true
 	}
 	res := a.expand(&hit, prob)
 	res.Pair = p
@@ -741,54 +711,6 @@ func (a *Analyzer) solveAndCache(prob *system.Problem, p ir.Pair, fullKey, owned
 // deadline and cancellation trips are not.
 func cacheableTrip(t dtest.TripReason) bool {
 	return t != dtest.TripDeadline && t != dtest.TripCancelled
-}
-
-// mirrorKey returns the full-problem key of the swapped pair (B, A).
-func (a *Analyzer) mirrorKey(p ir.Pair) (memo.Key, error) {
-	swapped := ir.Pair{A: p.B, B: p.A, Common: p.Common, Symbols: p.Symbols, Label: p.Label}
-	sprob, err := system.Build(swapped)
-	if err != nil {
-		return nil, err
-	}
-	return memo.EncodeFull(sprob, a.opts.ImprovedMemo), nil
-}
-
-// lookupMirrored consults the cache under the key of the swapped pair
-// (B, A) and mirrors a hit back onto the original orientation. under is the
-// cached entry's own DecidedBy (how the entry was originally obtained).
-func (a *Analyzer) lookupMirrored(p ir.Pair, prob *system.Problem) (_ Result, under DecidedBy, _ bool, _ error) {
-	swapped := ir.Pair{A: p.B, B: p.A, Common: p.Common, Symbols: p.Symbols, Label: p.Label}
-	sprob, err := system.Build(swapped)
-	if err != nil {
-		return Result{}, 0, false, err
-	}
-	hit, ok := a.full.Lookup(memo.EncodeFull(sprob, a.opts.ImprovedMemo))
-	if !ok || !hit.usable(a.budClass) {
-		return Result{}, 0, false, nil
-	}
-	res := a.expand(&hit, prob)
-	res.Pair = p
-	res.DecidedBy = ByCache
-	// Mirror the direction information: swapping the references turns a
-	// "source before sink" relation into the opposite one.
-	for vi, v := range res.Vectors {
-		mv := make(depvec.Vector, len(v))
-		for i, d := range v {
-			switch d {
-			case depvec.Less:
-				mv[i] = depvec.Greater
-			case depvec.Greater:
-				mv[i] = depvec.Less
-			default:
-				mv[i] = d
-			}
-		}
-		res.Vectors[vi] = mv
-	}
-	for di := range res.Distances {
-		res.Distances[di].Value = -res.Distances[di].Value
-	}
-	return res, DecidedBy(hit.res.DecidedBy), true, nil
 }
 
 // analyzeFresh runs GCD preprocessing and the tests on a cache miss.

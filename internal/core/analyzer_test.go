@@ -7,6 +7,7 @@ import (
 	"exactdep/internal/ir"
 	"exactdep/internal/lang"
 	"exactdep/internal/opt"
+	"exactdep/internal/refs"
 )
 
 func analyze(t *testing.T, src string, opts Options) (*Analyzer, []Result) {
@@ -299,9 +300,10 @@ end
 	}
 }
 
-func TestSymmetricMemo(t *testing.T) {
-	// a[i] vs a[i-1] and its mirror b[i-1] vs b[i]: with SymmetricMemo the
-	// second pair hits the first's entry and the direction flips.
+// TestMirroredPairsSolvedApart: a[i] vs a[i-1] and its mirror b[i-1] vs
+// b[i] are two canonical problems, each solved by a test, and the mirror
+// reports the opposite direction with the negated distance.
+func TestMirroredPairsSolvedApart(t *testing.T) {
 	src := `
 for i = 1 to 10
   a[i] = a[i-1]
@@ -310,45 +312,87 @@ for i = 1 to 10
   b[i-1] = b[i]
 end
 `
-	sym, res := analyze(t, src, Options{
-		Memoize: true, ImprovedMemo: true, SymmetricMemo: true,
+	a, res := analyze(t, src, Options{
+		Memoize: true, ImprovedMemo: true,
 		DirectionVectors: true, PruneUnused: true, PruneDistance: true,
 	})
-	if sym.Stats.FullHits == 0 {
-		t.Fatalf("mirrored pair must hit the cache: %+v", sym.Stats)
-	}
-	var aVec, bVec string
-	var aDist, bDist int64
+	want := map[string]struct {
+		vec  string
+		dist int64
+	}{"a": {"(<)", 1}, "b": {"(>)", -1}}
+	seen := 0
 	for _, r := range res {
 		if r.Pair.A.Ref.Kind == r.Pair.B.Ref.Kind {
 			continue
 		}
-		if len(r.Vectors) != 1 || len(r.Distances) != 1 {
-			t.Fatalf("unexpected vectors for %v: %v %v", r.Pair, r.Vectors, r.Distances)
+		w, ok := want[r.Pair.A.Ref.Array]
+		if !ok {
+			t.Fatalf("unexpected pair %v", r.Pair)
 		}
-		switch r.Pair.A.Ref.Array {
-		case "a":
-			aVec, aDist = r.Vectors[0].String(), r.Distances[0].Value
-		case "b":
-			bVec, bDist = r.Vectors[0].String(), r.Distances[0].Value
-			if r.DecidedBy != ByCache {
-				t.Fatalf("b pair should be a symmetric cache hit: %+v", r)
+		seen++
+		if r.DecidedBy != ByTest {
+			t.Errorf("%s pair decided by %v, want a test of its own", r.Pair.A.Ref.Array, r.DecidedBy)
+		}
+		if len(r.Vectors) != 1 || len(r.Distances) != 1 ||
+			r.Vectors[0].String() != w.vec || r.Distances[0].Value != w.dist {
+			t.Errorf("%s pair: vectors %v distances %v, want %s distance %d",
+				r.Pair.A.Ref.Array, r.Vectors, r.Distances, w.vec, w.dist)
+		}
+	}
+	if seen != 2 {
+		t.Fatalf("%d write/read pairs, want 2", seen)
+	}
+	// The two write self-pairs share one problem; the mirrored pairs are two.
+	if a.Stats.UniqueFull != 3 {
+		t.Fatalf("%d unique problems, want 3", a.Stats.UniqueFull)
+	}
+}
+
+// TestBuildOverflowIsUnknown: a pair whose subscript constants differ by
+// more than int64 holds gets the verdict of an overflow in the Extended GCD
+// step — Unknown, inexact, ByTest, not memoized — at one worker and two,
+// with and without memoization and direction vectors. Wrapped, the
+// difference reads -2, an exact dependence with distance 2, although the
+// true difference, 2^64 - 2, has no solution in 1..10.
+func TestBuildOverflowIsUnknown(t *testing.T) {
+	prog, err := lang.Parse(`
+for i = 1 to 10
+  a[i - 9223372036854775807] = a[i + 9223372036854775807]
+end
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cands := refs.Pairs(opt.Lower(prog))
+	cands = append(cands, cands...) // a second occurrence must not hit
+	for _, memo := range []bool{false, true} {
+		for _, vec := range []bool{false, true} {
+			opts := Options{Memoize: memo, ImprovedMemo: memo,
+				DirectionVectors: vec, PruneUnused: vec, PruneDistance: vec}
+			for _, workers := range []int{1, 2} {
+				a := New(opts)
+				res, err := a.AnalyzeAll(cands, workers)
+				if err != nil {
+					t.Fatalf("memo=%v vectors=%v workers=%d: %v", memo, vec, workers, err)
+				}
+				overflowed := 0
+				for _, r := range res {
+					if r.Pair.A.Ref.Kind == r.Pair.B.Ref.Kind {
+						continue // the write self-pair builds without overflow
+					}
+					overflowed++
+					if r.Outcome != dtest.Unknown || r.Exact || r.DecidedBy != ByTest ||
+						len(r.Vectors) != 0 || len(r.Distances) != 0 {
+						t.Errorf("memo=%v vectors=%v workers=%d: %+v, want an inexact Unknown by test",
+							memo, vec, workers, r)
+					}
+				}
+				if overflowed != 2 || a.Stats.Unknown != 2 {
+					t.Errorf("memo=%v vectors=%v workers=%d: %d overflowing pairs, %d Unknown, want 2 and 2",
+						memo, vec, workers, overflowed, a.Stats.Unknown)
+				}
 			}
 		}
-	}
-	if aVec != "(<)" || aDist != 1 {
-		t.Fatalf("a pair: %s dist %d", aVec, aDist)
-	}
-	if bVec != "(>)" || bDist != -1 {
-		t.Fatalf("b pair must mirror to (>) dist -1, got %s dist %d", bVec, bDist)
-	}
-
-	// Without SymmetricMemo both pairs are analyzed fresh.
-	plain, _ := analyze(t, src, Options{Memoize: true, ImprovedMemo: true,
-		DirectionVectors: true, PruneUnused: true, PruneDistance: true})
-	if plain.Stats.UniqueFull <= sym.Stats.UniqueFull {
-		t.Fatalf("symmetric scheme must store fewer unique cases: %d vs %d",
-			sym.Stats.UniqueFull, plain.Stats.UniqueFull)
 	}
 }
 

@@ -38,10 +38,7 @@ import (
 // canonical key plus its underlying fresh verdict, and an ordered
 // post-pass replays the serial rule: the first occurrence of each
 // cacheable problem keeps its fresh DecidedBy, later occurrences report
-// ByCache. (Exception: with Options.SymmetricMemo the *order* of a
-// result's direction vectors can depend on whether the mirrored entry was
-// cached first; verdicts, vector sets, and distances remain
-// deterministic.)
+// ByCache.
 //
 // Counter values that depend on cache timing — hit and per-test counts —
 // may vary between concurrent runs; verdict tallies (Pairs, Constant,
@@ -244,46 +241,19 @@ func (a *Analyzer) AnalyzeAllContext(ctx context.Context, cands []refs.Candidate
 	// serial rule, over the problems this run inserted. GCD-independent
 	// verdicts are never stored in the full table, so every occurrence
 	// reports ByGCD (their provenance carries no key); a problem answered by
-	// an entry from before the run already reports ByCache (pre); any other
-	// problem's first occurrence keeps its fresh verdict and marks the key,
-	// later occurrences report ByCache. The seen sets hold this run's keys
-	// only, so the pass costs the candidates, not the table.
+	// an entry from before the run already reports ByCache and records no
+	// key either; any other problem's first occurrence keeps its fresh
+	// verdict and marks the key, later occurrences report ByCache. The seen
+	// set holds this run's keys only, so the pass costs the candidates, not
+	// the table.
 	if provs == nil {
 		return out, nil
 	}
-	if a.opts.SymmetricMemo {
-		// Content-keyed replay: one canonical problem is reachable through
-		// two keys, so a problem is also "seen" through its mirrored key.
-		seenStr := make(map[string]bool)
-		for i := range provs {
-			pv := &provs[i]
-			if pv.keyStr == "" { // constant or GCD-decided pair
-				continue
-			}
-			if pv.fresh == ByGCD {
-				out[i].DecidedBy = ByGCD
-				continue
-			}
-			if pv.pre || seenStr[pv.keyStr] || (pv.mirror != "" && seenStr[pv.mirror]) {
-				out[i].DecidedBy = ByCache
-			} else {
-				out[i].DecidedBy = pv.fresh
-			}
-			// Only results that actually entered (or came from) the memo
-			// table make later occurrences hits in a serial replay;
-			// clock-tripped verdicts are never cached, so their keys stay
-			// unseen.
-			if pv.cacheable {
-				seenStr[pv.keyStr] = true
-			}
-		}
-		return out, nil
-	}
-	// Identity-keyed replay (no strings, no allocation per pair): resolve
-	// each recorded key to the table's interned instance (occurrences of one
-	// canonical problem may have recorded distinct clones when racing
-	// workers both inserted it), then replay first-occurrence over instance
-	// identity.
+	// The replay is keyed by identity (no strings, no allocation per pair):
+	// resolve each recorded key to the table's interned instance
+	// (occurrences of one canonical problem may have recorded distinct
+	// clones when racing workers both inserted it), then replay
+	// first-occurrence over instance identity.
 	if a.seenPtr == nil {
 		a.seenPtr = make(map[*int64]bool)
 	}

@@ -173,72 +173,67 @@ func TestAnalyzeAllWarmTables(t *testing.T) {
 // run starts — from LoadMemo, an earlier run, or direct AnalyzeCandidate
 // calls — are ByCache from their first occurrence on, while problems new to
 // the run keep the serial first-occurrence rule. Every worker count must
-// report exactly what one worker reports on an identically warmed analyzer,
-// with and without SymmetricMemo (whose vector order may differ, so there
-// only the verdicts and DecidedBy are compared).
+// return exactly the results one worker returns on an identically warmed
+// analyzer.
 func TestAnalyzeAllProvenancePartlyWarm(t *testing.T) {
 	cands := suiteCandidates(t, true)
-	for _, sym := range []bool{false, true} {
-		opts := core.Options{
-			Memoize: true, ImprovedMemo: true, SymmetricMemo: sym,
-			DirectionVectors: true, PruneUnused: true, PruneDistance: true,
-		}
-		var saved bytes.Buffer
-		src := core.New(opts)
-		for i := 2; i < len(cands); i += 5 {
-			if _, err := src.AnalyzeCandidate(cands[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := src.SaveMemo(&saved); err != nil {
+	opts := core.Options{
+		Memoize: true, ImprovedMemo: true,
+		DirectionVectors: true, PruneUnused: true, PruneDistance: true,
+	}
+	var saved bytes.Buffer
+	src := core.New(opts)
+	for i := 2; i < len(cands); i += 5 {
+		if _, err := src.AnalyzeCandidate(cands[i]); err != nil {
 			t.Fatal(err)
 		}
-		warm := func(workers int) *core.Analyzer {
-			a := core.New(opts)
-			if err := a.LoadMemo(bytes.NewReader(saved.Bytes())); err != nil {
-				t.Fatal(err)
-			}
-			var earlier []refs.Candidate
-			for i := 0; i < len(cands); i += 3 {
-				earlier = append(earlier, cands[i])
-			}
-			if _, err := a.AnalyzeAll(earlier, workers); err != nil {
-				t.Fatal(err)
-			}
-			for i := 1; i < len(cands); i += 7 {
-				if _, err := a.AnalyzeCandidate(cands[i]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			return a
+	}
+	if err := src.SaveMemo(&saved); err != nil {
+		t.Fatal(err)
+	}
+	warm := func(workers int) *core.Analyzer {
+		a := core.New(opts)
+		if err := a.LoadMemo(bytes.NewReader(saved.Bytes())); err != nil {
+			t.Fatal(err)
 		}
-		want, err := warm(1).AnalyzeAll(cands, 1)
+		var earlier []refs.Candidate
+		for i := 0; i < len(cands); i += 3 {
+			earlier = append(earlier, cands[i])
+		}
+		if _, err := a.AnalyzeAll(earlier, workers); err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i < len(cands); i += 7 {
+			if _, err := a.AnalyzeCandidate(cands[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return a
+	}
+	want, err := warm(1).AnalyzeAll(cands, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fresh, cache int
+	for _, r := range want {
+		switch r.DecidedBy {
+		case core.ByCache:
+			cache++
+		case core.ByTest, core.ByDirections:
+			fresh++
+		}
+	}
+	if fresh == 0 || cache == 0 {
+		t.Fatalf("premise: partly warm run decided %d fresh and %d from cache", fresh, cache)
+	}
+	for _, workers := range []int{2, 4} {
+		got, err := warm(workers).AnalyzeAll(cands, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var fresh, cache int
-		for _, r := range want {
-			switch r.DecidedBy {
-			case core.ByCache:
-				cache++
-			case core.ByTest, core.ByDirections:
-				fresh++
-			}
-		}
-		if fresh == 0 || cache == 0 {
-			t.Fatalf("premise: partly warm run decided %d fresh and %d from cache", fresh, cache)
-		}
-		for _, workers := range []int{2, 4} {
-			got, err := warm(workers).AnalyzeAll(cands, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range got {
-				if got[i].DecidedBy != want[i].DecidedBy || got[i].Outcome != want[i].Outcome ||
-					(!sym && !reflect.DeepEqual(got[i], want[i])) {
-					t.Fatalf("symmetric=%v workers=%d: result %d differs:\n got %+v\nwant %+v",
-						sym, workers, i, got[i], want[i])
-				}
+		for i := range got {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("workers=%d: result %d differs:\n got %+v\nwant %+v", workers, i, got[i], want[i])
 			}
 		}
 	}

@@ -160,7 +160,7 @@ func TestDifferentialEndToEnd(t *testing.T) {
 		{DirectionVectors: true},
 		{DirectionVectors: true, PruneUnused: true, PruneDistance: true},
 		{Memoize: true, ImprovedMemo: true, DirectionVectors: true, PruneUnused: true, PruneDistance: true},
-		{Memoize: true, ImprovedMemo: true, SymmetricMemo: true, DirectionVectors: true, PruneUnused: true, PruneDistance: true},
+		{Memoize: true, ImprovedMemo: true, DirectionVectors: true, PruneUnused: true, PruneDistance: true, Cascade: "fm-only"},
 		{DirectionVectors: true, PruneUnused: true, PruneDistance: true, Separable: true},
 	}
 	analyzers := make([]*Analyzer, len(configs))

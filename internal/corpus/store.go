@@ -33,8 +33,7 @@ import (
 //
 // A store is bound to an options signature (Signature): the subset of
 // core.Options that can change result bytes — direction vectors, pruning,
-// separability, cascade configuration, symmetric-memo vector ordering, and
-// the count-budget class. Loading a snapshot saved under a different
+// separability, cascade configuration, and the count-budget class. Loading a snapshot saved under a different
 // signature fails, exactly as LoadMemo rejects a key-scheme mismatch. A
 // driver whose budget class differs from the store's may still use it
 // under the cross-class rule (see Driver.SetStore).
@@ -129,9 +128,8 @@ func signatureOf(opts core.Options) signature {
 	}
 	cl := opts.Budget.Class()
 	return signature{
-		surface: fmt.Sprintf("v=%t pu=%t pd=%t sep=%t sym=%t cascade=%s",
-			opts.DirectionVectors, opts.PruneUnused, opts.PruneDistance, opts.Separable,
-			opts.SymmetricMemo, cascade),
+		surface: fmt.Sprintf("v=%t pu=%t pd=%t sep=%t cascade=%s",
+			opts.DirectionVectors, opts.PruneUnused, opts.PruneDistance, opts.Separable, cascade),
 		budget: fmt.Sprintf("budget=%d/%d/%d", cl.FMEliminations, cl.BranchNodes, cl.Constraints),
 	}
 }
@@ -141,8 +139,8 @@ func (g signature) String() string { return g.surface + " " + g.budget }
 // Signature digests the options fields that can change result bytes. Two
 // configurations with equal signatures produce byte-identical verdicts,
 // vectors and distances for every unit, so they may share a store.
-// Memoization layout, worker counts, timing, and clock limits (whose trips
-// are never stored) are excluded.
+// Memoization layout (Memoize, ImprovedMemo), worker counts, timing, and
+// clock limits (whose trips are never stored) are excluded.
 func Signature(opts core.Options) string { return signatureOf(opts).String() }
 
 // Signature returns the signature the store is bound to.

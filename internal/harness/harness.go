@@ -343,16 +343,9 @@ func (h *Harness) SharedTable() error {
 			return err
 		}
 	}
-	symmetric := core.New(core.Options{Memoize: true, ImprovedMemo: true, SymmetricMemo: true})
-	for _, s := range workload.Programs() {
-		if err := workload.AnalyzeInto(symmetric, s, false); err != nil {
-			return err
-		}
-	}
 	fmt.Fprintln(h.w, "Standard table across compilations (paper §5's suggestion)")
 	fmt.Fprintf(h.w, "tests with per-program tables:            %d\n", perProgram)
 	fmt.Fprintf(h.w, "tests with one shared table:              %d\n", shared.Stats.TotalTests())
-	fmt.Fprintf(h.w, "tests with shared + symmetric matching:   %d\n", symmetric.Stats.TotalTests())
 	fmt.Fprintln(h.w)
 	return nil
 }

@@ -172,21 +172,18 @@ func TestSharedTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	var per, shared, sym int
+	var per, shared int
 	if _, err := fmt.Sscanf(grab(t, out, "per-program tables:"), "%d", &per); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := fmt.Sscanf(grab(t, out, "one shared table:"), "%d", &shared); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fmt.Sscanf(grab(t, out, "symmetric matching:"), "%d", &sym); err != nil {
-		t.Fatal(err)
-	}
 	if per != 332 {
 		t.Fatalf("per-program total = %d, want 332", per)
 	}
-	if shared >= per || sym >= shared {
-		t.Fatalf("sharing must strictly help: %d > %d > %d expected", per, shared, sym)
+	if shared >= per {
+		t.Fatalf("sharing must strictly help: %d > %d expected", per, shared)
 	}
 }
 

@@ -1,6 +1,7 @@
 package memo
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -49,11 +50,11 @@ func TestMemoHitZeroAllocs(t *testing.T) {
 	canon := map[string]int{}
 	for i, p := range probs {
 		k := e.EncodeFull(p, true)
-		if j, ok := canon[k.Bytes()]; ok {
+		if j, ok := canon[fmt.Sprint(k)]; ok {
 			want[i] = j
 			continue
 		}
-		canon[k.Bytes()] = i
+		canon[fmt.Sprint(k)] = i
 		want[i] = i
 		tbl.Insert(k.Clone(), i)
 	}

@@ -4,6 +4,7 @@
 package memo_test
 
 import (
+	"fmt"
 	"testing"
 
 	"exactdep/internal/memo"
@@ -33,7 +34,7 @@ func suiteKeys(t *testing.T) []memo.Key {
 				t.Fatal(err)
 			}
 			k := e.EncodeFull(prob, true)
-			if s := k.Bytes(); !seen[s] {
+			if s := fmt.Sprint(k); !seen[s] {
 				seen[s] = true
 				keys = append(keys, k.Clone())
 			}

@@ -4,10 +4,9 @@ import "exactdep/internal/system"
 
 // Encoder canonicalizes dependence problems into Keys using reusable
 // scratch buffers, so the steady-state memo path — encode, look up, hit —
-// allocates nothing per candidate. The one-shot package functions EncodeEq
-// and EncodeFull build the same keys through a throwaway Encoder; the
-// analyzer gives each worker a persistent one instead, exactly as the
-// cascade gives each worker a dtest.Scratch.
+// allocates nothing per candidate. The analyzer gives each worker a
+// persistent one, exactly as the cascade gives each worker a
+// dtest.Scratch.
 //
 // The flat index tables replace the maps and the per-call sort of the
 // original encoding: variable positions index a []int keyed by the
@@ -197,20 +196,6 @@ func (e *Encoder) keptVars(p *system.Problem, improved, withBounds bool) []int {
 		}
 	}
 	return e.vars
-}
-
-// EncodeEq encodes the without-bounds key through a throwaway Encoder.
-// Serial convenience; hot paths hold a per-worker Encoder instead.
-func EncodeEq(p *system.Problem, improved bool) Key {
-	var e Encoder
-	return e.EncodeEq(p, improved)
-}
-
-// EncodeFull encodes the with-bounds key through a throwaway Encoder.
-// Serial convenience; hot paths hold a per-worker Encoder instead.
-func EncodeFull(p *system.Problem, improved bool) Key {
-	var e Encoder
-	return e.EncodeFull(p, improved)
 }
 
 func resizeInts(s []int, n int) []int {

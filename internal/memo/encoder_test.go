@@ -27,20 +27,20 @@ func encoderProblems(t testing.TB) []*system.Problem {
 	}
 }
 
-// TestEncoderMatchesOneShot pins the scratch-backed encoder to the one-shot
-// package functions: same problems, same keys, for both schemes — including
-// when one Encoder is reused across all problems in sequence (buffer reuse
-// must not leak state between encodes).
+// TestEncoderMatchesOneShot pins a reused encoder to a one-shot one (a
+// fresh Encoder per problem): same problems, same keys, for both schemes —
+// one Encoder reused across all problems in sequence must not leak state
+// between encodes through its buffers.
 func TestEncoderMatchesOneShot(t *testing.T) {
 	probs := encoderProblems(t)
 	var e Encoder
 	for _, improved := range []bool{false, true} {
 		for round := 0; round < 2; round++ { // reused buffers on round 2
 			for pi, p := range probs {
-				if got, want := e.EncodeFull(p, improved), EncodeFull(p, improved); !got.equal(want) {
+				if got, want := e.EncodeFull(p, improved), encodeFull(p, improved); !got.equal(want) {
 					t.Errorf("problem %d improved=%v round %d: full key %v, want %v", pi, improved, round, got, want)
 				}
-				if got, want := e.EncodeEq(p, improved), EncodeEq(p, improved); !got.equal(want) {
+				if got, want := e.EncodeEq(p, improved), encodeEq(p, improved); !got.equal(want) {
 					t.Errorf("problem %d improved=%v round %d: eq key %v, want %v", pi, improved, round, got, want)
 				}
 			}
@@ -73,7 +73,7 @@ func TestEncoderCloneOutlivesScratch(t *testing.T) {
 	probs := encoderProblems(t)
 	var e Encoder
 	k := e.EncodeFull(probs[0], true).Clone()
-	want := EncodeFull(probs[0], true)
+	want := encodeFull(probs[0], true)
 	for _, p := range probs {
 		e.EncodeFull(p, true)
 	}

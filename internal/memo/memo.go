@@ -42,25 +42,11 @@
 //     time (see inflight.go).
 package memo
 
-import "encoding/binary"
-
 // Key is a canonical integer encoding of a dependence problem. Keys
 // produced by an Encoder alias its scratch buffers and are valid only until
 // the encoder's next call; Clone them before storing (ShardedTable retains
 // the Key it is given).
 type Key []int64
-
-// Bytes renders the key as a compact string usable as a Go map key: eight
-// little-endian bytes per element, so keys of different lengths can never
-// collide. The concurrent driver uses this to replay cache provenance
-// deterministically.
-func (k Key) Bytes() string {
-	b := make([]byte, 8*len(k))
-	for i, v := range k {
-		binary.LittleEndian.PutUint64(b[8*i:], uint64(v))
-	}
-	return string(b)
-}
 
 // Clone returns a copy of k with its own backing array, safe to retain
 // after the encoder that produced k reuses its buffers.

@@ -24,6 +24,18 @@ func buildPair(t testing.TB, loops []ir.Loop, subA, subB ir.Expr) *system.Proble
 	return p
 }
 
+// encodeFull and encodeEq encode through a throwaway Encoder, so the key
+// they return owns its buffer and survives any later encode.
+func encodeFull(p *system.Problem, improved bool) Key {
+	var e Encoder
+	return e.EncodeFull(p, improved)
+}
+
+func encodeEq(p *system.Problem, improved bool) Key {
+	var e Encoder
+	return e.EncodeEq(p, improved)
+}
+
 func loop(idx string, lo, hi int64) ir.Loop {
 	return ir.Loop{Index: idx, Lower: ir.NewConst(lo), Upper: ir.NewConst(hi)}
 }
@@ -32,10 +44,10 @@ func TestEncodeDeterministic(t *testing.T) {
 	p1 := buildPair(t, []ir.Loop{loop("i", 1, 10)}, ir.NewVar("i").AddConst(10), ir.NewVar("i"))
 	p2 := buildPair(t, []ir.Loop{loop("i", 1, 10)}, ir.NewVar("i").AddConst(10), ir.NewVar("i"))
 	for _, improved := range []bool{false, true} {
-		if !EncodeFull(p1, improved).equal(EncodeFull(p2, improved)) {
+		if !encodeFull(p1, improved).equal(encodeFull(p2, improved)) {
 			t.Errorf("identical problems must share a full key (improved=%v)", improved)
 		}
-		if !EncodeEq(p1, improved).equal(EncodeEq(p2, improved)) {
+		if !encodeEq(p1, improved).equal(encodeEq(p2, improved)) {
 			t.Errorf("identical problems must share an eq key (improved=%v)", improved)
 		}
 	}
@@ -45,14 +57,14 @@ func TestEncodeDistinguishes(t *testing.T) {
 	base := buildPair(t, []ir.Loop{loop("i", 1, 10)}, ir.NewVar("i").AddConst(10), ir.NewVar("i"))
 	differentOffset := buildPair(t, []ir.Loop{loop("i", 1, 10)}, ir.NewVar("i").AddConst(9), ir.NewVar("i"))
 	differentBounds := buildPair(t, []ir.Loop{loop("i", 1, 20)}, ir.NewVar("i").AddConst(10), ir.NewVar("i"))
-	if EncodeFull(base, false).equal(EncodeFull(differentOffset, false)) {
+	if encodeFull(base, false).equal(encodeFull(differentOffset, false)) {
 		t.Error("different offsets must not collide")
 	}
-	if EncodeFull(base, false).equal(EncodeFull(differentBounds, false)) {
+	if encodeFull(base, false).equal(encodeFull(differentBounds, false)) {
 		t.Error("different bounds must not collide in the full key")
 	}
 	// ...but must collide in the equation-only key
-	if !EncodeEq(base, false).equal(EncodeEq(differentBounds, false)) {
+	if !encodeEq(base, false).equal(encodeEq(differentBounds, false)) {
 		t.Error("eq key must ignore bounds")
 	}
 }
@@ -68,10 +80,10 @@ func TestImprovedCollapsesUnusedLoops(t *testing.T) {
 	pc := buildPair(t, []ir.Loop{loop("i", 1, 10)},
 		ir.NewVar("i").AddConst(10), ir.NewVar("i"))
 
-	if EncodeFull(pa, false).equal(EncodeFull(pb, false)) {
+	if encodeFull(pa, false).equal(encodeFull(pb, false)) {
 		t.Error("simple scheme must distinguish i-based from j-based subscripts")
 	}
-	ka, kb, kc := EncodeFull(pa, true), EncodeFull(pb, true), EncodeFull(pc, true)
+	ka, kb, kc := encodeFull(pa, true), encodeFull(pb, true), encodeFull(pc, true)
 	if !ka.equal(kb) {
 		t.Errorf("improved scheme must merge (a) and (b):\n%v\n%v", ka, kb)
 	}
@@ -89,7 +101,7 @@ func TestImprovedKeepsTransitivelyUsedVars(t *testing.T) {
 	}
 	p := buildPair(t, loops, ir.NewVar("j"), ir.NewVar("j").AddConst(-1))
 	flat := buildPair(t, []ir.Loop{loop("j", 1, 10)}, ir.NewVar("j"), ir.NewVar("j").AddConst(-1))
-	if EncodeFull(p, true).equal(EncodeFull(flat, true)) {
+	if encodeFull(p, true).equal(encodeFull(flat, true)) {
 		t.Error("triangular bound variable must not be eliminated")
 	}
 }
@@ -98,7 +110,7 @@ func TestNameBlindEncoding(t *testing.T) {
 	// Same structure under different index names must share keys.
 	p1 := buildPair(t, []ir.Loop{loop("i", 1, 10)}, ir.NewVar("i").AddConst(3), ir.NewVar("i"))
 	p2 := buildPair(t, []ir.Loop{loop("k", 1, 10)}, ir.NewVar("k").AddConst(3), ir.NewVar("k"))
-	if !EncodeFull(p1, false).equal(EncodeFull(p2, false)) {
+	if !encodeFull(p1, false).equal(encodeFull(p2, false)) {
 		t.Error("encoding must be name-blind")
 	}
 }

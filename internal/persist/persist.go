@@ -49,8 +49,10 @@ const FormatVersion = 2
 // the overflows at math.MinInt64 it used to wrap (MulChecked(MinInt64, -1),
 // differences negating MinInt64), and the direction walk keeps a direction
 // whose constraint overflows, so a verdict near the int64 limits may
-// differ.
-const SemanticsVersion = 3
+// differ. Version 4: a pair whose subscript constants or coefficients sum
+// past int64 while its problem is built is Unknown, not solved with the
+// wrapped value.
+const SemanticsVersion = 4
 
 // ErrStale marks a file written under an older format or semantics
 // version: a cache its owner may drop and rebuild, not a corrupt file.

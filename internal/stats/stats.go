@@ -45,7 +45,8 @@ type Counters struct {
 
 	// Memoization. FullLookups/FullHits are the candidate-level totals for
 	// the with-bounds cache: one lookup per non-constant pair under
-	// Memoize, and FullHits includes the InflightAdopts below.
+	// Memoize whose problem builds without int64 overflow, and FullHits
+	// includes the InflightAdopts below.
 	FullLookups, FullHits int // with-bounds table
 	EqLookups, EqHits     int // without-bounds (GCD) table
 	// L1Lookups/L1Hits metered a per-worker cache in front of the

@@ -55,7 +55,8 @@ func (b *Builder) findVar(name string) int {
 // Build constructs the dependence problem for a candidate pair into the
 // Builder's scratch. Semantics (variable order, equalities, bounds,
 // validation, error cases) match the package-level Build; only the storage
-// discipline differs.
+// discipline differs, and an equality coefficient or right-hand side past
+// int64 returns linalg.ErrOverflow instead of a wrapped value.
 func (b *Builder) Build(p ir.Pair) (*Problem, error) {
 	ra, rb := p.A.Ref, p.B.Ref
 	if ra.Array != rb.Array {
@@ -119,7 +120,11 @@ func (b *Builder) Build(p ir.Pair) (*Problem, error) {
 			if i < 0 {
 				return nil, fmt.Errorf("system: subscript uses unknown variable %q", t.Var)
 			}
-			prob.Eq.Set(i, d, prob.Eq.At(i, d)+t.Coeff)
+			c, err := linalg.AddChecked(prob.Eq.At(i, d), t.Coeff)
+			if err != nil {
+				return nil, err
+			}
+			prob.Eq.Set(i, d, c)
 		}
 		for _, t := range subB.Terms {
 			i := -1
@@ -135,9 +140,17 @@ func (b *Builder) Build(p ir.Pair) (*Problem, error) {
 			if i < 0 {
 				return nil, fmt.Errorf("system: subscript uses unknown variable %q", t.Var)
 			}
-			prob.Eq.Set(i, d, prob.Eq.At(i, d)-t.Coeff)
+			c, err := linalg.SubChecked(prob.Eq.At(i, d), t.Coeff)
+			if err != nil {
+				return nil, err
+			}
+			prob.Eq.Set(i, d, c)
 		}
-		prob.RHS[d] = subB.Const - subA.Const
+		rhs, err := linalg.SubChecked(subB.Const, subA.Const)
+		if err != nil {
+			return nil, err
+		}
+		prob.RHS[d] = rhs
 	}
 
 	// Bounds: A-side bounds over unprimed outer indices and symbols; B-side

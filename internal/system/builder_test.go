@@ -1,11 +1,14 @@
 package system
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
 	"exactdep/internal/ir"
+	"exactdep/internal/linalg"
 )
 
 // builderPairs assembles a varied population of pairs: every shape the
@@ -103,6 +106,35 @@ func TestBuilderMatchesBuild(t *testing.T) {
 			if wts != nil && fmt.Sprintf("%+v", wts) != fmt.Sprintf("%+v", gts) {
 				t.Fatalf("round %d pair %d: t-systems differ", round, pi)
 			}
+		}
+	}
+}
+
+// TestBuilderOverflow: a right-hand side or an equality coefficient past
+// int64 is linalg.ErrOverflow, not a wrapped value. In the first case,
+// a[i - MaxInt64] vs a[i + MaxInt64], the true difference is 2^64 - 2;
+// wrapped, it reads -2, which SVPC would solve exactly.
+func TestBuilderOverflow(t *testing.T) {
+	mk := func(subA, subB ir.Expr, symbols ...string) ir.Pair {
+		loops := []ir.Loop{{Index: "i", Lower: ir.NewConst(1), Upper: ir.NewConst(10)}}
+		nest := &ir.Nest{Label: "t", Loops: loops, Symbols: symbols}
+		a := ir.Ref{Array: "a", Subscripts: []ir.Expr{subA}, Kind: ir.Write, Depth: 1}
+		b := ir.Ref{Array: "a", Subscripts: []ir.Expr{subB}, Kind: ir.Read, Depth: 1}
+		nest.Refs = []ir.Ref{a, b}
+		return nest.Pair(a, b)
+	}
+	i := ir.NewVar("i")
+	for _, c := range []struct {
+		name string
+		pair ir.Pair
+	}{
+		{"constant", mk(i.AddConst(-math.MaxInt64), i.AddConst(math.MaxInt64))},
+		{"coefficient above", mk(i.Add(ir.NewTerm("n", math.MaxInt64)), i.Add(ir.NewTerm("n", -1)), "n")},
+		{"coefficient below", mk(i.Add(ir.NewTerm("n", math.MinInt64)), i.Add(ir.NewTerm("n", 1)), "n")},
+	} {
+		var bld Builder
+		if _, err := bld.Build(c.pair); !errors.Is(err, linalg.ErrOverflow) {
+			t.Errorf("%s: Build error %v, want linalg.ErrOverflow", c.name, err)
 		}
 	}
 }

@@ -284,10 +284,10 @@ func svpcPattern(g *gen, v int, indep bool) {
 	}
 	if v%5 == 2 && !indep && v > 0 {
 		// mirrored orientation (anti-dependence flavour): the exact mirror
-		// of variant v-1 — a distinct case to the plain memo schemes, but
-		// the same case under the symmetric-matching extension, as in real
-		// programs where a kernel both reads ahead and writes behind the
-		// same stencil.
+		// of variant v-1, a distinct canonical problem to the memo tables
+		// (the paper's §5 symmetric matching would merge the two), as in
+		// real programs where a kernel both reads ahead and writes behind
+		// the same stencil.
 		mn := 100 + 2*(v-1) + g.salt
 		mk := 1 + (v-1+g.salt)%9
 		g.wrap(g.used, func(ind, pA, pB string) {
