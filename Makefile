@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt loc race check allocgate fuzz-smoke benchmark-selftest bench bench-smoke bench-json benchcmp benchcmp-gate serve-smoke
+.PHONY: build test vet fmt loc race check allocgate fuzz-smoke benchmark-selftest bench bench-smoke bench-json benchcmp benchcmp-gate benchab benchab-gate serve-smoke
 
 build:
 	$(GO) build ./...
@@ -170,3 +170,22 @@ benchcmp-gate:
 	$(GO) run ./cmd/benchcmp -gate corpus_pipeline_warm_dir_workers_1 -tolerance 15 $(BASELINE) .bench_gate.json
 	$(GO) run ./cmd/benchcmp -gate serve_batch_warm_workers_1 -tolerance 15 $(BASELINE) .bench_gate.json
 	@rm -f .bench_gate.json
+
+# BENCHAB lists the benchmarks make benchab compares: the gated four, the
+# problem build plus Extended GCD, and the LargeCorpus direction-vector run
+# at every worker count.
+BENCHAB := $(GATED) Build AnalyzeAllLargeCorpus/dirvec
+
+# benchab measures the working tree against BASE (default: the merge-base
+# with main, or HEAD~1 on main) in five alternating rounds, both sides'
+# test binaries built once from a git worktree under .bench_build/ab, and
+# prints both sides' medians and the median of the per-round change/base
+# ratios (scripts/benchab.sh). HOGS=2 runs it next to two busy loops.
+benchab:
+	BASE="$(BASE)" HOGS="$(HOGS)" bash scripts/benchab.sh $(BENCHAB)
+
+# benchab-gate is benchab failing when a GATED benchmark's median ratio is
+# above 1.15. PERFGATE stays on benchcmp-gate until this gate has met
+# ROADMAP's acceptance.
+benchab-gate:
+	BASE="$(BASE)" HOGS="$(HOGS)" bash scripts/benchab.sh -gate $(GATED) -- $(BENCHAB)

@@ -271,8 +271,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			cs := driver.Stats
 			fmt.Fprintf(stdout, "corpus: %d units (%d reused, %d solved), %d pairs served, %d pairs solved\n",
 				cs.Units, cs.UnitsReused, cs.UnitsSolved, cs.PairsServed, cs.PairsSolved)
-			fmt.Fprintf(stdout, "pipeline: load %s  fingerprint %s  probe %s  solve %s  emit %s  wall %s\n",
-				cs.Stage.Load, cs.Stage.Fingerprint, cs.Stage.Probe, cs.Stage.Solve, cs.Stage.Emit, cs.Stage.Wall)
+			fmt.Fprintf(stdout, "pipeline: load %s  fingerprint %s  probe %s  solve %s  emit %s  wait %s  wall %s\n",
+				cs.Stage.Load, cs.Stage.Fingerprint, cs.Stage.Probe, cs.Stage.Solve, cs.Stage.Emit, cs.Stage.Wait, cs.Stage.Wall)
 		}
 		s := analyzer.Stats
 		fmt.Fprintf(stdout, "pairs: %d  constant: %d  gcd-independent: %d  tests: %d\n",

@@ -17,12 +17,16 @@ import (
 // SimpleGCD runs the per-dimension GCD test: dimension d is feasible only if
 // gcd of its coefficients divides the constant. It reports false when some
 // dimension proves the pair independent, true otherwise ("assume
-// dependent").
+// dependent", also for a gcd past int64).
 func SimpleGCD(p *system.Problem) bool {
+	col := make([]int64, len(p.Vars))
 	for d := 0; d < p.Eq.Cols; d++ {
-		var g int64
 		for k := range p.Vars {
-			g = linalg.GCD(g, p.Eq.At(k, d))
+			col[k] = p.Eq.At(k, d)
+		}
+		g, err := linalg.GCDAll(col)
+		if err != nil {
+			continue
 		}
 		if g == 0 {
 			if p.RHS[d] != 0 {
@@ -86,11 +90,11 @@ func (iv interval) contains(v int64) bool {
 // them).
 func constBounds(p *system.Problem, k int) interval {
 	iv := interval{noLo: true, noHi: true}
-	if p.Lower[k].Has && p.Lower[k].Expr.IsConst() {
-		iv.noLo, iv.lo = false, p.Lower[k].Expr.Const
+	if p.Lower[k].Has && p.Lower[k].Coef == nil {
+		iv.noLo, iv.lo = false, p.Lower[k].Const
 	}
-	if p.Upper[k].Has && p.Upper[k].Expr.IsConst() {
-		iv.noHi, iv.hi = false, p.Upper[k].Expr.Const
+	if p.Upper[k].Has && p.Upper[k].Coef == nil {
+		iv.noHi, iv.hi = false, p.Upper[k].Const
 	}
 	return iv
 }

@@ -168,10 +168,11 @@ func verdictOf(r *Result) verdict {
 		Kind: uint8(r.Kind), Trip: uint8(r.Trip)}
 }
 
-// result returns the verdict as a Result without pair, vectors or distances.
-func (v verdict) result() Result {
-	return Result{Outcome: dtest.Outcome(v.Outcome), Exact: v.Exact, DecidedBy: DecidedBy(v.DecidedBy),
-		Kind: dtest.Kind(v.Kind), Trip: dtest.TripReason(v.Trip)}
+// into writes the verdict's fields into r, leaving its pair, vectors and
+// distances alone.
+func (v verdict) into(r *Result) {
+	r.Outcome, r.Exact, r.DecidedBy = dtest.Outcome(v.Outcome), v.Exact, DecidedBy(v.DecidedBy)
+	r.Kind, r.Trip = dtest.Kind(v.Kind), dtest.TripReason(v.Trip)
 }
 
 // cached is the memoized value for a full problem key. It keeps the
@@ -240,20 +241,25 @@ func project(res *Result, used []int) cached {
 	}
 	for _, d := range res.Distances {
 		if i := slices.Index(used, d.Level); i >= 0 {
+			if c.projDistances == nil {
+				c.projDistances = make([]depvec.Distance, 0, len(res.Distances))
+			}
 			c.projDistances = append(c.projDistances, depvec.Distance{Level: i, Value: d.Value})
 		}
 	}
 	return c
 }
 
-// expand rebuilds vectors/distances for the requesting pair's levels. The
-// vectors are carved from one slab, each capped at its own length.
-func (a *Analyzer) expand(c *cached, prob *system.Problem) Result {
-	res := c.res.result()
+// expand writes the cached verdict into res and rebuilds its
+// vectors/distances for the requesting pair's levels. The vectors are
+// carved from one slab, each capped at its own length; res's vectors and
+// distances must be empty.
+func (a *Analyzer) expand(c *cached, prob *system.Problem, res *Result) {
+	c.res.into(res)
 	if len(c.projVectors) == 0 && len(c.projDistances) == 0 {
 		// Nothing to re-expand; skip computing used levels so a vector-free
 		// memo hit stays allocation-free.
-		return res
+		return
 	}
 	used := a.usedLevels(prob)
 	if len(c.projVectors) > 0 {
@@ -275,10 +281,12 @@ func (a *Analyzer) expand(c *cached, prob *system.Problem) Result {
 	}
 	for _, d := range c.projDistances {
 		if d.Level < len(used) {
+			if res.Distances == nil {
+				res.Distances = make([]depvec.Distance, 0, len(c.projDistances))
+			}
 			res.Distances = append(res.Distances, depvec.Distance{Level: used[d.Level], Value: d.Value})
 		}
 	}
-	return res
 }
 
 // Analyzer runs the full pipeline and accumulates statistics.
@@ -490,7 +498,9 @@ func (a *Analyzer) AnalyzePair(p ir.Pair) (Result, error) {
 
 // AnalyzeCandidate analyzes one pre-classified candidate.
 func (a *Analyzer) AnalyzeCandidate(c refs.Candidate) (Result, error) {
-	return a.analyzeCandidate(c, nil)
+	var r Result
+	err := a.analyzeCandidate(&c, &r, nil)
+	return r, err
 }
 
 // provenance records where a result's verdict came from in scheduling-
@@ -514,19 +524,22 @@ type provenance struct {
 	cacheable bool
 }
 
-// analyzeCandidate analyzes one pre-classified candidate, optionally
-// recording provenance for the concurrent driver.
-func (a *Analyzer) analyzeCandidate(c refs.Candidate, prov *provenance) (Result, error) {
+// analyzeCandidate analyzes one pre-classified candidate into out, which
+// must be the zero Result, optionally recording provenance for the
+// concurrent driver. The candidate and the result stay where the caller
+// keeps them: nothing on the way copies either whole.
+func (a *Analyzer) analyzeCandidate(c *refs.Candidate, out *Result, prov *provenance) error {
 	if a.cfgErr != nil {
-		return Result{}, a.cfgErr
+		return a.cfgErr
 	}
 	a.Stats.Pairs++
-	p := c.Pair
+	p := &c.Pair
 	switch c.Class {
 	case refs.ConstEqual:
 		a.Stats.Constant++
 		a.Stats.Dependent++
-		res := Result{Pair: p, Outcome: dtest.Dependent, Exact: true, DecidedBy: ByConstant}
+		out.Pair = *p
+		out.Outcome, out.Exact, out.DecidedBy = dtest.Dependent, true, ByConstant
 		if a.opts.DirectionVectors {
 			// A constant-subscript conflict recurs in every iteration pair:
 			// the dependence holds under every direction (the empty vector
@@ -535,27 +548,31 @@ func (a *Analyzer) analyzeCandidate(c refs.Candidate, prov *provenance) (Result,
 			for i := range all {
 				all[i] = depvec.Any
 			}
-			res.Vectors = []depvec.Vector{all}
+			out.Vectors = []depvec.Vector{all}
 			a.Stats.Vectors++
 		}
-		return res, nil
+		return nil
 	case refs.ConstDiffer:
 		a.Stats.Constant++
 		a.Stats.Independent++
-		return Result{Pair: p, Outcome: dtest.Independent, Exact: true, DecidedBy: ByConstant}, nil
+		out.Pair = *p
+		out.Outcome, out.Exact, out.DecidedBy = dtest.Independent, true, ByConstant
+		return nil
 	}
 
 	prob, err := a.pb.Build(p)
 	if err != nil {
 		if !errors.Is(err, linalg.ErrOverflow) {
-			return Result{}, err
+			return err
 		}
 		// A subscript constant or coefficient past int64: the same sound
 		// inexact verdict as an overflow in the Extended GCD step. With no
 		// problem there is no key, so the verdict is not memoized and every
 		// occurrence, at every worker count, reports ByTest.
 		a.tallyVerdict(dtest.Unknown)
-		return Result{Pair: p, Outcome: dtest.Unknown, DecidedBy: ByTest}, nil
+		out.Pair = *p
+		out.Outcome, out.DecidedBy = dtest.Unknown, ByTest
+		return nil
 	}
 
 	var fullKey memo.Key
@@ -569,7 +586,8 @@ func (a *Analyzer) analyzeCandidate(c refs.Candidate, prov *provenance) (Result,
 		fullKey = a.enc.EncodeFull(prob, a.opts.ImprovedMemo)
 		a.Stats.FullLookups++
 		if stored, hit, ok := a.full.LookupStored(fullKey); ok && hit.usable(a.budClass) {
-			return a.serveHit(prob, p, stored, hit, prov), nil
+			a.serveHit(prob, p, stored, &hit, prov, out)
+			return nil
 		}
 		if a.inflight != nil && !a.peekGCDIndependent(prob) {
 			// Every cache layer missed: claim the key so only one worker
@@ -590,15 +608,16 @@ func (a *Analyzer) analyzeCandidate(c refs.Candidate, prov *provenance) (Result,
 					if stored, hit, ok := a.full.LookupStored(fullKey); ok && hit.usable(a.budClass) {
 						a.inflight.Finish(f, stored, hit, true)
 						a.inflight.Forget(fullKey)
-						return a.serveHit(prob, p, stored, hit, prov), nil
+						a.serveHit(prob, p, stored, &hit, prov, out)
+						return nil
 					}
 					// The flight's own key copy becomes the table's key.
-					res, fin := a.solveAndCache(prob, p, fullKey, f.Key(), prov)
+					fin := a.solveAndCache(prob, p, fullKey, f.Key(), prov, out)
 					a.inflight.Finish(f, fin.key, fin.val, fin.ok)
 					if fin.ok {
 						a.inflight.Forget(fin.key)
 					}
-					return res, nil
+					return nil
 				}
 				a.Stats.InflightWaits++
 				ik, cv, ok := f.Wait()
@@ -609,13 +628,14 @@ func (a *Analyzer) analyzeCandidate(c refs.Candidate, prov *provenance) (Result,
 					break
 				}
 				a.Stats.InflightAdopts++
-				return a.serveHit(prob, p, ik, cv, prov), nil
+				a.serveHit(prob, p, ik, &cv, prov, out)
+				return nil
 			}
 		}
 	}
 
-	res, _ := a.solveAndCache(prob, p, fullKey, nil, prov)
-	return res, nil
+	a.solveAndCache(prob, p, fullKey, nil, prov, out)
+	return nil
 }
 
 // peekGCDIndependent reports whether the eq table already proves this
@@ -635,23 +655,22 @@ func (a *Analyzer) peekGCDIndependent(prob *system.Problem) bool {
 }
 
 // serveHit counts a full-table hit (a probe's, or one adopted off another
-// worker's flight), expands the cached entry for the requesting pair and
-// records provenance; sk is the entry's stable interned key. An entry from
-// before this run answers every occurrence of its problem, the first
-// included, as ByCache, so only this run's own entries leave a key for the
-// post-pass.
-func (a *Analyzer) serveHit(prob *system.Problem, p ir.Pair, sk memo.Key, hit cached, prov *provenance) Result {
+// worker's flight), expands the cached entry for the requesting pair into
+// out and records provenance; sk is the entry's stable interned key. An
+// entry from before this run answers every occurrence of its problem, the
+// first included, as ByCache, so only this run's own entries leave a key
+// for the post-pass.
+func (a *Analyzer) serveHit(prob *system.Problem, p *ir.Pair, sk memo.Key, hit *cached, prov *provenance, out *Result) {
 	a.Stats.FullHits++
 	if prov != nil && hit.stamp >= a.run {
 		prov.key = sk
 		prov.fresh = DecidedBy(hit.res.DecidedBy)
 		prov.cacheable = true
 	}
-	res := a.expand(&hit, prob)
-	res.Pair = p
-	res.DecidedBy = ByCache
-	a.tallyVerdict(res.Outcome)
-	return res
+	a.expand(hit, prob, out)
+	out.Pair = *p
+	out.DecidedBy = ByCache
+	a.tallyVerdict(out.Outcome)
 }
 
 // flightResult is what a solve publishes to in-flight waiters: the interned
@@ -664,10 +683,12 @@ type flightResult struct {
 }
 
 // solveAndCache runs the fresh analysis for a candidate that missed every
-// cache layer and stores the verdict. owned, when non-nil, is a stable copy
-// of fullKey (the in-flight leader's) to store instead of a fresh clone.
-func (a *Analyzer) solveAndCache(prob *system.Problem, p ir.Pair, fullKey, owned memo.Key, prov *provenance) (Result, flightResult) {
-	res := a.analyzeFresh(prob, p)
+// cache layer into res and stores the verdict. owned, when non-nil, is a
+// stable copy of fullKey (the in-flight leader's) to store instead of a
+// fresh clone.
+func (a *Analyzer) solveAndCache(prob *system.Problem, p *ir.Pair, fullKey, owned memo.Key, prov *provenance, res *Result) flightResult {
+	res.Pair = *p
+	a.analyzeFresh(prob, res)
 	if prov != nil {
 		prov.fresh = res.DecidedBy
 	}
@@ -684,10 +705,12 @@ func (a *Analyzer) solveAndCache(prob *system.Problem, p ir.Pair, fullKey, owned
 		if ck == nil {
 			ck = fullKey.Clone()
 		}
-		cv := project(&res, a.usedLevels(prob))
+		cv := project(res, a.usedLevels(prob))
 		cv.budgetClass = a.budClass
 		cv.stamp = a.run
-		a.full.Insert(ck, cv)
+		// Insert hands back the table's key, interned by an earlier insert
+		// of the same problem, so provenance records one instance per key.
+		ck = a.full.Insert(ck, cv)
 		if !a.shared {
 			a.Stats.UniqueFull = a.full.Len()
 		}
@@ -703,7 +726,7 @@ func (a *Analyzer) solveAndCache(prob *system.Problem, p ir.Pair, fullKey, owned
 		prov.key = fullKey.Clone()
 	}
 	a.tallyVerdict(res.Outcome)
-	return res, fin
+	return fin
 }
 
 // cacheableTrip reports whether a verdict with this trip reason may enter
@@ -713,8 +736,9 @@ func cacheableTrip(t dtest.TripReason) bool {
 	return t != dtest.TripDeadline && t != dtest.TripCancelled
 }
 
-// analyzeFresh runs GCD preprocessing and the tests on a cache miss.
-func (a *Analyzer) analyzeFresh(prob *system.Problem, p ir.Pair) Result {
+// analyzeFresh runs GCD preprocessing and the tests on a cache miss,
+// writing the verdict into out, whose vectors and distances must be empty.
+func (a *Analyzer) analyzeFresh(prob *system.Problem, out *Result) {
 	// GCD (without-bounds) memoization: the Extended GCD test ignores
 	// bounds, so its verdict is reusable across bound variations.
 	var eqKey memo.Key
@@ -732,13 +756,15 @@ func (a *Analyzer) analyzeFresh(prob *system.Problem, p ir.Pair) Result {
 	}
 	if gcdKnown && gcdRes == system.GCDIndependent {
 		a.Stats.GCDIndependent++
-		return Result{Pair: p, Outcome: dtest.Independent, Exact: true, DecidedBy: ByGCD}
+		out.Outcome, out.Exact, out.DecidedBy = dtest.Independent, true, ByGCD
+		return
 	}
 
 	res, ts, err := a.pp.Preprocess(prob)
 	if err != nil {
 		// Overflow in exact arithmetic: assume dependence, inexactly.
-		return Result{Pair: p, Outcome: dtest.Unknown, DecidedBy: ByTest}
+		out.Outcome, out.DecidedBy = dtest.Unknown, ByTest
+		return
 	}
 	if a.opts.Memoize && !gcdKnown {
 		a.eq.Insert(eqKey.Clone(), res)
@@ -748,7 +774,8 @@ func (a *Analyzer) analyzeFresh(prob *system.Problem, p ir.Pair) Result {
 	}
 	if res == system.GCDIndependent {
 		a.Stats.GCDIndependent++
-		return Result{Pair: p, Outcome: dtest.Independent, Exact: true, DecidedBy: ByGCD}
+		out.Outcome, out.Exact, out.DecidedBy = dtest.Independent, true, ByGCD
+		return
 	}
 
 	if !a.opts.DirectionVectors {
@@ -758,7 +785,8 @@ func (a *Analyzer) analyzeFresh(prob *system.Problem, p ir.Pair) Result {
 			a.Stats.BudgetTrips[int(r.Trip)]++
 		}
 		a.syncStageStats()
-		return Result{Pair: p, Outcome: r.Outcome, Exact: r.Exact, DecidedBy: ByTest, Kind: r.Kind, Trip: r.Trip}
+		out.Outcome, out.Exact, out.DecidedBy, out.Kind, out.Trip = r.Outcome, r.Exact, ByTest, r.Kind, r.Trip
+		return
 	}
 
 	// Direction-vector analysis: the first observed test is the base
@@ -794,14 +822,8 @@ func (a *Analyzer) analyzeFresh(prob *system.Problem, p ir.Pair) Result {
 	if sum.TrailMaxDepth > a.Stats.TrailMaxDepth {
 		a.Stats.TrailMaxDepth = sum.TrailMaxDepth
 	}
-	out := Result{
-		Pair:      p,
-		Exact:     sum.Exact,
-		Kind:      baseKind,
-		DecidedBy: ByTest,
-		Vectors:   sum.Vectors,
-		Distances: sum.Distances,
-	}
+	out.Exact, out.Kind, out.DecidedBy = sum.Exact, baseKind, ByTest
+	out.Vectors, out.Distances = sum.Vectors, sum.Distances
 	if sum.Dependent {
 		out.Outcome = dtest.Dependent
 		if !sum.Exact {
@@ -826,7 +848,6 @@ func (a *Analyzer) analyzeFresh(prob *system.Problem, p ir.Pair) Result {
 	}
 	a.Stats.Vectors += len(sum.Vectors)
 	a.syncStageStats()
-	return out
 }
 
 // tallyVerdict updates the verdict counters.

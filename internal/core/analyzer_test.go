@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"exactdep/internal/dtest"
@@ -390,6 +391,47 @@ end
 				if overflowed != 2 || a.Stats.Unknown != 2 {
 					t.Errorf("memo=%v vectors=%v workers=%d: %d overflowing pairs, %d Unknown, want 2 and 2",
 						memo, vec, workers, overflowed, a.Stats.Unknown)
+				}
+			}
+		}
+	}
+}
+
+// TestGCDStepOverflowIsUnknown: a subscript coefficient of MinInt64 reaches
+// the Extended GCD step, whose pivot search cannot take |MinInt64|. The
+// pair gets the verdict of any overflow there — Unknown, inexact, ByTest —
+// at one worker and two, with and without memoization and direction
+// vectors; a memoized second occurrence is served from the table. The
+// pivot search used to read |MinInt64| as MinInt64, pick it as the smallest
+// magnitude and loop forever on a zero quotient.
+func TestGCDStepOverflowIsUnknown(t *testing.T) {
+	i := ir.NewVar("i")
+	nest := &ir.Nest{Label: "t", Symbols: []string{"n"},
+		Loops: []ir.Loop{{Index: "i", Lower: ir.NewConst(1), Upper: ir.NewConst(10)}}}
+	ra := ir.Ref{Array: "a", Subscripts: []ir.Expr{i.Add(ir.NewTerm("n", math.MinInt64))}, Kind: ir.Write, Depth: 1}
+	rb := ir.Ref{Array: "a", Subscripts: []ir.Expr{i}, Kind: ir.Read, Depth: 1}
+	c := refs.Candidate{Pair: nest.Pair(ra, rb), Class: refs.Classify(ra, rb)}
+	cands := []refs.Candidate{c, c}
+	for _, memo := range []bool{false, true} {
+		for _, vec := range []bool{false, true} {
+			opts := Options{Memoize: memo, ImprovedMemo: memo,
+				DirectionVectors: vec, PruneUnused: vec, PruneDistance: vec}
+			for _, workers := range []int{1, 2} {
+				a := New(opts)
+				res, err := a.AnalyzeAll(cands, workers)
+				if err != nil {
+					t.Fatalf("memo=%v vectors=%v workers=%d: %v", memo, vec, workers, err)
+				}
+				for k, r := range res {
+					by := ByTest
+					if memo && k == 1 {
+						by = ByCache
+					}
+					if r.Outcome != dtest.Unknown || r.Exact || r.DecidedBy != by ||
+						len(r.Vectors) != 0 || len(r.Distances) != 0 {
+						t.Errorf("memo=%v vectors=%v workers=%d occurrence %d: %+v, want an inexact Unknown by %v",
+							memo, vec, workers, k, r, by)
+					}
 				}
 			}
 		}

@@ -174,8 +174,7 @@ func (a *Analyzer) AnalyzeAllContext(ctx context.Context, cands []refs.Candidate
 				if provs != nil {
 					prov = &provs[i]
 				}
-				r, err := wa.analyzeCandidate(cands[i], prov)
-				if err != nil {
+				if err := wa.analyzeCandidate(&cands[i], &out[i], prov); err != nil {
 					errMu.Lock()
 					// Keep the error of the earliest failing candidate so
 					// the reported failure does not depend on scheduling.
@@ -186,7 +185,6 @@ func (a *Analyzer) AnalyzeAllContext(ctx context.Context, cands []refs.Candidate
 					failed.Store(true)
 					return
 				}
-				out[i] = r
 				processed[i] = true
 			}
 		}
@@ -250,10 +248,10 @@ func (a *Analyzer) AnalyzeAllContext(ctx context.Context, cands []refs.Candidate
 		return out, nil
 	}
 	// The replay is keyed by identity (no strings, no allocation per pair):
-	// resolve each recorded key to the table's interned instance
-	// (occurrences of one canonical problem may have recorded distinct
-	// clones when racing workers both inserted it), then replay
-	// first-occurrence over instance identity.
+	// every cacheable key a worker recorded is the table's interned
+	// instance (a probe's, a flight's, or the one Insert handed back), so
+	// only the clones of non-cacheable verdicts are resolved against the
+	// table, then first-occurrence is replayed over instance identity.
 	if a.seenPtr == nil {
 		a.seenPtr = make(map[*int64]bool)
 	}
@@ -264,8 +262,10 @@ func (a *Analyzer) AnalyzeAllContext(ctx context.Context, cands []refs.Candidate
 			continue
 		}
 		id := &pv.key[0]
-		if sk, _, ok := a.full.LookupStored(pv.key); ok {
-			id = &sk[0]
+		if !pv.cacheable {
+			if sk, _, ok := a.full.LookupStored(pv.key); ok {
+				id = &sk[0]
+			}
 		}
 		if a.seenPtr[id] {
 			out[i].DecidedBy = ByCache

@@ -14,8 +14,8 @@ import (
 
 // StageTimes breaks one Run's cost into pipeline stages. Load, Fingerprint
 // and Probe are summed across front-end workers, so on a pipelined run they
-// are CPU time and may exceed Wall; Solve and Emit are wall time on the
-// solver goroutine; Wall is the whole Run. All fields except Wall are zero
+// are CPU time and may exceed Wall; Solve, Emit and Wait are wall time on
+// the solver goroutine; Wall is the whole Run. All fields except Wall are zero
 // unless Driver.TimeStages is set (per-unit clock reads are measurable next
 // to a warm store probe, so the accounting is opt-in, like
 // core.Options.TimeCascade).
@@ -33,6 +33,11 @@ type StageTimes struct {
 	// Emit is rebuilding store-served results plus the caller's emit
 	// callbacks.
 	Emit time.Duration
+	// Wait is the solver blocked on a front-end pool: waiting for the next
+	// slot's step to finish, and for the pool to exit at the end. Zero when
+	// the front end runs inline on the solver (an in-memory corpus at one
+	// worker).
+	Wait time.Duration
 	// Wall is the whole Run, always measured.
 	Wall time.Duration
 }

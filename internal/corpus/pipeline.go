@@ -230,16 +230,30 @@ func (d *Driver) startFrontEnd(fe *frontEnd, workers int) (ready func(int), join
 			}
 		}()
 	}
+	// Both run on the solver goroutine; under TimeStages they book the time
+	// it spends blocked as Stats.Stage.Wait.
+	timed := d.TimeStages
 	ready = func(i int) {
+		var t0 time.Time
+		if timed {
+			t0 = time.Now()
+		}
 		mu.Lock()
 		for !done[i] {
 			cond.Wait()
 		}
 		mu.Unlock()
+		if timed {
+			d.Stats.Stage.Wait += time.Since(t0)
+		}
 	}
 	join = func() {
+		t0 := time.Now()
 		stop.Store(true)
 		wg.Wait()
+		if timed {
+			d.Stats.Stage.Wait += time.Since(t0)
+		}
 	}
 	return ready, join
 }

@@ -422,3 +422,58 @@ func TestStageTimes(t *testing.T) {
 		}
 	}
 }
+
+// sleepyList is a Lister whose items load slowly, so the solver waits on
+// the front end.
+type sleepyList struct {
+	units Mem
+	delay time.Duration
+}
+
+func (s sleepyList) Units() ([]Unit, error) { return s.units, nil }
+
+func (s sleepyList) List() ([]Item, error) {
+	items := make([]Item, len(s.units))
+	for i := range s.units {
+		u := s.units[i]
+		items[i] = Item{Name: u.Name, Load: func() (Unit, error) {
+			time.Sleep(s.delay)
+			return u, nil
+		}}
+	}
+	return items, nil
+}
+
+// TestStageWait: with TimeStages set, the solver's time blocked on a slow
+// front end is booked as Wait, which is positive and at most Wall; without
+// it Wait stays zero.
+func TestStageWait(t *testing.T) {
+	units := make(Mem, 8)
+	for i := range units {
+		u, err := FromSource(fmt.Sprintf("u%d", i), pipelineSrc(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		units[i] = u
+	}
+	src := sleepyList{units: units, delay: 5 * time.Millisecond}
+	for _, workers := range []int{1, 2} {
+		for _, timed := range []bool{true, false} {
+			d := NewDriver(testOpts, workers)
+			d.TimeStages = timed
+			if _, err := d.RunAll(context.Background(), src); err != nil {
+				t.Fatal(err)
+			}
+			st := d.Stats.Stage
+			if !timed {
+				if st.Wait != 0 {
+					t.Fatalf("workers=%d: Wait %v measured without TimeStages", workers, st.Wait)
+				}
+				continue
+			}
+			if st.Wait <= 0 || st.Wait > st.Wall {
+				t.Fatalf("workers=%d: Wait %v, want in (0, Wall %v]", workers, st.Wait, st.Wall)
+			}
+		}
+	}
+}

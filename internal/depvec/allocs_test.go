@@ -27,8 +27,10 @@ func fractionalSystem() *system.TSystem {
 	prob := &system.Problem{
 		Vars: []system.Variable{
 			{Name: "i", Kind: system.IndexA, Level: 0},
-			{Name: "i'", Kind: system.IndexB, Level: 0},
+			{Name: "i", Kind: system.IndexB, Level: 0},
 		},
+		NumA:   1,
+		NumB:   1,
 		Common: 1,
 	}
 	return &system.TSystem{

@@ -235,8 +235,10 @@ func TestImplicitBranchAndBound(t *testing.T) {
 	prob := &system.Problem{
 		Vars: []system.Variable{
 			{Name: "i", Kind: system.IndexA, Level: 0},
-			{Name: "i'", Kind: system.IndexB, Level: 0},
+			{Name: "i", Kind: system.IndexB, Level: 0},
 		},
+		NumA:   1,
+		NumB:   1,
 		Common: 1,
 	}
 	ts := &system.TSystem{
@@ -257,8 +259,8 @@ func TestImplicitBranchAndBound(t *testing.T) {
 	if base.Outcome != dtest.Unknown {
 		t.Fatalf("premise: base must be Unknown without explicit B&B, got %v", base)
 	}
-	// LevelUsed needs an Eq matrix; give the problem a trivial one marking
-	// both variables used.
+	// LevelUsed reads the Constrains flags; give the problem a trivial Eq
+	// matrix marking both variables used.
 	eqProb(prob)
 	sum := ComputeObserved(ts, Options{}, nil)
 	if sum.Dependent {
@@ -283,6 +285,7 @@ func eqProb(p *system.Problem) {
 	p.RHS = built.RHS
 	p.Lower = built.Lower
 	p.Upper = built.Upper
+	p.Constrains = built.Constrains
 }
 
 func TestObserverCounts(t *testing.T) {

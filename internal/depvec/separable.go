@@ -39,10 +39,8 @@ func Separable(ts *system.TSystem) bool {
 		}
 	}
 	for i := range p.Vars {
-		for _, b := range []system.Bound{p.Lower[i], p.Upper[i]} {
-			if b.Has && !b.Expr.IsConst() {
-				return false // triangular or symbolic bound couples levels
-			}
+		if p.Lower[i].Coef != nil || p.Upper[i].Coef != nil {
+			return false // triangular or symbolic bound couples levels
 		}
 	}
 	return true

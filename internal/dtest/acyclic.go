@@ -167,7 +167,10 @@ func (s *state) substitute(v int, val int64, sc *Scratch) error {
 		coef := sc.sys.Row(len(c.Coef))
 		copy(coef, c.Coef)
 		coef[v] = 0
-		norm, ok := (system.Constraint{Coef: coef, C: nc}).NormalizeInPlace()
+		norm, ok, err := (system.Constraint{Coef: coef, C: nc}).NormalizeInPlace()
+		if err != nil {
+			return err
+		}
 		if !ok {
 			s.infeasible = true
 			continue

@@ -96,7 +96,7 @@ func TestGraphAcyclicImpliesDecided(t *testing.T) {
 				}
 			}
 			c := system.Constraint{Coef: coef, C: int64(rng.Intn(9) - 4)}
-			if nc, ok := c.Normalize(); ok && nc.NumVarsUsed() > 1 {
+			if nc, ok, err := c.Normalize(); err == nil && ok && nc.NumVarsUsed() > 1 {
 				cs = append(cs, nc)
 			}
 		}

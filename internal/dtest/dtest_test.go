@@ -337,7 +337,9 @@ func TestCascadeDifferential(t *testing.T) {
 				coef[j] = int64(rng.Intn(7) - 3)
 			}
 			c := system.Constraint{Coef: coef, C: int64(rng.Intn(13) - 6)}
-			if nc, ok := c.Normalize(); ok {
+			if nc, ok, err := c.Normalize(); err != nil {
+				t.Fatal(err)
+			} else if ok {
 				if nc.NumVarsUsed() > 0 {
 					cs = append(cs, nc)
 				}

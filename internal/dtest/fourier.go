@@ -420,7 +420,10 @@ func fmCombine(lo, up system.Constraint, v int, arena *system.Scratch) (nc syste
 		return nc, false, true, err
 	}
 	coef[v] = 0
-	norm, feasible := (system.Constraint{Coef: coef, C: cc}).NormalizeInPlace()
+	norm, feasible, err := (system.Constraint{Coef: coef, C: cc}).NormalizeInPlace()
+	if err != nil {
+		return nc, false, true, err
+	}
 	if !feasible {
 		return nc, false, false, nil
 	}

@@ -299,7 +299,10 @@ func (h *Harness) figure1() error {
 	}
 	// Normalize the scaled constraint the way the pipeline does.
 	for i, c := range ts.Cons {
-		n, ok := c.Normalize()
+		n, ok, err := c.Normalize()
+		if err != nil {
+			return err
+		}
 		if !ok {
 			return fmt.Errorf("figure 1 constraint %d infeasible at normalization", i)
 		}

@@ -27,7 +27,7 @@ type Term struct {
 //
 // Expr is an immutable value. Every operation returns a fresh expression or,
 // where the terms do not change (AddConst, adding a constant, Scale(1), a
-// Subst or Rename of an absent variable), one sharing an operand's terms.
+// Subst of an absent variable), one sharing an operand's terms.
 // None appends to or writes into a Terms slice it did not just allocate, so
 // copies of an Expr may share one backing array. Code that builds IR relies
 // on this: the lowerer hands out one shared expression per variable name to
@@ -107,40 +107,33 @@ func (e Expr) Vars() []string {
 // NumTerms returns the number of variables with nonzero coefficients.
 func (e Expr) NumTerms() int { return len(e.Terms) }
 
-// appendCombine appends the terms of a + k·b to dst, leaving out a's term
-// at index skip (-1 for none), and returns the extended dst. It merges the
-// two sorted lists, drops every coefficient that comes out zero (products
-// and sums wrap, as int64 arithmetic does), and writes into neither operand
-// nor dst's existing elements.
-func appendCombine(dst, a []Term, skip int, b []Term, k int64) []Term {
+// combine returns the terms of a + k·b without a's term at index skip (-1
+// for none), in a fresh slice, or nil when none remain. It merges the two
+// sorted lists, drops every coefficient that comes out zero (products and
+// sums wrap, as int64 arithmetic does), and writes into neither operand.
+func combine(a []Term, skip int, b []Term, k int64) []Term {
+	out := make([]Term, 0, len(a)+len(b))
 	i, j := 0, 0
 	for i < len(a) || j < len(b) {
 		switch {
 		case i == skip:
 			i++
 		case j == len(b) || (i < len(a) && a[i].Var < b[j].Var):
-			dst = append(dst, a[i])
+			out = append(out, a[i])
 			i++
 		case i == len(a) || b[j].Var < a[i].Var:
 			if c := k * b[j].Coeff; c != 0 {
-				dst = append(dst, Term{Var: b[j].Var, Coeff: c})
+				out = append(out, Term{Var: b[j].Var, Coeff: c})
 			}
 			j++
 		default:
 			if c := a[i].Coeff + k*b[j].Coeff; c != 0 {
-				dst = append(dst, Term{Var: a[i].Var, Coeff: c})
+				out = append(out, Term{Var: a[i].Var, Coeff: c})
 			}
 			i++
 			j++
 		}
 	}
-	return dst
-}
-
-// combine returns the terms of a + k·b without a's term at index skip, in
-// a fresh slice, or nil when none remain.
-func combine(a []Term, skip int, b []Term, k int64) []Term {
-	out := appendCombine(make([]Term, 0, len(a)+len(b)), a, skip, b, k)
 	if len(out) == 0 {
 		return nil
 	}
@@ -207,41 +200,6 @@ func (e Expr) Subst(v string, repl Expr) Expr {
 	}
 	c := e.Terms[i].Coeff
 	return Expr{Const: e.Const + c*repl.Const, Terms: combine(e.Terms, i, repl.Terms, c)}
-}
-
-// Rename returns e with variable old renamed to new. If new already appears
-// in e the coefficients are combined. When old does not occur, e is returned
-// as is (expressions are immutable values, so sharing the terms is safe and
-// keeps the no-op case allocation-free — the common case for rectangular
-// loop bounds renamed onto primed indices).
-func (e Expr) Rename(old, new string) Expr {
-	i := e.index(old)
-	if i < 0 {
-		return e
-	}
-	renamed := [1]Term{{Var: new, Coeff: e.Terms[i].Coeff}}
-	return Expr{Const: e.Const, Terms: combine(e.Terms, i, renamed[:], 1)}
-}
-
-// AppendRename is Rename with the renamed terms appended to dst instead of
-// a fresh slice, for callers that keep an arena of terms: it returns the
-// extended dst and e.Rename(old, new), whose Terms alias dst's new tail
-// (capacity clipped, so no append can reach past them). dst's existing
-// elements are not written. When old does not occur, dst and e come back
-// unchanged.
-func (e Expr) AppendRename(dst []Term, old, new string) ([]Term, Expr) {
-	i := e.index(old)
-	if i < 0 {
-		return dst, e
-	}
-	n := len(dst)
-	renamed := [1]Term{{Var: new, Coeff: e.Terms[i].Coeff}}
-	dst = appendCombine(dst, e.Terms, i, renamed[:], 1)
-	out := Expr{Const: e.Const}
-	if len(dst) > n {
-		out.Terms = dst[n:len(dst):len(dst)]
-	}
-	return dst, out
 }
 
 // Eval evaluates e under the given variable assignment. It reports ok=false

@@ -80,19 +80,6 @@ func TestSubst(t *testing.T) {
 	}
 }
 
-func TestRename(t *testing.T) {
-	e := NewVar("i").Add(NewTerm("j", 2))
-	got := e.Rename("i", "t1")
-	if got.Coeff("t1") != 1 || got.Uses("i") {
-		t.Fatalf("Rename = %v", got)
-	}
-	// renaming onto an existing variable combines coefficients
-	combined := e.Rename("i", "j")
-	if combined.Coeff("j") != 3 {
-		t.Fatalf("Rename combine = %v", combined)
-	}
-}
-
 func TestEval(t *testing.T) {
 	e := NewTerm("i", 2).Add(NewTerm("j", -1)).AddConst(10)
 	v, ok := e.Eval(map[string]int64{"i": 3, "j": 4})
@@ -263,15 +250,6 @@ func (m model) subst(v string, repl model) model {
 	return out.add(repl.scale(c), 1)
 }
 
-func (m model) rename(old, new string) model {
-	out := m.clone()
-	if c := m.t[old]; c != 0 {
-		out.set(old, 0)
-		out.set(new, out.t[new]+c)
-	}
-	return out
-}
-
 func (m model) vars() []string {
 	vs := make([]string, 0, len(m.t))
 	for v := range m.t {
@@ -298,8 +276,7 @@ func (m model) String() string {
 }
 
 // exprVars is the variable pool of the random expressions: names that
-// share prefixes, and a primed name, so that sorted order and renames onto
-// neighbours are exercised.
+// share prefixes, and a primed name, so that sorted order is exercised.
 var exprVars = []string{"a", "i", "i'", "i0", "ii", "j", "n"}
 
 // randCoeff draws a coefficient, now and then one whose products or sums
@@ -365,13 +342,10 @@ func TestExprMatchesMapModel(t *testing.T) {
 		e, me := randExpr(r)
 		f, mf := randExpr(r)
 		k := randCoeff(r)
-		v, w := exprVars[r.Intn(len(exprVars))], exprVars[r.Intn(len(exprVars))]
-		if r.Intn(2) == 0 && len(e.Terms) > 0 {
-			w = e.Terms[r.Intn(len(e.Terms))].Var // rename onto a name e has
-		}
+		v := exprVars[r.Intn(len(exprVars))]
 		se, sf := snapshot(e), snapshot(f)
 		fail := func(op string, got any, want any) bool {
-			t.Errorf("seed %d: %s of e=%v f=%v (k=%d v=%s w=%s): got %v, want %v", seed, op, me, mf, k, v, w, got, want)
+			t.Errorf("seed %d: %s of e=%v f=%v (k=%d v=%s): got %v, want %v", seed, op, me, mf, k, v, got, want)
 			return false
 		}
 		type result struct {
@@ -386,12 +360,8 @@ func TestExprMatchesMapModel(t *testing.T) {
 			{"Scale", e.Scale(k), me.scale(k)},
 			{"AddConst", e.AddConst(k), me.add(model{c: k}, 1)},
 			{"Subst", e.Subst(v, f), me.subst(v, mf)},
-			{"Rename", e.Rename(v, w), me.rename(v, w)},
 			{"Clone", e.Clone(), me},
 		}
-		arena := append(make([]Term, 0, 8), Term{Var: "arena", Coeff: 5}) // room to append in place
-		arena, renamed := e.AppendRename(arena, v, w)
-		results = append(results, result{"AppendRename", renamed, me.rename(v, w)})
 		if prod, ok := e.Mul(f); ok != (len(me.t) == 0 || len(mf.t) == 0) {
 			return fail("Mul ok", ok, !ok)
 		} else if ok {
@@ -408,9 +378,6 @@ func TestExprMatchesMapModel(t *testing.T) {
 			if res.got.String() != res.want.String() {
 				return fail(res.op+" String", res.got.String(), res.want.String())
 			}
-		}
-		if arena[0] != (Term{Var: "arena", Coeff: 5}) {
-			return fail("AppendRename arena head", arena[0], "untouched")
 		}
 		if len(e.Clone().Terms) > 0 && &e.Clone().Terms[0] == &e.Terms[0] {
 			return fail("Clone", "shared backing array", "a copy")

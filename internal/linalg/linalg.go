@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 )
 
@@ -50,30 +51,44 @@ func MulChecked(a, b int64) (int64, error) {
 }
 
 // GCD returns the non-negative greatest common divisor of a and b, with
-// GCD(0,0) = 0.
-func GCD(a, b int64) int64 {
-	if a < 0 {
-		a = -a
+// GCD(0,0) = 0. It is ErrOverflow only when that divisor is 2^63, which
+// needs a and b each 0 or MinInt64.
+func GCD(a, b int64) (int64, error) {
+	return fitGCD(gcdU(absU(a), absU(b)))
+}
+
+// GCDAll returns the gcd of all values (0 for an empty or all-zero slice),
+// or ErrOverflow when it is 2^63 (every nonzero value is MinInt64).
+func GCDAll(vs []int64) (int64, error) {
+	var g uint64
+	for _, v := range vs {
+		if g = gcdU(g, absU(v)); g == 1 {
+			return 1, nil
+		}
 	}
-	if b < 0 {
-		b = -b
+	return fitGCD(g)
+}
+
+// absU returns |v| as a uint64, exact at MinInt64.
+func absU(v int64) uint64 {
+	if v < 0 {
+		return -uint64(v)
 	}
+	return uint64(v)
+}
+
+func gcdU(a, b uint64) uint64 {
 	for b != 0 {
 		a, b = b, a%b
 	}
 	return a
 }
 
-// GCDAll returns the gcd of all values (0 for an empty or all-zero slice).
-func GCDAll(vs []int64) int64 {
-	var g int64
-	for _, v := range vs {
-		g = GCD(g, v)
-		if g == 1 {
-			return 1
-		}
+func fitGCD(g uint64) (int64, error) {
+	if g > math.MaxInt64 {
+		return 0, ErrOverflow
 	}
-	return g
+	return int64(g), nil
 }
 
 // ExtGCD returns g = gcd(a,b) and Bézout coefficients x, y with a·x+b·y = g.
@@ -180,12 +195,9 @@ func (m *Matrix) At(i, j int) int64 { return m.a[i*m.Cols+j] }
 // Set assigns element (i,j).
 func (m *Matrix) Set(i, j int, v int64) { m.a[i*m.Cols+j] = v }
 
-// Row returns a copy of row i.
-func (m *Matrix) Row(i int) []int64 {
-	out := make([]int64, m.Cols)
-	copy(out, m.a[i*m.Cols:(i+1)*m.Cols])
-	return out
-}
+// Row returns row i, aliasing the matrix (capacity clipped): valid until
+// the matrix is next reshaped, and read-only for callers that do not own it.
+func (m *Matrix) Row(i int) []int64 { return m.a[i*m.Cols : (i+1)*m.Cols : (i+1)*m.Cols] }
 
 // Clone returns a deep copy.
 func (m *Matrix) Clone() *Matrix {
@@ -205,12 +217,17 @@ func (m *Matrix) SwapRows(i, j int) {
 	}
 }
 
-// NegateRow multiplies row i by -1.
-func (m *Matrix) NegateRow(i int) {
+// NegateRow multiplies row i by -1. A row holding MinInt64, whose negation
+// wraps to itself, is ErrOverflow and stays unchanged.
+func (m *Matrix) NegateRow(i int) error {
 	r := m.a[i*m.Cols : (i+1)*m.Cols]
+	if slices.Contains(r, math.MinInt64) {
+		return ErrOverflow
+	}
 	for k := range r {
 		r[k] = -r[k]
 	}
+	return nil
 }
 
 // AddMulRow adds k times row src to row dst; a unimodular row operation.
@@ -337,14 +354,18 @@ func (e *Echelon) FactorInto(A *Matrix) error {
 		// a single nonzero at pivotRow using unimodular row ops.
 		for {
 			// find row with the smallest nonzero |entry| in this column
-			best := -1
+			best, bestAbs := -1, int64(0)
 			for r := pivotRow; r < n; r++ {
 				v := D.At(r, col)
 				if v == 0 {
 					continue
 				}
-				if best == -1 || abs64(v) < abs64(D.At(best, col)) {
-					best = r
+				av, err := abs64(v)
+				if err != nil {
+					return err
+				}
+				if best == -1 || av < bestAbs {
+					best, bestAbs = r, av
 				}
 			}
 			if best == -1 {
@@ -359,11 +380,14 @@ func (e *Echelon) FactorInto(A *Matrix) error {
 				if v == 0 {
 					continue
 				}
-				q := v / p // truncating quotient keeps |remainder| < |p|
-				if err := D.AddMulRow(r, pivotRow, -q); err != nil {
+				nq, err := negQuotient(v, p)
+				if err != nil {
 					return err
 				}
-				if err := U.AddMulRow(r, pivotRow, -q); err != nil {
+				if err := D.AddMulRow(r, pivotRow, nq); err != nil {
+					return err
+				}
+				if err := U.AddMulRow(r, pivotRow, nq); err != nil {
 					return err
 				}
 				if D.At(r, col) != 0 {
@@ -376,8 +400,12 @@ func (e *Echelon) FactorInto(A *Matrix) error {
 		}
 		if D.At(pivotRow, col) != 0 {
 			if D.At(pivotRow, col) < 0 {
-				D.NegateRow(pivotRow)
-				U.NegateRow(pivotRow)
+				if err := D.NegateRow(pivotRow); err != nil {
+					return err
+				}
+				if err := U.NegateRow(pivotRow); err != nil {
+					return err
+				}
 			}
 			lead = append(lead, col)
 			pivotRow++
@@ -387,11 +415,22 @@ func (e *Echelon) FactorInto(A *Matrix) error {
 	return nil
 }
 
-func abs64(v int64) int64 {
+// abs64 returns |v|, or ErrOverflow at MinInt64.
+func abs64(v int64) (int64, error) {
 	if v < 0 {
-		return -v
+		return SubChecked(0, v)
 	}
-	return v
+	return v, nil
+}
+
+// negQuotient returns -(v/p), the multiplier of one Euclid step; the
+// truncating quotient keeps |remainder| < |p|. It is ErrOverflow where the
+// quotient or its negation passes int64 (v = MinInt64 with p = ±1).
+func negQuotient(v, p int64) (int64, error) {
+	if v == math.MinInt64 && p == -1 {
+		return 0, ErrOverflow
+	}
+	return SubChecked(0, v/p)
 }
 
 // Solve solves t·D = c for the echelon factorization: it returns the

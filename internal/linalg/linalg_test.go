@@ -16,28 +16,152 @@ func TestGCD(t *testing.T) {
 		{12, -18, 6}, {-12, -18, 6}, {7, 13, 1}, {1, 1, 1},
 	}
 	for _, c := range cases {
-		if got := GCD(c.a, c.b); got != c.want {
-			t.Errorf("GCD(%d,%d) = %d, want %d", c.a, c.b, got, c.want)
+		if got, err := GCD(c.a, c.b); err != nil || got != c.want {
+			t.Errorf("GCD(%d,%d) = %d, %v, want %d", c.a, c.b, got, err, c.want)
 		}
 	}
 }
 
 func TestGCDAll(t *testing.T) {
-	if got := GCDAll([]int64{12, 18, 30}); got != 6 {
-		t.Errorf("GCDAll = %d", got)
+	for _, c := range []struct {
+		vs   []int64
+		want int64
+	}{{[]int64{12, 18, 30}, 6}, {nil, 0}, {[]int64{0, 0, 4}, 4}} {
+		if got, err := GCDAll(c.vs); err != nil || got != c.want {
+			t.Errorf("GCDAll(%v) = %d, %v, want %d", c.vs, got, err, c.want)
+		}
 	}
-	if got := GCDAll(nil); got != 0 {
-		t.Errorf("GCDAll(nil) = %d", got)
+}
+
+// TestGCDExtremes: GCD and GCDAll at MinInt64, -1 and MaxInt64. The gcd is
+// 2^63 only when every nonzero operand is MinInt64, which is ErrOverflow;
+// next to any other value the gcd fits and keeps its sign (|MinInt64| used
+// to stay negative through the Euclid loop).
+func TestGCDExtremes(t *testing.T) {
+	for _, c := range []struct {
+		a, b, want int64
+		overflow   bool
+	}{
+		{math.MinInt64, 0, 0, true},
+		{0, math.MinInt64, 0, true},
+		{math.MinInt64, math.MinInt64, 0, true},
+		{math.MinInt64, 6, 2, false},
+		{math.MinInt64, -1, 1, false},
+		{math.MinInt64, math.MaxInt64, 1, false},
+		{-1, 0, 1, false},
+		{-1, -1, 1, false},
+		{math.MaxInt64, 0, math.MaxInt64, false},
+		{math.MaxInt64, -1, 1, false},
+	} {
+		got, err := GCD(c.a, c.b)
+		if c.overflow {
+			if !errors.Is(err, ErrOverflow) {
+				t.Errorf("GCD(%d,%d) = %d, %v, want ErrOverflow", c.a, c.b, got, err)
+			}
+			continue
+		}
+		if err != nil || got != c.want {
+			t.Errorf("GCD(%d,%d) = %d, %v, want %d", c.a, c.b, got, err, c.want)
+		}
+		if got, err := GCDAll([]int64{c.a, c.b}); err != nil || got != c.want {
+			t.Errorf("GCDAll(%d,%d) = %d, %v, want %d", c.a, c.b, got, err, c.want)
+		}
 	}
-	if got := GCDAll([]int64{0, 0, 4}); got != 4 {
-		t.Errorf("GCDAll zeros = %d", got)
+	if _, err := GCDAll([]int64{math.MinInt64, 0, math.MinInt64}); !errors.Is(err, ErrOverflow) {
+		t.Errorf("GCDAll of MinInt64s = %v, want ErrOverflow", err)
+	}
+}
+
+// TestAbs64Extremes: |MinInt64| does not fit; the pivot search used to read
+// abs64(MinInt64) = MinInt64 as the smallest magnitude.
+func TestAbs64Extremes(t *testing.T) {
+	if got, err := abs64(math.MinInt64); !errors.Is(err, ErrOverflow) {
+		t.Errorf("abs64(MinInt64) = %d, %v, want ErrOverflow", got, err)
+	}
+	for _, c := range []struct{ v, want int64 }{{-1, 1}, {math.MaxInt64, math.MaxInt64}, {-math.MaxInt64, math.MaxInt64}} {
+		if got, err := abs64(c.v); err != nil || got != c.want {
+			t.Errorf("abs64(%d) = %d, %v, want %d", c.v, got, err, c.want)
+		}
+	}
+}
+
+// TestNegateRowExtremes: a row holding MinInt64 cannot be negated; it is
+// ErrOverflow and the row stays as it was.
+func TestNegateRowExtremes(t *testing.T) {
+	for _, c := range []struct {
+		row, want []int64
+		overflow  bool
+	}{
+		{[]int64{5, math.MinInt64}, []int64{5, math.MinInt64}, true},
+		{[]int64{5, -1}, []int64{-5, 1}, false},
+		{[]int64{5, math.MaxInt64}, []int64{-5, -math.MaxInt64}, false},
+	} {
+		m := FromRows([][]int64{c.row})
+		err := m.NegateRow(0)
+		if c.overflow != errors.Is(err, ErrOverflow) || (!c.overflow && err != nil) {
+			t.Errorf("NegateRow(%v) error %v, overflow want %v", c.row, err, c.overflow)
+		}
+		if got := m.Row(0); !slices.Equal(got, c.want) {
+			t.Errorf("NegateRow(%v) left %v, want %v", c.row, got, c.want)
+		}
+	}
+}
+
+// TestNegQuotientExtremes: the Euclid step's multiplier -(v/p). At
+// v = MinInt64 the quotient or its negation passes int64 for p = ±1.
+func TestNegQuotientExtremes(t *testing.T) {
+	for _, c := range []struct {
+		v, p, want int64
+		overflow   bool
+	}{
+		{math.MinInt64, 1, 0, true},
+		{math.MinInt64, -1, 0, true},
+		{math.MinInt64, 2, 1 << 62, false},
+		{-1, 1, 1, false},
+		{-1, -1, -1, false},
+		{math.MaxInt64, 1, -math.MaxInt64, false},
+		{math.MaxInt64, -1, math.MaxInt64, false},
+	} {
+		got, err := negQuotient(c.v, c.p)
+		if c.overflow {
+			if !errors.Is(err, ErrOverflow) {
+				t.Errorf("negQuotient(%d,%d) = %d, %v, want ErrOverflow", c.v, c.p, got, err)
+			}
+			continue
+		}
+		if err != nil || got != c.want {
+			t.Errorf("negQuotient(%d,%d) = %d, %v, want %d", c.v, c.p, got, err, c.want)
+		}
+	}
+}
+
+// TestFactorExtremes: a column entry of MinInt64 is ErrOverflow (the pivot
+// search used to pick it as the smallest magnitude and loop forever on a
+// zero quotient); -1 and MaxInt64 factor, with U·A = D.
+func TestFactorExtremes(t *testing.T) {
+	for _, v := range []int64{math.MinInt64, -1, math.MaxInt64} {
+		A := FromRows([][]int64{{v}, {3}, {-2}})
+		e, err := Factor(A)
+		if v == math.MinInt64 {
+			if !errors.Is(err, ErrOverflow) {
+				t.Errorf("Factor with %d = %v, want ErrOverflow", v, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("Factor with %d: %v", v, err)
+		}
+		if ua, err := e.U.Mul(A); err != nil || !ua.Equal(e.D) {
+			t.Errorf("Factor with %d: U·A = %v, D = %v (%v)", v, ua, e.D, err)
+		}
 	}
 }
 
 func TestExtGCDBezout(t *testing.T) {
 	prop := func(a, b int16) bool {
 		g, x, y := ExtGCD(int64(a), int64(b))
-		return g == GCD(int64(a), int64(b)) && int64(a)*x+int64(b)*y == g
+		want, err := GCD(int64(a), int64(b))
+		return err == nil && g == want && int64(a)*x+int64(b)*y == g
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
@@ -160,8 +284,7 @@ func TestMatrixRowOps(t *testing.T) {
 	if m.At(0, 0) != 3 {
 		t.Fatal("SwapRows failed")
 	}
-	m.NegateRow(0)
-	if m.At(0, 0) != -3 || m.At(0, 1) != -4 {
+	if err := m.NegateRow(0); err != nil || m.At(0, 0) != -3 || m.At(0, 1) != -4 {
 		t.Fatal("NegateRow failed")
 	}
 	if err := m.AddMulRow(0, 1, 3); err != nil {

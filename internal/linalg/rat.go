@@ -17,7 +17,8 @@ func NewRat(num, den int64) Rat {
 	if den < 0 {
 		num, den = -num, -den
 	}
-	if g := GCD(num, den); g > 1 {
+	// den is nonzero, so the gcd fits (2^63 needs both operands in {0, MinInt64}).
+	if g, _ := GCD(num, den); g > 1 {
 		num /= g
 		den /= g
 	}
@@ -45,7 +46,7 @@ func (r Rat) Sign() int {
 // Add returns r+s.
 func (r Rat) Add(s Rat) (Rat, error) {
 	// r.Num/r.Den + s.Num/s.Den over lcm denominator
-	g := GCD(r.Den, s.Den)
+	g, _ := GCD(r.Den, s.Den) // a positive denominator keeps the gcd in range
 	if g == 0 {
 		g = 1
 	}
@@ -75,8 +76,9 @@ func (r Rat) Sub(s Rat) (Rat, error) { return r.Add(Rat{Num: -s.Num, Den: s.Den}
 // Mul returns r·s.
 func (r Rat) Mul(s Rat) (Rat, error) {
 	// cross-reduce first to keep magnitudes small
-	g1 := GCD(r.Num, s.Den)
-	g2 := GCD(s.Num, r.Den)
+	// A positive denominator keeps each gcd in range.
+	g1, _ := GCD(r.Num, s.Den)
+	g2, _ := GCD(s.Num, r.Den)
 	if g1 == 0 {
 		g1 = 1
 	}

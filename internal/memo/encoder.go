@@ -8,11 +8,12 @@ import "exactdep/internal/system"
 // persistent one, exactly as the cascade gives each worker a
 // dtest.Scratch.
 //
-// The flat index tables replace the maps and the per-call sort of the
-// original encoding: variable positions index a []int keyed by the
-// problem's variable order, and loop-level ranks are assigned by scanning
-// levels in increasing order (levels are small dense ints), which yields
-// the same rank assignment a sort of the seen levels would.
+// The encoder reads only the problem's integer rows (system.Problem keeps
+// every bound as a coefficient row over the variable positions): flat
+// index tables map a variable position to its kept position, and loop-level
+// ranks are assigned by scanning levels in increasing order (levels are
+// small dense ints), which yields the same rank assignment a sort of the
+// seen levels would.
 //
 // Keys returned by EncodeEq and EncodeFull alias two *separate* buffers:
 // a full key stays valid across a later EncodeEq on the same encoder (the
@@ -22,13 +23,12 @@ import "exactdep/internal/system"
 // storing it in a table. An Encoder is not safe for concurrent use — give
 // each worker its own.
 type Encoder struct {
-	full   Key     // EncodeFull's reusable key buffer
-	eq     Key     // EncodeEq's reusable key buffer
-	vars   []int   // kept variable indices, canonical order
-	used   []bool  // per-variable liveness for the improved scheme
-	pos    []int   // original variable index → kept position, -1 if dropped
-	rank   []int   // loop level → rank among kept levels, -1 if absent
-	coeffs []int64 // positional bound-coefficient row
+	full Key    // EncodeFull's reusable key buffer
+	eq   Key    // EncodeEq's reusable key buffer
+	vars []int  // kept variable indices, canonical order
+	used []bool // per-variable liveness for the improved scheme
+	pos  []int  // original variable index → kept position, -1 if dropped
+	rank []int  // loop level → rank among kept levels, -1 if absent
 }
 
 // EncodeEq encodes only the subscript equation system (the without-bounds
@@ -39,9 +39,7 @@ func (e *Encoder) EncodeEq(p *system.Problem, improved bool) Key {
 	vars := e.keptVars(p, improved, false)
 	key := append(e.eq[:0], int64(len(vars)), int64(p.Eq.Cols))
 	for _, i := range vars {
-		for d := 0; d < p.Eq.Cols; d++ {
-			key = append(key, p.Eq.At(i, d))
-		}
+		key = append(key, p.Eq.Row(i)...)
 	}
 	key = append(key, p.RHS...)
 	e.eq = key
@@ -110,38 +108,36 @@ func (e *Encoder) EncodeFull(p *system.Problem, improved bool) Key {
 			rank = int64(e.rank[l])
 		}
 		key = append(key, int64(p.Vars[i].Kind), rank)
-		for d := 0; d < p.Eq.Cols; d++ {
-			key = append(key, p.Eq.At(i, d))
-		}
+		key = append(key, p.Eq.Row(i)...)
 	}
 	key = append(key, p.RHS...)
 	for _, i := range vars {
-		key = e.appendBound(key, p, p.Lower[i], len(vars))
-		key = e.appendBound(key, p, p.Upper[i], len(vars))
+		key = e.appendBound(key, &p.Lower[i])
+		key = e.appendBound(key, &p.Upper[i])
 	}
 	e.full = key
 	return key
 }
 
-// appendBound encodes one optional affine bound positionally: a presence
-// flag, the constant, then the coefficient of each kept variable. The
-// coefficient row is assembled by kept position, not in the expression's
-// term order (which sorts by name).
-func (e *Encoder) appendBound(key Key, p *system.Problem, b system.Bound, nkept int) Key {
+// appendBound encodes one optional affine bound sparsely: a presence flag,
+// then the constant, the count of nonzero coefficients at kept variables
+// and a (kept position, coefficient) pair for each, in position order.
+// Given the kept-variable count at the head of the key this is a bijection
+// with the dense row of one coefficient per kept variable, so exactly the
+// problems that shared a dense key share a sparse one.
+func (e *Encoder) appendBound(key Key, b *system.Bound) Key {
 	if !b.Has {
 		return append(key, 0)
 	}
-	key = append(key, 1, b.Expr.Const)
-	e.coeffs = resizeInt64s(e.coeffs, nkept)
-	for i := range e.coeffs {
-		e.coeffs[i] = 0
-	}
-	for _, t := range b.Expr.Terms {
-		if i := p.VarIndex(t.Var); i >= 0 && e.pos[i] >= 0 {
-			e.coeffs[e.pos[i]] = t.Coeff
+	key = append(key, 1, b.Const, 0)
+	at := len(key) - 1
+	for k, c := range b.Coef {
+		if c != 0 && e.pos[k] >= 0 {
+			key = append(key, int64(e.pos[k]), c)
 		}
 	}
-	return append(key, e.coeffs...)
+	key[at] = int64(len(key)-at-1) / 2
+	return key
 }
 
 // keptVars computes the variable indices retained by the encoding, in
@@ -161,8 +157,8 @@ func (e *Encoder) keptVars(p *system.Problem, improved, withBounds bool) []int {
 	e.used = resizeBools(e.used, n)
 	for i := 0; i < n; i++ {
 		e.used[i] = false
-		for d := 0; d < p.Eq.Cols; d++ {
-			if p.Eq.At(i, d) != 0 {
+		for _, c := range p.Eq.Row(i) {
+			if c != 0 {
 				e.used[i] = true
 				break
 			}
@@ -172,20 +168,9 @@ func (e *Encoder) keptVars(p *system.Problem, improved, withBounds bool) []int {
 		for changed := true; changed; {
 			changed = false
 			for i := 0; i < n; i++ {
-				if !e.used[i] {
-					continue
-				}
-				for _, b := range [2]system.Bound{p.Lower[i], p.Upper[i]} {
-					if !b.Has {
-						continue
-					}
-					for _, t := range b.Expr.Terms {
-						j := p.VarIndex(t.Var)
-						if j >= 0 && !e.used[j] {
-							e.used[j] = true
-							changed = true
-						}
-					}
+				if e.used[i] {
+					changed = e.use(p.Lower[i].Coef) || changed
+					changed = e.use(p.Upper[i].Coef) || changed
 				}
 			}
 		}
@@ -198,16 +183,22 @@ func (e *Encoder) keptVars(p *system.Problem, improved, withBounds bool) []int {
 	return e.vars
 }
 
+// use marks every variable with a nonzero coefficient in row as used and
+// reports whether that marked one the closure had not reached.
+func (e *Encoder) use(row []int64) bool {
+	grew := false
+	for j, c := range row {
+		if c != 0 && !e.used[j] {
+			e.used[j] = true
+			grew = true
+		}
+	}
+	return grew
+}
+
 func resizeInts(s []int, n int) []int {
 	if cap(s) < n {
 		return make([]int, n)
-	}
-	return s[:n]
-}
-
-func resizeInt64s(s []int64, n int) []int64 {
-	if cap(s) < n {
-		return make([]int64, n)
 	}
 	return s[:n]
 }

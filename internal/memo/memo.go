@@ -18,9 +18,15 @@
 //     direction summaries, so §6's direction vectors are computed once per
 //     canonical problem.
 //
-// The "improved" encoding first drops loop variables that cannot affect the
-// verdict (unused indices), merging cases such as the paper's pair of
-// doubly nested loops that both collapse to a single loop.
+// A full key is the problem's integer rows as the system package builds
+// them: per kept variable its kind, loop-level rank and equation
+// coefficients, then the right-hand sides, then each kept variable's two
+// bounds, a bound as presence, constant and its nonzero coefficients as
+// (kept position, coefficient) pairs. An eq key is the equation rows and
+// right-hand sides alone. The "improved" encoding first drops loop
+// variables that cannot affect the verdict (unused indices), merging cases
+// such as the paper's pair of doubly nested loops that both collapse to a
+// single loop.
 //
 // Because memoization eliminates most test invocations, the memo lookup
 // itself is the analyzer's steady-state hot path. The package therefore

@@ -117,11 +117,12 @@ func (s *ShardedTable[V]) LookupStored(k Key) (Key, V, bool) {
 	return nil, zero, false
 }
 
-// Insert stores v under k in place under the shard mutex. Safe for
-// concurrent use; the table retains k. Overwriting an existing entry
-// publishes a new entry that keeps the already-interned key, so the
-// instance LookupStored hands out never changes.
-func (s *ShardedTable[V]) Insert(k Key, v V) {
+// Insert stores v under k in place under the shard mutex and returns the
+// key the table keeps. Safe for concurrent use; the table retains k.
+// Overwriting an existing entry publishes a new entry that keeps the
+// already-interned key, and returns that key, so the instance LookupStored
+// hands out never changes.
+func (s *ShardedTable[V]) Insert(k Key, v V) Key {
 	h := mix(k.hash())
 	sh := s.shardAt(h)
 	sh.mu.Lock()
@@ -130,7 +131,7 @@ func (s *ShardedTable[V]) Insert(k Key, v V) {
 	if e != nil {
 		tab[i].Store(&entry[V]{key: e.key, h: h, val: v})
 		sh.mu.Unlock()
-		return
+		return e.key
 	}
 	n := sh.n.Load() + 1
 	if n*4 > int64(len(tab))*3 {
@@ -142,6 +143,7 @@ func (s *ShardedTable[V]) Insert(k Key, v V) {
 	tab[i].Store(&entry[V]{key: k, h: h, val: v})
 	sh.n.Store(n)
 	sh.mu.Unlock()
+	return k
 }
 
 // probe walks the chain of k, whose mixed hash is h: it returns k's slot

@@ -35,8 +35,10 @@ import (
 // FormatVersion is the version of the layout. Bump it with any change to
 // the bytes a file holds; files written under an older one are stale. Both
 // files share it: version 2 added the verdict store's file index, so memo
-// files written under version 1 are stale too.
-const FormatVersion = 2
+// files written under version 1 are stale too. Version 3: memo keys write
+// each bound as presence, constant, count and (kept position, coefficient)
+// pairs instead of a dense coefficient row.
+const FormatVersion = 3
 
 // SemanticsVersion names the analyzer behaviour a persisted verdict was
 // produced under. Bump it whenever the front end's candidates for a source,
@@ -51,8 +53,13 @@ const FormatVersion = 2
 // whose constraint overflows, so a verdict near the int64 limits may
 // differ. Version 4: a pair whose subscript constants or coefficients sum
 // past int64 while its problem is built is Unknown, not solved with the
-// wrapped value.
-const SemanticsVersion = 4
+// wrapped value. Version 5: the Extended GCD step reports the overflows at
+// MinInt64 it used to wrap or loop on (a gcd of 2^63, |MinInt64| in the
+// pivot search, negating a pivot row or a Euclid quotient), the
+// package-level system.Build checks its sums as the Builder does, and a
+// bound is substituted into t-space in variable order, so an intermediate
+// overflow near the int64 limits may move.
+const SemanticsVersion = 5
 
 // ErrStale marks a file written under an older format or semantics
 // version: a cache its owner may drop and rebuild, not a corrupt file.

@@ -32,8 +32,8 @@ func BenchmarkBuild(b *testing.B) {
 	var bld system.Builder
 	var pp system.Preprocessor
 	sweep := func() {
-		for _, p := range pairs {
-			prob, err := bld.Build(p)
+		for i := range pairs {
+			prob, err := bld.Build(&pairs[i])
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -2,6 +2,7 @@ package system
 
 import (
 	"fmt"
+	"strings"
 
 	"exactdep/internal/ir"
 	"exactdep/internal/linalg"
@@ -9,56 +10,53 @@ import (
 
 // Builder constructs dependence problems into reusable scratch storage. It
 // exists because Build runs once per candidate pair even when the verdict
-// comes out of the memo tables, so its per-call allocations (the variable
-// index map, the Eq matrix, renamed subscript and bound copies, primed-name
-// strings) dominate the memo-hot allocation profile. A Builder keeps the
-// Problem shell, its slices, the Eq matrix backing, an arena of bound terms
-// and the primed-name cache alive across calls, and fills the equality
-// matrix directly from the subscript terms instead of materializing
-// renamed/subtracted expression copies, so a warm Build allocates nothing.
+// comes out of the memo tables, so it sits on the memo-hot path. A Builder
+// keeps the Problem shell, its slices, the Eq matrix backing and an arena
+// of bound coefficient rows alive across calls, and resolves every
+// subscript and bound term to a variable position once, so everything
+// after Build reads integers and a warm Build allocates nothing.
 //
 // The Problem returned by Build aliases the Builder's scratch and is valid
 // until the next Build call on the same Builder. Builders are not safe for
 // concurrent use; give each worker its own.
 type Builder struct {
-	prob   Problem
-	eq     linalg.Matrix
-	terms  []ir.Term // arena for the terms of renamed B-side bounds
-	primed map[string]string
+	prob Problem
+	eq   linalg.Matrix
+	rows Scratch // bound coefficient rows
 }
 
-// primedName returns the cached B-side instance name of a loop index.
-func (b *Builder) primedName(name string) string {
-	if b.primed == nil {
-		b.primed = make(map[string]string)
-	}
-	p, ok := b.primed[name]
-	if !ok {
-		p = primed(name)
-		b.primed[name] = p
-	}
-	return p
-}
-
-// findVar returns the position of name among the variables built so far, or
-// -1. Problems are small (a handful of indices plus symbols), so a linear
-// scan beats building a map per call.
-func (b *Builder) findVar(name string) int {
+// find returns the position of the variable that renders as name: the
+// A-side indices, then the primed B-side names, then the symbols. -1 if
+// none does. Problems are small (a handful of indices plus symbols), so a
+// linear scan beats building a map per call.
+func (b *Builder) find(name string) int {
 	for i := range b.prob.Vars {
-		if b.prob.Vars[i].Name == name {
+		if b.prob.Vars[i].is(name) {
 			return i
 		}
 	}
 	return -1
 }
 
+// findIn returns the position of name among the B-side loops, which a
+// B-side term names unprimed, or else find's.
+func (b *Builder) findIn(loopsB []ir.Loop, name string) int {
+	for lvl := range loopsB {
+		if loopsB[lvl].Index == name {
+			return b.prob.NumA + lvl
+		}
+	}
+	return b.find(name)
+}
+
 // Build constructs the dependence problem for a candidate pair into the
-// Builder's scratch. Semantics (variable order, equalities, bounds,
-// validation, error cases) match the package-level Build; only the storage
-// discipline differs, and an equality coefficient or right-hand side past
-// int64 returns linalg.ErrOverflow instead of a wrapped value.
-func (b *Builder) Build(p ir.Pair) (*Problem, error) {
-	ra, rb := p.A.Ref, p.B.Ref
+// Builder's scratch. Each term resolves to a position once: a B-side
+// subscript term to a B-side loop first, a B-side bound term to an outer
+// B-side loop first, and every other name as find resolves it. An
+// equality coefficient, right-hand side or bound coefficient past int64
+// returns linalg.ErrOverflow instead of a wrapped value.
+func (b *Builder) Build(p *ir.Pair) (*Problem, error) {
+	ra, rb := &p.A.Ref, &p.B.Ref
 	if ra.Array != rb.Array {
 		return nil, fmt.Errorf("system: references to different arrays %q, %q", ra.Array, rb.Array)
 	}
@@ -76,75 +74,42 @@ func (b *Builder) Build(p ir.Pair) (*Problem, error) {
 
 	prob := &b.prob
 	prob.Common = common
-	prob.Pair = p
-
-	// Variable order: A-side indices outer→inner, B-side indices
-	// outer→inner, then symbols. The order is part of the memoization key.
+	prob.NumA, prob.NumB = len(loopsA), len(loopsB)
 	prob.Vars = prob.Vars[:0]
-	for lvl, l := range loopsA {
-		prob.Vars = append(prob.Vars, Variable{Name: l.Index, Kind: IndexA, Level: lvl})
+	for lvl := range loopsA {
+		prob.Vars = append(prob.Vars, Variable{Name: loopsA[lvl].Index, Kind: IndexA, Level: lvl})
 	}
-	for lvl, l := range loopsB {
-		prob.Vars = append(prob.Vars, Variable{Name: b.primedName(l.Index), Kind: IndexB, Level: lvl})
+	for lvl := range loopsB {
+		prob.Vars = append(prob.Vars, Variable{Name: loopsB[lvl].Index, Kind: IndexB, Level: lvl})
 	}
 	for _, s := range p.Symbols {
 		prob.Vars = append(prob.Vars, Variable{Name: s, Kind: Symbol, Level: -1})
 	}
-	for i := 1; i < len(prob.Vars); i++ {
-		for j := 0; j < i; j++ {
-			if prob.Vars[j].Name == prob.Vars[i].Name {
-				return nil, fmt.Errorf("system: duplicate variable %q", prob.Vars[i].Name)
-			}
-		}
+	n := len(prob.Vars)
+	if err := b.checkNames(); err != nil {
+		return nil, err
 	}
 
-	// Subscript equalities: subA(i, s) = subB(i', s). Instead of renaming the
-	// B-side expression onto primed indices and subtracting (two map clones
-	// per dimension), add subA's coefficients and subtract subB's directly at
-	// the variable positions the renames would have produced: a B-side term
-	// naming loop level lvl lands at position len(loopsA)+lvl, everything
-	// else (symbols, or A-side names a degenerate pair may share) resolves by
-	// name against the variable list, exactly as Build's index map would.
+	// Subscript equalities: subA(i, s) = subB(i', s), as subA's coefficients
+	// minus subB's at each term's position, RHS = subB.Const - subA.Const.
 	dims := len(ra.Subscripts)
-	b.eq.Reshape(len(prob.Vars), dims)
+	b.eq.Reshape(n, dims)
 	prob.Eq = &b.eq
 	if cap(prob.RHS) < dims {
 		prob.RHS = make([]int64, dims)
 	}
 	prob.RHS = prob.RHS[:dims]
 	for d := 0; d < dims; d++ {
-		subA := ra.Subscripts[d]
-		subB := rb.Subscripts[d]
+		subA, subB := &ra.Subscripts[d], &rb.Subscripts[d]
 		for _, t := range subA.Terms {
-			i := b.findVar(t.Var)
-			if i < 0 {
-				return nil, fmt.Errorf("system: subscript uses unknown variable %q", t.Var)
-			}
-			c, err := linalg.AddChecked(prob.Eq.At(i, d), t.Coeff)
-			if err != nil {
+			if err := b.addEq(b.find(t.Var), d, t, false); err != nil {
 				return nil, err
 			}
-			prob.Eq.Set(i, d, c)
 		}
 		for _, t := range subB.Terms {
-			i := -1
-			for lvl := range loopsB {
-				if loopsB[lvl].Index == t.Var {
-					i = len(loopsA) + lvl
-					break
-				}
-			}
-			if i < 0 {
-				i = b.findVar(t.Var)
-			}
-			if i < 0 {
-				return nil, fmt.Errorf("system: subscript uses unknown variable %q", t.Var)
-			}
-			c, err := linalg.SubChecked(prob.Eq.At(i, d), t.Coeff)
-			if err != nil {
+			if err := b.addEq(b.findIn(loopsB, t.Var), d, t, true); err != nil {
 				return nil, err
 			}
-			prob.Eq.Set(i, d, c)
 		}
 		rhs, err := linalg.SubChecked(subB.Const, subA.Const)
 		if err != nil {
@@ -153,52 +118,157 @@ func (b *Builder) Build(p ir.Pair) (*Problem, error) {
 		prob.RHS[d] = rhs
 	}
 
-	// Bounds: A-side bounds over unprimed outer indices and symbols; B-side
-	// bounds renamed onto primed indices, their terms carved from the arena
-	// (AppendRename is a no-op pass-through when the outer index does not
-	// occur, the common rectangular case).
-	prob.Lower = resizeBounds(prob.Lower, len(prob.Vars))
-	prob.Upper = resizeBounds(prob.Upper, len(prob.Vars))
-	for _, l := range loopsA {
-		i := b.findVar(l.Index)
-		if !l.NoLower {
-			prob.Lower[i] = Bound{Has: true, Expr: l.Lower}
-		}
-		if !l.NoUpper {
-			prob.Upper[i] = Bound{Has: true, Expr: l.Upper}
+	// Bounds as positional rows carved from the arena: A-side bounds over
+	// the unprimed outer indices and symbols, B-side bounds over the primed
+	// outer indices.
+	prob.Lower = resizeBounds(prob.Lower, n)
+	prob.Upper = resizeBounds(prob.Upper, n)
+	b.rows.Reset()
+	for lvl := range loopsA {
+		if err := b.bounds(&loopsA[lvl], nil, lvl); err != nil {
+			return nil, err
 		}
 	}
-	b.terms = b.terms[:0]
-	for lvl, l := range loopsB {
-		i := len(loopsA) + lvl
-		lo, hi := l.Lower, l.Upper
-		for _, outer := range loopsB[:lvl] {
-			pn := b.primedName(outer.Index)
-			b.terms, lo = lo.AppendRename(b.terms, outer.Index, pn)
-			b.terms, hi = hi.AppendRename(b.terms, outer.Index, pn)
-		}
-		if !l.NoLower {
-			prob.Lower[i] = Bound{Has: true, Expr: lo}
-		}
-		if !l.NoUpper {
-			prob.Upper[i] = Bound{Has: true, Expr: hi}
+	for lvl := range loopsB {
+		if err := b.bounds(&loopsB[lvl], loopsB[:lvl], prob.NumA+lvl); err != nil {
+			return nil, err
 		}
 	}
-	// Validate that bound expressions only mention known variables, walking
-	// the term rows directly (Expr.Vars copies the names into a fresh slice).
-	for i := range prob.Vars {
-		for _, bd := range [2]Bound{prob.Lower[i], prob.Upper[i]} {
-			if !bd.Has {
-				continue
-			}
-			for _, t := range bd.Expr.Terms {
-				if b.findVar(t.Var) < 0 {
-					return nil, fmt.Errorf("system: bound of %q uses unknown variable %q", prob.Vars[i].Name, t.Var)
-				}
-			}
-		}
+
+	if cap(prob.Constrains) < n {
+		prob.Constrains = make([]bool, n)
+	}
+	prob.Constrains = prob.Constrains[:n]
+	for k := range prob.Constrains {
+		prob.Constrains[k] = nonzero(prob.Eq.Row(k))
+	}
+	for j := 0; j < n; j++ {
+		markOthers(prob.Constrains, prob.Lower[j].Coef, j)
+		markOthers(prob.Constrains, prob.Upper[j].Coef, j)
 	}
 	return prob, nil
+}
+
+// nonzero reports whether row has a nonzero entry.
+func nonzero(row []int64) bool {
+	for _, c := range row {
+		if c != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// markOthers sets flag[k] for every nonzero row[k] but the row's own
+// variable j.
+func markOthers(flag []bool, row []int64, j int) {
+	for k, c := range row {
+		if c != 0 && k != j {
+			flag[k] = true
+		}
+	}
+}
+
+// checkNames rejects two variables that render alike. A B-side index
+// renders primed, so it can meet another variable only if that one is a
+// B-side index too or its name ends in a prime: without such a name, only
+// each side's names and the symbols need comparing among themselves.
+func (b *Builder) checkNames() error {
+	vars := b.prob.Vars
+	primes := false
+	for i := range vars {
+		if v := &vars[i]; v.Kind != IndexB && strings.HasSuffix(v.Name, "'") {
+			primes = true
+		}
+	}
+	for i := 1; i < len(vars); i++ {
+		for j := 0; j < i; j++ {
+			if !primes && (vars[i].Kind == IndexB) != (vars[j].Kind == IndexB) {
+				continue
+			}
+			if sameName(&vars[i], &vars[j]) {
+				return fmt.Errorf("system: duplicate variable %q", vars[i])
+			}
+		}
+	}
+	return nil
+}
+
+// addEq adds (or, for the B side, subtracts) term t's coefficient at
+// position i of equation d.
+func (b *Builder) addEq(i, d int, t ir.Term, sub bool) error {
+	if i < 0 {
+		return fmt.Errorf("system: subscript uses unknown variable %q", t.Var)
+	}
+	var c int64
+	var err error
+	if sub {
+		c, err = linalg.SubChecked(b.prob.Eq.At(i, d), t.Coeff)
+	} else {
+		c, err = linalg.AddChecked(b.prob.Eq.At(i, d), t.Coeff)
+	}
+	if err != nil {
+		return err
+	}
+	b.prob.Eq.Set(i, d, c)
+	return nil
+}
+
+// bounds sets the lower and upper bound of variable i, the index of loop
+// l; outerB lists the B-side loops enclosing l (nil on the A side).
+func (b *Builder) bounds(l *ir.Loop, outerB []ir.Loop, i int) error {
+	if !l.NoLower {
+		if err := b.bound(&b.prob.Lower[i], &l.Lower, outerB, i); err != nil {
+			return err
+		}
+	}
+	if !l.NoUpper {
+		if err := b.bound(&b.prob.Upper[i], &l.Upper, outerB, i); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// bound resolves e into the cleared slot bd as a positional row: a name of
+// an enclosing B-side loop to its primed index, any other as find resolves
+// it. Terms that land on one position (a source name and its primed
+// spelling) add up, and a row that cancels to zero is a constant bound.
+func (b *Builder) bound(bd *Bound, e *ir.Expr, outerB []ir.Loop, i int) error {
+	bd.Has, bd.Const = true, e.Const
+	if len(e.Terms) == 0 {
+		return nil
+	}
+	row := b.rows.ZeroRow(len(b.prob.Vars))
+	for _, t := range e.Terms {
+		k := b.findIn(outerB, t.Var)
+		if k < 0 {
+			return fmt.Errorf("system: bound of %q uses unknown variable %q", b.prob.Vars[i], t.Var)
+		}
+		c, err := linalg.AddChecked(row[k], t.Coeff)
+		if err != nil {
+			return err
+		}
+		row[k] = c
+	}
+	for _, c := range row {
+		if c != 0 {
+			bd.Coef = row
+			break
+		}
+	}
+	return nil
+}
+
+// sameName reports whether two variables render alike.
+func sameName(a, c *Variable) bool {
+	if (a.Kind == IndexB) == (c.Kind == IndexB) {
+		return a.Name == c.Name
+	}
+	if a.Kind == IndexB {
+		return a.is(c.Name)
+	}
+	return c.is(a.Name)
 }
 
 // resizeBounds returns bs resized to n cleared Bound slots, reusing the
@@ -208,8 +278,6 @@ func resizeBounds(bs []Bound, n int) []Bound {
 		return make([]Bound, n)
 	}
 	bs = bs[:n]
-	for i := range bs {
-		bs[i] = Bound{}
-	}
+	clear(bs)
 	return bs
 }

@@ -2,9 +2,9 @@ package system
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"exactdep/internal/ir"
@@ -73,27 +73,32 @@ func builderPairs(t *testing.T) []ir.Pair {
 	return pairs
 }
 
-// TestBuilderMatchesBuild: the scratch-reusing Builder must produce exactly
-// the Problem the allocating Build produces — same string rendering, same
-// variables, same GCD preprocessing verdict — on every pair shape,
-// including back-to-back builds over the same scratch.
-func TestBuilderMatchesBuild(t *testing.T) {
+// TestBuilderReuseMatchesFresh: a Builder reused across every pair shape,
+// back to back over the same scratch, must produce exactly the Problem a
+// fresh Builder produces: same string rendering, variables, side counts,
+// equations, bound rows and flags, and the same GCD preprocessing.
+func TestBuilderReuseMatchesFresh(t *testing.T) {
 	var bld Builder
 	for round := 0; round < 2; round++ { // round 2 re-uses warm scratch
-		for pi, pair := range builderPairs(t) {
-			want, werr := Build(pair)
-			got, gerr := bld.Build(pair)
+		pairs := builderPairs(t)
+		for pi := range pairs {
+			var fresh Builder
+			want, werr := fresh.Build(&pairs[pi])
+			got, gerr := bld.Build(&pairs[pi])
 			if (werr == nil) != (gerr == nil) {
-				t.Fatalf("round %d pair %d: Build err %v, Builder err %v", round, pi, werr, gerr)
+				t.Fatalf("round %d pair %d: fresh err %v, reused err %v", round, pi, werr, gerr)
 			}
 			if werr != nil {
 				continue
 			}
 			if ws, gs := want.String(), got.String(); ws != gs {
-				t.Fatalf("round %d pair %d: problems differ\nBuild:\n%s\nBuilder:\n%s", round, pi, ws, gs)
+				t.Fatalf("round %d pair %d: problems differ\nfresh:\n%s\nreused:\n%s", round, pi, ws, gs)
 			}
-			if !reflect.DeepEqual(want.Vars, got.Vars) {
-				t.Fatalf("round %d pair %d: vars %v vs %v", round, pi, want.Vars, got.Vars)
+			if !reflect.DeepEqual(want.Vars, got.Vars) || want.NumA != got.NumA || want.NumB != got.NumB ||
+				!want.Eq.Equal(got.Eq) || !reflect.DeepEqual(want.RHS, got.RHS) ||
+				!reflect.DeepEqual(want.Lower, got.Lower) || !reflect.DeepEqual(want.Upper, got.Upper) ||
+				!reflect.DeepEqual(want.Constrains, got.Constrains) {
+				t.Fatalf("round %d pair %d: fields differ\nfresh:  %+v\nreused: %+v", round, pi, *want, *got)
 			}
 			wres, wts, werr := Preprocess(want)
 			gres, gts, gerr := Preprocess(got)
@@ -103,9 +108,98 @@ func TestBuilderMatchesBuild(t *testing.T) {
 			if (wts == nil) != (gts == nil) {
 				t.Fatalf("round %d pair %d: t-system presence differs", round, pi)
 			}
-			if wts != nil && fmt.Sprintf("%+v", wts) != fmt.Sprintf("%+v", gts) {
+			if wts != nil && wts.String() != gts.String() {
 				t.Fatalf("round %d pair %d: t-systems differ", round, pi)
 			}
+		}
+	}
+}
+
+// TestBuildResolvesPositions pins the name resolution of an imperfect pair:
+// the A side under loops i, j and the B side under i, k (k's bounds over
+// the outer i), sharing i. A B-side subscript or bound term resolves to a
+// B-side loop first; every other name to an A-side index, then a primed
+// B-side name, then a symbol.
+func TestBuildResolvesPositions(t *testing.T) {
+	i := ir.Loop{Index: "i", Lower: ir.NewConst(1), Upper: ir.NewVar("n")}
+	j := ir.Loop{Index: "j", Lower: ir.NewConst(1), Upper: ir.NewVar("i")}
+	k := ir.Loop{Index: "k", Lower: ir.NewVar("i"), Upper: ir.NewConst(10)}
+	pair := ir.Pair{
+		A:       ir.Site{Loops: []ir.Loop{i, j}, Ref: ir.Ref{Array: "a", Subscripts: []ir.Expr{ir.NewVar("i").Add(ir.NewVar("j")).Add(ir.NewVar("k'"))}}},
+		B:       ir.Site{Loops: []ir.Loop{i, k}, Ref: ir.Ref{Array: "a", Subscripts: []ir.Expr{ir.NewVar("k").Add(ir.NewTerm("n", 2))}}},
+		Common:  1,
+		Symbols: []string{"n"},
+	}
+	p, err := Build(pair)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Positions: i=0 j=1 | i'=2 k'=3 | n=4.
+	if p.NumA != 2 || p.NumB != 2 || len(p.Vars) != 5 {
+		t.Fatalf("NumA %d NumB %d vars %v", p.NumA, p.NumB, p.Vars)
+	}
+	if got := []int64{p.Eq.At(0, 0), p.Eq.At(1, 0), p.Eq.At(2, 0), p.Eq.At(3, 0), p.Eq.At(4, 0)}; !reflect.DeepEqual(got, []int64{1, 1, 0, 0, -2}) {
+		// k' on the A side and k on the B side land on one position and cancel.
+		t.Fatalf("equation %v, want [1 1 0 0 -2]", got)
+	}
+	for _, c := range []struct {
+		name string
+		b    Bound
+		want Bound
+	}{
+		{"upper i", p.Upper[0], Bound{Has: true, Coef: []int64{0, 0, 0, 0, 1}}},
+		{"upper j", p.Upper[1], Bound{Has: true, Coef: []int64{1, 0, 0, 0, 0}}},
+		{"lower k'", p.Lower[3], Bound{Has: true, Coef: []int64{0, 0, 1, 0, 0}}},
+		{"upper k'", p.Upper[3], Bound{Has: true, Const: 10}},
+	} {
+		if !reflect.DeepEqual(c.b, c.want) {
+			t.Errorf("%s = %+v, want %+v", c.name, c.b, c.want)
+		}
+	}
+	if want := []bool{true, true, true, false, true}; !reflect.DeepEqual(p.Constrains, want) {
+		t.Errorf("Constrains = %v, want %v", p.Constrains, want)
+	}
+	if !p.LevelUsed(0) {
+		t.Error("level 0 constrains the problem")
+	}
+	if ai, bi := p.CommonPair(1); ai != 1 || bi != 3 {
+		t.Errorf("CommonPair(1) = %d, %d, want 1, 3", ai, bi)
+	}
+	if !strings.Contains(p.String(), "vars: i j i' k' n") || !strings.Contains(p.String(), "i' ≤ k' ≤ 10") {
+		t.Errorf("rendering:\n%s", p)
+	}
+}
+
+// TestBuildDuplicateNames: two variables that render alike are an error —
+// two loops of one side with one index, a symbol named like an index, and
+// a symbol spelled like a primed B-side index — while a symbol that only
+// ends in a prime is not.
+func TestBuildDuplicateNames(t *testing.T) {
+	lp := func(idx string) ir.Loop { return ir.Loop{Index: idx, Lower: ir.NewConst(1), Upper: ir.NewConst(10)} }
+	mk := func(loops []ir.Loop, symbols ...string) ir.Pair {
+		ref := ir.Ref{Array: "a", Subscripts: []ir.Expr{ir.NewVar(loops[0].Index)}}
+		return ir.Pair{A: ir.Site{Loops: loops, Ref: ref}, B: ir.Site{Loops: loops, Ref: ref},
+			Common: len(loops), Symbols: symbols}
+	}
+	for _, c := range []struct {
+		name string
+		pair ir.Pair
+		dup  string
+	}{
+		{"shadowed loop", mk([]ir.Loop{lp("i"), lp("i")}), `"i"`},
+		{"symbol named like an index", mk([]ir.Loop{lp("i")}, "i"), `"i"`},
+		{"symbol spelled primed", mk([]ir.Loop{lp("i")}, "i'"), `"i'"`},
+		{"primed symbol of no index", mk([]ir.Loop{lp("i")}, "j'"), ""},
+	} {
+		_, err := Build(c.pair)
+		if c.dup == "" {
+			if err != nil {
+				t.Errorf("%s: %v", c.name, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), "duplicate variable "+c.dup) {
+			t.Errorf("%s: error %v, want duplicate variable %s", c.name, err, c.dup)
 		}
 	}
 }
@@ -133,7 +227,12 @@ func TestBuilderOverflow(t *testing.T) {
 		{"coefficient below", mk(i.Add(ir.NewTerm("n", math.MinInt64)), i.Add(ir.NewTerm("n", 1)), "n")},
 	} {
 		var bld Builder
-		if _, err := bld.Build(c.pair); !errors.Is(err, linalg.ErrOverflow) {
+		if _, err := bld.Build(&c.pair); !errors.Is(err, linalg.ErrOverflow) {
+			t.Errorf("%s: Builder.Build error %v, want linalg.ErrOverflow", c.name, err)
+		}
+		// The package-level Build runs the same checks; it used to compute
+		// subA.Sub(subB) and wrap.
+		if _, err := Build(c.pair); !errors.Is(err, linalg.ErrOverflow) {
 			t.Errorf("%s: Build error %v, want linalg.ErrOverflow", c.name, err)
 		}
 	}
@@ -147,12 +246,12 @@ func TestBuilderOverflow(t *testing.T) {
 func TestBuilderScratchInvalidation(t *testing.T) {
 	pairs := builderPairs(t)
 	var bld Builder
-	p1, err := bld.Build(pairs[0])
+	p1, err := bld.Build(&pairs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := p1.String()
-	if _, err := bld.Build(pairs[2]); err != nil {
+	if _, err := bld.Build(&pairs[2]); err != nil {
 		t.Fatal(err)
 	}
 	if p1.String() == before {
@@ -160,10 +259,10 @@ func TestBuilderScratchInvalidation(t *testing.T) {
 	}
 }
 
-// TestBuildZeroAllocs gates a warm Builder.Build at zero allocations over
-// rectangular nests, triangular nests (whose B-side bounds are renamed onto
-// primed indices, their terms carved from the Builder's arena) and symbols.
-// Part of the Makefile allocgate.
+// TestBuildZeroAllocs gates a warm Builder.Build, with CommonPair and
+// LevelUsed at every common level, at zero allocations over rectangular
+// nests, triangular nests (whose bound rows are carved from the Builder's
+// arena) and symbols. Part of the Makefile allocgate.
 func TestBuildZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed by the race detector")
@@ -171,14 +270,21 @@ func TestBuildZeroAllocs(t *testing.T) {
 	var pairs []ir.Pair
 	var bld Builder
 	for _, p := range builderPairs(t) { // warm the scratch
-		if _, err := bld.Build(p); err == nil { // errors allocate their message
+		if _, err := bld.Build(&p); err == nil { // errors allocate their message
 			pairs = append(pairs, p)
 		}
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		for _, p := range pairs {
-			if _, err := bld.Build(p); err != nil {
+		for i := range pairs {
+			p, err := bld.Build(&pairs[i])
+			if err != nil {
 				t.Fatal(err)
+			}
+			for lvl := 0; lvl < p.Common; lvl++ {
+				if ai, bi := p.CommonPair(lvl); ai < 0 || bi < 0 {
+					t.Fatalf("level %d is common but CommonPair = %d, %d", lvl, ai, bi)
+				}
+				_ = p.LevelUsed(lvl)
 			}
 		}
 	})

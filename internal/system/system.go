@@ -27,165 +27,97 @@ const (
 	Symbol
 )
 
-// Variable is one unknown of the x-space system.
+// Variable is one unknown of the x-space system. A B-side index keeps its
+// loop's source name; String renders it primed (i').
 type Variable struct {
 	Name  string
 	Kind  VarKind
 	Level int // loop nesting level for index variables, -1 for symbols
 }
 
-// Bound is an optional affine bound over other problem variables.
+// String renders the variable's name, primed for a B-side index.
+func (v Variable) String() string {
+	if v.Kind == IndexB {
+		return v.Name + "'"
+	}
+	return v.Name
+}
+
+// is reports whether v renders as name, without building the primed string.
+func (v Variable) is(name string) bool {
+	if v.Kind != IndexB {
+		return v.Name == name
+	}
+	n := len(v.Name)
+	return len(name) == n+1 && name[n] == '\'' && name[:n] == v.Name
+}
+
+// Bound is an optional affine bound over the problem's variables, one row
+// of the paper's bound inequalities (§3.1): Const + Σ Coef[k]·x_k, with Coef
+// indexed by variable position and nil for a constant bound.
 type Bound struct {
-	Has  bool
-	Expr ir.Expr
+	Has   bool
+	Const int64
+	Coef  []int64
 }
 
 // Problem is the x-space dependence problem: find integer x with
-// x·Eq = RHS subject to Lower[k] ≤ x_k ≤ Upper[k] where present.
+// x·Eq = RHS subject to Lower[k] ≤ x_k ≤ Upper[k] where present. The
+// variables are the NumA A-side loop indices outer→inner, the NumB B-side
+// ones, then the symbols; that order is part of the memoization key.
 type Problem struct {
-	Vars   []Variable
-	Eq     *linalg.Matrix // len(Vars) × dims
-	RHS    []int64
-	Lower  []Bound
-	Upper  []Bound
-	Common int // number of loops shared by the two references
-	// Pair retains the source references for reporting (may be zero value).
-	Pair ir.Pair
+	Vars       []Variable
+	NumA, NumB int
+	Eq         *linalg.Matrix // len(Vars) × dims
+	RHS        []int64
+	Lower      []Bound
+	Upper      []Bound
+	// Constrains[k] reports whether variable k constrains the problem: it
+	// has a nonzero equation coefficient or occurs in another variable's
+	// bound.
+	Constrains []bool
+	Common     int // number of loops shared by the two references
 }
-
-// primed returns the B-side instance name of a loop index.
-func primed(name string) string { return name + "'" }
 
 // Build constructs the dependence problem for a candidate pair. The two
-// references must name the same array with equal dimensionality.
+// references must name the same array with equal dimensionality. It runs a
+// fresh Builder, so the Problem is the caller's.
 func Build(p ir.Pair) (*Problem, error) {
-	a, b := p.A.Ref, p.B.Ref
-	if a.Array != b.Array {
-		return nil, fmt.Errorf("system: references to different arrays %q, %q", a.Array, b.Array)
-	}
-	if len(a.Subscripts) != len(b.Subscripts) {
-		return nil, fmt.Errorf("system: %q referenced with %d and %d subscripts",
-			a.Array, len(a.Subscripts), len(b.Subscripts))
-	}
-	loopsA := p.A.Loops
-	loopsB := p.B.Loops
-	common := p.Common
-	if common > len(loopsA) || common > len(loopsB) {
-		return nil, fmt.Errorf("system: common depth %d exceeds stacks (%d, %d)",
-			common, len(loopsA), len(loopsB))
-	}
-
-	prob := &Problem{Common: common, Pair: p}
-	// Variable order: A-side indices outer→inner, B-side indices
-	// outer→inner, then symbols. The order is part of the memoization key.
-	for lvl, l := range loopsA {
-		prob.Vars = append(prob.Vars, Variable{Name: l.Index, Kind: IndexA, Level: lvl})
-	}
-	for lvl, l := range loopsB {
-		prob.Vars = append(prob.Vars, Variable{Name: primed(l.Index), Kind: IndexB, Level: lvl})
-	}
-	for _, s := range p.Symbols {
-		prob.Vars = append(prob.Vars, Variable{Name: s, Kind: Symbol, Level: -1})
-	}
-	index := make(map[string]int, len(prob.Vars))
-	for i, v := range prob.Vars {
-		if _, dup := index[v.Name]; dup {
-			return nil, fmt.Errorf("system: duplicate variable %q", v.Name)
-		}
-		index[v.Name] = i
-	}
-
-	// Subscript equalities: subA(i, s) = subB(i', s). The B-side expression
-	// is renamed onto primed loop indices; symbols stay shared.
-	dims := len(a.Subscripts)
-	prob.Eq = linalg.NewMatrix(len(prob.Vars), dims)
-	prob.RHS = make([]int64, dims)
-	for d := 0; d < dims; d++ {
-		subA := a.Subscripts[d]
-		subB := b.Subscripts[d]
-		for _, l := range loopsB {
-			subB = subB.Rename(l.Index, primed(l.Index))
-		}
-		diff := subA.Sub(subB) // Σ coeff·x = RHS form with RHS = -const
-		for _, t := range diff.Terms {
-			i, ok := index[t.Var]
-			if !ok {
-				return nil, fmt.Errorf("system: subscript uses unknown variable %q", t.Var)
-			}
-			prob.Eq.Set(i, d, t.Coeff)
-		}
-		prob.RHS[d] = -diff.Const
-	}
-
-	// Bounds: A-side bounds over unprimed outer indices and symbols; B-side
-	// bounds renamed onto primed indices.
-	prob.Lower = make([]Bound, len(prob.Vars))
-	prob.Upper = make([]Bound, len(prob.Vars))
-	for _, l := range loopsA {
-		i := index[l.Index]
-		if !l.NoLower {
-			prob.Lower[i] = Bound{Has: true, Expr: l.Lower}
-		}
-		if !l.NoUpper {
-			prob.Upper[i] = Bound{Has: true, Expr: l.Upper}
-		}
-	}
-	for lvl, l := range loopsB {
-		i := index[primed(l.Index)]
-		lo, hi := l.Lower, l.Upper
-		for _, outer := range loopsB[:lvl] {
-			lo = lo.Rename(outer.Index, primed(outer.Index))
-			hi = hi.Rename(outer.Index, primed(outer.Index))
-		}
-		if !l.NoLower {
-			prob.Lower[i] = Bound{Has: true, Expr: lo}
-		}
-		if !l.NoUpper {
-			prob.Upper[i] = Bound{Has: true, Expr: hi}
-		}
-	}
-	// Validate that bound expressions only mention known variables.
-	for i := range prob.Vars {
-		for _, b := range []Bound{prob.Lower[i], prob.Upper[i]} {
-			if !b.Has {
-				continue
-			}
-			for _, v := range b.Expr.Vars() {
-				if _, ok := index[v]; !ok {
-					return nil, fmt.Errorf("system: bound of %q uses unknown variable %q", prob.Vars[i].Name, v)
-				}
-			}
-		}
-	}
-	return prob, nil
-}
-
-// VarIndex returns the position of the named variable, or -1.
-func (p *Problem) VarIndex(name string) int {
-	for i, v := range p.Vars {
-		if v.Name == name {
-			return i
-		}
-	}
-	return -1
+	var b Builder
+	return b.Build(&p)
 }
 
 // CommonPair returns the x-space indices of the A-side and B-side instances
-// of common loop level lvl.
+// of loop level lvl, -1 for a side without that level.
 func (p *Problem) CommonPair(lvl int) (ai, bi int) {
 	ai, bi = -1, -1
-	for i, v := range p.Vars {
-		if v.Level != lvl {
-			continue
-		}
-		switch v.Kind {
-		case IndexA:
-			ai = i
-		case IndexB:
-			bi = i
-		}
+	if lvl >= 0 && lvl < p.NumA {
+		ai = lvl
+	}
+	if lvl >= 0 && lvl < p.NumB {
+		bi = p.NumA + lvl
 	}
 	return ai, bi
+}
+
+// LevelUsed reports whether common level lvl's index variables actually
+// constrain the problem: either instance appears in a subscript equation or
+// in the bound of any other variable. Unused levels always admit every
+// direction (the paper's unused-variable pruning, §5 and §6).
+func (p *Problem) LevelUsed(lvl int) bool {
+	ai, bi := p.CommonPair(lvl)
+	return ai >= 0 && p.Constrains[ai] || bi >= 0 && p.Constrains[bi]
+}
+
+// boundString renders a bound over the variables' names.
+func (p *Problem) boundString(b Bound) string {
+	e := ir.NewConst(b.Const)
+	for k, c := range b.Coef {
+		if c != 0 {
+			e = e.Add(ir.NewTerm(p.Vars[k].String(), c))
+		}
+	}
+	return e.String()
 }
 
 // String renders the problem for debugging.
@@ -193,7 +125,7 @@ func (p *Problem) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "vars:")
 	for _, v := range p.Vars {
-		fmt.Fprintf(&b, " %s", v.Name)
+		fmt.Fprintf(&b, " %s", v)
 	}
 	b.WriteByte('\n')
 	for d := 0; d < p.Eq.Cols; d++ {
@@ -206,7 +138,7 @@ func (p *Problem) String() string {
 			if !first {
 				b.WriteString(" + ")
 			}
-			fmt.Fprintf(&b, "%d·%s", c, p.Vars[i].Name)
+			fmt.Fprintf(&b, "%d·%s", c, p.Vars[i])
 			first = false
 		}
 		if first {
@@ -217,12 +149,12 @@ func (p *Problem) String() string {
 	for i, v := range p.Vars {
 		lo, hi := "-inf", "+inf"
 		if p.Lower[i].Has {
-			lo = p.Lower[i].Expr.String()
+			lo = p.boundString(p.Lower[i])
 		}
 		if p.Upper[i].Has {
-			hi = p.Upper[i].Expr.String()
+			hi = p.boundString(p.Upper[i])
 		}
-		fmt.Fprintf(&b, "%s ≤ %s ≤ %s\n", lo, v.Name, hi)
+		fmt.Fprintf(&b, "%s ≤ %s ≤ %s\n", lo, v, hi)
 	}
 	return b.String()
 }

@@ -47,8 +47,8 @@ func TestBuildSimple(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.Vars) != 2 || p.Vars[0].Name != "i" || p.Vars[1].Name != "i'" {
-		t.Fatalf("vars = %v", p.Vars)
+	if len(p.Vars) != 2 || p.Vars[0].String() != "i" || p.Vars[1].String() != "i'" || p.NumA != 1 || p.NumB != 1 {
+		t.Fatalf("vars = %v (NumA %d, NumB %d)", p.Vars, p.NumA, p.NumB)
 	}
 	// equation: 1·i - 1·i' = -10  (subA - subB': (i+10) - i' )
 	if p.Eq.At(0, 0) != 1 || p.Eq.At(1, 0) != -1 || p.RHS[0] != -10 {
@@ -398,16 +398,23 @@ func TestLevelUsed(t *testing.T) {
 
 func TestConstraintNormalize(t *testing.T) {
 	c := Constraint{Coef: []int64{2, 4}, C: 7}
-	n, ok := c.Normalize()
-	if !ok || n.Coef[0] != 1 || n.Coef[1] != 2 || n.C != 3 {
-		t.Fatalf("Normalize = %v ok=%v, want [1 2] ≤ 3", n, ok)
+	n, ok, err := c.Normalize()
+	if err != nil || !ok || n.Coef[0] != 1 || n.Coef[1] != 2 || n.C != 3 {
+		t.Fatalf("Normalize = %v ok=%v err=%v, want [1 2] ≤ 3", n, ok, err)
+	}
+	if c.Coef[0] != 2 {
+		t.Fatal("Normalize wrote into the caller's row")
 	}
 	// constant constraints
-	if _, ok := (Constraint{Coef: []int64{0}, C: -1}).Normalize(); ok {
+	if _, ok, err := (Constraint{Coef: []int64{0}, C: -1}).Normalize(); ok || err != nil {
 		t.Fatal("0 ≤ -1 must be infeasible")
 	}
-	if _, ok := (Constraint{Coef: []int64{0}, C: 0}).Normalize(); !ok {
+	if _, ok, err := (Constraint{Coef: []int64{0}, C: 0}).Normalize(); !ok || err != nil {
 		t.Fatal("0 ≤ 0 is feasible")
+	}
+	// a gcd of 2^63 does not fit
+	if _, _, err := (Constraint{Coef: []int64{math.MinInt64, 0}, C: 0}).Normalize(); !errors.Is(err, linalg.ErrOverflow) {
+		t.Fatalf("Normalize of a MinInt64 row = %v, want ErrOverflow", err)
 	}
 }
 

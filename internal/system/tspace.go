@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"exactdep/internal/ir"
 	"exactdep/internal/linalg"
 )
 
@@ -82,31 +81,24 @@ func (c Constraint) String() string {
 
 // Normalize divides the constraint by the gcd of its coefficients,
 // tightening the constant with a floor (valid for integer solutions). It
-// reports ok=false when the constraint is an unsatisfiable "0 ≤ negative".
-func (c Constraint) Normalize() (Constraint, bool) {
-	g := linalg.GCDAll(c.Coef)
-	if g == 0 {
-		// no variables: feasible iff 0 ≤ C
-		return c, c.C >= 0
-	}
-	if g > 1 {
-		out := Constraint{Coef: make([]int64, len(c.Coef)), C: linalg.FloorDiv(c.C, g)}
-		for i, v := range c.Coef {
-			out.Coef[i] = v / g
-		}
-		return out, true
-	}
-	return c, true
+// reports ok=false when the constraint is an unsatisfiable "0 ≤ negative",
+// and linalg.ErrOverflow when the gcd is 2^63 (every nonzero coefficient is
+// MinInt64).
+func (c Constraint) Normalize() (Constraint, bool, error) {
+	return Constraint{Coef: append([]int64(nil), c.Coef...), C: c.C}.NormalizeInPlace()
 }
 
 // NormalizeInPlace is Normalize for a constraint whose coefficient row is
 // owned by the caller (e.g. a Scratch row): the gcd division writes back
-// into c.Coef instead of allocating a fresh row. The arithmetic is identical
-// to Normalize.
-func (c Constraint) NormalizeInPlace() (Constraint, bool) {
-	g := linalg.GCDAll(c.Coef)
+// into c.Coef instead of allocating a fresh row.
+func (c Constraint) NormalizeInPlace() (Constraint, bool, error) {
+	g, err := linalg.GCDAll(c.Coef)
+	if err != nil {
+		return c, false, err
+	}
 	if g == 0 {
-		return c, c.C >= 0
+		// no variables: feasible iff 0 ≤ C
+		return c, c.C >= 0, nil
 	}
 	if g > 1 {
 		for i, v := range c.Coef {
@@ -114,7 +106,7 @@ func (c Constraint) NormalizeInPlace() (Constraint, bool) {
 		}
 		c.C = linalg.FloorDiv(c.C, g)
 	}
-	return c, true
+	return c, true, nil
 }
 
 // TSystem is the dependence problem after Extended GCD preprocessing: an
@@ -223,13 +215,13 @@ func (pp *Preprocessor) Preprocess(p *Problem) (GCDResult, *TSystem, error) {
 	for i := range p.Vars {
 		if p.Lower[i].Has {
 			// L(x) ≤ x_i  →  L(x) - x_i ≤ 0
-			if err := pp.addBound(p.Lower[i].Expr, i, true); err != nil {
+			if err := pp.addBound(&p.Lower[i], i, true); err != nil {
 				return 0, nil, err
 			}
 		}
 		if p.Upper[i].Has {
 			// x_i ≤ U(x)  →  x_i - U(x) ≤ 0
-			if err := pp.addBound(p.Upper[i].Expr, i, false); err != nil {
+			if err := pp.addBound(&p.Upper[i], i, false); err != nil {
 				return 0, nil, err
 			}
 		}
@@ -242,10 +234,10 @@ func (pp *Preprocessor) Preprocess(p *Problem) (GCDResult, *TSystem, error) {
 // substituted into an arena row and x_i is subtracted in place, every step
 // checked for overflow; the constants are subtracted in the order that
 // leaves the right-hand side, so no negation can wrap.
-func (pp *Preprocessor) addBound(e ir.Expr, i int, lower bool) error {
+func (pp *Preprocessor) addBound(b *Bound, i int, lower bool) error {
 	ts := &pp.ts
 	row := pp.rows.Row(ts.NumT)
-	c, err := ts.Prob.exprToT(e, ts.XOf, row)
+	c, err := exprToT(b, ts.XOf, row)
 	if err != nil {
 		return err
 	}
@@ -269,23 +261,21 @@ func (pp *Preprocessor) addBound(e ir.Expr, i int, lower bool) error {
 			}
 		}
 	}
-	ts.pushConstraint(row, c)
-	return nil
+	return ts.pushConstraint(row, c)
 }
 
-// exprToT substitutes each variable's t parameterization into the affine
-// x-space expression e: it writes the t coefficients into row (len NumT)
-// and returns the constant.
-func (p *Problem) exprToT(e ir.Expr, xof []TExpr, row []int64) (int64, error) {
+// exprToT substitutes each variable's t parameterization into the bound
+// row b, in position order: it writes the t coefficients into row (len
+// NumT) and returns the constant.
+func exprToT(b *Bound, xof []TExpr, row []int64) (int64, error) {
 	clear(row)
-	c := e.Const
+	c := b.Const
 	var err error
-	for _, t := range e.Terms {
-		i := p.VarIndex(t.Var)
-		if i < 0 {
-			return 0, fmt.Errorf("system: unknown variable %q in bound", t.Var)
+	for k, coeff := range b.Coef {
+		if coeff == 0 {
+			continue
 		}
-		prod, err2 := linalg.MulChecked(t.Coeff, xof[i].Const)
+		prod, err2 := linalg.MulChecked(coeff, xof[k].Const)
 		if err2 != nil {
 			return 0, err2
 		}
@@ -293,7 +283,7 @@ func (p *Problem) exprToT(e ir.Expr, xof []TExpr, row []int64) (int64, error) {
 			return 0, err
 		}
 		for f := range row {
-			prod, err2 := linalg.MulChecked(t.Coeff, xof[i].Coef[f])
+			prod, err2 := linalg.MulChecked(coeff, xof[k].Coef[f])
 			if err2 != nil {
 				return 0, err2
 			}
@@ -377,7 +367,7 @@ func (s *TSystem) PushDirection(lvl int, dir byte, sc *Scratch) error {
 		if err != nil {
 			return err
 		}
-		s.pushConstraint(r, -1-dc) // fits for every int64 dc
+		return s.pushConstraint(r, -1-dc) // fits for every int64 dc
 	case '=': // iA - iB ≤ 0 and iB - iA ≤ 0
 		c, err := linalg.SubChecked(0, dc)
 		if err != nil {
@@ -391,8 +381,14 @@ func (s *TSystem) PushDirection(lvl int, dir byte, sc *Scratch) error {
 		if err != nil {
 			return err
 		}
-		s.pushConstraint(r1, c)
-		s.pushConstraint(r2, dc)
+		m := s.Mark()
+		if err := s.pushConstraint(r1, c); err != nil {
+			return err
+		}
+		if err := s.pushConstraint(r2, dc); err != nil {
+			s.PopTo(m)
+			return err
+		}
 	case '>': // iB - iA ≤ -1
 		c, err := linalg.SubChecked(dc, 1)
 		if err != nil {
@@ -402,7 +398,7 @@ func (s *TSystem) PushDirection(lvl int, dir byte, sc *Scratch) error {
 		if err != nil {
 			return err
 		}
-		s.pushConstraint(r, c)
+		return s.pushConstraint(r, c)
 	default:
 		return fmt.Errorf("system: unknown direction %q", string(dir))
 	}
@@ -411,17 +407,22 @@ func (s *TSystem) PushDirection(lvl int, dir byte, sc *Scratch) error {
 
 // pushConstraint appends "coef·t ≤ c" normalized in place: the gcd
 // division writes into the caller-owned row. Trivially true constraints are
-// dropped; trivially false ones mark the system infeasible.
-func (s *TSystem) pushConstraint(coef []int64, c int64) {
-	nc, ok := (Constraint{Coef: coef, C: c}).NormalizeInPlace()
+// dropped; trivially false ones mark the system infeasible. A gcd past
+// int64 is linalg.ErrOverflow and leaves the system unchanged.
+func (s *TSystem) pushConstraint(coef []int64, c int64) error {
+	nc, ok, err := (Constraint{Coef: coef, C: c}).NormalizeInPlace()
+	if err != nil {
+		return err
+	}
 	if !ok {
 		s.Infeasible = true
-		return
+		return nil
 	}
 	if nc.NumVarsUsed() == 0 {
-		return // 0 ≤ C with C ≥ 0: vacuous
+		return nil // 0 ≤ C with C ≥ 0: vacuous
 	}
 	s.Cons = append(s.Cons, nc)
+	return nil
 }
 
 // Distance reports iB - iA at common level lvl when it is a constant: a
@@ -452,43 +453,12 @@ func (s *TSystem) Distance(lvl int) (d int64, ok bool) {
 // constrain the problem (see Problem.LevelUsed).
 func (s *TSystem) LevelUsed(lvl int) bool { return s.Prob.LevelUsed(lvl) }
 
-// LevelUsed reports whether common level lvl's index variables actually
-// constrain the problem: either instance appears in a subscript equation or
-// in the bound of any variable. Unused levels always admit every direction
-// (the paper's unused-variable pruning, §5 and §6).
-func (p *Problem) LevelUsed(lvl int) bool {
-	ai, bi := p.CommonPair(lvl)
-	for _, i := range []int{ai, bi} {
-		if i < 0 {
-			continue
-		}
-		for d := 0; d < p.Eq.Cols; d++ {
-			if p.Eq.At(i, d) != 0 {
-				return true
-			}
-		}
-		name := p.Vars[i].Name
-		for j := range p.Vars {
-			if j == i {
-				continue
-			}
-			if p.Lower[j].Has && p.Lower[j].Expr.Uses(name) {
-				return true
-			}
-			if p.Upper[j].Has && p.Upper[j].Expr.Uses(name) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // String renders the t-space system.
 func (s *TSystem) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "t-system (%d vars, %d constraints)\n", s.NumT, len(s.Cons))
 	for i, x := range s.XOf {
-		fmt.Fprintf(&b, "  %s = %s\n", s.Prob.Vars[i].Name, x.String())
+		fmt.Fprintf(&b, "  %s = %s\n", s.Prob.Vars[i], x.String())
 	}
 	for _, c := range s.Cons {
 		fmt.Fprintf(&b, "  %s\n", c.String())
