@@ -60,11 +60,15 @@ allocgate:
 # parser, and the verdict store's and memo file's shared binary decoder
 # through LoadStore and LoadMemo. Each starts from its seed corpus (the
 # suite's sources; a real snapshot of each file and every corrupt-record
-# test case).
+# test case). It then fuzzes the exact-test cascade for 10 s on small
+# systems at the int64 extremes (FuzzCascadeExact: no panic, the cascade
+# and Fourier–Motzkin alone agree on every exact verdict, and FM's exact
+# Dependent witnesses hold), seeded with the overflow cases its tests pin.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/lang
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadStore$$' -fuzztime 10s ./internal/corpus
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadMemo$$' -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzCascadeExact$$' -fuzztime 10s ./internal/dtest
 
 # benchmark-selftest vets and tests the benchmark module (benchmark/, a
 # separate Go module the root go test ./... never reaches): its generator,

@@ -53,6 +53,9 @@ func acyclicApply(s *state, sc *Scratch) (res Result, simplified *state, decided
 		if st.infeasible || st.firstConflict() >= 0 {
 			return independent(KindAcyclic), nil, true
 		}
+		if st.overflow {
+			break
+		}
 		if len(st.multi) == 0 {
 			sc.witness = st.boundsWitness(sc.witness)
 			replayJournal(sc.witness, sc.journal, sc.dropped)
@@ -64,14 +67,14 @@ func acyclicApply(s *state, sc *Scratch) (res Result, simplified *state, decided
 		}
 		entry, err := st.eliminate(v, sign, sc)
 		if err != nil {
-			// Arithmetic overflow: treat as inapplicable and let the backup
-			// test (which handles its own overflow) take over, on a fresh
-			// copy of the unsimplified system.
-			sc.cloneStateInto(st, s)
-			return Result{}, st, false
+			break
 		}
 		sc.journal = append(sc.journal, entry)
 	}
+	// Arithmetic overflow: treat as inapplicable and let the later stages
+	// take over, on a fresh copy of the unsimplified system.
+	sc.cloneStateInto(st, s)
+	return Result{}, st, false
 }
 
 // findOneSided returns a variable whose multi-constraint coefficients all

@@ -109,11 +109,10 @@ func TestCascadeZeroAllocs(t *testing.T) {
 	})
 }
 
-// TestFMSolveZeroAllocs enforces PR 5's acceptance criterion on the
-// Fourier–Motzkin core itself: once the scratch — constraint list, round
-// buffers, bound store, dedup hash set, witness arrays — is warm, an int64
-// elimination that decides (either way) allocates nothing. Only the
-// big-integer retry and explicit branch-and-bound splits may allocate.
+// TestFMSolveZeroAllocs gates the Fourier–Motzkin core itself: once the
+// scratch — constraint list, round buffers, bound store, dedup hash set,
+// witness arrays — is warm, an elimination that decides (either way)
+// allocates nothing. Only explicit branch-and-bound splits may allocate.
 func TestFMSolveZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts include race-detector instrumentation")

@@ -19,8 +19,8 @@ import "time"
 // deterministic, and are never memoized.
 type Budget struct {
 	// MaxFMEliminations caps the number of Fourier–Motzkin variable
-	// eliminations per problem, summed over the int64 pass, the big-integer
-	// retry, and every branch-and-bound subproblem. 0 means unlimited.
+	// eliminations per problem, summed over the solve and every
+	// branch-and-bound subproblem. 0 means unlimited.
 	MaxFMEliminations int
 	// MaxBranchNodes caps the branch-and-bound nodes explored per problem.
 	// 0 means unlimited (the structural depth cap still applies).

@@ -164,31 +164,6 @@ func TestBudgetTripBranchNodes(t *testing.T) {
 	}
 }
 
-// TestBudgetMetersBigRetry pins that the big-integer retry draws from the
-// same per-problem budget: the int64 pass overflows (spending one
-// elimination), and the retry's first elimination is the one that trips.
-func TestBudgetMetersBigRetry(t *testing.T) {
-	big := int64(1) << 61
-	ts := sys(2,
-		cons(1, big, big-1),
-		cons(-3, -(big-3), -(big-5)),
-		cons(10, 1, 0), cons(0, -1, 0),
-		cons(10, 0, 1), cons(0, 0, -1),
-	)
-	p := FMOnlyConfig().NewPipeline()
-
-	// Unbudgeted baseline: the retry decides exactly.
-	if r := p.Run(ts); !r.Exact {
-		t.Fatalf("unbudgeted baseline must be exact, got %v", r)
-	}
-
-	p.SetBudget(Budget{MaxFMEliminations: 1})
-	r := p.Run(ts)
-	if r.Outcome != Maybe || r.Trip != TripFMEliminations {
-		t.Fatalf("got %v", r)
-	}
-}
-
 func TestBudgetDeadlineTrip(t *testing.T) {
 	p := DefaultConfig().NewPipeline()
 	p.SetBudget(Budget{Deadline: time.Now().Add(-time.Hour)})

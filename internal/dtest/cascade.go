@@ -1,6 +1,8 @@
 package dtest
 
 import (
+	"math/big"
+
 	"exactdep/internal/system"
 )
 
@@ -38,19 +40,23 @@ func SolveState(s *state) Result {
 func NewState(ts *system.TSystem) *state { return newState(ts) }
 
 // VerifyWitness checks a witness assignment against every constraint of ts,
-// returning false on the first violated constraint. Used by property tests:
-// any exact Dependent verdict must come with either no witness or a valid
-// one.
+// returning false on the first violated constraint, and for a witness that
+// does not assign every variable. Each row is evaluated exactly, in
+// math/big: a valid witness may have partial sums past int64 (t1 = -2^62 in
+// 7t1 + t2 ≤ 0), and a wrapped sum could pass an invalid one. Used by
+// property tests: any exact Dependent verdict must come with either no
+// witness or a valid one.
 func VerifyWitness(ts *system.TSystem, w []int64) bool {
-	if ts.Infeasible {
+	if ts.Infeasible || len(w) != ts.NumT {
 		return false
 	}
+	var sum, term, x big.Int
 	for _, c := range ts.Cons {
-		var sum int64
+		sum.SetInt64(0)
 		for i, a := range c.Coef {
-			sum += a * w[i]
+			sum.Add(&sum, term.Mul(term.SetInt64(a), x.SetInt64(w[i])))
 		}
-		if sum > c.C {
+		if sum.Cmp(x.SetInt64(c.C)) > 0 {
 			return false
 		}
 	}

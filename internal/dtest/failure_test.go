@@ -11,24 +11,105 @@ import (
 // (never wrong answers) when the checked int64 arithmetic or the structural
 // caps trip.
 
+// TestFMOverflowDegradesToUnknown: when Fourier–Motzkin's checked int64
+// arithmetic overflows, the verdict is the one an Extended GCD overflow
+// gets — Unknown, inexact, no budget trip — from the full cascade and from
+// FM alone.
 func TestFMOverflowDegradesToUnknown(t *testing.T) {
-	// Coefficients near the int64 edge: the Fourier–Motzkin combination
-	// a·up + b·lo overflows. The cascade must answer Unknown, not panic or
-	// fabricate an exact verdict.
 	big := int64(math.MaxInt64 / 2)
-	ts := sys(2,
-		cons(1, big, big-1),
-		cons(-1, -(big-3), -(big-5)),
-		cons(10, 1, 0), cons(0, -1, 0),
-		cons(10, 0, 1), cons(0, 0, -1),
-	)
-	r, _ := Solve(ts)
-	if r.Outcome == Unknown {
-		return // acceptable degradation
+	quarter := int64(math.MaxInt64 / 4)
+	b40 := int64(1) << 40
+	for _, tc := range []struct {
+		name string
+		ts   *system.TSystem
+	}{
+		// The combination a·up + b·lo overflows.
+		{"combine", sys(2,
+			cons(1, big, big-1),
+			cons(-1, -(big-3), -(big-5)),
+			cons(10, 1, 0), cons(0, -1, 0),
+			cons(10, 0, 1), cons(0, 0, -1),
+		)},
+		// Real-infeasible: big·t1 + (big-1)·t2 ≤ 1 and ≥ 3.
+		{"infeasible", sys(2,
+			cons(1, big, big-1),
+			cons(-3, -(big-3), -(big-5)),
+			cons(10, 1, 0), cons(0, -1, 0),
+			cons(10, 0, 1), cons(0, 0, -1),
+		)},
+		// Satisfiable (t1 = t2 = 0) but large.
+		{"dependent", sys(2,
+			cons(0, quarter, quarter-1),
+			cons(0, -quarter, -(quarter-1)),
+			cons(5, 1, 0), cons(5, -1, 0),
+			cons(5, 0, 1), cons(5, 0, -1),
+		)},
+		// 2t1 + 4t2 = 1 scaled by 2^40, unnormalized: infeasible by parity.
+		{"parity", sys(2,
+			cons(b40, 2*b40, 4*b40),
+			cons(-b40, -2*b40, -4*b40),
+		)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, cfg := range []*Config{DefaultConfig(), FMOnlyConfig()} {
+				r := cfg.NewPipeline().Run(tc.ts)
+				if r.Outcome != Unknown || r.Exact || r.Kind != KindFourierMotzkin || r.Trip != TripNone {
+					t.Errorf("%s: got %v (exact %v, trip %v), want an inexact Unknown from Fourier-Motzkin", cfg.Name(), r, r.Exact, r.Trip)
+				}
+			}
+		})
 	}
-	// If it *did* decide, the verdict must at least be exact-marked.
-	if !r.Exact {
-		t.Fatalf("non-exact non-unknown verdict: %v", r)
+}
+
+// TestLoopResidueOverflowInapplicable: t1 - t2 ≤ -m and t2 - t1 ≤ -m with
+// m = 2^62+1 is a negative cycle whose weight, -2^63-2, leaves int64. Loop
+// Residue must step aside rather than relax through the wrap, and the
+// cascade must not answer Dependent.
+func TestLoopResidueOverflowInapplicable(t *testing.T) {
+	m := int64(1)<<62 + 1
+	ts := sys(2, cons(-m, 1, -1), cons(-m, -1, 1))
+	if r, ok := LoopResidue(NewState(ts)); ok {
+		t.Fatalf("Loop Residue decided %v on an overflowing cycle", r)
+	}
+	for _, cfg := range []*Config{DefaultConfig(), FMOnlyConfig()} {
+		if r := cfg.NewPipeline().Run(ts); !(r.Outcome == Independent && r.Exact) && r.Outcome != Unknown {
+			t.Errorf("%s: got %v, want exact Independent or Unknown", cfg.Name(), r)
+		}
+	}
+}
+
+// TestBoundPast2To63IsUnknown: -t1 ≤ MinInt64 says t1 ≥ 2^63, which int64
+// cannot hold (Go evaluates ⌈MinInt64 / -1⌉ to MinInt64). Classification
+// must not record the wrapped bound; the system is infeasible, but without
+// that bound the cascade can only say Unknown.
+func TestBoundPast2To63IsUnknown(t *testing.T) {
+	ts := sys(1, cons(math.MinInt64, -1), cons(0, 1))
+	for _, cfg := range []*Config{DefaultConfig(), FMOnlyConfig()} {
+		r := cfg.NewPipeline().Run(ts)
+		if r.Outcome != Unknown || r.Exact {
+			t.Errorf("%s: got %v, want an inexact Unknown", cfg.Name(), r)
+		}
+	}
+	// A conflict among the bounds that were recorded still refutes it.
+	ts = sys(1, cons(math.MinInt64, -1), cons(0, 1), cons(-1, -1))
+	if r, _ := Solve(ts); r.Outcome != Independent || !r.Exact {
+		t.Errorf("recorded conflict: got %v, want exact Independent", r)
+	}
+}
+
+// TestAcyclicOverflowHandsOnUnsimplified: fixing t2 at its upper bound -5
+// turns -t1 - t2 ≤ MinInt64+5 into -t1 ≤ MinInt64, a bound past int64. The
+// Acyclic test must hand the unsimplified system on, and FM refutes it
+// (t1 + t2 ≥ 2^63-5 against t1 ≤ t2 ≤ -5).
+func TestAcyclicOverflowHandsOnUnsimplified(t *testing.T) {
+	ts := sys(2,
+		cons(math.MinInt64+5, -1, -1),
+		cons(0, 1, -1),
+		cons(-5, 0, 1),
+	)
+	r, tr := Solve(ts)
+	if r.Outcome != Independent || !r.Exact || tr.Decided != KindFourierMotzkin {
+		t.Fatalf("got %v decided by %v, want exact Independent from Fourier-Motzkin", r, tr.Decided)
 	}
 }
 
@@ -112,5 +193,36 @@ func TestWitnessVerification(t *testing.T) {
 		if !VerifyWitness(ts, r.Witness) {
 			t.Fatalf("system %d: invalid witness %v", i, r.Witness)
 		}
+	}
+}
+
+// TestWitnessMidpointPastInt64: the bounds of t1, -t2 ≤ t1 ≤ t2 with t2 near
+// MaxInt64, are more than MaxInt64 apart, so the middle of the range must
+// be taken without forming the width in int64. Both the bounds witness
+// (full cascade, after Acyclic fixes t2) and FM's sample must be valid.
+func TestWitnessMidpointPastInt64(t *testing.T) {
+	ts := sys(2,
+		cons(0, 1, -1), cons(0, -1, -1),
+		cons(-(1<<62), 0, -1), cons(math.MaxInt64-1, 0, 1),
+	)
+	for _, cfg := range []*Config{DefaultConfig(), FMOnlyConfig()} {
+		r := cfg.NewPipeline().Run(ts)
+		if r.Outcome != Dependent || !r.Exact || !VerifyWitness(ts, r.Witness) {
+			t.Errorf("%s: got %v with witness %v, want exact Dependent with a valid witness", cfg.Name(), r, r.Witness)
+		}
+	}
+}
+
+// TestVerifyWitnessExact: the check evaluates each row exactly. A sum that
+// wraps to 0 must not pass an invalid witness, and a term past int64 must
+// not fail a valid one.
+func TestVerifyWitnessExact(t *testing.T) {
+	ts := sys(2, cons(0, 1, 2), cons(-(1<<62), 0, -1), cons(1<<62+10, 0, 1))
+	if VerifyWitness(ts, []int64{math.MaxInt64 - 9, 1<<62 + 5}) {
+		t.Error("accepted t1 + 2t2 = 2^64 for t1 + 2t2 ≤ 0")
+	}
+	ts = sys(2, cons(0, 7, 1))
+	if !VerifyWitness(ts, []int64{-(1 << 62), 0}) {
+		t.Error("rejected 7·(-2^62) ≤ 0")
 	}
 }

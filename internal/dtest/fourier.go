@@ -1,6 +1,8 @@
 package dtest
 
 import (
+	"math"
+
 	"exactdep/internal/linalg"
 	"exactdep/internal/system"
 )
@@ -19,9 +21,9 @@ const (
 // explicitly — its four fractional-distance cases were instead resolved by
 // the *implicit* branch-and-bound of direction-vector refinement (§6).
 // Disabling this reproduces that behaviour: FM returns Unknown on a
-// fractional gap and the direction machinery finishes the proof. The
-// experiment harness toggles it; it is not safe to flip concurrently with
-// running tests.
+// fractional gap and the direction machinery finishes the proof. Only
+// tests toggle it; it is not safe to flip concurrently with running
+// tests.
 var EnableExplicitBranchAndBound = true
 
 // FourierMotzkin runs the backup test (paper §3.5): rational Fourier–Motzkin
@@ -38,12 +40,13 @@ func FourierMotzkin(s *state) Result {
 
 // fourierApply is FourierMotzkin drawing every buffer — the flat constraint
 // list, the derived coefficient rows, and the solver's round/bound/witness
-// workspace — from sc, so the int64 elimination allocates nothing once the
-// scratch is warm (TestFMSolveZeroAllocs). Only the big-integer retry and
-// the rare branch-and-bound splits still allocate. The scratch's budget
-// meters the work; charges accumulate across the int64 pass, the
-// big-integer retry, and every branch-and-bound subproblem, so the budget
-// bounds the problem's *total* spend.
+// workspace — from sc, so the elimination allocates nothing once the scratch
+// is warm (TestFMSolveZeroAllocs). Only the rare branch-and-bound splits
+// still allocate. The scratch's budget meters the work; charges accumulate
+// across every branch-and-bound subproblem, so the budget bounds the
+// problem's *total* spend. All arithmetic is checked int64: an overflow,
+// here or in classification, is an inexact Unknown, the verdict of an
+// Extended GCD overflow.
 func fourierApply(s *state, sc *Scratch) Result {
 	if s.infeasible || s.firstConflict() >= 0 {
 		// A constant constraint already refuted the system during
@@ -51,18 +54,10 @@ func fourierApply(s *state, sc *Scratch) Result {
 		// verdict must be taken from the flag).
 		return independent(KindFourierMotzkin)
 	}
-	cons := s.allConstraintsInto(sc)
-	r := fmSolve(cons, s.n, 0, &sc.bud, &sc.fm, &sc.sys)
-	if r.Outcome == Unknown && r.Trip == TripNone {
-		// The fast path gave up — possibly from int64 overflow in the
-		// coefficient growth FM is notorious for. Retry with arbitrary
-		// precision; structural limits (constraint cap, branch depth) still
-		// bound the work. A constraint-cap trip is not retried: the cap is a
-		// count, not a precision limit, and the undeduplicated big pass can
-		// only hit it sooner.
-		r = fmSolveBig(toBig(cons), s.n, 0, &sc.bud)
+	if s.overflow {
+		return unknown(KindFourierMotzkin)
 	}
-	return r
+	return fmSolve(s.allConstraintsInto(sc), s.n, 0, &sc.bud, &sc.fm, &sc.sys)
 }
 
 // unknownCap is the verdict for the structural maxFMConstraints cap: still
@@ -433,61 +428,52 @@ func fmCombine(lo, up system.Constraint, v int, arena *system.Scratch) (nc syste
 	return norm, true, true, nil
 }
 
-// fmRange computes the allowed rational range of variable v given already-
-// chosen values. On success it returns the middle integer of the range in
-// pick with ok=true. With no integer in the (nonempty real) range it
-// returns ok=false and the bracketing integers ⌊lo⌋ and ⌈up⌉ for
-// branch-and-bound.
+// fmRange computes the allowed range of variable v given already-chosen
+// values. On success it returns the middle integer of the range in pick
+// with ok=true. With no integer in the (nonempty real) range it returns
+// ok=false and the bracketing integers ⌊lo⌋ and ⌈up⌉ for branch-and-bound.
+// The rational bounds are never formed: floor and ceil are monotone, so the
+// ceiling of the largest lower bound is the largest of the lowers' ceilings,
+// and likewise for the other three ends.
 func fmRange(lowers, uppers []system.Constraint, v int, val []int64, chosen []bool) (pick, bracketLo, bracketHi int64, ok bool, err error) {
-	var hasLo, hasUp bool
-	var loR, upR linalg.Rat
+	var cl, fl, fu, cu optInt // ⌈lo⌉, ⌊lo⌋, ⌊up⌋, ⌈up⌉
 	for _, c := range lowers {
 		// a·v + Σ rest ≤ C with a < 0  →  v ≥ (C - Σ rest)/a
-		bound, err2 := fmEval(c, v, val, chosen)
-		if err2 != nil {
-			return 0, 0, 0, false, err2
+		num, err := fmEval(c, v, val, chosen)
+		if err != nil {
+			return 0, 0, 0, false, err
 		}
-		if !hasLo {
-			loR, hasLo = bound, true
-		} else if cmp, err2 := bound.Cmp(loR); err2 != nil {
-			return 0, 0, 0, false, err2
-		} else if cmp > 0 {
-			loR = bound
-		}
+		cl.tightenMax(linalg.CeilDiv(num, c.Coef[v]))
+		fl.tightenMax(linalg.FloorDiv(num, c.Coef[v]))
 	}
 	for _, c := range uppers {
-		bound, err2 := fmEval(c, v, val, chosen)
-		if err2 != nil {
-			return 0, 0, 0, false, err2
+		num, err := fmEval(c, v, val, chosen)
+		if err != nil {
+			return 0, 0, 0, false, err
 		}
-		if !hasUp {
-			upR, hasUp = bound, true
-		} else if cmp, err2 := bound.Cmp(upR); err2 != nil {
-			return 0, 0, 0, false, err2
-		} else if cmp < 0 {
-			upR = bound
-		}
+		fu.tightenMin(linalg.FloorDiv(num, c.Coef[v]))
+		cu.tightenMin(linalg.CeilDiv(num, c.Coef[v]))
 	}
 	switch {
-	case !hasLo && !hasUp:
+	case !cl.has && !fu.has:
 		return 0, 0, 0, true, nil
-	case !hasLo:
-		return upR.Floor(), 0, 0, true, nil
-	case !hasUp:
-		return loR.Ceil(), 0, 0, true, nil
+	case !cl.has:
+		return fu.v, 0, 0, true, nil
+	case !fu.has:
+		return cl.v, 0, 0, true, nil
+	case cl.v <= fu.v:
+		return midpoint(cl.v, fu.v), 0, 0, true, nil
 	}
-	cl, fu := loR.Ceil(), upR.Floor()
-	if cl <= fu {
-		return cl + (fu-cl)/2, 0, 0, true, nil
-	}
-	// no integer in [loR, upR]
-	return 0, loR.Floor(), upR.Ceil(), false, nil
+	return 0, fl.v, cu.v, false, nil // no integer in [lo, up]
 }
 
-// fmEval computes the bound that constraint c imposes on variable v given
-// the chosen values of later variables: (C - Σ_{j≠v} coef_j·val_j) / coef_v.
-func fmEval(c system.Constraint, v int, val []int64, chosen []bool) (linalg.Rat, error) {
-	num := linalg.RatInt(c.C)
+// fmEval returns the numerator C - Σ_{j≠v} coef_j·val_j of the bound that
+// constraint c imposes on variable v given the chosen values of later
+// variables (the bound is the numerator over coef_v). It is ErrOverflow
+// when the sum leaves int64, or when the numerator is MinInt64 over a
+// coefficient of -1, the one quotient that wraps.
+func fmEval(c system.Constraint, v int, val []int64, chosen []bool) (int64, error) {
+	num := c.C
 	for j, a := range c.Coef {
 		if j == v || a == 0 {
 			continue
@@ -501,14 +487,22 @@ func fmEval(c system.Constraint, v int, val []int64, chosen []bool) (linalg.Rat,
 		}
 		p, err := linalg.MulChecked(a, val[j])
 		if err != nil {
-			return linalg.Rat{}, err
+			return 0, err
 		}
-		num, err = num.Sub(linalg.RatInt(p))
-		if err != nil {
-			return linalg.Rat{}, err
+		if num, err = linalg.SubChecked(num, p); err != nil {
+			return 0, err
 		}
 	}
-	return num.Div(linalg.RatInt(c.Coef[v]))
+	if num == math.MinInt64 && c.Coef[v] == -1 {
+		return 0, linalg.ErrOverflow
+	}
+	return num, nil
+}
+
+// midpoint returns the middle integer of [lo, hi], lo ≤ hi, rounding down.
+// The width is taken in uint64, where it cannot overflow.
+func midpoint(lo, hi int64) int64 {
+	return lo + int64(uint64(hi-lo)/2)
 }
 
 // fmBranch implements the paper's branch-and-bound: when the sample range

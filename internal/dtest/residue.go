@@ -129,11 +129,14 @@ func residueApply(s *state, sc *Scratch) (Result, bool) {
 		return independent(KindLoopResidue), true
 	}
 	g := &sc.graph
-	if !buildResidueGraphInto(g, s) {
+	if s.overflow || !buildResidueGraphInto(g, s) {
 		return Result{}, false
 	}
-	dist, neg := bellmanFordInto(g, sc.dist)
+	dist, neg, err := bellmanFordInto(g, sc.dist)
 	sc.dist = dist
+	if err != nil {
+		return Result{}, false // a path weight left int64: not applicable
+	}
 	if neg {
 		return independent(KindLoopResidue), true
 	}
@@ -148,15 +151,18 @@ func residueApply(s *state, sc *Scratch) (Result, bool) {
 	sc.witness = w
 	shift := dist[g.N]
 	for i := 0; i < s.n; i++ {
-		w[i] = -dist[i] + shift
+		if w[i], err = linalg.SubChecked(shift, dist[i]); err != nil {
+			return Result{}, false
+		}
 	}
 	return dependent(KindLoopResidue, w), true
 }
 
 // bellmanFordInto runs negative-cycle detection over the whole graph using
 // an implicit super-source (all distances start at 0), reusing buf for the
-// distance vector when it has capacity.
-func bellmanFordInto(g *ResidueGraph, buf []int64) (dist []int64, negCycle bool) {
+// distance vector when it has capacity. It is ErrOverflow when a path
+// weight leaves int64.
+func bellmanFordInto(g *ResidueGraph, buf []int64) (dist []int64, negCycle bool, err error) {
 	n := g.N + 1
 	dist = buf
 	if cap(dist) < n {
@@ -173,14 +179,18 @@ func bellmanFordInto(g *ResidueGraph, buf []int64) (dist []int64, negCycle bool)
 			// edge From→To weight w encodes t_From ≤ t_To + w; in the
 			// potential formulation relax dist[To] against dist[From] + w
 			// reversed: we want dist such that dist[To] ≤ dist[From] + w.
-			if d := dist[e.From] + e.Weight; d < dist[e.To] {
+			d, err := linalg.AddChecked(dist[e.From], e.Weight)
+			if err != nil {
+				return dist, false, err
+			}
+			if d < dist[e.To] {
 				dist[e.To] = d
 				changed = true
 			}
 		}
 		if !changed {
-			return dist, false
+			return dist, false, nil
 		}
 	}
-	return dist, true
+	return dist, true, nil
 }

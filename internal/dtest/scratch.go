@@ -54,7 +54,7 @@ func (sc *Scratch) prepare(ts *system.TSystem) *state {
 // arena so the copy allocates nothing once the buffers reach steady state.
 func (sc *Scratch) cloneStateInto(dst, src *state) {
 	dst.n = src.n
-	dst.infeasible = src.infeasible
+	dst.infeasible, dst.overflow = src.infeasible, src.overflow
 	dst.lb = append(dst.lb[:0], src.lb...)
 	dst.ub = append(dst.ub[:0], src.ub...)
 	dst.multi = dst.multi[:0]

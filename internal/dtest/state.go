@@ -1,6 +1,8 @@
 package dtest
 
 import (
+	"math"
+
 	"exactdep/internal/linalg"
 	"exactdep/internal/system"
 )
@@ -25,12 +27,16 @@ func (o *optInt) tightenMin(v int64) { // upper bound: keep the smallest
 
 // state is the shared working form of a t-space system: per-variable bounds
 // accumulated from single-variable constraints, plus the remaining
-// multi-variable constraints.
+// multi-variable constraints. overflow marks a bound that int64 could not
+// hold and that was therefore not recorded: the state is then a relaxation
+// of the system, so a refutation of it still proves independence, but no
+// solution of it proves dependence.
 type state struct {
 	n          int
 	lb, ub     []optInt
 	multi      []system.Constraint
 	infeasible bool
+	overflow   bool
 }
 
 // newState classifies the constraints of ts into a fresh state.
@@ -52,7 +58,7 @@ func newStateInto(s *state, ts *system.TSystem) {
 // reset reinitializes s for a system of n variables, keeping buffer capacity.
 func (s *state) reset(n int) {
 	s.n = n
-	s.infeasible = false
+	s.infeasible, s.overflow = false, false
 	if cap(s.lb) < n {
 		s.lb = make([]optInt, n)
 	} else {
@@ -92,11 +98,15 @@ func (s *state) add(c system.Constraint) {
 	}
 }
 
-// bound records a·t_i ≤ c as a lower or upper bound on t_i.
+// bound records a·t_i ≤ c as a lower or upper bound on t_i. The bound
+// -t_i ≤ MinInt64, t_i ≥ 2^63, does not fit in int64 and sets overflow.
 func (s *state) bound(i int, a, c int64) {
-	if a > 0 {
+	switch {
+	case a > 0:
 		s.ub[i].tightenMin(linalg.FloorDiv(c, a))
-	} else {
+	case a == -1 && c == math.MinInt64:
+		s.overflow = true
+	default:
 		s.lb[i].tightenMax(linalg.CeilDiv(c, a))
 	}
 }
@@ -126,7 +136,7 @@ func (s *state) boundsWitness(buf []int64) []int64 {
 		w[i] = 0
 		switch {
 		case s.lb[i].has && s.ub[i].has:
-			w[i] = s.lb[i].v + (s.ub[i].v-s.lb[i].v)/2
+			w[i] = midpoint(s.lb[i].v, s.ub[i].v)
 		case s.lb[i].has:
 			if s.lb[i].v > 0 {
 				w[i] = s.lb[i].v

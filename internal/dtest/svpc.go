@@ -22,6 +22,9 @@ func svpc(s *state, wbuf []int64) (Result, bool, []int64) {
 	if s.infeasible || s.firstConflict() >= 0 {
 		return independent(KindSVPC), true, wbuf
 	}
+	if s.overflow {
+		return Result{}, false, wbuf
+	}
 	w := s.boundsWitness(wbuf)
 	return dependent(KindSVPC, w), true, w
 }

@@ -58,8 +58,11 @@ const FormatVersion = 3
 // pivot search, negating a pivot row or a Euclid quotient), the
 // package-level system.Build checks its sums as the Builder does, and a
 // bound is substituted into t-space in variable order, so an intermediate
-// overflow near the int64 limits may move.
-const SemanticsVersion = 5
+// overflow near the int64 limits may move. Version 6: Fourier–Motzkin has
+// no arbitrary-precision retry, so an int64 overflow in it is Unknown where
+// it was exact, and a bound past int64 in classification, a Loop Residue
+// path weight past int64 and a wide witness range no longer wrap.
+const SemanticsVersion = 6
 
 // ErrStale marks a file written under an older format or semantics
 // version: a cache its owner may drop and rebuild, not a corrupt file.
