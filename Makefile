@@ -62,8 +62,9 @@ allocgate:
 # suite's sources; a real snapshot of each file and every corrupt-record
 # test case). It then fuzzes the exact-test cascade for 10 s on small
 # systems at the int64 extremes (FuzzCascadeExact: no panic, the cascade
-# and Fourier–Motzkin alone agree on every exact verdict, and FM's exact
-# Dependent witnesses hold), seeded with the overflow cases its tests pin.
+# and Fourier–Motzkin alone agree on every exact verdict, and the exact
+# Dependent witnesses of both hold, the Acyclic test's replayed
+# eliminations included), seeded with the overflow cases its tests pin.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/lang
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadStore$$' -fuzztime 10s ./internal/corpus

@@ -542,7 +542,7 @@ func BenchmarkFourierMotzkin(b *testing.B) { benchCascade(b, dtest.KindFourierMo
 
 // BenchmarkAblationCascadeVsFMOnly: design-choice ablation — the cascade
 // against running the backup test alone on the SVPC-dominated workload,
-// via the two registered pipeline configurations.
+// via the two pipeline configurations.
 func BenchmarkAblationCascadeVsFMOnly(b *testing.B) {
 	ts := perTestProblem(b, dtest.KindSVPC)
 	b.Run("cascade", func(b *testing.B) {
@@ -584,38 +584,6 @@ func BenchmarkAblationMemo(b *testing.B) {
 	}
 	b.Run("off", func(b *testing.B) { run(b, core.Options{}) })
 	b.Run("on", func(b *testing.B) { run(b, core.Options{Memoize: true, ImprovedMemo: true}) })
-}
-
-// BenchmarkAblationSeparable: hierarchical vs dimension-by-dimension
-// direction vectors on a separable multi-direction nest.
-func BenchmarkAblationSeparable(b *testing.B) {
-	prog, err := exactdep.Parse(`
-for i = 0 to 50
-  for j = 0 to 50
-    for k = 0 to 50
-      a[2*i][2*j][2*k] = a[i][j][k]
-    end
-  end
-end
-`)
-	if err != nil {
-		b.Fatal(err)
-	}
-	unit := exactdep.Lower(prog)
-	cands := refs.PairsOpts(unit, refs.Options{NoSelfPairs: true})
-	run := func(b *testing.B, opts core.Options) {
-		opts.DirectionVectors = true
-		for i := 0; i < b.N; i++ {
-			a := core.New(opts)
-			for _, c := range cands {
-				if _, err := a.AnalyzeCandidate(c); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
-	b.Run("hierarchical", func(b *testing.B) { run(b, core.Options{}) })
-	b.Run("separable", func(b *testing.B) { run(b, core.Options{Separable: true}) })
 }
 
 // BenchmarkAblationPruning: direction-vector pruning on/off for one deep

@@ -44,10 +44,6 @@ type Options struct {
 	PruneUnused bool
 	// PruneDistance fixes directions for constant GCD distances.
 	PruneDistance bool
-	// Separable enables the Burke–Cytron dimension-by-dimension direction
-	// method on systems whose loop levels are independent (3·L tests
-	// instead of up to 3^L; falls back to hierarchical refinement).
-	Separable bool
 	// Deprecated: SymmetricMemo is ignored. Mirrored pairs (a[i] vs a[i-1]
 	// and a[i-1] vs a[i]) are two canonical problems, each solved once.
 	SymmetricMemo bool
@@ -310,16 +306,16 @@ type Analyzer struct {
 	// refinement walk (arena for pushed direction rows, per-level buffers).
 	refiner *depvec.Refiner
 
-	// The cascade engine: cfg is the shared, immutable stage configuration
-	// (selected by Options.Cascade); pipe is this analyzer's private
-	// pipeline with its own scratch. prevStage holds the pipeline metrics
-	// at the last sync so syncStageStats can fold pure deltas into Stats,
-	// keeping the counters additive across worker merges. cfgErr is a
-	// deferred Options.Cascade resolution error, reported by the first
+	// The cascade engine: cfg is the shared, immutable cascade (selected by
+	// Options.Cascade); pipe is this analyzer's private pipeline with its
+	// own scratch. prevStage holds the pipeline metrics at the last sync,
+	// indexed by dtest.Kind, so syncStageStats can fold pure deltas into
+	// Stats, keeping the counters additive across worker merges. cfgErr is
+	// a deferred Options.Cascade resolution error, reported by the first
 	// Analyze call.
 	cfg       *dtest.Config
 	pipe      *dtest.Pipeline
-	prevStage []dtest.StageMetrics
+	prevStage [dtest.KindFourierMotzkin + 1]dtest.StageMetrics
 	prevFM    dtest.FMMetrics
 	cfgErr    error
 
@@ -392,7 +388,6 @@ func New(opts Options) *Analyzer {
 	}
 	a.cfg = cfg
 	a.pipe = a.newPipeline()
-	a.prevStage = make([]dtest.StageMetrics, cfg.NumStages())
 	return a
 }
 
@@ -415,7 +410,6 @@ func (a *Analyzer) workerView() *Analyzer {
 		inflight: a.flights, shared: true}
 	if wa.cfg != nil {
 		wa.pipe = wa.newPipeline()
-		wa.prevStage = make([]dtest.StageMetrics, wa.cfg.NumStages())
 	}
 	return wa
 }
@@ -424,14 +418,12 @@ func (a *Analyzer) workerView() *Analyzer {
 // Fourier–Motzkin redundancy counters — into the counters as deltas since
 // the last sync.
 func (a *Analyzer) syncStageStats() {
-	for i := 0; i < a.cfg.NumStages(); i++ {
-		m := a.pipe.StageMetrics(i)
-		prev := a.prevStage[i]
-		k := int(a.cfg.Stage(i).Kind())
+	for k, prev := range a.prevStage {
+		m := a.pipe.StageMetrics(dtest.Kind(k))
 		a.Stats.StageConsulted[k] += m.Consulted - prev.Consulted
 		a.Stats.StageDecided[k] += m.Decided - prev.Decided
 		a.Stats.StageTimeNs[k] += int64(m.Time - prev.Time)
-		a.prevStage[i] = m
+		a.prevStage[k] = m
 	}
 	fm := a.pipe.FMMetrics()
 	a.Stats.FMDeduped += fm.Deduped - a.prevFM.Deduped
@@ -800,7 +792,6 @@ func (a *Analyzer) analyzeFresh(prob *system.Problem, out *Result) {
 	sum := depvec.ComputeObserved(ts, depvec.Options{
 		PruneUnused:   a.opts.PruneUnused,
 		PruneDistance: a.opts.PruneDistance,
-		Separable:     a.opts.Separable,
 		Pipeline:      a.pipe,
 		Refiner:       a.refiner,
 	}, func(r dtest.Result) {

@@ -161,13 +161,16 @@ func TestDifferentialEndToEnd(t *testing.T) {
 		{DirectionVectors: true, PruneUnused: true, PruneDistance: true},
 		{Memoize: true, ImprovedMemo: true, DirectionVectors: true, PruneUnused: true, PruneDistance: true},
 		{Memoize: true, ImprovedMemo: true, DirectionVectors: true, PruneUnused: true, PruneDistance: true, Cascade: "fm-only"},
-		{DirectionVectors: true, PruneUnused: true, PruneDistance: true, Separable: true},
+		// A count budget small enough to trip: its Maybe verdicts are
+		// conservative, every other verdict must still be right.
+		{DirectionVectors: true, PruneUnused: true, PruneDistance: true, Budget: dtest.Budget{MaxFMEliminations: 1, MaxBranchNodes: 1}},
 	}
 	analyzers := make([]*Analyzer, len(configs))
 	for i, c := range configs {
 		analyzers[i] = New(c)
 	}
 	const iters = 1500
+	maybes := 0
 	for iter := 0; iter < iters; iter++ {
 		pair := randNest(rng)
 		wantDep, wantVecs := groundTruth(pair)
@@ -189,6 +192,11 @@ func TestDifferentialEndToEnd(t *testing.T) {
 				}
 			case dtest.Unknown:
 				t.Fatalf("iter %d config %d: unexpected inexact verdict\n%s", iter, ci, describe(pair))
+			case dtest.Maybe:
+				if !configs[ci].Budget.Limited() {
+					t.Fatalf("iter %d config %d: Maybe without a budget\n%s", iter, ci, describe(pair))
+				}
+				maybes++
 			}
 			if !configs[ci].DirectionVectors || res.Outcome != dtest.Dependent {
 				continue
@@ -217,6 +225,10 @@ func TestDifferentialEndToEnd(t *testing.T) {
 			}
 		}
 	}
+	if maybes == 0 {
+		t.Error("the count budget never tripped: no pair came back Maybe")
+	}
+	t.Logf("%d budgeted pairs came back Maybe", maybes)
 }
 
 func hasStar(v depvec.Vector) bool {

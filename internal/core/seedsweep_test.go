@@ -15,7 +15,7 @@ func TestDifferentialSeedSweep(t *testing.T) {
 		t.Skip("seed sweep skipped in -short mode")
 	}
 	opts := Options{Memoize: true, ImprovedMemo: true,
-		DirectionVectors: true, PruneUnused: true, PruneDistance: true, Separable: true}
+		DirectionVectors: true, PruneUnused: true, PruneDistance: true}
 	for _, seed := range []int64{2, 3, 5, 7, 11, 13, 17, 19} {
 		rng := rand.New(rand.NewSource(seed))
 		a := New(opts)

@@ -128,8 +128,8 @@ func signatureOf(opts core.Options) signature {
 	}
 	cl := opts.Budget.Class()
 	return signature{
-		surface: fmt.Sprintf("v=%t pu=%t pd=%t sep=%t cascade=%s",
-			opts.DirectionVectors, opts.PruneUnused, opts.PruneDistance, opts.Separable, cascade),
+		surface: fmt.Sprintf("v=%t pu=%t pd=%t cascade=%s",
+			opts.DirectionVectors, opts.PruneUnused, opts.PruneDistance, cascade),
 		budget: fmt.Sprintf("budget=%d/%d/%d", cl.FMEliminations, cl.BranchNodes, cl.Constraints),
 	}
 }

@@ -68,13 +68,13 @@ func noTempFiles(t *testing.T, dir string) {
 // it, so a change would orphan every snapshot written before it unless a
 // semantics-version bump already makes those stale.
 func TestSignatureFormat(t *testing.T) {
-	if got, want := corpus.Signature(storeOpts), "v=true pu=true pd=true sep=false cascade=full budget=0/0/0"; got != want {
+	if got, want := corpus.Signature(storeOpts), "v=true pu=true pd=true cascade=full budget=0/0/0"; got != want {
 		t.Errorf("Signature = %q, want %q", got, want)
 	}
 	o := storeOpts
 	o.Budget = dtest.Budget{MaxFMEliminations: 64, MaxBranchNodes: 16, MaxConstraints: 512}
-	o.Cascade, o.Separable = "fm-only", true
-	if got, want := corpus.Signature(o), "v=true pu=true pd=true sep=true cascade=fm-only budget=64/16/512"; got != want {
+	o.Cascade = "fm-only"
+	if got, want := corpus.Signature(o), "v=true pu=true pd=true cascade=fm-only budget=64/16/512"; got != want {
 		t.Errorf("Signature = %q, want %q", got, want)
 	}
 }

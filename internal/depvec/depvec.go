@@ -135,11 +135,6 @@ type Options struct {
 	// PruneDistance fixes the direction of any level whose GCD-derived
 	// distance is constant (§6).
 	PruneDistance bool
-	// Separable enables the Burke–Cytron dimension-by-dimension method for
-	// systems whose levels are not interrelated: 3·L direction tests
-	// instead of up to 3^L. Non-separable systems fall back to the
-	// hierarchical method.
-	Separable bool
 	// Pipeline, when non-nil, runs every cascade invocation through this
 	// engine (reusing its scratch and feeding its per-stage cost metrics)
 	// instead of a throwaway dtest.Solve. The analyzer passes its worker's
@@ -154,9 +149,9 @@ type Options struct {
 // Refiner is the reusable workspace of the clone-free refinement walk: the
 // arena that backs pushed direction rows, the per-level direction and
 // vector buffers, and the buffers the walk collects its output in (the
-// surviving vectors, flat; the constant distances; the separable method's
-// per-level direction sets). One Refiner serves many ComputeObserved calls
-// (the analyzer keeps one per worker); it is not safe for concurrent use.
+// surviving vectors, flat, and the constant distances). One Refiner serves
+// many ComputeObserved calls (the analyzer keeps one per worker); it is not
+// safe for concurrent use.
 type Refiner struct {
 	arena system.Scratch
 	fixed []Direction
@@ -166,7 +161,6 @@ type Refiner struct {
 	vecs  []Direction
 	nvec  int
 	dists []Distance
-	sets  [][]Direction
 }
 
 // NewRefiner returns an empty Refiner; buffers grow on first use.
@@ -341,11 +335,6 @@ func refine(ts *system.TSystem, opts Options, rf *Refiner, onTest func(dtest.Res
 	// Base test: the (*,…,*) vector.
 	base := run(ts)
 	if base.Outcome == dtest.Independent {
-		return sum
-	}
-
-	if opts.Separable && levels > 0 && Separable(ts) {
-		computeSeparable(ts, fixed, &sum, rf, run)
 		return sum
 	}
 

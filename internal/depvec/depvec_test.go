@@ -190,23 +190,20 @@ func equalStrings(a, b []string) bool {
 
 // TestOverflowKeepsDirections: a direction whose constraint overflows is
 // not refuted. With iA's t-space constant moved to MinInt64, every
-// direction push of a[i] vs a[i-3] overflows; the hierarchical and the
-// separable walk must both keep all three directions as an inexact
-// dependence. They used to drop every direction and report an exact
-// independence (implicit branch-and-bound over no vectors).
+// direction push of a[i] vs a[i-3] overflows; the walk must keep all three
+// directions as an inexact dependence. It used to drop every direction and
+// report an exact independence (implicit branch-and-bound over no vectors).
 func TestOverflowKeepsDirections(t *testing.T) {
 	ts := prep(t, []ir.Loop{loop("i", 0, 10)},
 		[]ir.Expr{ir.NewVar("i")}, []ir.Expr{ir.NewVar("i").AddConst(-3)})
 	ai, bi := ts.Prob.CommonPair(0)
 	ts.XOf[ai].Const, ts.XOf[bi].Const = math.MinInt64, 1
 	want := []string{"(<)", "(=)", "(>)"}
-	for _, opts := range []Options{{}, {Separable: true}} {
-		diffOne(t, ts, opts, "overflow")
-		sum := ComputeObserved(ts.Clone(), opts, nil)
-		if got := vecStrings(sum.Vectors); !sum.Dependent || sum.Exact || sum.ImplicitBB || !equalStrings(got, want) {
-			t.Errorf("opts %+v: dependent=%v exact=%v implicitBB=%v vectors=%v, want an inexact dependence along %v",
-				opts, sum.Dependent, sum.Exact, sum.ImplicitBB, got, want)
-		}
+	diffOne(t, ts, Options{}, "overflow")
+	sum := ComputeObserved(ts.Clone(), Options{}, nil)
+	if got := vecStrings(sum.Vectors); !sum.Dependent || sum.Exact || sum.ImplicitBB || !equalStrings(got, want) {
+		t.Errorf("dependent=%v exact=%v implicitBB=%v vectors=%v, want an inexact dependence along %v",
+			sum.Dependent, sum.Exact, sum.ImplicitBB, got, want)
 	}
 }
 
@@ -351,10 +348,9 @@ func TestMergeVectors(t *testing.T) {
 }
 
 // TestRefinerReuse runs one Refiner over random nests of depth 1–4 in every
-// pruning variant, separable included, as an analyzer worker keeps it, and
-// checks each walk against one with a fresh Refiner: the output buffers
-// and the per-level sets a deeper walk left behind must not leak into a
-// later Summary.
+// pruning variant, as an analyzer worker keeps it, and checks each walk
+// against one with a fresh Refiner: the output buffers a deeper walk left
+// behind must not leak into a later Summary.
 func TestRefinerReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	shared := NewRefiner()

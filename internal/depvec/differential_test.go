@@ -119,7 +119,6 @@ var diffOpts = []Options{
 	{PruneUnused: true},
 	{PruneDistance: true},
 	{PruneUnused: true, PruneDistance: true},
-	{PruneUnused: true, PruneDistance: true, Separable: true},
 }
 
 // TestRefineDifferentialRandom sweeps random nests of depth 1–4 through

@@ -60,11 +60,6 @@ func ComputeReference(ts *system.TSystem, opts Options, onTest func(dtest.Result
 		return sum
 	}
 
-	if opts.Separable && levels > 0 && Separable(ts) {
-		referenceSeparable(ts, fixed, &sum, run)
-		return sum
-	}
-
 	cur := make(Vector, levels)
 	for i := range cur {
 		cur[i] = Any
@@ -102,50 +97,4 @@ func ComputeReference(ts *system.TSystem, opts Options, onTest func(dtest.Result
 	}
 	sum.Dependent = true
 	return sum
-}
-
-// referenceSeparable is the clone-based computeSeparable.
-func referenceSeparable(ts *system.TSystem, fixed []Direction, sum *Summary,
-	run func(*system.TSystem) dtest.Result) {
-	levels := ts.Prob.Common
-	perLevel := make([][]Direction, levels)
-	for lvl := 0; lvl < levels; lvl++ {
-		if fixed[lvl] != 0 {
-			perLevel[lvl] = []Direction{fixed[lvl]}
-			continue
-		}
-		for _, dir := range []Direction{Less, Equal, Greater} {
-			sub := ts.Clone()
-			if err := sub.AddDirection(lvl, byte(dir)); err != nil {
-				sum.Exact = false
-				perLevel[lvl] = append(perLevel[lvl], dir)
-				continue
-			}
-			if r := run(sub); r.Outcome != dtest.Independent {
-				perLevel[lvl] = append(perLevel[lvl], dir)
-			}
-		}
-		if len(perLevel[lvl]) == 0 {
-			sum.ImplicitBB = true
-			sum.Dependent = false
-			sum.Exact = true
-			sum.Trip = dtest.TripNone
-			sum.Vectors = nil
-			return
-		}
-	}
-	cur := make(Vector, levels)
-	var build func(lvl int)
-	build = func(lvl int) {
-		if lvl == levels {
-			sum.Vectors = append(sum.Vectors, cur.Clone())
-			return
-		}
-		for _, d := range perLevel[lvl] {
-			cur[lvl] = d
-			build(lvl + 1)
-		}
-	}
-	build(0)
-	sum.Dependent = true
 }

@@ -43,7 +43,9 @@ func Acyclic(s *state) (res Result, simplified *state, decided bool) {
 // journal, the dropped-constraint runs, and the witness all live in scratch
 // buffers, so a decision allocates nothing at steady state. The returned
 // simplified state and witness alias sc and stay valid until its next
-// prepare.
+// prepare. When it hands on a simplified state, sc.journal records the
+// variables it eliminated, for the pipeline to replay into a later test's
+// witness.
 func acyclicApply(s *state, sc *Scratch) (res Result, simplified *state, decided bool) {
 	st := &sc.ac
 	sc.cloneStateInto(st, s)
@@ -58,7 +60,9 @@ func acyclicApply(s *state, sc *Scratch) (res Result, simplified *state, decided
 		}
 		if len(st.multi) == 0 {
 			sc.witness = st.boundsWitness(sc.witness)
-			replayJournal(sc.witness, sc.journal, sc.dropped)
+			if replayJournal(sc.witness, sc.journal, sc.dropped) != nil {
+				break
+			}
 			return dependent(KindAcyclic, sc.witness), nil, true
 		}
 		v, sign := st.findOneSided()
@@ -72,7 +76,9 @@ func acyclicApply(s *state, sc *Scratch) (res Result, simplified *state, decided
 		sc.journal = append(sc.journal, entry)
 	}
 	// Arithmetic overflow: treat as inapplicable and let the later stages
-	// take over, on a fresh copy of the unsimplified system.
+	// take over, on a fresh copy of the unsimplified system and with nothing
+	// to replay.
+	sc.journal = sc.journal[:0]
 	sc.cloneStateInto(st, s)
 	return Result{}, st, false
 }
@@ -187,8 +193,9 @@ func (s *state) substitute(v int, val int64, sc *Scratch) error {
 
 // replayJournal assigns values to eliminated variables, newest elimination
 // first, so every constraint dropped at step k is evaluated with the values
-// of all variables that were still alive at step k.
-func replayJournal(w []int64, journal []elimEntry, dropped []system.Constraint) {
+// of all variables that were still alive at step k. It is ErrOverflow when
+// a value leaves int64.
+func replayJournal(w []int64, journal []elimEntry, dropped []system.Constraint) error {
 	for k := len(journal) - 1; k >= 0; k-- {
 		e := journal[k]
 		if e.fixed {
@@ -197,22 +204,19 @@ func replayJournal(w []int64, journal []elimEntry, dropped []system.Constraint) 
 		}
 		bound := e.selfBound
 		for _, c := range dropped[e.dropStart:e.dropEnd] {
-			var rest int64
-			for j, a := range c.Coef {
-				if j == e.v || a == 0 {
-					continue
-				}
-				rest += a * w[j]
+			floor, ceil, err := varBound(c, e.v, w)
+			if err != nil {
+				return err
 			}
-			// a_v·v ≤ C - rest
 			if e.sign > 0 {
-				bound.tightenMin(linalg.FloorDiv(c.C-rest, c.Coef[e.v]))
+				bound.tightenMin(floor)
 			} else {
-				bound.tightenMax(linalg.CeilDiv(c.C-rest, c.Coef[e.v]))
+				bound.tightenMax(ceil)
 			}
 		}
 		if bound.has {
 			w[e.v] = bound.v
 		}
 	}
+	return nil
 }

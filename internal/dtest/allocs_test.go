@@ -240,31 +240,43 @@ func BenchmarkCascadeAllocs(b *testing.B) {
 	}
 }
 
-// BenchmarkStage times each stage's Apply in isolation (state preparation
+// BenchmarkStage times each test in isolation (state preparation
 // included), reproducing the §7 per-test cost ordering with allocation
 // counts: SVPC < Acyclic < Loop Residue < Fourier–Motzkin.
 func BenchmarkStage(b *testing.B) {
 	cases := []struct {
-		name string
-		ts   *system.TSystem
-		st   Stage
+		name  string
+		ts    *system.TSystem
+		apply func(*state, *Scratch) bool // reports whether the test decided
 	}{
-		{"SVPC", svpcSys(), svpcStage{}},
-		{"Acyclic", acyclicSys(), acyclicStage{}},
-		{"LoopResidue", residueSys(), residueStage{}},
-		{"FourierMotzkin", fmSys(), fourierStage{}},
+		{"SVPC", svpcSys(), func(s *state, sc *Scratch) bool {
+			_, ok, w := svpc(s, sc.witness)
+			sc.witness = w
+			return ok
+		}},
+		{"Acyclic", acyclicSys(), func(s *state, sc *Scratch) bool {
+			_, _, ok := acyclicApply(s, sc)
+			return ok
+		}},
+		{"LoopResidue", residueSys(), func(s *state, sc *Scratch) bool {
+			_, ok := residueApply(s, sc)
+			return ok
+		}},
+		{"FourierMotzkin", fmSys(), func(s *state, sc *Scratch) bool {
+			fourierApply(s, sc)
+			return true
+		}},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
 			sc := newScratch()
-			if _, _, decided := c.st.Apply(sc.prepare(c.ts), sc); !decided {
+			if !c.apply(sc.prepare(c.ts), sc) {
 				b.Fatalf("stage %s did not decide its representative problem", c.name)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s := sc.prepare(c.ts)
-				if _, _, decided := c.st.Apply(s, sc); !decided {
+				if !c.apply(sc.prepare(c.ts), sc) {
 					b.Fatal("stage did not decide")
 				}
 			}

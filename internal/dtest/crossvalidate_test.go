@@ -126,7 +126,7 @@ func TestAcyclicAgreesWithFM(t *testing.T) {
 	}
 }
 
-// TestCascadeAgreesWithFMOnly cross-validates the two registered pipeline
+// TestCascadeAgreesWithFMOnly cross-validates the two pipeline
 // configurations: any verdict the cost-ordered cascade reaches must also be
 // reached by Fourier–Motzkin running alone (FM is exact whenever it answers
 // without hitting its caps), on a stream of mixed-shape random systems.

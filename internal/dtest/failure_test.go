@@ -54,7 +54,7 @@ func TestFMOverflowDegradesToUnknown(t *testing.T) {
 			for _, cfg := range []*Config{DefaultConfig(), FMOnlyConfig()} {
 				r := cfg.NewPipeline().Run(tc.ts)
 				if r.Outcome != Unknown || r.Exact || r.Kind != KindFourierMotzkin || r.Trip != TripNone {
-					t.Errorf("%s: got %v (exact %v, trip %v), want an inexact Unknown from Fourier-Motzkin", cfg.Name(), r, r.Exact, r.Trip)
+					t.Errorf("%s: got %v (exact %v, trip %v), want an inexact Unknown from Fourier-Motzkin", cfg.Kinds(), r, r.Exact, r.Trip)
 				}
 			}
 		})
@@ -73,7 +73,7 @@ func TestLoopResidueOverflowInapplicable(t *testing.T) {
 	}
 	for _, cfg := range []*Config{DefaultConfig(), FMOnlyConfig()} {
 		if r := cfg.NewPipeline().Run(ts); !(r.Outcome == Independent && r.Exact) && r.Outcome != Unknown {
-			t.Errorf("%s: got %v, want exact Independent or Unknown", cfg.Name(), r)
+			t.Errorf("%s: got %v, want exact Independent or Unknown", cfg.Kinds(), r)
 		}
 	}
 }
@@ -87,7 +87,7 @@ func TestBoundPast2To63IsUnknown(t *testing.T) {
 	for _, cfg := range []*Config{DefaultConfig(), FMOnlyConfig()} {
 		r := cfg.NewPipeline().Run(ts)
 		if r.Outcome != Unknown || r.Exact {
-			t.Errorf("%s: got %v, want an inexact Unknown", cfg.Name(), r)
+			t.Errorf("%s: got %v, want an inexact Unknown", cfg.Kinds(), r)
 		}
 	}
 	// A conflict among the bounds that were recorded still refutes it.
@@ -208,7 +208,7 @@ func TestWitnessMidpointPastInt64(t *testing.T) {
 	for _, cfg := range []*Config{DefaultConfig(), FMOnlyConfig()} {
 		r := cfg.NewPipeline().Run(ts)
 		if r.Outcome != Dependent || !r.Exact || !VerifyWitness(ts, r.Witness) {
-			t.Errorf("%s: got %v with witness %v, want exact Dependent with a valid witness", cfg.Name(), r, r.Witness)
+			t.Errorf("%s: got %v with witness %v, want exact Dependent with a valid witness", cfg.Kinds(), r, r.Witness)
 		}
 	}
 }
@@ -224,5 +224,57 @@ func TestVerifyWitnessExact(t *testing.T) {
 	ts = sys(2, cons(0, 7, 1))
 	if !VerifyWitness(ts, []int64{-(1 << 62), 0}) {
 		t.Error("rejected 7·(-2^62) ≤ 0")
+	}
+}
+
+// TestJournalReplayedIntoLaterWitness: the Acyclic test eliminates one
+// variable by dropping its constraints, then meets a cycle and hands the
+// rest of the system on. The deciding test's witness leaves that variable
+// out, so the cascade must give it a value by replaying Acyclic's journal.
+func TestJournalReplayedIntoLaterWitness(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ts   *system.TSystem
+		kind Kind
+	}{
+		// t3 only bounded above by t2 + t3 ≤ -5; t1 + t2 = 0 is a cycle.
+		{"fourier-motzkin", sys(3, cons(0, -5, -5, 0), cons(-5, 0, 1, 1), cons(0, 1, 1, 0)), KindFourierMotzkin},
+		// t1 only bounded above by t1 + t2 ≤ -3; t2 = t3 is a cycle.
+		{"loop-residue", sys(3, cons(-3, 1, 1, 0), cons(0, 0, 1, -1), cons(0, 0, -1, 1), cons(-1, 0, -1, 0), cons(5, 0, 1, 0)), KindLoopResidue},
+	} {
+		r, tr := Solve(tc.ts)
+		if r.Outcome != Dependent || !r.Exact || r.Kind != tc.kind || !VerifyWitness(tc.ts, r.Witness) {
+			t.Errorf("%s: got %v with witness %v (consulted %v), want exact Dependent from %v with a valid witness",
+				tc.name, r, r.Witness, tr.Consulted, tc.kind)
+		}
+		if len(tr.Consulted) < 2 || tr.Consulted[1] != KindAcyclic {
+			t.Errorf("%s: consulted %v, want the Acyclic test handing on", tc.name, tr.Consulted)
+		}
+	}
+}
+
+// TestJournalReplayOverflowIsUnknown: the replay of Acyclic's eliminations
+// is checked int64. An overflow while Acyclic decides hands the
+// unsimplified system on (here Fourier–Motzkin's back-substitution then
+// overflows too); an overflow while replaying into a later test's witness
+// makes that test's verdict Unknown. Before, each came back exact
+// Dependent with an invalid witness.
+func TestJournalReplayOverflowIsUnknown(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ts   *system.TSystem
+		kind Kind
+	}{
+		// t1 ≤ -2t2 with t2 = 2^62+5: the product leaves int64.
+		{"product", sys(2, cons(0, 1, 2), cons(-(1<<62), 0, -1), cons(1<<62+10, 0, 1)), KindFourierMotzkin},
+		// t1 ≥ ⌈MinInt64 / -1⌉ with t2 = 0: the quotient leaves int64.
+		{"quotient", sys(2, cons(math.MinInt64, -1, 6), cons(-8, -8, -8)), KindFourierMotzkin},
+		// As "product", replayed into Loop Residue's witness t2 = t3 = 2^62.
+		{"later-stage", sys(3, cons(0, 1, 2, 0), cons(0, 0, 1, -1), cons(0, 0, -1, 1), cons(-(1<<62), 0, -1, 0), cons(1<<62+10, 0, 1, 0)), KindLoopResidue},
+	} {
+		r, _ := Solve(tc.ts)
+		if r.Outcome != Unknown || r.Exact || r.Kind != tc.kind || r.Trip != TripNone {
+			t.Errorf("%s: got %v with witness %v, want an inexact Unknown from %v", tc.name, r, r.Witness, tc.kind)
+		}
 	}
 }

@@ -1,8 +1,6 @@
 package dtest
 
 import (
-	"math"
-
 	"exactdep/internal/linalg"
 	"exactdep/internal/system"
 )
@@ -78,7 +76,7 @@ type fmEliminated struct {
 
 // fmScratch is the Fourier–Motzkin solver's reusable workspace, owned by
 // the cascade Scratch: the double-buffered working constraint list, the
-// per-variable bound store for back-substitution, the remaining/val/chosen
+// per-variable bound store for back-substitution, the remaining and val
 // vectors, and the duplicate-detection hash set. All of it is reset by each
 // fmSolve entry (including branch-and-bound subcalls, which run strictly
 // after their parent stops touching the workspace), so one fmScratch serves
@@ -92,7 +90,6 @@ type fmScratch struct {
 
 	remaining []bool
 	val       []int64 // witness under construction (aliased by Result.Witness)
-	chosen    []bool
 
 	set consSet
 
@@ -327,11 +324,10 @@ func fmSolve(cons []system.Constraint, n, depth int, bs *budgetState, fs *fmScra
 	// backed: a Dependent result's Witness aliases it and stays valid until
 	// the pipeline's next run, like every other scratch-backed buffer.
 	fs.val = resizeInt64sZero(fs.val, n)
-	fs.chosen = resizeBoolsFalse(fs.chosen, n)
 	for k := len(fs.order) - 1; k >= 0; k-- {
 		e := fs.order[k]
 		pick, bracketLo, bracketHi, ok, err := fmRange(
-			fs.bound[e.loStart:e.loEnd], fs.bound[e.loEnd:e.upEnd], e.v, fs.val, fs.chosen)
+			fs.bound[e.loStart:e.loEnd], fs.bound[e.loEnd:e.upEnd], e.v, fs.val)
 		if err != nil {
 			return unknown(KindFourierMotzkin)
 		}
@@ -346,7 +342,6 @@ func fmSolve(cons []system.Constraint, n, depth int, bs *budgetState, fs *fmScra
 			return fmBranch(cons, n, depth, e.v, bracketLo, bracketHi, bs, fs, arena)
 		}
 		fs.val[e.v] = pick
-		fs.chosen[e.v] = true
 	}
 	return dependent(KindFourierMotzkin, fs.val)
 }
@@ -428,31 +423,30 @@ func fmCombine(lo, up system.Constraint, v int, arena *system.Scratch) (nc syste
 	return norm, true, true, nil
 }
 
-// fmRange computes the allowed range of variable v given already-chosen
-// values. On success it returns the middle integer of the range in pick
-// with ok=true. With no integer in the (nonempty real) range it returns
-// ok=false and the bracketing integers ⌊lo⌋ and ⌈up⌉ for branch-and-bound.
-// The rational bounds are never formed: floor and ceil are monotone, so the
-// ceiling of the largest lower bound is the largest of the lowers' ceilings,
-// and likewise for the other three ends.
-func fmRange(lowers, uppers []system.Constraint, v int, val []int64, chosen []bool) (pick, bracketLo, bracketHi int64, ok bool, err error) {
+// fmRange computes the allowed range of variable v given the values val of
+// the variables chosen so far (0 for the rest). On success it returns the
+// middle integer of the range in pick with ok=true. With no integer in the
+// (nonempty real) range it returns ok=false and the bracketing integers ⌊lo⌋
+// and ⌈up⌉ for branch-and-bound. The rational bounds are never formed:
+// floor and ceil are monotone, so the ceiling of the largest lower bound is
+// the largest of the lowers' ceilings, and likewise for the other three ends.
+func fmRange(lowers, uppers []system.Constraint, v int, val []int64) (pick, bracketLo, bracketHi int64, ok bool, err error) {
 	var cl, fl, fu, cu optInt // ⌈lo⌉, ⌊lo⌋, ⌊up⌋, ⌈up⌉
 	for _, c := range lowers {
-		// a·v + Σ rest ≤ C with a < 0  →  v ≥ (C - Σ rest)/a
-		num, err := fmEval(c, v, val, chosen)
+		floor, ceil, err := varBound(c, v, val)
 		if err != nil {
 			return 0, 0, 0, false, err
 		}
-		cl.tightenMax(linalg.CeilDiv(num, c.Coef[v]))
-		fl.tightenMax(linalg.FloorDiv(num, c.Coef[v]))
+		cl.tightenMax(ceil)
+		fl.tightenMax(floor)
 	}
 	for _, c := range uppers {
-		num, err := fmEval(c, v, val, chosen)
+		floor, ceil, err := varBound(c, v, val)
 		if err != nil {
 			return 0, 0, 0, false, err
 		}
-		fu.tightenMin(linalg.FloorDiv(num, c.Coef[v]))
-		cu.tightenMin(linalg.CeilDiv(num, c.Coef[v]))
+		fu.tightenMin(floor)
+		cu.tightenMin(ceil)
 	}
 	switch {
 	case !cl.has && !fu.has:
@@ -465,38 +459,6 @@ func fmRange(lowers, uppers []system.Constraint, v int, val []int64, chosen []bo
 		return midpoint(cl.v, fu.v), 0, 0, true, nil
 	}
 	return 0, fl.v, cu.v, false, nil // no integer in [lo, up]
-}
-
-// fmEval returns the numerator C - Σ_{j≠v} coef_j·val_j of the bound that
-// constraint c imposes on variable v given the chosen values of later
-// variables (the bound is the numerator over coef_v). It is ErrOverflow
-// when the sum leaves int64, or when the numerator is MinInt64 over a
-// coefficient of -1, the one quotient that wraps.
-func fmEval(c system.Constraint, v int, val []int64, chosen []bool) (int64, error) {
-	num := c.C
-	for j, a := range c.Coef {
-		if j == v || a == 0 {
-			continue
-		}
-		if !chosen[j] {
-			// Unchosen variables with nonzero coefficients cannot occur:
-			// elimination ordered the constraints so that every other
-			// variable of c was eliminated earlier (chosen later in the
-			// backward pass). Treat defensively as 0.
-			continue
-		}
-		p, err := linalg.MulChecked(a, val[j])
-		if err != nil {
-			return 0, err
-		}
-		if num, err = linalg.SubChecked(num, p); err != nil {
-			return 0, err
-		}
-	}
-	if num == math.MinInt64 && c.Coef[v] == -1 {
-		return 0, linalg.ErrOverflow
-	}
-	return num, nil
 }
 
 // midpoint returns the middle integer of [lo, hi], lo ≤ hi, rounding down.
@@ -552,18 +514,6 @@ func resizeBoolsTrue(s []bool, n int) []bool {
 	s = s[:n]
 	for i := range s {
 		s[i] = true
-	}
-	return s
-}
-
-// resizeBoolsFalse returns s resized to n with every element false.
-func resizeBoolsFalse(s []bool, n int) []bool {
-	if cap(s) < n {
-		s = make([]bool, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = false
 	}
 	return s
 }

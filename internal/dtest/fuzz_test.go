@@ -76,8 +76,8 @@ func fuzzEncode(n int, rows ...system.Constraint) []byte {
 // FuzzCascadeExact checks the cascade on small systems with coefficients
 // and constants at the int64 extremes: it never panics, the paper's
 // cascade and Fourier–Motzkin alone never disagree on an exact verdict,
-// and every exact Dependent from Fourier–Motzkin alone carries a witness
-// that satisfies the system exactly.
+// and every exact Dependent from either carries a witness that satisfies
+// the system exactly.
 func FuzzCascadeExact(f *testing.F) {
 	m := int64(1)<<62 + 1
 	big := int64(math.MaxInt64 / 2)
@@ -96,6 +96,10 @@ func FuzzCascadeExact(f *testing.F) {
 		fuzzEncode(2, cons(1, big, big-1), cons(-3, -(big-3), -(big-5)), cons(10, 1, 0), cons(0, -1, 0)),
 		// A witness Acyclic leaves unreplayed into a later stage's.
 		fuzzEncode(3, cons(0, -5, -5, 0), cons(-5, 0, 1, 1), cons(0, 1, 1, 0)),
+		// Acyclic's replay dividing MinInt64 by -1: t1 ≥ 2^63 + 6t2.
+		fuzzEncode(2, cons(math.MinInt64, -1, 6), cons(-8, -8, -8)),
+		// Acyclic's replay into Loop Residue's witness leaving int64.
+		fuzzEncode(3, cons(0, 1, 2, 0), cons(0, 0, 1, -1), cons(0, 0, -1, 1), cons(-(1<<62), 0, -1, 0), cons(1<<62+10, 0, 1, 0)),
 	} {
 		f.Add(seed)
 	}
@@ -106,6 +110,9 @@ func FuzzCascadeExact(f *testing.F) {
 		b := fm.Run(ts)
 		if a.Exact && b.Exact && a.Outcome != b.Outcome {
 			t.Fatalf("cascade %v, Fourier-Motzkin alone %v on %v", a, b, ts.Cons)
+		}
+		if a.Exact && a.Outcome == Dependent && !VerifyWitness(ts, a.Witness) {
+			t.Fatalf("cascade: %v with invalid witness %v on %v", a, a.Witness, ts.Cons)
 		}
 		if b.Exact && b.Outcome == Dependent && !VerifyWitness(ts, b.Witness) {
 			t.Fatalf("Fourier-Motzkin alone: %v with invalid witness %v on %v", b, b.Witness, ts.Cons)

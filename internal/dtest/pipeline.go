@@ -2,66 +2,23 @@ package dtest
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"exactdep/internal/system"
 )
 
-// Stage is one exact test of the cascade. A stage either decides the
-// problem (decided=true with a Result) or reports itself inapplicable and
-// hands the next stage the state to continue from — usually the input
-// unchanged, but a stage may simplify it the way the Acyclic test does
-// ("simplifies the system for the next stages", §3.3). Stages draw all
-// working memory from the pipeline's Scratch and must be stateless:
-// one stage value is shared by every pipeline built from a Config.
-//
-// Because stages operate on the package-private state representation, new
-// tests register here in package dtest (implement Stage, add the value to a
-// Config) rather than by editing the engine — the seam future tests (e.g.
-// compile-time simplification passes) plug into.
-type Stage interface {
-	// Name is the stage's display name.
-	Name() string
-	// Kind identifies the test in results, traces, and stats counters.
-	Kind() Kind
-	// CostRank is the stage's position in the paper's cost ordering
-	// (Table 6 / §7): 1 is cheapest. NewConfig sorts stages by it.
-	CostRank() int
-	// Apply probes and, when applicable, runs the test on s. decided=false
-	// means inapplicable; next is then the state the following stage must
-	// consume. Working memory comes from sc.
-	Apply(s *state, sc *Scratch) (r Result, next *state, decided bool)
-}
-
-// Config is an immutable, cost-ordered list of cascade stages. One Config
-// is shared by every Pipeline built from it (and so across workers); all
-// mutable per-run memory lives in the Pipeline.
+// Config is a fixed cascade: the tests it runs, cheapest first (§3). There
+// are two, DefaultConfig and FMOnlyConfig, each shared by every Pipeline
+// built from it (and so across workers); all mutable per-run memory lives
+// in the Pipeline.
 type Config struct {
-	name   string
-	stages []Stage
+	kinds []Kind
 }
-
-// NewConfig builds a configuration from the given stages, stable-sorted
-// into the paper's cost order (cheapest first).
-func NewConfig(name string, stages ...Stage) *Config {
-	out := append([]Stage(nil), stages...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].CostRank() < out[j].CostRank() })
-	return &Config{name: name, stages: out}
-}
-
-// Name returns the configuration's registered name.
-func (c *Config) Name() string { return c.name }
-
-// NumStages returns the number of stages.
-func (c *Config) NumStages() int { return len(c.stages) }
-
-// Stage returns the i-th stage in cost order.
-func (c *Config) Stage(i int) Stage { return c.stages[i] }
 
 var (
-	defaultConfig = NewConfig("full", svpcStage{}, acyclicStage{}, residueStage{}, fourierStage{})
-	fmOnlyConfig  = NewConfig("fm-only", fourierStage{})
+	defaultConfig = &Config{kinds: []Kind{KindSVPC, KindAcyclic, KindLoopResidue, KindFourierMotzkin}}
+	fmOnlyConfig  = &Config{kinds: []Kind{KindFourierMotzkin}}
 )
 
 // DefaultConfig is the paper's cascade: SVPC → Acyclic → Loop Residue →
@@ -73,9 +30,12 @@ func DefaultConfig() *Config { return defaultConfig }
 // exists for that cross-validation and for ablation benchmarks.
 func FMOnlyConfig() *Config { return fmOnlyConfig }
 
-// ConfigByName resolves a cascade configuration by its registered name.
-// "" and "full" name the default cascade; "fm-only" the Fourier–Motzkin
-// cross-validation pipeline.
+// Kinds returns the config's tests in the order they run.
+func (c *Config) Kinds() []Kind { return slices.Clone(c.kinds) }
+
+// ConfigByName resolves a cascade configuration by its name. "" and "full"
+// name the default cascade; "fm-only" the Fourier–Motzkin cross-validation
+// pipeline.
 func ConfigByName(name string) (*Config, error) {
 	switch name {
 	case "", "full":
@@ -108,16 +68,13 @@ type Pipeline struct {
 	cfg     *Config
 	sc      *Scratch
 	timed   bool
-	metrics []StageMetrics
+	metrics [KindFourierMotzkin + 1]StageMetrics // indexed by Kind
 }
 
 // NewPipeline builds a pipeline (with its own Scratch) over this config.
 func (c *Config) NewPipeline() *Pipeline {
-	return &Pipeline{cfg: c, sc: newScratch(), metrics: make([]StageMetrics, len(c.stages))}
+	return &Pipeline{cfg: c, sc: newScratch()}
 }
-
-// Config returns the shared stage configuration.
-func (p *Pipeline) Config() *Config { return p.cfg }
 
 // SetTimed toggles per-stage wall-time accounting. Off by default: the two
 // clock reads per consulted stage are measurable next to a sub-microsecond
@@ -138,9 +95,9 @@ func (p *Pipeline) Budget() Budget { return p.sc.bud.limits }
 // problem with TripCancelled. nil (the default) disables the poll.
 func (p *Pipeline) SetCancel(c <-chan struct{}) { p.sc.bud.cancel = c }
 
-// StageMetrics returns the accumulated metrics of the i-th stage (in the
-// config's cost order).
-func (p *Pipeline) StageMetrics(i int) StageMetrics { return p.metrics[i] }
+// StageMetrics returns the accumulated metrics of test k (zero for a test
+// the config does not run).
+func (p *Pipeline) StageMetrics(k Kind) StageMetrics { return p.metrics[k] }
 
 // FMMetrics is the Fourier–Motzkin redundancy-elimination accounting,
 // cumulative over every problem the pipeline has run: how many derived
@@ -170,89 +127,62 @@ func (p *Pipeline) RunTraced(ts *system.TSystem) (Result, Trace) {
 	return p.run(p.sc.prepare(ts), true)
 }
 
-// run drives the cascade over a prepared state. If no stage decides (which
-// cannot happen in a configuration ending in Fourier–Motzkin) the verdict
-// is an inexact Unknown with KindNone.
+// run drives the cascade over a prepared state, one test after another
+// until one decides. A test that does not decide hands on the state the
+// next one consumes: the input unchanged, except that the Acyclic test hands
+// on its partly simplified state ("simplifies the system for the next
+// stages", §3.3). If no test decides (which cannot happen in a config ending
+// in Fourier–Motzkin) the verdict is an inexact Unknown with KindNone.
 func (p *Pipeline) run(s *state, trace bool) (Result, Trace) {
 	var tr Trace
-	consulted := p.sc.consulted[:0]
-	for i, st := range p.cfg.stages {
-		m := &p.metrics[i]
+	sc := p.sc
+	sc.journal = sc.journal[:0]
+	consulted := sc.consulted[:0]
+	for _, k := range p.cfg.kinds {
+		m := &p.metrics[k]
 		m.Consulted++
 		if trace {
-			consulted = append(consulted, st.Kind())
+			consulted = append(consulted, k)
 		}
 		var start time.Time
 		if p.timed {
 			start = time.Now()
 		}
-		r, next, decided := st.Apply(s, p.sc)
+		var r Result
+		decided := true
+		switch k {
+		case KindSVPC:
+			r, decided, sc.witness = svpc(s, sc.witness)
+		case KindAcyclic:
+			r, s, decided = acyclicApply(s, sc)
+		case KindLoopResidue:
+			r, decided = residueApply(s, sc)
+		case KindFourierMotzkin:
+			r = fourierApply(s, sc)
+		}
+		if decided && r.Outcome == Dependent && k != KindAcyclic && len(sc.journal) > 0 {
+			// The witness solves the state the Acyclic test simplified:
+			// give the variables it eliminated their values.
+			if replayJournal(r.Witness, sc.journal, sc.dropped) != nil {
+				r = unknown(k)
+			}
+		}
 		if p.timed {
 			m.Time += time.Since(start)
 		}
 		if decided {
 			m.Decided++
-			p.sc.consulted = consulted
+			sc.consulted = consulted
 			if trace {
 				tr.Consulted = consulted
-				tr.Decided = st.Kind()
+				tr.Decided = k
 			}
 			return r, tr
 		}
-		s = next
 	}
-	p.sc.consulted = consulted
+	sc.consulted = consulted
 	if trace {
 		tr.Consulted = consulted
 	}
 	return unknown(KindNone), tr
-}
-
-// svpcStage wraps the Single Variable Per Constraint test (§3.2).
-type svpcStage struct{}
-
-func (svpcStage) Name() string  { return KindSVPC.String() }
-func (svpcStage) Kind() Kind    { return KindSVPC }
-func (svpcStage) CostRank() int { return KindSVPC.CostRank() }
-func (svpcStage) Apply(s *state, sc *Scratch) (Result, *state, bool) {
-	r, ok, w := svpc(s, sc.witness)
-	sc.witness = w
-	return r, s, ok
-}
-
-// acyclicStage wraps the Acyclic test (§3.3). When inapplicable it passes
-// its partially simplified state on to the later stages.
-type acyclicStage struct{}
-
-func (acyclicStage) Name() string  { return KindAcyclic.String() }
-func (acyclicStage) Kind() Kind    { return KindAcyclic }
-func (acyclicStage) CostRank() int { return KindAcyclic.CostRank() }
-func (acyclicStage) Apply(s *state, sc *Scratch) (Result, *state, bool) {
-	r, simplified, decided := acyclicApply(s, sc)
-	if decided {
-		return r, nil, true
-	}
-	return Result{}, simplified, false
-}
-
-// residueStage wraps the Loop Residue test (§3.4).
-type residueStage struct{}
-
-func (residueStage) Name() string  { return KindLoopResidue.String() }
-func (residueStage) Kind() Kind    { return KindLoopResidue }
-func (residueStage) CostRank() int { return KindLoopResidue.CostRank() }
-func (residueStage) Apply(s *state, sc *Scratch) (Result, *state, bool) {
-	r, ok := residueApply(s, sc)
-	return r, s, ok
-}
-
-// fourierStage wraps the Fourier–Motzkin backup (§3.5). It always decides
-// (possibly with an inexact Unknown).
-type fourierStage struct{}
-
-func (fourierStage) Name() string  { return KindFourierMotzkin.String() }
-func (fourierStage) Kind() Kind    { return KindFourierMotzkin }
-func (fourierStage) CostRank() int { return KindFourierMotzkin.CostRank() }
-func (fourierStage) Apply(s *state, sc *Scratch) (Result, *state, bool) {
-	return fourierApply(s, sc), nil, true
 }

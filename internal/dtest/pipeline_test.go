@@ -10,39 +10,27 @@ import (
 	"exactdep/internal/system"
 )
 
-// TestConfigCostOrder: NewConfig sorts stages into the paper's cost order
-// regardless of registration order, stably.
+// TestConfigCostOrder pins the two cascades and the paper's cost ranks:
+// the default runs its tests cheapest first, fm-only runs the backup alone.
 func TestConfigCostOrder(t *testing.T) {
-	cfg := NewConfig("scrambled", fourierStage{}, residueStage{}, svpcStage{}, acyclicStage{})
 	want := []Kind{KindSVPC, KindAcyclic, KindLoopResidue, KindFourierMotzkin}
-	if cfg.NumStages() != len(want) {
-		t.Fatalf("%d stages, want %d", cfg.NumStages(), len(want))
+	if got := DefaultConfig().Kinds(); !reflect.DeepEqual(got, want) {
+		t.Errorf("default config runs %v, want %v", got, want)
+	}
+	if got := FMOnlyConfig().Kinds(); !reflect.DeepEqual(got, []Kind{KindFourierMotzkin}) {
+		t.Errorf("fm-only config runs %v", got)
 	}
 	for i, k := range want {
-		st := cfg.Stage(i)
-		if st.Kind() != k {
-			t.Errorf("stage %d is %v, want %v", i, st.Kind(), k)
-		}
-		if st.CostRank() != i+1 {
-			t.Errorf("stage %d has cost rank %d, want %d", i, st.CostRank(), i+1)
+		if k.CostRank() != i+1 {
+			t.Errorf("%v has cost rank %d, want %d", k, k.CostRank(), i+1)
 		}
 	}
-	if cfg.Name() != "scrambled" {
-		t.Errorf("Name = %q", cfg.Name())
-	}
-	def := DefaultConfig()
-	for i, k := range want {
-		if def.Stage(i).Kind() != k {
-			t.Fatalf("default config stage %d is %v, want %v", i, def.Stage(i).Kind(), k)
-		}
-	}
-	fm := FMOnlyConfig()
-	if fm.NumStages() != 1 || fm.Stage(0).Kind() != KindFourierMotzkin {
-		t.Fatalf("fm-only config has unexpected stages")
+	if KindNone.CostRank() != 0 {
+		t.Errorf("KindNone has cost rank %d, want 0", KindNone.CostRank())
 	}
 }
 
-// TestConfigByName covers the registered names and the error path.
+// TestConfigByName covers the two names and the error path.
 func TestConfigByName(t *testing.T) {
 	for _, name := range []string{"", "full"} {
 		cfg, err := ConfigByName(name)
@@ -82,17 +70,20 @@ func TestPipelineMetrics(t *testing.T) {
 	}
 	wantConsulted := []int{7, 4, 2, 1} // SVPC sees all, each later stage only the fall-through
 	wantDecided := []int{3, 2, 1, 1}
-	for i := 0; i < p.Config().NumStages(); i++ {
-		m := p.StageMetrics(i)
+	for i, k := range DefaultConfig().Kinds() {
+		m := p.StageMetrics(k)
 		if m.Consulted != wantConsulted[i] {
-			t.Errorf("stage %v consulted %d, want %d", p.Config().Stage(i).Name(), m.Consulted, wantConsulted[i])
+			t.Errorf("stage %v consulted %d, want %d", k, m.Consulted, wantConsulted[i])
 		}
 		if m.Decided != wantDecided[i] {
-			t.Errorf("stage %v decided %d, want %d", p.Config().Stage(i).Name(), m.Decided, wantDecided[i])
+			t.Errorf("stage %v decided %d, want %d", k, m.Decided, wantDecided[i])
 		}
 		if m.Time != 0 {
-			t.Errorf("stage %v accumulated time %v with timing off", p.Config().Stage(i).Name(), m.Time)
+			t.Errorf("stage %v accumulated time %v with timing off", k, m.Time)
 		}
+	}
+	if m := p.StageMetrics(KindNone); m != (StageMetrics{}) {
+		t.Errorf("KindNone accumulated metrics %+v", m)
 	}
 }
 
@@ -106,8 +97,8 @@ func TestPipelineTimed(t *testing.T) {
 	for i := 0; i < 10000 && total == 0; i++ {
 		p.Run(ts)
 		total = 0
-		for j := 0; j < p.Config().NumStages(); j++ {
-			total += p.StageMetrics(j).Time
+		for _, k := range DefaultConfig().Kinds() {
+			total += p.StageMetrics(k).Time
 		}
 	}
 	if total == 0 {
@@ -119,7 +110,7 @@ func TestPipelineTimed(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		q.Run(svpcSys())
 	}
-	if m := q.StageMetrics(2); m.Consulted != 0 || m.Time != 0 {
+	if m := q.StageMetrics(KindLoopResidue); m.Consulted != 0 || m.Time != 0 {
 		t.Fatalf("unconsulted stage accumulated metrics %+v", m)
 	}
 }

@@ -1,8 +1,6 @@
 package dtest
 
 import (
-	"math"
-
 	"exactdep/internal/linalg"
 	"exactdep/internal/system"
 )
@@ -101,14 +99,36 @@ func (s *state) add(c system.Constraint) {
 // bound records a·t_i ≤ c as a lower or upper bound on t_i. The bound
 // -t_i ≤ MinInt64, t_i ≥ 2^63, does not fit in int64 and sets overflow.
 func (s *state) bound(i int, a, c int64) {
+	floor, ceil, err := linalg.FloorCeilDiv(c, a)
 	switch {
-	case a > 0:
-		s.ub[i].tightenMin(linalg.FloorDiv(c, a))
-	case a == -1 && c == math.MinInt64:
+	case err != nil:
 		s.overflow = true
+	case a > 0:
+		s.ub[i].tightenMin(floor)
 	default:
-		s.lb[i].tightenMax(linalg.CeilDiv(c, a))
+		s.lb[i].tightenMax(ceil)
 	}
+}
+
+// varBound returns ⌊q⌋ and ⌈q⌉ for q = (C - Σ_{j≠v} a_j·w_j) / a_v, the
+// bound constraint c puts on t_v when every other variable takes its value
+// in w: an upper bound when a_v > 0, a lower one when a_v < 0. It is
+// ErrOverflow when the sum or the quotient leaves int64.
+func varBound(c system.Constraint, v int, w []int64) (floor, ceil int64, err error) {
+	num := c.C
+	for j, a := range c.Coef {
+		if j == v || a == 0 {
+			continue
+		}
+		p, err := linalg.MulChecked(a, w[j])
+		if err != nil {
+			return 0, 0, err
+		}
+		if num, err = linalg.SubChecked(num, p); err != nil {
+			return 0, 0, err
+		}
+	}
+	return linalg.FloorCeilDiv(num, c.Coef[v])
 }
 
 // firstConflict returns the first variable with lb > ub, or -1.

@@ -127,6 +127,24 @@ func CeilDiv(a, b int64) int64 {
 	return q
 }
 
+// FloorCeilDiv returns ⌊a/b⌋ and ⌈a/b⌉ for b ≠ 0, or ErrOverflow for
+// MinInt64 / -1, the one quotient past int64 (Go evaluates it to MinInt64).
+func FloorCeilDiv(a, b int64) (floor, ceil int64, err error) {
+	if a == math.MinInt64 && b == -1 {
+		return 0, 0, ErrOverflow
+	}
+	q := a / b
+	floor, ceil = q, q
+	if a%b != 0 {
+		if (a < 0) != (b < 0) {
+			floor--
+		} else {
+			ceil++
+		}
+	}
+	return floor, ceil, nil
+}
+
 // Matrix is a dense rows×cols integer matrix.
 type Matrix struct {
 	Rows, Cols int

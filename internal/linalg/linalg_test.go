@@ -172,6 +172,12 @@ func TestFloorCeilDiv(t *testing.T) {
 	cases := []struct{ a, b, fl, ce int64 }{
 		{7, 2, 3, 4}, {-7, 2, -4, -3}, {7, -2, -4, -3}, {-7, -2, 3, 4},
 		{6, 3, 2, 2}, {-6, 3, -2, -2}, {0, 5, 0, 0},
+		{math.MinInt64, 1, math.MinInt64, math.MinInt64},
+		{math.MinInt64, -2, 1 << 62, 1 << 62},
+		{math.MinInt64 + 1, -1, math.MaxInt64, math.MaxInt64},
+		{math.MaxInt64, 2, math.MaxInt64 / 2, math.MaxInt64/2 + 1},
+		{math.MinInt64, math.MaxInt64, -2, -1},
+		{-1, math.MinInt64, 0, 1},
 	}
 	for _, c := range cases {
 		if got := FloorDiv(c.a, c.b); got != c.fl {
@@ -180,6 +186,13 @@ func TestFloorCeilDiv(t *testing.T) {
 		if got := CeilDiv(c.a, c.b); got != c.ce {
 			t.Errorf("CeilDiv(%d,%d) = %d, want %d", c.a, c.b, got, c.ce)
 		}
+		if fl, ce, err := FloorCeilDiv(c.a, c.b); err != nil || fl != c.fl || ce != c.ce {
+			t.Errorf("FloorCeilDiv(%d,%d) = %d, %d, %v; want %d, %d", c.a, c.b, fl, ce, err, c.fl, c.ce)
+		}
+	}
+	// MinInt64 / -1 is the one quotient past int64.
+	if _, _, err := FloorCeilDiv(math.MinInt64, -1); !errors.Is(err, ErrOverflow) {
+		t.Errorf("FloorCeilDiv(MinInt64, -1) error = %v, want ErrOverflow", err)
 	}
 }
 

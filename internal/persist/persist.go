@@ -61,8 +61,12 @@ const FormatVersion = 3
 // overflow near the int64 limits may move. Version 6: Fourier–Motzkin has
 // no arbitrary-precision retry, so an int64 overflow in it is Unknown where
 // it was exact, and a bound past int64 in classification, a Loop Residue
-// path weight past int64 and a wide witness range no longer wrap.
-const SemanticsVersion = 6
+// path weight past int64 and a wide witness range no longer wrap. Version
+// 7: the Acyclic test's replay of its eliminations is checked int64 (an
+// overflow hands the system on, or makes a later test's Dependent Unknown)
+// and is replayed into a later test's witness, and the store signature no
+// longer carries the dimension-by-dimension direction method's flag.
+const SemanticsVersion = 7
 
 // ErrStale marks a file written under an older format or semantics
 // version: a cache its owner may drop and rebuild, not a corrupt file.

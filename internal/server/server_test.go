@@ -650,7 +650,6 @@ func TestOptionOverride(t *testing.T) {
 	opts.DirectionVectors = false
 	opts.PruneUnused = false
 	opts.PruneDistance = false
-	opts.Separable = false
 	if got, want := wire.Canonical(ar), batchCanonical(t, opts, units); !bytes.Equal(got, want) {
 		t.Error("override response bytes diverge from the batch run under the same options")
 	}

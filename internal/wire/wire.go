@@ -26,7 +26,8 @@ import (
 
 // SchemaVersion is the wire schema this package encodes. Requests may carry
 // 0 (meaning "current") or the exact version; anything else is rejected.
-const SchemaVersion = 1
+// Version 2 removed Options.separable.
+const SchemaVersion = 2
 
 // AnalyzeRequest is the body of POST /v1/analyze: one or more loop-language
 // units to analyze as a single corpus (shared verdict store, deterministic
@@ -64,7 +65,6 @@ type Options struct {
 	DirectionVectors bool `json:"directionVectors"`
 	PruneUnused      bool `json:"pruneUnused"`
 	PruneDistance    bool `json:"pruneDistance"`
-	Separable        bool `json:"separable"`
 	// Cascade names the test pipeline: "" or "full", or "fm-only".
 	Cascade string `json:"cascade,omitempty"`
 }
@@ -78,7 +78,6 @@ func (o *Options) Apply(base core.Options) core.Options {
 	base.DirectionVectors = o.DirectionVectors
 	base.PruneUnused = o.PruneUnused
 	base.PruneDistance = o.PruneDistance
-	base.Separable = o.Separable
 	base.Cascade = o.Cascade
 	return base
 }
@@ -89,7 +88,6 @@ func FromCoreOptions(c core.Options) Options {
 		DirectionVectors: c.DirectionVectors,
 		PruneUnused:      c.PruneUnused,
 		PruneDistance:    c.PruneDistance,
-		Separable:        c.Separable,
 		Cascade:          c.Cascade,
 	}
 }
