@@ -45,8 +45,10 @@ race:
 # verdict store's per-unit slabs (a fixed number of allocations per unit to
 # load a snapshot and to serve a unit, however many results it holds) and
 # its file index (serving an unchanged file without building its IR, in a
-# fixed number of allocations however many pairs it holds) stay gated even
-# though the main test run is race-enabled.
+# fixed number of allocations however many pairs it holds) and the analyze
+# reply appender (no allocation into a buffer with room, whether a unit
+# holds 2, 32 or 256 pairs) stay gated even though the main test run is
+# race-enabled.
 allocgate:
 	$(GO) test ./internal/dtest -run 'TestCascadeZeroAllocs|TestRunTracedReusesScratch|TestBudgetZeroAllocs|TestFMSolveZeroAllocs'
 	$(GO) test ./internal/memo -run 'TestEncoderZeroAllocs|TestMemoHitZeroAllocs|TestShardedInsertAllocs'
@@ -55,6 +57,7 @@ allocgate:
 	$(GO) test ./internal/lang -run 'TestLexerZeroAllocs'
 	$(GO) test ./internal/system -run 'TestBuildZeroAllocs|TestPreprocessZeroAllocs'
 	$(GO) test ./internal/corpus -run 'TestLoadStoreAllocs|TestServeAllocs|TestIndexHitAllocs'
+	$(GO) test ./internal/wire -run 'TestAppendResponseAllocs'
 
 # fuzz-smoke fuzzes every decoder of outside input for 10 s each: the DSL
 # parser, and the verdict store's and memo file's shared binary decoder
@@ -64,12 +67,16 @@ allocgate:
 # systems at the int64 extremes (FuzzCascadeExact: no panic, the cascade
 # and Fourier–Motzkin alone agree on every exact verdict, and the exact
 # Dependent witnesses of both hold, the Acyclic test's replayed
-# eliminations included), seeded with the overflow cases its tests pin.
+# eliminations included), seeded with the overflow cases its tests pin, and
+# the analyze reply appender for 10 s (FuzzAppendResponse: on any response
+# header and unit results its bytes are encoding/json's), seeded with every
+# string-escaping rule and the empty and extreme shapes.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/lang
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadStore$$' -fuzztime 10s ./internal/corpus
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadMemo$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzCascadeExact$$' -fuzztime 10s ./internal/dtest
+	$(GO) test -run '^$$' -fuzz '^FuzzAppendResponse$$' -fuzztime 10s ./internal/wire
 
 # benchmark-selftest vets and tests the benchmark module (benchmark/, a
 # separate Go module the root go test ./... never reaches): its generator,
@@ -113,9 +120,10 @@ serve-smoke:
 # sources), the problem build plus Extended GCD, the cascade, memo and
 # refinement stage/allocation microbenchmarks, the memo file's save and
 # load, a warm call against a large memo table, and the verdict store's
-# load, save and serve, the fingerprint walk and the file read + digest.
+# load, save and serve, the fingerprint walk and the file read + digest,
+# and the wire encode (typed and appended) and decode of one served unit.
 # bench, bench-smoke, bench-json and benchcmp-gate all run this one list.
-BENCH_PKGS := . ./internal/lang ./internal/opt ./internal/refs ./internal/system ./internal/dtest ./internal/memo ./internal/depvec ./internal/core ./internal/corpus
+BENCH_PKGS := . ./internal/lang ./internal/opt ./internal/refs ./internal/system ./internal/dtest ./internal/memo ./internal/depvec ./internal/core ./internal/corpus ./internal/wire
 
 # bench runs every benchmark once, human-readable, with allocation counts.
 bench:

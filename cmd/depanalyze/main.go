@@ -53,6 +53,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -458,26 +459,26 @@ func unitPrinter(stdout, stderr io.Writer) func(exactdep.UnitResult) error {
 // writeWireJSON renders results as the same versioned wire document
 // depserve serves, so scripted clients can switch between the CLI and the
 // service without a second parser (and diff the two byte for byte after
-// wire.Canonical).
+// wire.Canonical). It is depserve's rendering, indented.
 func writeWireJSON(w io.Writer, urs []exactdep.UnitResult, cs exactdep.CorpusStats, counters exactdep.Counters, opts exactdep.Options) error {
-	resp := &wire.AnalyzeResponse{
-		SchemaVersion: wire.SchemaVersion,
-		BudgetClass:   wire.ClassName(opts.Budget),
-		Units:         make([]wire.UnitVerdicts, len(urs)),
-		Stats:         wire.FromCorpusStats(cs),
-		Counters:      wire.FromCounters(counters),
-	}
 	for i := range urs {
 		// A unit served through the store's file index carries no pairs.
 		if err := urs[i].LoadPairs(); err != nil {
 			return err
 		}
-		resp.Units[i] = wire.FromUnitResult(&urs[i])
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.SetEscapeHTML(false)
-	return enc.Encode(resp)
+	body := wire.AppendAnalyzeResponse(nil, &wire.AnalyzeResponse{
+		SchemaVersion: wire.SchemaVersion,
+		BudgetClass:   wire.ClassName(opts.Budget),
+		Stats:         wire.FromCorpusStats(cs),
+		Counters:      wire.FromCounters(counters),
+	}, urs)
+	var out bytes.Buffer
+	if err := json.Indent(&out, body, "", "  "); err != nil {
+		return err
+	}
+	_, err := out.WriteTo(w)
+	return err
 }
 
 // saveMemoFile persists the analyzer's memo tables (degraded entries are

@@ -12,8 +12,6 @@
 package depvec
 
 import (
-	"strings"
-
 	"exactdep/internal/dtest"
 	"exactdep/internal/system"
 )
@@ -35,19 +33,20 @@ const (
 // Vector is a direction vector over the common loops, outermost first.
 type Vector []Direction
 
-// String renders the vector in the paper's "(<, =, *)" notation.
-func (v Vector) String() string {
-	var b strings.Builder
-	b.WriteByte('(')
+// AppendText appends the vector in the paper's "(<, =, *)" notation to dst.
+func (v Vector) AppendText(dst []byte) []byte {
+	dst = append(dst, '(')
 	for i, d := range v {
 		if i > 0 {
-			b.WriteString(", ")
+			dst = append(dst, ", "...)
 		}
-		b.WriteByte(byte(d))
+		dst = append(dst, byte(d))
 	}
-	b.WriteByte(')')
-	return b.String()
+	return append(dst, ')')
 }
+
+// String renders the vector in the paper's "(<, =, *)" notation.
+func (v Vector) String() string { return string(v.AppendText(nil)) }
 
 // Clone returns a copy of the vector.
 func (v Vector) Clone() Vector { return append(Vector(nil), v...) }

@@ -9,10 +9,7 @@
 // variables without bounds.
 package ir
 
-import (
-	"fmt"
-	"strings"
-)
+import "strconv"
 
 // Term is one variable of an affine expression with its coefficient.
 type Term struct {
@@ -229,37 +226,43 @@ func (e Expr) Equal(f Expr) bool {
 	return true
 }
 
-// String renders e deterministically, e.g. "2*i - j + 10".
-func (e Expr) String() string {
-	var b strings.Builder
+// AppendText appends e's rendering, e.g. "2*i - j + 10", to dst.
+func (e Expr) AppendText(dst []byte) []byte {
 	first := true
 	for _, t := range e.Terms {
-		writeTerm(&b, t.Coeff, t.Var, first)
+		dst = appendTerm(dst, t.Coeff, t.Var, first)
 		first = false
 	}
 	if e.Const != 0 || first {
-		writeTerm(&b, e.Const, "", first)
+		dst = appendTerm(dst, e.Const, "", first)
 	}
-	return b.String()
+	return dst
 }
 
-func writeTerm(b *strings.Builder, c int64, v string, first bool) {
+// String renders e deterministically, e.g. "2*i - j + 10".
+func (e Expr) String() string { return string(e.AppendText(nil)) }
+
+// appendTerm appends the term c·v, or the constant c when v is empty, with
+// the sign its position calls for. The magnitude is a uint64, so
+// math.MinInt64 renders as itself.
+func appendTerm(dst []byte, c int64, v string, first bool) []byte {
+	m := uint64(c)
 	switch {
-	case first && c < 0:
-		b.WriteString("-")
-		c = -c
-	case !first && c < 0:
-		b.WriteString(" - ")
-		c = -c
+	case c < 0 && first:
+		dst = append(dst, '-')
+		m = -m
+	case c < 0:
+		dst = append(dst, " - "...)
+		m = -m
 	case !first:
-		b.WriteString(" + ")
+		dst = append(dst, " + "...)
 	}
 	if v == "" {
-		fmt.Fprintf(b, "%d", c)
-		return
+		return strconv.AppendUint(dst, m, 10)
 	}
-	if c != 1 {
-		fmt.Fprintf(b, "%d*", c)
+	if m != 1 {
+		dst = strconv.AppendUint(dst, m, 10)
+		dst = append(dst, '*')
 	}
-	b.WriteString(v)
+	return append(dst, v...)
 }

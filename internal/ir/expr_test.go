@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -106,6 +105,41 @@ func TestString(t *testing.T) {
 	for _, c := range cases {
 		if got := c.e.String(); got != c.want {
 			t.Errorf("String(%v) = %q, want %q", c.e, got, c.want)
+		}
+	}
+}
+
+// TestExprTextExtremes renders constants and coefficients at the int64
+// extremes and at -1, as the first term and after another one. A negative
+// value is written as a sign and a magnitude, so math.MinInt64 must not
+// come out with a second minus sign.
+func TestExprTextExtremes(t *testing.T) {
+	const minS, maxS = "9223372036854775808", "9223372036854775807"
+	cases := []struct {
+		e    Expr
+		want string
+	}{
+		{NewConst(math.MinInt64), "-" + minS},
+		{NewConst(math.MaxInt64), maxS},
+		{NewConst(-1), "-1"},
+		{NewVar("i").AddConst(math.MinInt64), "i - " + minS},
+		{NewVar("i").AddConst(math.MaxInt64), "i + " + maxS},
+		{NewVar("i").AddConst(-1), "i - 1"},
+		{NewTerm("i", math.MinInt64), "-" + minS + "*i"},
+		{NewTerm("i", math.MaxInt64), maxS + "*i"},
+		{NewTerm("i", -1), "-i"},
+		{NewVar("i").Add(NewTerm("j", math.MinInt64)), "i - " + minS + "*j"},
+		{NewVar("i").Add(NewTerm("j", math.MaxInt64)), "i + " + maxS + "*j"},
+		{NewVar("i").Add(NewTerm("j", -1)), "i - j"},
+		{NewTerm("i", math.MinInt64).Add(NewTerm("j", math.MinInt64)).AddConst(math.MinInt64),
+			"-" + minS + "*i - " + minS + "*j - " + minS},
+	}
+	for _, c := range cases {
+		if got := c.e.String(); got != c.want {
+			t.Errorf("String = %q, want %q", got, c.want)
+		}
+		if got := string(c.e.AppendText([]byte("x="))); got != "x="+c.want {
+			t.Errorf("AppendText after a prefix = %q, want %q", got, "x="+c.want)
 		}
 	}
 }
@@ -263,16 +297,16 @@ func (m model) vars() []string {
 }
 
 func (m model) String() string {
-	var b strings.Builder
+	var b []byte
 	first := true
 	for _, v := range m.vars() {
-		writeTerm(&b, m.t[v], v, first)
+		b = appendTerm(b, m.t[v], v, first)
 		first = false
 	}
 	if m.c != 0 || first {
-		writeTerm(&b, m.c, "", first)
+		b = appendTerm(b, m.c, "", first)
 	}
-	return b.String()
+	return string(b)
 }
 
 // exprVars is the variable pool of the random expressions: names that

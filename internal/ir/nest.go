@@ -1,9 +1,6 @@
 package ir
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Loop is one level of a normalized loop nest: for Index = Lower to Upper
 // with unit step. Bounds are affine in outer loop indices and symbolic
@@ -62,16 +59,19 @@ type Ref struct {
 	Stmt int
 }
 
-// String renders the reference, e.g. "a[i+1][j] (write)".
-func (r Ref) String() string {
-	var b strings.Builder
-	b.WriteString(r.Array)
+// AppendText appends the reference's rendering, e.g. "a[i + 1][j] (write)",
+// to dst.
+func (r Ref) AppendText(dst []byte) []byte {
+	dst = append(dst, r.Array...)
 	for _, s := range r.Subscripts {
-		fmt.Fprintf(&b, "[%s]", s.String())
+		dst = append(s.AppendText(append(dst, '[')), ']')
 	}
-	fmt.Fprintf(&b, " (%s)", r.Kind)
-	return b.String()
+	dst = append(append(dst, " ("...), r.Kind.String()...)
+	return append(dst, ')')
 }
+
+// String renders the reference, e.g. "a[i + 1][j] (write)".
+func (r Ref) String() string { return string(r.AppendText(nil)) }
 
 // Nest is a perfect or imperfect loop nest flattened to the loops enclosing
 // each reference. Loops[0] is outermost. Refs carry their own Depth, so a

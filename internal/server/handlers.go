@@ -59,7 +59,9 @@ type job struct {
 
 type jobResult struct {
 	status int
-	body   any
+	// body is a 200 analyze reply rendered by wire.AppendAnalyzeResponse,
+	// or a wire value for writeJSON to encode.
+	body any
 }
 
 // Handler returns the service's HTTP routes.
@@ -72,9 +74,16 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// writeJSON writes a reply: a []byte body is already rendered and is
+// written as is, any other body is encoded by encoding/json with HTML
+// escaping off, the encoding the rendered replies match.
 func writeJSON(w http.ResponseWriter, status int, body any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
+	if b, ok := body.([]byte); ok {
+		w.Write(b)
+		return
+	}
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
 	enc.Encode(body)
@@ -520,13 +529,12 @@ func (s *Server) runCorpus(j *job) jobResult {
 	return s.respond(j, rep.Units, rep.Stats, wire.FromCounters(rep.Counters))
 }
 
-// respond converts a run's results to the wire response and feeds the
-// service counters.
+// respond renders a run's reply straight from its unit results and feeds
+// the service counters.
 func (s *Server) respond(j *job, urs []corpus.UnitResult, st corpus.Stats, counters wire.Counters) jobResult {
 	resp := &wire.AnalyzeResponse{
 		SchemaVersion: wire.SchemaVersion,
 		BudgetClass:   wire.BudgetClasses[j.effClass].Name,
-		Units:         make([]wire.UnitVerdicts, len(urs)),
 		Stats:         wire.FromCorpusStats(st),
 		Counters:      counters,
 	}
@@ -534,12 +542,9 @@ func (s *Server) respond(j *job, urs []corpus.UnitResult, st corpus.Stats, count
 		resp.RequestedClass = wire.BudgetClasses[j.classIdx].Name
 		resp.DegradedByLoad = true
 	}
-	for i := range urs {
-		resp.Units[i] = wire.FromUnitResult(&urs[i])
-	}
 	s.stats.unitsReused.Add(int64(st.UnitsReused))
 	s.stats.unitsSolved.Add(int64(st.UnitsSolved))
 	s.stats.pairsServed.Add(int64(st.PairsServed))
 	s.stats.pairsSolved.Add(int64(st.PairsSolved))
-	return jobResult{http.StatusOK, resp}
+	return jobResult{http.StatusOK, wire.AppendAnalyzeResponse(nil, resp, urs)}
 }

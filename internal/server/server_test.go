@@ -99,6 +99,17 @@ func analyze(t *testing.T, base string, req wire.AnalyzeRequest) (*http.Response
 	if err := json.Unmarshal(body, &ar); err != nil {
 		t.Fatalf("decoding response: %v", err)
 	}
+	// The reply is rendered by wire.AppendAnalyzeResponse: it must be the
+	// bytes encoding/json writes for the value it decodes to.
+	var want bytes.Buffer
+	enc := json.NewEncoder(&want)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(&ar); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, want.Bytes()) {
+		t.Fatalf("reply is not encoding/json's bytes\nreply: %.300q\njson:  %.300q", body, want.Bytes())
+	}
 	return resp, &ar
 }
 
@@ -160,6 +171,26 @@ func TestAnalyzeMatchesBatch(t *testing.T) {
 	}
 	if ar.Stats.UnitsSolved != len(units) || ar.Stats.UnitsReused != 0 {
 		t.Errorf("cold request stats %+v", ar.Stats)
+	}
+}
+
+// TestAnalyzeReplyNames: unit names that JSON must escape, or that
+// encoding/json copies although HTML would not, come back as sent, cold and
+// warm, in replies that are encoding/json's bytes (checked by analyze).
+func TestAnalyzeReplyNames(t *testing.T) {
+	_, base := startServer(t, Config{Options: testOptions()})
+	names := []string{"q\"uote", `back\slash`, "ctl\x01\b\n\t", "<a>&b", "ls\u2028ps\u2029", "é漢字"}
+	units := tinyUnits(len(names))
+	for i := range units {
+		units[i].Name = names[i]
+	}
+	for pass := 0; pass < 2; pass++ {
+		_, ar := analyze(t, base, wire.AnalyzeRequest{Units: units})
+		for i, uv := range ar.Units {
+			if uv.Name != names[i] || uv.Reused != (pass == 1) {
+				t.Errorf("pass %d unit %d: name %q reused %t, want %q", pass, i, uv.Name, uv.Reused, names[i])
+			}
+		}
 	}
 }
 

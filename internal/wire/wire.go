@@ -2,8 +2,12 @@
 // service: the request/response types POSTed to depserve's /v1 endpoints,
 // shared verbatim by the depload load generator and depanalyze's -json
 // output mode, so the CLI and the server speak one format. The types are
-// plain data with JSON tags — no behavior beyond conversion from the
-// analyzer's internal result types and a canonical rendering that is
+// plain data with JSON tags. Behavior is limited to three things: the
+// conversion from the analyzer's internal result types (FromUnitResult,
+// the typed view), a JSON appender that renders a whole AnalyzeResponse
+// straight from the corpus layer's unit results in the bytes encoding/json
+// writes for that typed view (AppendAnalyzeResponse, what depserve and
+// depanalyze -json write), and a canonical rendering that is
 // byte-identical to the corpus layer's (corpus.AppendCanonical), which is
 // what lets a client assert that served verdicts match a local batch run.
 //
@@ -310,7 +314,7 @@ func ClassName(b dtest.Budget) string {
 func FromUnitResult(ur *corpus.UnitResult) UnitVerdicts {
 	uv := UnitVerdicts{
 		Name:        ur.Name,
-		Fingerprint: fingerprintHex(ur.Fingerprint.Hi, ur.Fingerprint.Lo),
+		Fingerprint: string(appendFingerprint(make([]byte, 0, 32), ur.Fingerprint.Hi, ur.Fingerprint.Lo)),
 		Reused:      ur.Reused,
 		Warnings:    ur.Warnings,
 		Results:     make([]PairResult, len(ur.Results)),
@@ -323,7 +327,7 @@ func FromUnitResult(ur *corpus.UnitResult) UnitVerdicts {
 
 func fromResult(r *core.Result) PairResult {
 	pr := PairResult{
-		Pair:      r.Pair.A.Ref.String() + " vs " + r.Pair.B.Ref.String(),
+		Pair:      string(appendPairText(nil, &r.Pair)),
 		Outcome:   r.Outcome.String(),
 		Exact:     r.Exact,
 		DecidedBy: r.DecidedBy.String(),
@@ -368,16 +372,6 @@ func FromCounters(s stats.Counters) Counters {
 		BudgetTrips:    s.TotalBudgetTrips(),
 		CancelledPairs: s.CancelledPairs,
 	}
-}
-
-func fingerprintHex(hi, lo uint64) string {
-	const hex = "0123456789abcdef"
-	var b [32]byte
-	for i := 0; i < 16; i++ {
-		b[15-i] = hex[(hi>>(4*i))&0xf]
-		b[31-i] = hex[(lo>>(4*i))&0xf]
-	}
-	return string(b[:])
 }
 
 // tripCode maps a trip name back to its dtest.TripReason ordinal — the form
